@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -71,7 +72,14 @@ def _check_outputs(paths: list[str], force: bool) -> None:
             raise ConfigError(f"output {path} exists (use --force to overwrite)")
 
 
-def _write_manifest(path: str, subcommand: str, params: dict, outputs: list[str], started: float) -> None:
+def _write_manifest(
+    path: str,
+    subcommand: str,
+    params: dict,
+    outputs: list[str],
+    started: float,
+    diagnostics: dict | None = None,
+) -> None:
     manifest = {
         "subcommand": subcommand,
         "version": __version__,
@@ -79,9 +87,17 @@ def _write_manifest(path: str, subcommand: str, params: dict, outputs: list[str]
         "outputs": outputs,
         "wall_time_s": round(time.time() - started, 3),
     }
+    if diagnostics is not None:
+        manifest["diagnostics"] = diagnostics
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def _at_least_one(flag: str, value: int) -> int:
+    if value < 1:
+        raise ConfigError(f"{flag} must be >= 1, got {value}")
+    return value
 
 
 def _vector(text: str) -> np.ndarray:
@@ -316,6 +332,7 @@ def _cmd_qnd_solve(args) -> int:
 
 def _cmd_stability(args) -> int:
     started = time.time()
+    _at_least_one("--n-max", args.n_max)
     alpha_vec = args.alpha_vec
     if args.error == "systematic":
         error = RotationErrorModel(
@@ -405,13 +422,20 @@ def _cmd_nv_scan(args) -> int:
     if readout.is_ideal:
         readout = room_temp_readout(0.1, 0.07)
     scan_cfg = cfg.get("scan", {})
-    n_tdd = args.n_tdd if args.n_tdd else int(scan_cfg.get("n_tdd", 256))
-    n_tr = args.n_tr if args.n_tr else int(scan_cfg.get("n_tr", 256))
+    n_tdd = _at_least_one(
+        "--n-tdd", args.n_tdd if args.n_tdd is not None else int(scan_cfg.get("n_tdd", 256))
+    )
+    n_tr = _at_least_one(
+        "--n-tr", args.n_tr if args.n_tr is not None else int(scan_cfg.get("n_tr", 256))
+    )
     rel = (
         float(scan_cfg.get("tau_rel_min", 0.95)),
         float(scan_cfg.get("tau_rel_max", 1.05)),
     )
-    n_max = args.n_max if args.n_max else int(scan_cfg.get("n_max", 1_000_000))
+    n_max = _at_least_one(
+        "--n-max",
+        args.n_max if args.n_max is not None else int(scan_cfg.get("n_max", 1_000_000)),
+    )
 
     os.makedirs(args.out_dir, exist_ok=True)
     scan_path = os.path.join(args.out_dir, "scan.csv")
@@ -419,6 +443,7 @@ def _cmd_nv_scan(args) -> int:
     manifest_path = os.path.join(args.out_dir, "manifest.json")
     _check_outputs([scan_path, tol_path, manifest_path], args.force)
 
+    diagnostics = Counter(no_crossing_points=0, bisection_probes=0, kernel_calls=0)
     scan = scan_2d(
         params,
         default_tau_grid(params, n_tdd, rel),
@@ -426,6 +451,7 @@ def _cmd_nv_scan(args) -> int:
         readout,
         n_max=n_max,
         threads=args.threads,
+        diagnostics=diagnostics,
     )
     _write_csv(
         scan_path,
@@ -435,7 +461,7 @@ def _cmd_nv_scan(args) -> int:
             for t_dd, t_r, mag, res, d, n_c, n_l in scan.rows()
         ),
     )
-    profile = tolerance_profile(scan)
+    profile = tolerance_profile(scan, diagnostics)
     _write_csv(
         tol_path,
         ["t_DD_ns", "dtR_measured_ns", "dtR_worst_case_ns", "Nc"],
@@ -459,6 +485,7 @@ def _cmd_nv_scan(args) -> int:
         },
         [scan_path, tol_path],
         started,
+        dict(diagnostics),
     )
     finite = scan.lifetimes[np.isfinite(scan.lifetimes)]
     print(

@@ -29,6 +29,7 @@ QND condition whose usable width in ``t_r`` is the timing tolerance.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -38,7 +39,7 @@ from .control import solve_waiting_time
 from .hyperfine import MHZ, SpinSystem, cpmg, exact_dd_evolution, extract_alpha_phi
 from .measurement import MeasurementSetting, ReadoutModel, binary_stats
 from .rotations import rotor_exp, so3_from_rotor
-from .stability import dephasing_map
+from .stability import dephasing_map, first_crossing
 
 __all__ = [
     "C13_HYPERFINE_MHZ",
@@ -192,27 +193,19 @@ def _wait_rotation_matrices(omega_n: float, tr_grid: np.ndarray) -> np.ndarray:
 
 
 def _batched_lifetimes(maps: np.ndarray, axes: np.ndarray, n_max: int) -> np.ndarray:
-    """First ``1/e`` crossing of ``axis . G^N axis`` per point, ``inf`` if none.
+    """First ``1/e`` crossing of ``axis . G^N axis`` per point, ``inf`` if none."""
+    return first_crossing(maps, axes, n_max)
 
-    Iterates all points together, dropping each one at its first crossing, so
-    the long tail of the loop only carries the near-QND points.
-    """
-    threshold = 1.0 / math.e
-    n_points = maps.shape[0]
-    lifetimes = np.full(n_points, math.inf)
-    index = np.arange(n_points)
-    states = axes.copy()
-    for step in range(1, n_max + 1):
-        states = np.einsum("pij,pj->pi", maps, states)
-        crossed = np.einsum("pi,pi->p", axes, states) <= threshold
-        if crossed.any():
-            lifetimes[index[crossed]] = step
-            keep = ~crossed
-            index, states = index[keep], states[keep]
-            maps, axes = maps[keep], axes[keep]
-            if index.size == 0:
-                break
-    return lifetimes
+
+def _row_frames(alpha_vecs: np.ndarray, phi_dds: np.ndarray):
+    """Per row: measured axis, DD rotation matrix and dephasing map."""
+    hats, r_dds, dephs = [], [], []
+    for alpha_vec, phi_dd in zip(alpha_vecs, phi_dds):
+        mag = np.linalg.norm(alpha_vec)
+        hats.append(alpha_vec / mag if mag > 0 else np.array([0.0, 0.0, 1.0]))
+        r_dds.append(so3_from_rotor(rotor_exp(phi_dd)))
+        dephs.append(dephasing_map(alpha_vec))
+    return np.array(hats), np.array(r_dds), np.array(dephs)
 
 
 def _row_geometry(sys: SpinSystem, params: NvParams, tau: float):
@@ -228,15 +221,21 @@ def scan_2d(
     n_max: int = 1_000_000,
     phi: float = math.pi / 2,
     threads: int = 1,
+    diagnostics: Counter | None = None,
 ) -> ScanResult:
     """Map residual, strength and lifetime over the (t_dd, t_r) grid.
 
     Per CPMG duration: exact conditional evolution, extraction of the
     measurement vector and the sequence rotation, strength from the readout
     model.  Per waiting time: total cycle rotation, QND residual, and the
-    lifetime of the measured eigenstate under the full per-cycle map
-    ``R(phi_total) M``.  Rows are computed independently (optionally on a
-    thread pool) and assembled by index, so the output is deterministic.
+    full per-cycle map ``R(phi_total) M``.  The lifetimes of all grid points
+    then come from one call of ``stability.first_crossing`` with horizon
+    ``n_max``.  Rows are computed independently (optionally on a thread
+    pool) and assembled by index, so the output is deterministic.
+
+    ``diagnostics``, when given, is a counter that receives the number of
+    kernel calls (``kernel_calls``) and of grid points without a crossing
+    within ``n_max`` (``no_crossing_points``).
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     tr_grid = np.asarray(tr_grid, dtype=float)
@@ -266,23 +265,23 @@ def scan_2d(
             n_crit[i] = math.ceil(2.0 / stats.strength_d**2)
 
     wait_mats = _wait_rotation_matrices(params.omega_n, tr_grid)
+    hats, r_dds, dephs = _row_frames(alpha_vecs, phi_dds)
     residuals = np.empty((n_tau, n_tr))
     all_maps = np.empty((n_tau * n_tr, 3, 3))
     all_axes = np.empty((n_tau * n_tr, 3))
     for i in range(n_tau):
-        mag = np.linalg.norm(alpha_vecs[i])
-        alpha_hat = alpha_vecs[i] / mag if mag > 0 else np.array([0.0, 0.0, 1.0])
-        r_dd = so3_from_rotor(rotor_exp(phi_dds[i]))
-        totals = np.einsum("pij,jk->pik", wait_mats, r_dd)
-        moved = np.einsum("pij,j->pi", totals, alpha_hat)
-        chord = 0.5 * np.linalg.norm(moved - alpha_hat, axis=1)
+        totals = np.einsum("pij,jk->pik", wait_mats, r_dds[i])
+        moved = np.einsum("pij,j->pi", totals, hats[i])
+        chord = 0.5 * np.linalg.norm(moved - hats[i], axis=1)
         residuals[i] = 2.0 * np.arcsin(np.clip(chord, 0.0, 1.0))
-        deph = dephasing_map(alpha_vecs[i])
         sl = slice(i * n_tr, (i + 1) * n_tr)
-        all_maps[sl] = np.einsum("pij,jk->pik", totals, deph)
-        all_axes[sl] = alpha_hat
+        all_maps[sl] = np.einsum("pij,jk->pik", totals, dephs[i])
+        all_axes[sl] = hats[i]
 
     lifetimes = _batched_lifetimes(all_maps, all_axes, n_max).reshape(n_tau, n_tr)
+    if diagnostics is not None:
+        diagnostics["kernel_calls"] += 1
+        diagnostics["no_crossing_points"] += int(np.isinf(lifetimes).sum())
     return ScanResult(
         params=params,
         readout=readout,
@@ -299,50 +298,115 @@ def scan_2d(
     )
 
 
-def _lifetime_reaches(scan: ScanResult, row: int, t_r: float, target: float) -> bool:
-    """Whether ``N_L >= target`` at an off-grid waiting time of one row."""
-    if math.isinf(target):
-        return False
-    sys_omega_n = scan.params.omega_n
-    alpha_vec = scan.alpha_vecs[row]
-    mag = np.linalg.norm(alpha_vec)
-    alpha_hat = alpha_vec / mag if mag > 0 else np.array([0.0, 0.0, 1.0])
-    angle = sys_omega_n * t_r
-    cos_a, sin_a = math.cos(angle), math.sin(angle)
-    wait = np.array([[cos_a, -sin_a, 0.0], [sin_a, cos_a, 0.0], [0.0, 0.0, 1.0]])
-    step_map = wait @ so3_from_rotor(rotor_exp(scan.phi_dds[row])) @ dephasing_map(alpha_vec)
-    threshold = 1.0 / math.e
-    state = alpha_hat.copy()
-    horizon = min(int(target) - 1, scan.n_max)
-    for _ in range(horizon):
-        state = step_map @ state
-        if float(alpha_hat @ state) <= threshold:
-            return False
-    return True
+def _refine_edge(t_inside, t_outside, tol):
+    """Bisect the qualifying-region boundary between an inside/outside pair.
 
-
-def _refine_edge(scan, row, target, t_inside, t_outside, tol):
-    """Bisect the qualifying-region boundary between an inside/outside pair."""
+    Yields each waiting time to test and receives whether ``N_L >= N_c``
+    there; returns the boundary estimate.
+    """
     for _ in range(200):
         if abs(t_outside - t_inside) <= tol:
             break
         mid = 0.5 * (t_inside + t_outside)
-        if _lifetime_reaches(scan, row, mid, target):
+        if (yield mid):
             t_inside = mid
         else:
             t_outside = mid
     return 0.5 * (t_inside + t_outside)
 
 
-def tolerance_profile(scan: ScanResult) -> np.ndarray:
+def _grow_edge(start, step, window, tol):
+    """Walk outward from a qualifying point until the predicate fails, then bisect.
+
+    A generator like ``_refine_edge``.
+    """
+    lo, hi = window
+    inside = start
+    outside = None
+    probe = start + step
+    for _ in range(64):
+        if probe < lo or probe > hi:
+            boundary = lo if step < 0 else hi
+            if (yield boundary):
+                return boundary
+            outside = boundary
+            break
+        if (yield probe):
+            inside = probe
+            probe = probe + step
+        else:
+            outside = probe
+            break
+    if outside is None:
+        return inside
+    return (yield from _refine_edge(inside, outside, tol))
+
+
+def _row_width(scan: ScanResult, row: int, sys: SpinSystem, window, spacing: float, tol: float):
+    """Total width of ``{t_r : N_L >= N_c}`` in one row, as a probe generator.
+
+    Qualifying grid runs are merged with intervals grown around the QND-root
+    waiting times (which sub-grid-width regions would otherwise miss), and
+    every boundary is refined by bisection.  Each off-grid test is yielded
+    as a waiting time; the caller sends back whether it qualifies.
+    """
+    tr = scan.tr_grid
+    target = scan.n_crit[row]
+    seeds: list[tuple[float, float]] = []
+    if math.isfinite(target):
+        qual = scan.lifetimes[row] >= target
+        # maximal runs of qualifying grid points
+        j = 0
+        while j < tr.size:
+            if qual[j]:
+                k = j
+                while k + 1 < tr.size and qual[k + 1]:
+                    k += 1
+                seeds.append((tr[j], tr[k]))
+                j = k + 1
+            else:
+                j += 1
+        # QND roots seed regions narrower than the grid spacing
+        roots = solve_waiting_time(
+            sys, scan.phi_dds[row], scan.alpha_vecs[row], window, n_grid=1024
+        )
+        for t_root, _ in roots:
+            if any(lo - spacing <= t_root <= hi + spacing for lo, hi in seeds):
+                continue
+            if (yield t_root):
+                seeds.append((t_root, t_root))
+        seeds.sort()
+
+    intervals: list[tuple[float, float]] = []
+    for lo, hi in seeds:
+        left = yield from _grow_edge(lo, -spacing, window, tol)
+        right = yield from _grow_edge(hi, +spacing, window, tol)
+        intervals.append((left, right))
+    merged: list[list[float]] = []
+    for lo, hi in sorted(intervals):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return sum(hi - lo for lo, hi in merged)
+
+
+def tolerance_profile(scan: ScanResult, diagnostics: Counter | None = None) -> np.ndarray:
     """Per ``t_dd``: measured and worst-case waiting-time tolerances.
 
-    The measured tolerance is the total width of ``{t_r : N_L >= N_c}``:
-    qualifying grid runs are merged with intervals grown around the QND-root
-    waiting times (which sub-grid-width regions would otherwise miss), and
-    every boundary is refined by bisection.  The worst-case estimate is
-    ``(T_R / pi) sqrt(n_bar) C sin^2(alpha / 2)`` from the systematic-error
-    tolerance and the room-temperature strength.
+    The measured tolerance is the total width of ``{t_r : N_L >= N_c}``
+    (see ``_row_width``).  Off the grid, ``N_L >= N_c`` holds when the first
+    ``1/e`` crossing is later than ``min(N_c - 1, n_max)`` steps.  Every row
+    runs its seeding and bisection as a generator, and the rows advance in
+    lockstep: each round collects the one pending waiting time of every row
+    and answers them all with one ``stability.first_crossing`` call.  The
+    sequence of decisions in each row is the one a row-by-row bisection
+    would make.  The worst-case estimate is ``(T_R / pi) sqrt(n_bar) C
+    sin^2(alpha / 2)`` from the systematic-error tolerance and the
+    room-temperature strength.
+
+    ``diagnostics``, when given, is a counter that receives the number of
+    probes (``bisection_probes``) and kernel calls (``kernel_calls``).
 
     Returns an array with columns ``(t_dd, dtr_measured, dtr_worst_case,
     n_c)``.
@@ -354,77 +418,33 @@ def tolerance_profile(scan: ScanResult) -> np.ndarray:
     tol = 1e-4 * spacing
     window = (tr[0], tr[-1])
     sys = nv_system(scan.params)
-    mags = scan.alpha_mags
-    out = np.empty((scan.tau_grid.size, 4))
+    hats, r_dds, dephs = _row_frames(scan.alpha_vecs, scan.phi_dds)
+    horizons = np.minimum(scan.n_crit - 1, scan.n_max)
 
-    for i in range(scan.tau_grid.size):
-        target = scan.n_crit[i]
-        worst = (
-            (t_r_period / math.pi)
-            * math.sqrt(n_bar)
-            * contrast
-            * math.sin(mags[i] / 2.0) ** 2
-        )
-        seeds: list[tuple[float, float]] = []
-        if math.isfinite(target):
-            qual = scan.lifetimes[i] >= target
-            # maximal runs of qualifying grid points
-            j = 0
-            while j < tr.size:
-                if qual[j]:
-                    k = j
-                    while k + 1 < tr.size and qual[k + 1]:
-                        k += 1
-                    seeds.append((tr[j], tr[k]))
-                    j = k + 1
-                else:
-                    j += 1
-            # QND roots seed regions narrower than the grid spacing
-            roots = solve_waiting_time(
-                sys, scan.phi_dds[i], scan.alpha_vecs[i], window, n_grid=1024
-            )
-            for t_root, _ in roots:
-                if any(lo - spacing <= t_root <= hi + spacing for lo, hi in seeds):
-                    continue
-                if _lifetime_reaches(scan, i, t_root, target):
-                    seeds.append((t_root, t_root))
-            seeds.sort()
-
-        intervals: list[tuple[float, float]] = []
-        for lo, hi in seeds:
-            left = _grow_edge(scan, i, target, lo, -spacing, window, tol)
-            right = _grow_edge(scan, i, target, hi, +spacing, window, tol)
-            intervals.append((left, right))
-        merged: list[list[float]] = []
-        for lo, hi in sorted(intervals):
-            if merged and lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        measured = sum(hi - lo for lo, hi in merged)
-        out[i] = (scan.t_dd_grid[i], measured, worst, target)
-    return out
-
-
-def _grow_edge(scan, row, target, start, step, window, tol):
-    """Walk outward from a qualifying point until the predicate fails, then bisect."""
-    lo, hi = window
-    inside = start
-    outside = None
-    probe = start + step
-    for _ in range(64):
-        if probe < lo or probe > hi:
-            boundary = lo if step < 0 else hi
-            if _lifetime_reaches(scan, row, boundary, target):
-                return boundary
-            outside = boundary
+    rows = [_row_width(scan, i, sys, window, spacing, tol) for i in range(scan.tau_grid.size)]
+    measured = np.zeros(len(rows))
+    answers = dict.fromkeys(range(len(rows)))  # None starts each generator
+    while answers:
+        pending = {}
+        for i, answer in answers.items():
+            try:
+                pending[i] = rows[i].send(answer)
+            except StopIteration as done:
+                measured[i] = done.value
+        if not pending:
             break
-        if _lifetime_reaches(scan, row, probe, target):
-            inside = probe
-            probe = probe + step
-        else:
-            outside = probe
-            break
-    if outside is None:
-        return inside
-    return _refine_edge(scan, row, target, inside, outside, tol)
+        index = np.fromiter(pending, dtype=int, count=len(pending))
+        times = np.fromiter(pending.values(), dtype=float, count=len(pending))
+        maps = _wait_rotation_matrices(scan.params.omega_n, times) @ r_dds[index] @ dephs[index]
+        reaches = np.isinf(first_crossing(maps, hats[index], horizons[index].astype(np.int64)))
+        if diagnostics is not None:
+            diagnostics["kernel_calls"] += 1
+            diagnostics["bisection_probes"] += index.size
+        answers = dict(zip(index.tolist(), reaches.tolist()))
+
+    worst = [
+        (t_r_period / math.pi) * math.sqrt(n_bar) * contrast * math.sin(mag / 2.0) ** 2
+        for mag in scan.alpha_mags
+    ]
+    return np.column_stack((scan.t_dd_grid, measured, worst, scan.n_crit))
+

@@ -25,6 +25,20 @@ perpendicular to the measurement axis:
 Keeping ``N_L`` above the critical count ``2 / D**2`` bounds the tolerable
 error: ``dphi <= D |tan(alpha/2)|`` (systematic) or ``dphi <= D`` (random),
 which translates into a waiting-time tolerance ``dphi / |omega + A/2|``.
+
+Whenever the per-cycle map ``G`` is the same every cycle (a systematic error,
+or a point of an NV scan), every lifetime comes from one kernel,
+``first_crossing``, which returns the first ``N`` with ``a . G^N a <= 1/e``
+for a batch of points at once.  It takes ``DENSE_STEPS`` single steps first;
+most points cross there and drop out.  The survivors then advance ``K``
+steps per iteration: the rows ``c_k = a^T G^k`` (``k = 1..K``) are built by
+doubling, ``c[m:2m] = c[:m] G^m``, so ``S(N0 + k) = c_k . G^N0 a`` for the
+whole chunk is one product, and ``G^K`` from repeated squaring moves the
+state on.  ``K`` is a power of two no larger than ``MAX_CHUNK`` and shrinks
+so that the coefficient rows of all survivors (``3 K`` doubles each) stay
+within ``CHUNK_BUDGET``; it grows again as points drop out.  The
+systematic branch of ``survival_curve`` uses the same rows to emit the whole
+curve ``S(0..N)``.
 """
 
 from __future__ import annotations
@@ -42,6 +56,7 @@ __all__ = [
     "RotationErrorModel",
     "SurvivalCurve",
     "dephasing_map",
+    "first_crossing",
     "survival_curve",
     "survival_ensemble",
     "lifetime",
@@ -49,6 +64,15 @@ __all__ = [
     "tolerance",
     "tolerance_time",
 ]
+
+# Single steps before the chunked phase.  Most scan points cross within them,
+# and their lifetimes do not depend on the chunk arithmetic.
+DENSE_STEPS = 64
+# Largest chunk length K (a power of two).
+MAX_CHUNK = 256
+# Bound on the doubles held by the coefficient rows, 3 * K * (points advanced
+# together): 32 KiB, so the blocks stay small next to the scan's own arrays.
+CHUNK_BUDGET = 2**12
 
 
 @dataclass(frozen=True)
@@ -152,26 +176,29 @@ class SurvivalCurve:
 
 
 def survival_curve(alpha_vec, error: RotationErrorModel, n_max: int) -> SurvivalCurve:
-    """Iterate the dephasing-plus-error map and record ``S(N)``."""
+    """Iterate the dephasing-plus-error map and record ``S(N)``.
+
+    A systematic error gives a fixed per-cycle map, whose curve comes from the
+    chunked rows of the first-crossing kernel; random and explicit errors
+    change the map every cycle and are iterated one step at a time.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     alpha_vec = np.asarray(alpha_vec, dtype=float)
     mag = np.linalg.norm(alpha_vec)
     alpha_hat = alpha_vec / mag if mag > 0.0 else np.array([0.0, 0.0, 1.0])
     deph = dephasing_map(alpha_vec)
+    if error.kind == "systematic":
+        step = so3_from_rotor(rotor_exp(error.delta_phi)) @ deph
+        values = _survival_values(step, alpha_hat, n_max)
+        return SurvivalCurve(values, lifetime(values))
     vectors = error.rotation_vectors(n_max)
     values = np.empty(n_max + 1)
     values[0] = 1.0
     state = alpha_hat.copy()
-    if error.kind == "systematic":
-        step = so3_from_rotor(rotor_exp(error.delta_phi)) @ deph
-        for i in range(1, n_max + 1):
-            state = step @ state
-            values[i] = float(alpha_hat @ state)
-    else:
-        for i in range(1, n_max + 1):
-            state = so3_from_rotor(rotor_exp(vectors[i - 1])) @ (deph @ state)
-            values[i] = float(alpha_hat @ state)
+    for i in range(1, n_max + 1):
+        state = so3_from_rotor(rotor_exp(vectors[i - 1])) @ (deph @ state)
+        values[i] = float(alpha_hat @ state)
     return SurvivalCurve(values, lifetime(values))
 
 
@@ -213,6 +240,106 @@ def survival_ensemble(
     mean = survivals.mean(axis=1)
     stderr = survivals.std(axis=1, ddof=1) / math.sqrt(n_seeds)
     return mean, stderr
+
+
+def _chunk_length(n_points: int) -> int:
+    """Largest power of two up to ``MAX_CHUNK`` with ``3 K n_points <= CHUNK_BUDGET``."""
+    k = MAX_CHUNK
+    while k > 1 and 3 * k * n_points > CHUNK_BUDGET:
+        k //= 2
+    return k
+
+
+def _chunk_rows(maps: np.ndarray, axes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``a^T G^j`` for ``j = 1..k`` (shape ``(P, k, 3)``) and ``G^k``.
+
+    Built by doubling, ``rows[m:2m] = rows[:m] G^m`` with ``G^m`` squared in
+    turn, so ``k`` must be a power of two.  The powers are squared in
+    extended precision where the platform has it: ``G^k`` is applied once
+    per chunk, so its rounding error would otherwise grow coherently along
+    the curve.
+    """
+    rows = np.empty((maps.shape[0], k, 3))
+    rows[:, 0] = np.einsum("pi,pij->pj", axes, maps)
+    power = maps.astype(np.longdouble)
+    m = 1
+    while m < k:
+        np.matmul(rows[:, :m], power.astype(float), out=rows[:, m : 2 * m])
+        power = power @ power
+        m *= 2
+    return rows, power.astype(float)
+
+
+def first_crossing(maps, axes, horizon) -> np.ndarray:
+    """First ``N`` in ``1..horizon`` with ``a . G^N a <= 1/e``, per point.
+
+    ``maps`` has shape ``(P, 3, 3)`` (the per-cycle maps ``G``), ``axes``
+    shape ``(P, 3)`` (the measured axes ``a``) and ``horizon`` is an integer
+    or one integer per point.  Points that do not cross within their horizon
+    get ``inf``.
+
+    The first ``DENSE_STEPS`` steps apply each map once per step; later steps
+    are evaluated ``K`` at a time from the rows ``a^T G^k`` (see the module
+    docstring), which reorders the floating-point operations: a point whose
+    ``S(N)`` lies within rounding error of ``1/e`` can move by one step.
+    """
+    maps = np.asarray(maps, dtype=float)
+    axes = np.asarray(axes, dtype=float)
+    horizon = np.broadcast_to(np.asarray(horizon, dtype=np.int64), axes.shape[:1])
+    threshold = 1.0 / math.e
+    lifetimes = np.full(axes.shape[0], math.inf)
+    index = np.arange(axes.shape[0])
+    states = axes
+    step = 0
+    keep = horizon >= 1
+    while True:
+        # points leave when they cross or reach their horizon
+        if not keep.all():
+            index, states, maps, axes, horizon = (
+                a[keep] for a in (index, states, maps, axes, horizon)
+            )
+        if index.size == 0 or step == DENSE_STEPS:
+            break
+        step += 1
+        states = np.einsum("pij,pj->pi", maps, states)
+        crossed = np.einsum("pi,pi->p", axes, states) <= threshold
+        lifetimes[index[crossed]] = step
+        keep = ~crossed & (horizon > step)
+
+    k = 0
+    while index.size:
+        if _chunk_length(index.size) > k:
+            k = _chunk_length(index.size)
+            rows, power = _chunk_rows(maps, axes, k)
+        # S(step + 1 .. step + k), masked beyond each point's horizon
+        below = np.einsum("pkj,pj->pk", rows, states) <= threshold
+        if step + k > horizon.min():
+            below &= np.arange(1, k + 1) <= horizon[:, None] - step
+        crossed = below.any(axis=1)
+        states = np.einsum("pij,pj->pi", power, states)
+        keep = ~crossed & (horizon > step + k)
+        if not keep.all():
+            lifetimes[index[crossed]] = step + 1 + below[crossed].argmax(axis=1)
+            index, states, maps, axes, horizon, rows, power = (
+                a[keep] for a in (index, states, maps, axes, horizon, rows, power)
+            )
+        step += k
+    return lifetimes
+
+
+def _survival_values(step_map: np.ndarray, axis: np.ndarray, n_max: int) -> np.ndarray:
+    """``S(0..n_max) = a . G^N a`` for one fixed map, ``K`` values per product."""
+    k = _chunk_length(1)
+    rows, power = _chunk_rows(step_map[None], axis[None], k)
+    rows, power = rows[0], power[0]
+    values = np.empty(n_max + 1)
+    values[0] = 1.0
+    state = axis
+    for start in range(1, n_max + 1, k):
+        stop = min(start + k, n_max + 1)
+        values[start:stop] = (rows @ state)[: stop - start]
+        state = power @ state
+    return values
 
 
 def lifetime(values) -> int | float:

@@ -120,6 +120,29 @@ def test_nv_scan_outputs(tmp_path):
     manifest = json.load(open(os.path.join(out_dir, "manifest.json")))
     assert manifest["subcommand"] == "nv-scan"
     assert manifest["parameters"]["N_DD"] == 6
+    diagnostics = manifest["diagnostics"]
+    assert diagnostics["no_crossing_points"] == sum(row[6] == "inf" for row in rows)
+    # one kernel call for the scan plus one per lockstep bisection round
+    assert diagnostics["kernel_calls"] >= 1
+    assert diagnostics["bisection_probes"] >= diagnostics["kernel_calls"] - 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nv-scan", "--preset", "P2", "--n-tdd", "4", "--n-tr", "4", "--n-max", "0"],
+        ["nv-scan", "--preset", "P2", "--n-tdd", "0", "--n-tr", "4", "--n-max", "10"],
+        ["nv-scan", "--preset", "P2", "--n-tdd", "4", "--n-tr", "0", "--n-max", "10"],
+        ["stability", "--alpha-vec", "0,0,0.5", "--delta-phi", "0.01", "--n-max", "0"],
+    ],
+    ids=["nv-scan --n-max", "nv-scan --n-tdd", "nv-scan --n-tr", "stability --n-max"],
+)
+def test_iteration_caps_below_one_are_config_errors(tmp_path, capsys, argv):
+    out = str(tmp_path / "out")
+    target = ["--out-dir", out] if argv[0] == "nv-scan" else ["--out", out]
+    assert main(argv + target) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 def test_output_collision_refused(tmp_path):

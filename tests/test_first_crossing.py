@@ -1,0 +1,155 @@
+"""The chunked first-crossing kernel against a one-step reference loop."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qndspin.rotations import rotor_exp, so3_from_rotor
+from qndspin.stability import (
+    DENSE_STEPS,
+    RotationErrorModel,
+    _chunk_length,
+    dephasing_map,
+    first_crossing,
+    lifetime,
+    survival_curve,
+)
+
+EZ = np.array([0.0, 0.0, 1.0])
+THRESHOLD = 1.0 / math.e
+
+
+def naive_first_crossing(maps, axes, horizons):
+    """One map application per step, one point at a time."""
+    out = []
+    for g, a, h in zip(maps, axes, horizons):
+        state, found = a.copy(), math.inf
+        for n in range(1, int(h) + 1):
+            state = g @ state
+            if a @ state <= THRESHOLD:
+                found = n
+                break
+        out.append(found)
+    return np.array(out)
+
+
+def contractive_map(rotation, alpha_vec):
+    return so3_from_rotor(rotor_exp(np.asarray(rotation))) @ dephasing_map(np.asarray(alpha_vec))
+
+
+def crossing_at(n):
+    """A rotation about e_x whose survival ``cos(N theta)`` of e_z first
+    reaches ``1/e`` at step ``n``, half a step away from the threshold."""
+    theta = math.acos(THRESHOLD) / (n - 0.5)
+    return contractive_map([theta, 0.0, 0.0], np.zeros(3))
+
+
+unit = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: sum(x * x for x in v) > 1e-2)
+point = st.tuples(
+    unit,  # rotation axis
+    st.floats(-3.5, 0.0),  # log10 rotation angle
+    unit,  # dephasing axis
+    st.floats(0.0, 3.0),  # dephasing angle
+    unit,  # measured axis
+    st.integers(0, 2500),  # horizon
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(point, min_size=1, max_size=6))
+def test_kernel_equals_naive_loop_on_random_contractive_maps(points):
+    maps, axes, horizons = [], [], []
+    for rot_axis, log_angle, deph_axis, deph_angle, axis, horizon in points:
+        rot_axis, deph_axis, axis = (np.array(v) / np.linalg.norm(v) for v in (rot_axis, deph_axis, axis))
+        maps.append(contractive_map(10.0**log_angle * rot_axis, deph_angle * deph_axis))
+        axes.append(axis)
+        horizons.append(horizon)
+    maps, axes, horizons = np.array(maps), np.array(axes), np.array(horizons)
+    expected = naive_first_crossing(maps, axes, horizons)
+    np.testing.assert_array_equal(first_crossing(maps, axes, horizons), expected)
+    if len(set(horizons.tolist())) == 1:
+        np.testing.assert_array_equal(first_crossing(maps, axes, int(horizons[0])), expected)
+
+
+def test_crossings_on_the_phase_and_chunk_boundaries():
+    # four points outlive the dense phase and share chunks of length k
+    k = _chunk_length(4)
+    targets = [1, 2, DENSE_STEPS - 1, DENSE_STEPS, DENSE_STEPS + 1]
+    targets += [DENSE_STEPS + k, DENSE_STEPS + k + 1, DENSE_STEPS + 3 * k + 7]
+    maps = np.array([crossing_at(n) for n in targets])
+    axes = np.tile(EZ, (len(targets), 1))
+    horizon = 10 * k
+    np.testing.assert_array_equal(first_crossing(maps, axes, horizon), targets)
+    np.testing.assert_array_equal(naive_first_crossing(maps, axes, [horizon] * len(targets)), targets)
+    # a horizon ending on the crossing keeps it, one step shorter loses it
+    np.testing.assert_array_equal(first_crossing(maps, axes, targets), targets)
+    short = first_crossing(maps, axes, np.array(targets) - 1)
+    assert np.all(np.isinf(short))
+
+
+def test_horizons_zero_one_and_mixed():
+    maps = np.array([crossing_at(1), crossing_at(1), crossing_at(300), crossing_at(300)])
+    axes = np.tile(EZ, (4, 1))
+    assert np.all(np.isinf(first_crossing(maps, axes, 0)))
+    np.testing.assert_array_equal(first_crossing(maps, axes, 1), [1, 1, math.inf, math.inf])
+    np.testing.assert_array_equal(
+        first_crossing(maps, axes, [0, 1, 299, 300]), [math.inf, 1, math.inf, 300]
+    )
+
+
+def test_points_that_never_cross():
+    # the measured axis is fixed by a rotation about itself and by the
+    # dephasing map along it, so S(N) = 1; full dephasing of a slow rotation
+    # gives S(N) = cos(0.01)^N, which reaches 1/e only after ~2e4 steps
+    axis = np.array([0.6, 0.0, 0.8])
+    fixed = contractive_map(0.3 * axis, 0.7 * axis)
+    slow = contractive_map([0.01, 0.0, 0.0], 0.5 * math.pi * EZ)
+    maps = np.array([fixed, crossing_at(500), slow])
+    axes = np.array([axis, EZ, EZ])
+    horizons = [5000, 5000, 5000]
+    result = first_crossing(maps, axes, horizons)
+    np.testing.assert_array_equal(result, naive_first_crossing(maps, axes, horizons))
+    assert math.isinf(result[0]) and result[1] == 500 and math.isinf(result[2])
+
+
+def test_many_points_shrink_the_chunk_and_agree():
+    rng = np.random.default_rng(3)
+    n = 400
+    maps = np.array(
+        [
+            contractive_map(rng.normal(size=3) * 10.0 ** rng.uniform(-3, -1), rng.normal(size=3))
+            for _ in range(n)
+        ]
+    )
+    axes = rng.normal(size=(n, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    horizons = rng.integers(0, 3000, size=n)
+    np.testing.assert_array_equal(
+        first_crossing(maps, axes, horizons), naive_first_crossing(maps, axes, horizons)
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    alpha_mag=st.floats(0.05, math.pi - 0.05),
+    dphi=st.floats(1e-3, 0.2),
+    axis=unit,
+)
+def test_systematic_curve_matches_naive_loop(alpha_mag, dphi, axis):
+    n_max = 12_000
+    alpha_vec = alpha_mag * np.array([1.0, 0.0, 0.0])
+    delta_phi = dphi * np.array(axis) / np.linalg.norm(axis)
+    curve = survival_curve(alpha_vec, RotationErrorModel("systematic", delta_phi=delta_phi), n_max)
+    step = so3_from_rotor(rotor_exp(delta_phi)) @ dephasing_map(alpha_vec)
+    alpha_hat = np.array([1.0, 0.0, 0.0])
+    expected = np.empty(n_max + 1)
+    expected[0] = 1.0
+    state = alpha_hat.copy()
+    for i in range(1, n_max + 1):
+        state = step @ state
+        expected[i] = alpha_hat @ state
+    assert curve.values.shape == (n_max + 1,)
+    np.testing.assert_allclose(curve.values, expected, rtol=0.0, atol=1e-12)
+    assert curve.lifetime == lifetime(curve.values)

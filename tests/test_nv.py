@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from qndspin.nv import (
     scan_2d,
     tolerance_profile,
 )
+from qndspin.rotations import rotor_exp, so3_from_rotor
+from qndspin.stability import dephasing_map
 
 
 def small_scan(n_tau=24, n_tr=32, n_max=20_000, **kwargs):
@@ -183,3 +186,123 @@ def test_worst_case_width_vanishes_with_alpha():
     ]
     assert widths[0] > widths[1] > widths[2]
     assert widths[2] < 1e-3 * widths[0]  # quadratic vanishing in alpha
+
+
+# ------------------------------------------------- row-by-row bisection oracle
+#
+# The scalar-probe path that ``tolerance_profile`` replaced: one waiting time
+# per call, one map application per step.  The lockstep version must make the
+# same decisions and therefore return the same array.
+
+
+def _reference_reaches(scan, row, t_r, target):
+    if math.isinf(target):
+        return False
+    alpha_vec = scan.alpha_vecs[row]
+    mag = np.linalg.norm(alpha_vec)
+    alpha_hat = alpha_vec / mag if mag > 0 else np.array([0.0, 0.0, 1.0])
+    angle = scan.params.omega_n * t_r
+    cos_a, sin_a = math.cos(angle), math.sin(angle)
+    wait = np.array([[cos_a, -sin_a, 0.0], [sin_a, cos_a, 0.0], [0.0, 0.0, 1.0]])
+    step_map = wait @ so3_from_rotor(rotor_exp(scan.phi_dds[row])) @ dephasing_map(alpha_vec)
+    state = alpha_hat.copy()
+    for _ in range(min(int(target) - 1, scan.n_max)):
+        state = step_map @ state
+        if float(alpha_hat @ state) <= 1.0 / math.e:
+            return False
+    return True
+
+
+def _reference_refine_edge(scan, row, target, t_inside, t_outside, tol):
+    for _ in range(200):
+        if abs(t_outside - t_inside) <= tol:
+            break
+        mid = 0.5 * (t_inside + t_outside)
+        if _reference_reaches(scan, row, mid, target):
+            t_inside = mid
+        else:
+            t_outside = mid
+    return 0.5 * (t_inside + t_outside)
+
+
+def _reference_grow_edge(scan, row, target, start, step, window, tol):
+    lo, hi = window
+    inside = start
+    outside = None
+    probe = start + step
+    for _ in range(64):
+        if probe < lo or probe > hi:
+            boundary = lo if step < 0 else hi
+            if _reference_reaches(scan, row, boundary, target):
+                return boundary
+            outside = boundary
+            break
+        if _reference_reaches(scan, row, probe, target):
+            inside = probe
+            probe = probe + step
+        else:
+            outside = probe
+            break
+    if outside is None:
+        return inside
+    return _reference_refine_edge(scan, row, target, inside, outside, tol)
+
+
+def _reference_tolerance_profile(scan):
+    n_bar, contrast = photon_stats(scan.readout)
+    t_r_period = scan.params.larmor_period_wait
+    tr = scan.tr_grid
+    spacing = (tr[-1] - tr[0]) / max(tr.size - 1, 1)
+    tol = 1e-4 * spacing
+    window = (tr[0], tr[-1])
+    sys = nv_system(scan.params)
+    out = np.empty((scan.tau_grid.size, 4))
+    for i in range(scan.tau_grid.size):
+        target = scan.n_crit[i]
+        worst = (
+            (t_r_period / math.pi) * math.sqrt(n_bar) * contrast
+            * math.sin(scan.alpha_mags[i] / 2.0) ** 2
+        )
+        seeds = []
+        if math.isfinite(target):
+            qual = scan.lifetimes[i] >= target
+            j = 0
+            while j < tr.size:
+                if qual[j]:
+                    k = j
+                    while k + 1 < tr.size and qual[k + 1]:
+                        k += 1
+                    seeds.append((tr[j], tr[k]))
+                    j = k + 1
+                else:
+                    j += 1
+            roots = solve_waiting_time(
+                sys, scan.phi_dds[i], scan.alpha_vecs[i], window, n_grid=1024
+            )
+            for t_root, _ in roots:
+                if any(lo - spacing <= t_root <= hi + spacing for lo, hi in seeds):
+                    continue
+                if _reference_reaches(scan, i, t_root, target):
+                    seeds.append((t_root, t_root))
+            seeds.sort()
+        intervals = []
+        for lo, hi in seeds:
+            left = _reference_grow_edge(scan, i, target, lo, -spacing, window, tol)
+            right = _reference_grow_edge(scan, i, target, hi, +spacing, window, tol)
+            intervals.append((left, right))
+        merged = []
+        for lo, hi in sorted(intervals):
+            if merged and lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        out[i] = (scan.t_dd_grid[i], sum(hi - lo for lo, hi in merged), worst, target)
+    return out
+
+
+def test_lockstep_bisection_matches_row_by_row_probes():
+    scan = small_scan(n_tau=12, n_tr=48, n_max=20_000)
+    diagnostics = Counter()
+    profile = tolerance_profile(scan, diagnostics)
+    np.testing.assert_array_equal(profile, _reference_tolerance_profile(scan))
+    assert diagnostics["bisection_probes"] > diagnostics["kernel_calls"] > 0
