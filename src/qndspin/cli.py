@@ -102,8 +102,8 @@ def _at_least_one(flag: str, value: int) -> int:
 
 def _vector(text: str) -> np.ndarray:
     parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated numbers")
+    if len(parts) != 3 or not all(map(math.isfinite, parts)):
+        raise argparse.ArgumentTypeError("expected three comma-separated finite numbers")
     return np.array(parts)
 
 
@@ -115,19 +115,29 @@ def _readout_from_args(args, cfg) -> ReadoutModel:
     if args.p_plus is not None or args.p_minus is not None:
         if args.p_plus is None or args.p_minus is None:
             raise ConfigError("give both --p-plus and --p-minus")
-        return ReadoutModel(args.p_plus, args.p_minus)
-    if args.n_plus is not None or args.n_minus is not None:
+        make, values = ReadoutModel, (args.p_plus, args.p_minus)
+    elif args.n_plus is not None or args.n_minus is not None:
         if args.n_plus is None or args.n_minus is None:
             raise ConfigError("give both --n-plus and --n-minus")
-        return room_temp_readout(args.n_plus, args.n_minus)
-    return readout_from_config(cfg)
+        make, values = room_temp_readout, (args.n_plus, args.n_minus)
+    else:
+        return readout_from_config(cfg)
+    try:
+        return make(*values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid readout: {exc}") from exc
 
 
 def _setting_from_args(args, cfg) -> MeasurementSetting:
-    alpha = args.alpha if args.alpha is not None else float(cfg.get("alpha", 0.1))
-    phi = args.phi if args.phi is not None else phi_from_config(cfg)
     readout = _readout_from_args(args, cfg)
-    return MeasurementSetting(alpha * np.array([0.0, 0.0, 1.0]), phi, readout)
+    try:
+        alpha = args.alpha if args.alpha is not None else float(cfg.get("alpha", 0.1))
+        phi = args.phi if args.phi is not None else phi_from_config(cfg)
+        with np.errstate(invalid="ignore"):  # 0 * inf; the setting rejects the nan
+            alpha_vec = alpha * np.array([0.0, 0.0, 1.0])
+        return MeasurementSetting(alpha_vec, phi, readout)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid measurement setting: {exc}") from exc
 
 
 # ----------------------------------------------------------------- commands
@@ -212,6 +222,7 @@ def _distribution_for(args, setting):
 
 def _cmd_distribution(args) -> int:
     started = time.time()
+    _at_least_one("--n", args.n)
     cfg = _load_cfg(args)
     setting = _setting_from_args(args, cfg)
     dist = _distribution_for(args, setting)
@@ -242,6 +253,7 @@ def _cmd_distribution(args) -> int:
 
 def _cmd_fidelity(args) -> int:
     started = time.time()
+    _at_least_one("--n", args.n)
     cfg = _load_cfg(args)
     setting = _setting_from_args(args, cfg)
     dist = exact_distribution(setting, args.n)
@@ -324,7 +336,7 @@ def _cmd_qnd_solve(args) -> int:
     )
     best = min(roots, key=lambda r: r[1])
     print(
-        f"{len(roots)} minima in one period; best residual {best[1]:.3e} rad "
+        f"{len(roots)} root(s) of the QND condition in [0, T_R]; best residual {best[1]:.3e} rad "
         f"at t_R = {best[0] * 1e9:.3f} ns"
     )
     return 0
@@ -333,6 +345,8 @@ def _cmd_qnd_solve(args) -> int:
 def _cmd_stability(args) -> int:
     started = time.time()
     _at_least_one("--n-max", args.n_max)
+    if not math.isfinite(args.delta_phi):
+        raise ConfigError(f"--delta-phi must be finite, got {args.delta_phi}")
     alpha_vec = args.alpha_vec
     if args.error == "systematic":
         error = RotationErrorModel(
@@ -372,6 +386,8 @@ def _cmd_stability(args) -> int:
 
 def _cmd_trajectories(args) -> int:
     started = time.time()
+    _at_least_one("--n", args.n)
+    _at_least_one("--n-traj", args.n_traj)
     cfg = _load_cfg(args)
     setting = _setting_from_args(args, cfg)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))

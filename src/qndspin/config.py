@@ -123,8 +123,8 @@ def sequence_from_config(cfg: dict, params: NvParams):
         tau = float(cfg["t_DD_ns"]) * 1e-9 / params.n_dd
     else:
         tau = params.larmor_period_dd
-    if tau <= 0.0:
-        raise ConfigError("sequence duration must be positive")
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ConfigError(f"sequence duration must be positive and finite, got {tau}")
     return cpmg(params.n_dd, tau)
 
 

@@ -10,6 +10,10 @@ measurement axis ``alpha_hat``.  Both textbook branches of the condition
 (``|phi| = 0 mod 2 pi`` or ``phi || alpha_hat``) collapse into one scalar
 objective, the angle between ``alpha_hat`` and its image under ``R(phi)``.
 
+Without flips the wait is free precession about ``w = omega + A/2``, so the
+objective is a sinusoid in the precession angle: ``solve_waiting_time``
+returns its minima in closed form, one per period, with no numeric search.
+
 For sequences built by repeating an even-order concatenation (CPMG is the
 order-2 case) the condition is reachable by tuning the waiting time alone;
 for odd orders (e.g. the periodic sequence) the residual is generically
@@ -101,99 +105,60 @@ def qnd_residual(total: Rotor, alpha_hat) -> float:
     return 2.0 * math.asin(min(chord, 1.0))
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_minimize(f, a: float, b: float, xatol: float, stop_below: float):
-    """Golden-section minimum of ``f`` on ``[a, b]`` to absolute ``xatol``.
-
-    The residual is V-shaped (not parabolic) at a root, so golden section is
-    used instead of parabolic-interpolation minimizers, whose practical floor
-    of ``sqrt(eps) * |x|`` would limit waiting times near microseconds to
-    ~1e-14 s.  Stops early once the interval hits the float spacing of the
-    abscissa.
-    """
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    floor = 4.0 * np.spacing(max(abs(a), abs(b), 1.0e-30))
-    for _ in range(200):
-        if (b - a) <= max(xatol, floor) or min(fc, fd) <= stop_below:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
 def solve_waiting_time(
-    sys: SpinSystem,
-    phi_dd,
-    alpha_hat,
-    window: tuple[float, float],
-    n_grid: int = 2048,
-    residual_tol: float = 1e-9,
+    sys: SpinSystem, phi_dd, alpha_hat, window: tuple[float, float]
 ) -> list[tuple[float, float]]:
-    """Waiting times minimizing the QND residual under free precession.
+    """Waiting times in ``window`` that solve the QND condition, in closed form.
 
-    Scans ``t_r`` over ``window`` on a dense grid, then refines every local
-    minimum of the residual by golden-section search.  The waiting-time
-    bracket is shrunk until it resolves residual changes of
-    ``0.01 * residual_tol`` (given the precession rate) or until the residual
-    drops well below ``residual_tol``.  Returns the refined ``(t_r,
-    residual)`` pairs in increasing ``t_r``; residuals need not reach zero
-    (odd-order sequences have a nonzero infimum).
+    The wait is free precession about ``w = omega + A/2``, so with ``m =
+    R(phi_dd) alpha_hat`` and ``w_hat = w / |w|``, ``alpha_hat . R(theta) m =
+    c0 + c1 cos(theta) + s1 sin(theta)`` where ``c0 = (alpha_hat . w_hat)(m .
+    w_hat)``, ``c1 = alpha_hat . m - c0`` and ``s1 = alpha_hat . (w_hat x
+    m)`` (both taken from the components across ``w``, free of cancellation).
+    The residual is smallest at ``theta* = atan2(s1, c1) mod 2 pi``, i.e. at
+    ``t_k = (theta* + 2 pi k) / |w|``, and is evaluated with the chord formula
+    of ``qnd_residual`` and Rodrigues' form of ``R(theta) m``.  It need not
+    reach zero: odd-order sequences have a nonzero infimum.
+
+    Returns ``(t, residual)`` pairs in increasing ``t``: every ``t_k`` in
+    ``(lo, hi) = window`` (any span, negative times allowed), one period
+    ``2 pi / |w|`` apart; a ``t_k`` within ``1e-9 (hi - lo)`` outside an end
+    is kept and clamped onto it.  If no ``t_k`` lies in the window, or in the
+    flat case (``alpha_hat`` or ``m`` parallel to ``w`` to within 1e-12, so
+    the residual varies by ~1e-12 rad at most), the result is the single
+    endpoint with the smaller residual.  No other endpoint is ever returned.
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError("search window must be non-empty")
     alpha_hat = np.asarray(alpha_hat, dtype=float)
     alpha_hat = alpha_hat / np.linalg.norm(alpha_hat)
-    wait = sys.wait_field
-    # time step at which the residual can still change by 0.01 * residual_tol
-    xatol = 0.01 * residual_tol / float(np.linalg.norm(wait))
-    r_dd = so3_from_rotor(rotor_exp(phi_dd))
-    moved0 = r_dd @ alpha_hat
+    rate = float(np.linalg.norm(sys.wait_field))
+    w_hat = sys.wait_field / rate
+    m = so3_from_rotor(rotor_exp(phi_dd)) @ alpha_hat
+    # R(theta) turns the part of m across w and keeps the part along it
+    m_perp = m - float(m @ w_hat) * w_hat
+    a_perp = alpha_hat - float(alpha_hat @ w_hat) * w_hat
+    m_turn = np.cross(w_hat, m_perp)
 
-    def residual(t_r: float) -> float:
-        moved = so3_from_rotor(rotor_exp(wait * t_r)) @ moved0
-        chord = 0.5 * float(np.linalg.norm(moved - alpha_hat))
-        return 2.0 * math.asin(min(chord, 1.0))
+    def residuals(times: np.ndarray) -> np.ndarray:
+        c, s = np.cos(rate * times)[:, None], np.sin(rate * times)[:, None]
+        moved = m + (c - 1.0) * m_perp + s * m_turn
+        return 2.0 * np.arcsin(np.minimum(0.5 * np.linalg.norm(moved - alpha_hat, axis=1), 1.0))
 
-    grid = np.linspace(lo, hi, n_grid)
-    values = np.array([residual(t) for t in grid])
-    minima: list[tuple[float, float]] = []
-    for i in range(n_grid):
-        left = values[i - 1] if i > 0 else math.inf
-        right = values[i + 1] if i < n_grid - 1 else math.inf
-        if values[i] <= left and values[i] <= right:
-            a = grid[max(i - 1, 0)]
-            b = grid[min(i + 1, n_grid - 1)]
-            if a == b:
-                minima.append((grid[i], values[i]))
-                continue
-            t_best, v_best = _golden_minimize(
-                residual, a, b, xatol=xatol, stop_below=0.01 * residual_tol
-            )
-            if values[i] < v_best:
-                t_best, v_best = float(grid[i]), float(values[i])
-            minima.append((t_best, v_best))
-    # merge duplicates from flat neighborhoods
-    minima.sort()
-    spacing = (hi - lo) / n_grid
-    merged: list[tuple[float, float]] = []
-    for t, v in minima:
-        if merged and abs(t - merged[-1][0]) < 0.5 * spacing:
-            if v < merged[-1][1]:
-                merged[-1] = (t, v)
-        else:
-            merged.append((t, v))
-    return merged
+    times = np.zeros(0)
+    if min(np.linalg.norm(a_perp), np.linalg.norm(m_perp)) > 1e-12:
+        theta_star = math.atan2(float(a_perp @ m_turn), float(a_perp @ m_perp)) % (2.0 * math.pi)
+        slack = 1e-9 * (hi - lo)
+        k_first = math.ceil(((lo - slack) * rate - theta_star) / (2.0 * math.pi))
+        k_last = math.floor(((hi + slack) * rate - theta_star) / (2.0 * math.pi))
+        ks = np.arange(k_first, k_last + 1)
+        times = np.clip((theta_star + 2.0 * math.pi * ks) / rate, lo, hi)
+    if times.size == 0:
+        times = np.array([lo, hi])
+        values = residuals(times)
+        return [(float(times[np.argmin(values)]), float(values.min()))]
+    return list(zip(times.tolist(), residuals(times).tolist()))
 
 
 def _sign_pattern(order: int) -> np.ndarray:

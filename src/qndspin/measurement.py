@@ -77,6 +77,8 @@ class MeasurementSetting:
 
     def __post_init__(self):
         self.alpha_vec = np.asarray(self.alpha_vec, dtype=float)
+        if not (np.all(np.isfinite(self.alpha_vec)) and math.isfinite(self.phi)):
+            raise ValueError("alpha_vec and phi must be finite")
         if self.alpha_mag > math.pi + 1e-9:
             raise ValueError("canonical |alpha_vec| must not exceed pi")
         # normalize phi into (-pi, pi]

@@ -342,13 +342,13 @@ def _grow_edge(start, step, window, tol):
     return (yield from _refine_edge(inside, outside, tol))
 
 
-def _row_width(scan: ScanResult, row: int, sys: SpinSystem, window, spacing: float, tol: float):
+def _row_width(scan: ScanResult, row: int, roots, window, spacing: float, tol: float):
     """Total width of ``{t_r : N_L >= N_c}`` in one row, as a probe generator.
 
     Qualifying grid runs are merged with intervals grown around the QND-root
-    waiting times (which sub-grid-width regions would otherwise miss), and
-    every boundary is refined by bisection.  Each off-grid test is yielded
-    as a waiting time; the caller sends back whether it qualifies.
+    waiting times ``roots`` (which sub-grid-width regions would otherwise
+    miss), and every boundary is refined by bisection.  Each off-grid test
+    is yielded as a waiting time; the caller sends back whether it qualifies.
     """
     tr = scan.tr_grid
     target = scan.n_crit[row]
@@ -367,9 +367,6 @@ def _row_width(scan: ScanResult, row: int, sys: SpinSystem, window, spacing: flo
             else:
                 j += 1
         # QND roots seed regions narrower than the grid spacing
-        roots = solve_waiting_time(
-            sys, scan.phi_dds[row], scan.alpha_vecs[row], window, n_grid=1024
-        )
         for t_root, _ in roots:
             if any(lo - spacing <= t_root <= hi + spacing for lo, hi in seeds):
                 continue
@@ -406,7 +403,9 @@ def tolerance_profile(scan: ScanResult, diagnostics: Counter | None = None) -> n
     room-temperature strength.
 
     ``diagnostics``, when given, is a counter that receives the number of
-    probes (``bisection_probes``) and kernel calls (``kernel_calls``).
+    probes (``bisection_probes``) and kernel calls (``kernel_calls``), and
+    whose ``worst_row_qnd_residual`` is raised to the largest, over the rows
+    with finite ``N_c``, of the best QND residual at that row's roots.
 
     Returns an array with columns ``(t_dd, dtr_measured, dtr_worst_case,
     n_c)``.
@@ -421,7 +420,14 @@ def tolerance_profile(scan: ScanResult, diagnostics: Counter | None = None) -> n
     hats, r_dds, dephs = _row_frames(scan.alpha_vecs, scan.phi_dds)
     horizons = np.minimum(scan.n_crit - 1, scan.n_max)
 
-    rows = [_row_width(scan, i, sys, window, spacing, tol) for i in range(scan.tau_grid.size)]
+    roots = [
+        solve_waiting_time(sys, phi_dd, alpha_vec, window) if math.isfinite(n_c) else []
+        for phi_dd, alpha_vec, n_c in zip(scan.phi_dds, scan.alpha_vecs, scan.n_crit)
+    ]
+    if diagnostics is not None:
+        worst = max((min(r for _, r in row) for row in roots if row), default=0.0)
+        diagnostics["worst_row_qnd_residual"] = max(worst, diagnostics["worst_row_qnd_residual"])
+    rows = [_row_width(scan, i, roots[i], window, spacing, tol) for i in range(len(roots))]
     measured = np.zeros(len(rows))
     answers = dict.fromkeys(range(len(rows)))  # None starts each generator
     while answers:

@@ -2,9 +2,13 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from qndspin.cli import main
+from qndspin.hyperfine import cpmg, exact_dd_evolution, extract_alpha_phi
+from qndspin.nv import PRESETS, nv_system
 
 
 def read_csv(path):
@@ -59,6 +63,26 @@ def test_qnd_solve(tmp_path):
     header, rows = read_csv(out + ".csv")
     assert header == ["t_R_ns", "residual_rad"]
     assert min(float(r[1]) for r in rows) < 1e-9
+
+
+def test_qnd_solve_writes_one_row_per_root(tmp_path):
+    out = str(tmp_path / "roots")
+    assert main(["qnd-solve", "--preset", "P2", "--out", out]) == 0
+    _, rows = read_csv(out + ".csv")
+    # independent count: interior local minima of a dense scipy-built scan
+    params = PRESETS["P2"]
+    sys_ = nv_system(params)
+    seq = cpmg(params.n_dd, params.larmor_period_dd)
+    alpha_vec, phi_dd = extract_alpha_phi(*exact_dd_evolution(sys_, seq))
+    alpha_hat = alpha_vec / np.linalg.norm(alpha_vec)
+    times = np.linspace(0.0, sys_.wait_period, 20_001)
+    m = Rotation.from_rotvec(phi_dd).apply(alpha_hat)
+    moved = Rotation.from_rotvec(np.outer(times, sys_.wait_field)).apply(m)
+    res = 2.0 * np.arcsin(np.minimum(0.5 * np.linalg.norm(moved - alpha_hat, axis=1), 1.0))
+    dips = np.flatnonzero((res[1:-1] < res[:-2]) & (res[1:-1] < res[2:])) + 1
+    assert len(rows) == len(dips) == 1
+    assert all(float(r[1]) < 1e-9 for r in rows)
+    assert abs(float(rows[0][0]) * 1e-9 - times[dips[0]]) <= times[1]
 
 
 def test_stability_csv(tmp_path):
@@ -125,6 +149,8 @@ def test_nv_scan_outputs(tmp_path):
     # one kernel call for the scan plus one per lockstep bisection round
     assert diagnostics["kernel_calls"] >= 1
     assert diagnostics["bisection_probes"] >= diagnostics["kernel_calls"] - 1
+    # criterion 9 over the whole scan: CPMG reaches the QND condition in every row
+    assert 0.0 <= diagnostics["worst_row_qnd_residual"] < 1e-9
 
 
 @pytest.mark.parametrize(
@@ -134,14 +160,49 @@ def test_nv_scan_outputs(tmp_path):
         ["nv-scan", "--preset", "P2", "--n-tdd", "0", "--n-tr", "4", "--n-max", "10"],
         ["nv-scan", "--preset", "P2", "--n-tdd", "4", "--n-tr", "0", "--n-max", "10"],
         ["stability", "--alpha-vec", "0,0,0.5", "--delta-phi", "0.01", "--n-max", "0"],
+        ["fidelity", "--n", "0", "--alpha", "0.1"],
+        ["distribution", "--n", "0", "--alpha", "0.1"],
+        ["trajectories", "--n", "10", "--n-traj", "0", "--alpha", "0.1"],
+        ["trajectories", "--n", "0", "--n-traj", "10", "--alpha", "0.1"],
     ],
-    ids=["nv-scan --n-max", "nv-scan --n-tdd", "nv-scan --n-tr", "stability --n-max"],
+    ids=[
+        "nv-scan --n-max",
+        "nv-scan --n-tdd",
+        "nv-scan --n-tr",
+        "stability --n-max",
+        "fidelity --n",
+        "distribution --n",
+        "trajectories --n-traj",
+        "trajectories --n",
+    ],
 )
 def test_iteration_caps_below_one_are_config_errors(tmp_path, capsys, argv):
     out = str(tmp_path / "out")
     target = ["--out-dir", out] if argv[0] == "nv-scan" else ["--out", out]
     assert main(argv + target) == 2
     assert "must be >= 1" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["binary-stats", "--alpha", "nan"],
+        ["binary-stats", "--alpha", "inf"],
+        ["binary-stats", "--alpha", "0.1", "--phi", "nan"],
+        ["fidelity", "--n", "10", "--alpha", "0.1", "--p-plus", "nan", "--p-minus", "0.9"],
+        ["fidelity", "--n", "10", "--alpha", "0.1", "--n-plus", "inf", "--n-minus", "0.1"],
+        ["qnd-solve", "--preset", "P2", "--tau-ns", "nan"],
+        ["qnd-solve", "--preset", "P2", "--tau-ns", "inf"],
+        ["stability", "--alpha-vec", "nan,0,0.5", "--delta-phi", "0.01"],
+        ["stability", "--alpha-vec", "0,0,0.5", "--delta-phi", "nan"],
+        ["trajectories", "--n", "5", "--alpha", "0.1", "--cycle-rot", "nan,0,0"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "error" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
 
 

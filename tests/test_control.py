@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from qndspin.control import (
     FlipSchedule,
@@ -180,6 +183,125 @@ def test_solve_rejects_empty_window():
     sys = p2_system()
     with pytest.raises(ValueError):
         solve_waiting_time(sys, np.zeros(3), [1.0, 0.0, 0.0], (1.0, 1.0))
+
+
+def oracle_residuals(sys, phi_dd, alpha_hat, times):
+    """QND residual at each waiting time, built with scipy rotations."""
+    alpha_hat = np.asarray(alpha_hat, dtype=float)
+    alpha_hat = alpha_hat / np.linalg.norm(alpha_hat)
+    m = Rotation.from_rotvec(np.asarray(phi_dd, dtype=float)).apply(alpha_hat)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    moved = Rotation.from_rotvec(np.outer(times, sys.wait_field)).apply(m)
+    chord = 0.5 * np.linalg.norm(moved - alpha_hat, axis=1)
+    return 2.0 * np.arcsin(np.minimum(chord, 1.0))
+
+
+def assert_roots_contract(sys, phi_dd, alpha_hat, window, roots):
+    """In the window, increasing, one period apart, local minima, and no
+    worse than a dense brute-force scan of the window."""
+    lo, hi = window
+    period = sys.wait_period
+    ts = np.array([t for t, _ in roots])
+    assert roots and np.all((lo <= ts) & (ts <= hi))
+    assert np.all(np.diff(ts) > 0.0)
+    inner = ts[(ts > lo) & (ts < hi)]
+    np.testing.assert_allclose(np.diff(inner), period, rtol=1e-12, atol=0.0)
+    step = 1e-6 * period
+    for t, _ in roots:
+        here, left, right = oracle_residuals(sys, phi_dd, alpha_hat, [t, t - step, t + step])
+        if len(roots) > 1 or lo < t < hi:
+            assert here <= left and here <= right
+        elif t == lo:
+            assert here <= right
+        else:
+            assert here <= left
+    grid = np.linspace(lo, hi, 20_001)
+    brute = float(np.min(oracle_residuals(sys, phi_dd, alpha_hat, grid)))
+    assert min(r for _, r in roots) <= brute + 1e-12
+
+
+vec3 = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: sum(x * x for x in v) > 1e-2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    omega=vec3,
+    hyperfine=vec3,
+    coupling=st.floats(0.0, 0.8),
+    phi_dd=vec3,
+    phi_scale=st.floats(0.0, 3.0),
+    alpha=vec3,
+    start=st.floats(-3.0, 1.0),
+    span=st.floats(0.3, 3.0),
+)
+def test_solve_matches_dense_oracle(
+    omega, hyperfine, coupling, phi_dd, phi_scale, alpha, start, span
+):
+    sys = SpinSystem.from_vectors(omega, coupling * np.array(hyperfine))
+    assume(np.linalg.norm(sys.wait_field) > 0.1)
+    phi_dd = phi_scale * np.array(phi_dd)
+    alpha_hat = np.array(alpha) / np.linalg.norm(alpha)
+    # away from the flat case, which has its own test
+    w_hat = sys.wait_field / np.linalg.norm(sys.wait_field)
+    m = Rotation.from_rotvec(phi_dd).apply(alpha_hat)
+    assume(np.linalg.norm(np.cross(alpha_hat, w_hat)) * np.linalg.norm(np.cross(m, w_hat)) > 1e-3)
+    period = sys.wait_period
+    window = (start * period, (start + span) * period)
+    roots = solve_waiting_time(sys, phi_dd, alpha_hat, window)
+    assert_roots_contract(sys, phi_dd, alpha_hat, window, roots)
+
+
+def test_solve_flat_case_returns_one_point():
+    sys = SpinSystem.from_vectors([0.1, -0.2, 0.9], [0.2, 0.1, 0.05])
+    w_hat = sys.wait_field / np.linalg.norm(sys.wait_field)
+    window = (-0.7 * sys.wait_period, 1.8 * sys.wait_period)
+    # alpha_hat parallel to w
+    phi_dd = np.array([0.3, -0.4, 0.2])
+    roots = solve_waiting_time(sys, phi_dd, w_hat, window)
+    assert len(roots) == 1
+    assert roots[0][0] in window
+    values = oracle_residuals(sys, phi_dd, w_hat, np.linspace(*window, 2001))
+    assert np.ptp(values) < 1e-12
+    assert roots[0][1] == pytest.approx(values[0], abs=1e-12)
+    # m = R(phi_dd) alpha_hat parallel to w
+    alpha_hat = np.array([1.0, 0.0, 0.0])
+    turn = np.cross(alpha_hat, w_hat)
+    phi_dd = turn / np.linalg.norm(turn) * math.acos(float(alpha_hat @ w_hat))
+    roots = solve_waiting_time(sys, phi_dd, alpha_hat, window)
+    assert len(roots) == 1
+    assert roots[0][0] in window
+
+
+def test_solve_narrow_window_returns_better_endpoint():
+    sys = p2_system()
+    period = sys.wait_period
+    alpha_hat = np.array([0.6, 0.0, 0.8])
+    phi_dd = np.array([0.2, 0.5, -0.1])
+    (t_root, _), = solve_waiting_time(sys, phi_dd, alpha_hat, (0.0, period * (1 - 1e-6)))
+    for lo_frac, hi_frac in ((0.1, 0.4), (0.2, 0.8), (0.55, 0.9)):
+        window = (t_root + lo_frac * period, t_root + hi_frac * period)
+        roots = solve_waiting_time(sys, phi_dd, alpha_hat, window)
+        ends = oracle_residuals(sys, phi_dd, alpha_hat, window)
+        assert len(roots) == 1
+        assert roots[0][0] == window[int(np.argmin(ends))]
+        assert roots[0][1] == pytest.approx(ends.min(), abs=1e-13)
+        assert_roots_contract(sys, phi_dd, alpha_hat, window, roots)
+
+
+def test_solve_keeps_roots_on_both_window_ends():
+    sys = p2_system()
+    period = sys.wait_period
+    alpha_hat = np.array([0.6, 0.0, 0.8])
+    phi_dd = np.array([0.2, 0.5, -0.1])
+    (t_root, _), = solve_waiting_time(sys, phi_dd, alpha_hat, (0.0, period * (1 - 1e-6)))
+    for shift in (-2.0, 0.0):
+        window = (t_root + shift * period, t_root + (shift + 2.0) * period)
+        roots = solve_waiting_time(sys, phi_dd, alpha_hat, window)
+        ts = [t for t, _ in roots]
+        assert len(ts) == 3
+        assert ts[0] == window[0] and ts[-1] == window[1]
+        assert ts[1] == pytest.approx(t_root + (shift + 1.0) * period, rel=1e-12)
+        assert_roots_contract(sys, phi_dd, alpha_hat, window, roots)
 
 
 # -------------------------------------------------------------- concatenation

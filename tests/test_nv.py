@@ -277,7 +277,7 @@ def _reference_tolerance_profile(scan):
                 else:
                     j += 1
             roots = solve_waiting_time(
-                sys, scan.phi_dds[i], scan.alpha_vecs[i], window, n_grid=1024
+                sys, scan.phi_dds[i], scan.alpha_vecs[i], window
             )
             for t_root, _ in roots:
                 if any(lo - spacing <= t_root <= hi + spacing for lo, hi in seeds):
