@@ -100,6 +100,16 @@ def _at_least_one(flag: str, value: int) -> int:
     return value
 
 
+def _positive_finite(name: str, value) -> float:
+    try:
+        value = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 def _vector(text: str) -> np.ndarray:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 3 or not all(map(math.isfinite, parts)):
@@ -396,11 +406,13 @@ def _cmd_trajectories(args) -> int:
         "minus": NuclearState.eigenstate(setting.alpha_hat, -1),
         "mixed": NuclearState.mixed(),
     }[args.initial]
-    u_bars, finals = run_ensemble(
-        setting, rotor_exp(args.cycle_rot), initial, args.n, args.n_traj, seed
-    )
     csv_path, manifest_path = args.out + ".csv", args.out + ".manifest.json"
     _check_outputs([csv_path, manifest_path], args.force)
+    timings = Counter()
+    u_bars, finals = run_ensemble(
+        setting, rotor_exp(args.cycle_rot), initial, args.n, args.n_traj, seed, diagnostics=timings
+    )
+    written = time.perf_counter()
     _write_csv(
         csv_path,
         ["seed", "u_bar", "final_bx", "final_by", "final_bz"],
@@ -409,6 +421,7 @@ def _cmd_trajectories(args) -> int:
             for i in range(args.n_traj)
         ),
     )
+    timings["write_s"] = time.perf_counter() - written
     _write_manifest(
         manifest_path,
         "trajectories",
@@ -423,6 +436,7 @@ def _cmd_trajectories(args) -> int:
         },
         [csv_path],
         started,
+        {stage: round(seconds, 3) for stage, seconds in timings.items()},
     )
     print(f"wrote {csv_path} ({args.n_traj} trajectories, <u_bar> = {u_bars.mean():.4f})")
     return 0
@@ -445,8 +459,8 @@ def _cmd_nv_scan(args) -> int:
         "--n-tr", args.n_tr if args.n_tr is not None else int(scan_cfg.get("n_tr", 256))
     )
     rel = (
-        float(scan_cfg.get("tau_rel_min", 0.95)),
-        float(scan_cfg.get("tau_rel_max", 1.05)),
+        _positive_finite("scan.tau_rel_min", scan_cfg.get("tau_rel_min", 0.95)),
+        _positive_finite("scan.tau_rel_max", scan_cfg.get("tau_rel_max", 1.05)),
     )
     n_max = _at_least_one(
         "--n-max",
@@ -466,7 +480,6 @@ def _cmd_nv_scan(args) -> int:
         default_tr_grid(params, n_tr),
         readout,
         n_max=n_max,
-        threads=args.threads,
         diagnostics=diagnostics,
     )
     _write_csv(
@@ -606,12 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-tdd", type=int, help="sequence-duration grid points")
     p.add_argument("--n-tr", type=int, help="waiting-time grid points")
     p.add_argument("--n-max", type=int, help="lifetime iteration cap")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("QNDSPIN_THREADS", "1")),
-        help="worker threads for row preparation",
-    )
     p.set_defaults(func=_cmd_nv_scan)
 
     return parser

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,11 +207,6 @@ def _row_frames(alpha_vecs: np.ndarray, phi_dds: np.ndarray):
     return np.array(hats), np.array(r_dds), np.array(dephs)
 
 
-def _row_geometry(sys: SpinSystem, params: NvParams, tau: float):
-    alpha_vec, phi_dd = extract_alpha_phi(*exact_dd_evolution(sys, cpmg(params.n_dd, tau)))
-    return alpha_vec, phi_dd
-
-
 def scan_2d(
     params: NvParams,
     tau_grid,
@@ -220,7 +214,6 @@ def scan_2d(
     readout: ReadoutModel,
     n_max: int = 1_000_000,
     phi: float = math.pi / 2,
-    threads: int = 1,
     diagnostics: Counter | None = None,
 ) -> ScanResult:
     """Map residual, strength and lifetime over the (t_dd, t_r) grid.
@@ -230,8 +223,8 @@ def scan_2d(
     model.  Per waiting time: total cycle rotation, QND residual, and the
     full per-cycle map ``R(phi_total) M``.  The lifetimes of all grid points
     then come from one call of ``stability.first_crossing`` with horizon
-    ``n_max``.  Rows are computed independently (optionally on a thread
-    pool) and assembled by index, so the output is deterministic.
+    ``n_max``.  Rows are computed independently and assembled by index, so
+    the output is deterministic.
 
     ``diagnostics``, when given, is a counter that receives the number of
     kernel calls (``kernel_calls``) and of grid points without a crossing
@@ -244,11 +237,7 @@ def scan_2d(
     sys = nv_system(params)
     n_tau, n_tr = tau_grid.size, tr_grid.size
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            geom = list(pool.map(lambda t: _row_geometry(sys, params, t), tau_grid))
-    else:
-        geom = [_row_geometry(sys, params, tau) for tau in tau_grid]
+    geom = [extract_alpha_phi(*exact_dd_evolution(sys, cpmg(params.n_dd, t))) for t in tau_grid]
     alpha_vecs = np.array([g[0] for g in geom])
     phi_dds = np.array([g[1] for g in geom])
 

@@ -9,6 +9,10 @@ closed Bloch form: populations reweight by the conditional probabilities,
 the transverse component rescales by ``|l_+ l_-| / p`` and rotates about the
 axis by ``-arg(l_+ l_-^*)``, with ``l_pm`` the Kraus eigenvalues.
 
+``step`` applies that form literally and is the tests' oracle;
+``run_ensemble`` applies it to blocks of trajectories in the frame of the
+measurement axis (``_evolve``), and ``run`` is one row of the same kernel.
+
 Randomness comes from numpy's PCG64 ``default_rng``.  Trajectory ``i`` of an
 ensemble draws from ``SeedSequence(master_seed, spawn_key=(i,))``; a single
 ``run`` with that seed sequence reproduces the ensemble row bit for bit.
@@ -17,6 +21,8 @@ ensemble draws from ``SeedSequence(master_seed, spawn_key=(i,))``; a single
 from __future__ import annotations
 
 import math
+import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +38,9 @@ __all__ = [
     "run",
     "run_ensemble",
 ]
+
+# Cycles whose uniforms are transposed into the scratch buffer at a time.
+_SLICE = 64
 
 
 @dataclass
@@ -112,6 +121,89 @@ def step(
     return u, NuclearState(bloch)
 
 
+def _axis_frame(alpha_hat: np.ndarray) -> np.ndarray:
+    """Rows ``(e1, e2, a)`` of a right-handed orthonormal frame; exactly the
+    identity for ``a = e_z`` (adding 0.0 clears the negative zeros)."""
+    e1 = np.eye(3)[0 if abs(alpha_hat[0]) < 0.9 else 1]
+    e1 = e1 - (e1 @ alpha_hat) * alpha_hat
+    e1 /= np.linalg.norm(e1)
+    return np.array([e1, np.cross(alpha_hat, e1), alpha_hat]) + 0.0
+
+
+def _combine(dst, terms, sources, tmp) -> None:
+    """``dst = sum(coef * sources[j] for coef, j in terms)``, left to right."""
+    (coef, j), *rest = terms
+    np.multiply(coef, sources[j], out=dst)
+    for coef, j in rest:
+        np.multiply(coef, sources[j], out=tmp)
+        np.add(dst, tmp, out=dst)
+
+
+def _evolve(setting, cycle_rotation, initial, uniforms, outcomes=None):
+    """The batched trajectory kernel: one row per trajectory.
+
+    Row ``i`` of ``uniforms`` holds trajectory ``i``'s draws in cycle order.
+    In the frame ``F`` of ``_axis_frame`` the state is three coordinate
+    arrays ``x, y, z`` with ``z`` along the measurement axis.  Per cycle,
+    ``p_+`` is computed from ``z`` alone and compared with one contiguous
+    row of uniforms (64 cycles at a time are transposed into a scratch
+    buffer); ``z`` takes the population reweighting of the drawn outcome;
+    ``(x, y)`` rescale by ``s = l_+ l_-^* / p``, which is real for both
+    outcomes (``cos cos`` and ``-sin sin``), so the turn about the axis by
+    ``-arg(l_+ l_-^*)`` is the sign of ``s``; then ``R' = F R F^T`` is
+    applied as scalar x array products, skipping its exact zeros.  All
+    per-row arithmetic is elementwise into arrays allocated once per call,
+    with no matrix product, so a row's bits do not depend on how many rows
+    share the call.  ``outcomes``, an ``(n, rows)`` bool array when given,
+    receives ``u == +1`` per cycle.  Returns ``(u_bars, final_blochs)``.
+    """
+    frame = _axis_frame(setting.alpha_hat)
+    rotation = frame @ so3_from_rotor(cycle_rotation) @ frame.T
+    terms = [[(r, j) for j, r in enumerate(row) if r != 0.0] for row in rotation.tolist()]
+    # |l_+|^2 / 2, |l_-|^2 / 2 and l_+ l_-^* per outcome, as np.where columns
+    coeffs = {}
+    for u in (1, -1):
+        l_plus, l_minus = kraus_eigenvalues(setting, u)
+        cross = (l_plus * l_minus.conjugate()).real
+        coeffs[u] = np.array([[0.5 * abs(l_plus) ** 2], [0.5 * abs(l_minus) ** 2], [cross]])
+    (ha,), (hb,) = coeffs[1][:2]
+
+    rows, n = uniforms.shape
+    x, y, z, nx, ny, nz, pp, pm, p, tmp = np.empty((10, rows))
+    plus, counts = np.empty(rows, dtype=bool), np.zeros(rows, dtype=np.int64)
+    scratch = np.empty((_SLICE, rows))
+    for coord, value in zip((x, y, z), frame @ initial.bloch):
+        coord.fill(value)
+    for first in range(0, n, _SLICE):
+        width = min(_SLICE, n - first)
+        np.copyto(scratch[:width], uniforms[:, first : first + width].T)
+        for j, draws in enumerate(scratch[:width]):
+            np.add(1.0, z, out=pp)
+            np.subtract(1.0, z, out=pm)
+            np.multiply(ha, pp, out=nx)
+            np.multiply(hb, pm, out=ny)
+            np.add(nx, ny, out=p)
+            np.less(draws, p, out=plus)
+            np.add(counts, plus, out=counts)
+            if outcomes is not None:
+                outcomes[first + j] = plus
+            a, b, c = np.where(plus, coeffs[1], coeffs[-1])
+            np.multiply(a, pp, out=pp)
+            np.multiply(b, pm, out=pm)
+            np.add(pp, pm, out=p)
+            np.subtract(pp, pm, out=nz)
+            np.divide(nz, p, out=nz)
+            np.divide(c, p, out=p)  # p now holds s
+            np.multiply(p, x, out=nx)
+            np.multiply(p, y, out=ny)
+            for dst, row_terms in zip((x, y, z), terms):
+                _combine(dst, row_terms, (nx, ny, nz), tmp)
+    finals = np.empty((rows, 3))
+    for i, column in enumerate(frame.T.tolist()):
+        _combine(finals[:, i], list(zip(column, range(3))), (x, y, z), tmp)
+    return (2.0 * counts - n) / n, finals
+
+
 def run(
     setting: MeasurementSetting,
     cycle_rotation: Rotor,
@@ -119,19 +211,18 @@ def run(
     n: int,
     seed,
 ) -> TrajectoryRecord:
-    """Simulate ``n`` cycles; deterministic for a given seed."""
+    """Simulate ``n`` cycles; deterministic for a given seed.
+
+    The uniforms come from one ``random(n)`` call, the same stream as ``n``
+    scalar draws, and go through the batched kernel as a single row.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not isinstance(seed, np.random.SeedSequence):
-        seed_seq = np.random.SeedSequence(seed)
-    else:
-        seed_seq = seed
-    rng = np.random.default_rng(seed_seq)
-    state = initial
-    outcomes = np.empty(n, dtype=np.int8)
-    for i in range(n):
-        outcomes[i], state = step(state, setting, cycle_rotation, rng)
-    return TrajectoryRecord(outcomes, float(outcomes.mean()), state, seed)
+    uniforms = np.random.default_rng(seed).random(n)
+    plus = np.empty((n, 1), dtype=bool)
+    u_bars, finals = _evolve(setting, cycle_rotation, initial, uniforms[None, :], plus)
+    outcomes = np.where(plus[:, 0], 1, -1).astype(np.int8)
+    return TrajectoryRecord(outcomes, float(u_bars[0]), NuclearState(finals[0]), seed)
 
 
 def run_ensemble(
@@ -141,54 +232,39 @@ def run_ensemble(
     n: int,
     n_traj: int,
     master_seed: int,
-    block: int = 8192,
+    block: int = 2048,
+    diagnostics: Counter | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized batch of independent trajectories.
 
     Returns ``(u_bars, final_blochs)`` with one row per trajectory.
     Trajectory ``i`` consumes the stream ``SeedSequence(master_seed,
     spawn_key=(i,))`` exactly as ``run`` would, so the ensemble is a
-    bit-for-bit parallelization of repeated single runs.
+    bit-for-bit parallelization of repeated single runs.  Up to ``block``
+    trajectories draw their uniforms into one ``(block, n)`` buffer, which
+    dominates the memory (``8 block n`` bytes), and go through the kernel
+    together.
+
+    ``diagnostics``, when given, is a counter that receives the seconds
+    spent building the streams and drawing (``stream_s``) and in the kernel
+    (``kernel_s``).
     """
     if not setting.readout.is_ideal:
         raise ValueError("trajectory updates are defined for ideal readout only")
-    alpha_hat = setting.alpha_hat
-    rotation = so3_from_rotor(cycle_rotation)
-    lam = {u: kraus_eigenvalues(setting, u) for u in (1, -1)}
-    mod_sq = {u: (abs(lam[u][0]) ** 2, abs(lam[u][1]) ** 2) for u in (1, -1)}
-    cross = {u: lam[u][0] * lam[u][1].conjugate() for u in (1, -1)}
-
-    u_bars = np.empty(n_traj)
-    finals = np.empty((n_traj, 3))
+    u_bars, finals = np.empty(n_traj), np.empty((n_traj, 3))
+    uniforms = np.empty((min(block, n_traj), n))
+    stream_s = kernel_s = 0.0
     for start in range(0, n_traj, block):
-        count = min(block, n_traj - start)
-        uniforms = np.empty((count, n))
-        for i in range(count):
+        draws = uniforms[: n_traj - start]
+        began = time.perf_counter()
+        for i, row in enumerate(draws):
             seq = np.random.SeedSequence(master_seed, spawn_key=(start + i,))
-            uniforms[i] = np.random.default_rng(seq).random(n)
-        states = np.tile(initial.bloch, (count, 1))
-        totals = np.zeros(count)
-        for cycle in range(n):
-            par = states @ alpha_hat
-            perp = states - par[:, None] * alpha_hat[None, :]
-            p_plus = 0.5 * (mod_sq[1][0] * (1.0 + par) + mod_sq[1][1] * (1.0 - par))
-            picked_plus = uniforms[:, cycle] < p_plus
-            u = np.where(picked_plus, 1.0, -1.0)
-            totals += u
-
-            a2 = np.where(picked_plus, mod_sq[1][0], mod_sq[-1][0])
-            b2 = np.where(picked_plus, mod_sq[1][1], mod_sq[-1][1])
-            cr = np.where(picked_plus, cross[1], cross[-1])
-            p = 0.5 * (a2 * (1.0 + par) + b2 * (1.0 - par))
-            new_par = 0.5 * (a2 * (1.0 + par) - b2 * (1.0 - par)) / p
-            scale = (cr.real / p)[:, None]
-            twist = (cr.imag / p)[:, None]
-            new_perp = scale * perp - twist * np.cross(
-                np.tile(alpha_hat, (count, 1)), perp
-            )
-            states = (
-                new_par[:, None] * alpha_hat[None, :] + new_perp
-            ) @ rotation.T
-        u_bars[start : start + count] = totals / n
-        finals[start : start + count] = states
+            np.random.default_rng(seq).random(out=row)
+        drawn = time.perf_counter()
+        done = slice(start, start + len(draws))
+        u_bars[done], finals[done] = _evolve(setting, cycle_rotation, initial, draws)
+        stream_s += drawn - began
+        kernel_s += time.perf_counter() - drawn
+    if diagnostics is not None:
+        diagnostics.update(stream_s=stream_s, kernel_s=kernel_s)
     return u_bars, finals

@@ -2,7 +2,8 @@
 
 Each test prints a single PASS/FAIL line (visible with ``pytest -v -s`` or on
 failure) including the measured values and its wall time, then asserts the
-stated tolerances.
+stated tolerances.  Criterion 4 also has a calibrated companion, a pooled
+chi-square of the same sampler with a stated false-alarm rate.
 """
 
 import math
@@ -10,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from qndspin.cascade import (
     critical_n,
@@ -144,6 +146,47 @@ def test_criterion_04_distribution_convergence():
         f"(< 0.01 required; statistical floor of this estimator is ~0.011)"
     )
     _report(4, ok, detail, started, 60.0)
+
+
+def _pooled_chi_square(counts, probs, min_expected=5.0):
+    """Chi-square of ``counts`` against the law ``probs``, with adjacent bins
+    pooled left to right until each expects at least ``min_expected``; a
+    short remainder joins the last pooled bin.  Returns ``(statistic, dof)``."""
+    observed, expected = [], []
+    acc_obs = acc_exp = 0.0
+    for count, mean in zip(counts, probs * counts.sum()):
+        acc_obs += count
+        acc_exp += mean
+        if acc_exp >= min_expected:
+            observed.append(acc_obs)
+            expected.append(acc_exp)
+            acc_obs = acc_exp = 0.0
+    observed[-1] += acc_obs
+    expected[-1] += acc_exp
+    observed, expected = np.array(observed), np.array(expected)
+    return float(np.sum((observed - expected) ** 2 / expected)), len(expected) - 1
+
+
+def test_criterion_04_sampler_chi_square():
+    # Criterion 4's TV < 0.01 lies below the statistical floor of its own
+    # estimator, so it cannot tell a sound sampler from a broken one.  This
+    # companion can: the same QND sampler, 1e4 trajectories per branch at
+    # n = 1000, against the exact law with a pooled chi-square (expected
+    # count >= 5 per bin).  A branch fails at p < 1e-3, so an exact sampler
+    # fails this test with probability at most 2e-3 over seeds.
+    setting = MeasurementSetting(0.1 * EZ, 4 * math.pi / 9)
+    n, n_traj = 1000, 10_000
+    exact = exact_distribution(setting, n)
+    cycle = rotor_exp(0.7 * EZ)
+    for branch, probs in ((1, exact.probs_plus), (-1, exact.probs_minus)):
+        u_bars, _ = run_ensemble(
+            setting, cycle, NuclearState.eigenstate(EZ, branch), n, n_traj, MC_SEED
+        )
+        counts = np.bincount(np.rint((u_bars * n + n) / 2).astype(int), minlength=n + 1)
+        statistic, dof = _pooled_chi_square(counts, probs)
+        p_value = float(chi2.sf(statistic, dof))
+        print(f"branch {branch:+d}: chi2 = {statistic:.1f}, dof = {dof}, p = {p_value:.3f}")
+        assert p_value >= 1e-3, (branch, statistic, dof, p_value)
 
 
 def test_criterion_05_filter_function():

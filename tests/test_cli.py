@@ -123,6 +123,10 @@ def test_trajectories_deterministic(tmp_path):
     assert main(args + ["--out", out_b]) == 0
     with open(out_a + ".csv", "rb") as fa, open(out_b + ".csv", "rb") as fb:
         assert fa.read() == fb.read()
+    manifest = json.load(open(out_a + ".manifest.json"))
+    timings = manifest["diagnostics"]
+    assert set(timings) == {"stream_s", "kernel_s", "write_s"}
+    assert all(seconds >= 0.0 for seconds in timings.values())
 
 
 def test_nv_scan_outputs(tmp_path):
@@ -204,6 +208,27 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert "error" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        {"tau_rel_min": math.nan},
+        {"tau_rel_max": math.inf},
+        {"tau_rel_min": 0.0},
+        {"tau_rel_max": -1.05},
+        {"tau_rel_min": "wide"},
+    ],
+    ids=["min nan", "max inf", "min zero", "max negative", "min not a number"],
+)
+def test_nv_scan_bad_tau_span_is_config_error(tmp_path, capsys, scan):
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps({"preset": "P2", "scan": scan}))
+    out_dir = tmp_path / "out"
+    argv = ["nv-scan", "--config", str(cfg), "--out-dir", str(out_dir)]
+    assert main(argv + ["--n-tdd", "2", "--n-tr", "3", "--n-max", "10"]) == 2
+    assert "scan.tau_rel_" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_output_collision_refused(tmp_path):

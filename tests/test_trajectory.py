@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qndspin.cascade import exact_distribution
 from qndspin.measurement import MeasurementSetting, ReadoutModel, outcome_prob
@@ -131,6 +133,53 @@ def test_ensemble_rows_match_single_runs():
         )
         assert rec.u_bar == u_bars[i]
         np.testing.assert_array_equal(rec.final_state.bloch, finals[i])
+
+
+unit = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: sum(x * x for x in v) > 1e-2)
+
+
+def _unit(v):
+    v = np.array(v)
+    return v / np.linalg.norm(v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    axis=unit,
+    alpha=st.floats(0.05, math.pi - 0.05),
+    phi=st.floats(0.0, math.pi),
+    cycle=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    start=unit,
+    length=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),  # pure or mixed
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_matches_step_oracle(axis, alpha, phi, cycle, start, length, n, seed):
+    s = MeasurementSetting(alpha * _unit(axis), phi)
+    rotation = rotor_exp(np.array(cycle))
+    initial = NuclearState(length * _unit(start))
+    rec = run(s, rotation, initial, n, seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    state, outcomes = initial, []
+    for _ in range(n):
+        u, state = step(state, s, rotation, rng)
+        outcomes.append(u)
+    np.testing.assert_array_equal(rec.outcomes, outcomes)
+    np.testing.assert_allclose(rec.final_state.bloch, state.bloch, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 50])
+def test_ensemble_rows_are_runs_bit_for_bit(block):
+    axis = _unit([0.3, -0.5, -0.8])  # tilted, below the equator
+    s = MeasurementSetting(0.6 * axis, 1.1)
+    cycle = rotor_exp(np.array([0.2, 0.1, -0.3]))  # not about the axis
+    initial = NuclearState(np.array([0.5, 0.3, -0.2]))
+    n, n_traj = 150, 7
+    u_bars, finals = run_ensemble(s, cycle, initial, n, n_traj, 31, block=block)
+    for i in range(n_traj):
+        rec = run(s, cycle, initial, n, np.random.SeedSequence(31, spawn_key=(i,)))
+        np.testing.assert_array_equal(u_bars[i], rec.u_bar)
+        np.testing.assert_array_equal(finals[i], rec.final_state.bloch)
 
 
 def test_qnd_ensemble_reproduces_exact_distribution():
