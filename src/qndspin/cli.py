@@ -110,6 +110,13 @@ def _positive_finite(name: str, value) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _vector(text: str) -> np.ndarray:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 3 or not all(map(math.isfinite, parts)):
@@ -358,6 +365,12 @@ def _cmd_stability(args) -> int:
     if not math.isfinite(args.delta_phi):
         raise ConfigError(f"--delta-phi must be finite, got {args.delta_phi}")
     alpha_vec = args.alpha_vec
+    alpha_mag = float(np.linalg.norm(alpha_vec))
+    # the measurement axis must exist, and |alpha| is canonical as in MeasurementSetting
+    if not 0.0 < alpha_mag <= math.pi + 1e-9:
+        raise ConfigError(f"|--alpha-vec| must lie in (0, pi], got {alpha_mag}")
+    if not np.any(args.error_axis):
+        raise ConfigError("--error-axis must be nonzero")
     if args.error == "systematic":
         error = RotationErrorModel(
             "systematic", delta_phi=args.delta_phi * args.error_axis
@@ -365,14 +378,14 @@ def _cmd_stability(args) -> int:
     else:
         if args.seed is None:
             raise ConfigError("--seed is required for random errors")
+        if args.delta_phi < 0.0:
+            raise ConfigError(f"--delta-phi is a standard deviation here, got {args.delta_phi}")
         error = RotationErrorModel(
             "random", std=args.delta_phi, axis=args.error_axis, seed=args.seed
         )
     curve = survival_curve(alpha_vec, error, args.n_max)
     steps = np.arange(args.n_max + 1)
-    analytic = analytic_survival(
-        args.error, float(np.linalg.norm(alpha_vec)), args.delta_phi, steps
-    )
+    analytic = analytic_survival(args.error, alpha_mag, args.delta_phi, steps)
     csv_path, manifest_path = args.out + ".csv", args.out + ".manifest.json"
     _check_outputs([csv_path, manifest_path], args.force)
     _write_csv(csv_path, ["N", "S_sim", "S_analytic"], zip(steps, curve.values, analytic))
@@ -592,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-phi", type=float, required=True, help="error angle or std (rad)")
     p.add_argument("--error-axis", type=_vector, default=np.array([0.0, 0.0, 1.0]))
     p.add_argument("--n-max", type=int, default=10_000)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=_cmd_stability)
 
     p = sub.add_parser("trajectories", help="stochastic measurement records")
@@ -600,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_setting_args(p)
     p.add_argument("--n", type=int, required=True, help="cycles per trajectory")
     p.add_argument("--n-traj", type=int, default=1000)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--initial", choices=("plus", "minus", "mixed"), default="plus")
     p.add_argument(
         "--cycle-rot",

@@ -39,6 +39,19 @@ so that the coefficient rows of all survivors (``3 K`` doubles each) stay
 within ``CHUNK_BUDGET``; it grows again as points drop out.  The
 systematic branch of ``survival_curve`` uses the same rows to emit the whole
 curve ``S(0..N)``.
+
+Random errors ``delta_phi_i = g_i e`` about a fixed axis ``e`` change the map
+every cycle, but only by a turn about ``e``.  Their kernel works in the frame
+``F = (e1, e2, e)`` of ``trajectory._axis_frame``, where the state is three
+coordinate arrays ``x, y, z`` with one entry per error sequence: per cycle
+``M' = F M F^T`` is applied as scalar x array products that skip its exact
+zeros, the error is the 2-D turn ``x' = c x - s y``, ``y' = s x + c y`` by
+the drawn angle (``z`` untouched), and ``S`` is read off along ``F a``.  All
+per-row arithmetic is elementwise, so a row's bits do not depend on how many
+rows share the call: ``survival_ensemble`` runs every seed as one row, and
+the random branch of ``survival_curve`` is a one-row call, so a curve drawn
+from ``SeedSequence(m).spawn(n)[i]`` is row ``i`` of the ensemble bit for
+bit.  Only explicit error lists are still iterated one 3x3 step at a time.
 """
 
 from __future__ import annotations
@@ -50,9 +63,9 @@ import numpy as np
 
 from .hyperfine import SpinSystem
 from .rotations import rotor_exp, so3_from_rotor
+from .trajectory import _SLICE, _axis_frame, _combine
 
 __all__ = [
-    "DephasingMap",
     "RotationErrorModel",
     "SurvivalCurve",
     "dephasing_map",
@@ -75,27 +88,29 @@ MAX_CHUNK = 256
 CHUNK_BUDGET = 2**12
 
 
-@dataclass(frozen=True)
-class DephasingMap:
-    """Outcome-averaged polarization map of one binary measurement."""
-
-    matrix: np.ndarray
-
-    @classmethod
-    def from_alpha(cls, alpha_vec) -> "DephasingMap":
-        alpha_vec = np.asarray(alpha_vec, dtype=float)
-        return cls(
-            0.5 * (so3_from_rotor(rotor_exp(alpha_vec)) + so3_from_rotor(rotor_exp(-alpha_vec)))
-        )
-
-
 def dephasing_map(alpha_vec) -> np.ndarray:
     """Matrix ``[R(alpha_vec) + R(-alpha_vec)] / 2``.
 
     Fixes the measurement axis and scales perpendicular components by
     ``cos(|alpha_vec|)``.
     """
-    return DephasingMap.from_alpha(alpha_vec).matrix
+    alpha_vec = np.asarray(alpha_vec, dtype=float)
+    return 0.5 * (so3_from_rotor(rotor_exp(alpha_vec)) + so3_from_rotor(rotor_exp(-alpha_vec)))
+
+
+def _checked_std(std) -> float:
+    std = float(std)
+    if not (math.isfinite(std) and std >= 0.0):
+        raise ValueError(f"std must be nonnegative and finite, got {std}")
+    return std
+
+
+def _unit_axis(axis) -> np.ndarray:
+    axis = np.asarray(axis, dtype=float)
+    norm = float(np.linalg.norm(axis))
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise ValueError("fixed axis must be nonzero and finite")
+    return axis / norm
 
 
 @dataclass
@@ -105,23 +120,18 @@ class RotationErrorModel:
     kinds:
       * ``systematic``: the same ``delta_phi`` vector every cycle.
       * ``random``: ``delta_phi_i = g_i * axis`` with iid Gaussian ``g_i`` of
-        standard deviation ``std`` (``axis_policy="fixed"``), or an isotropic
-        random direction per cycle (``axis_policy="isotropic"``); ``seed`` is
-        mandatory.
+        standard deviation ``std`` about a fixed ``axis``; ``seed`` (an int
+        or a ``SeedSequence``) is mandatory.
       * ``explicit``: a given array of per-cycle vectors, cycled when shorter
-        than the horizon.  With ``full_cycle=True`` the entries are the full
-        per-cycle rotations applied after the dephasing map instead of small
-        deviations (the scan driver uses this with the net cycle rotation).
+        than the horizon.
     """
 
     kind: str
     delta_phi: np.ndarray | None = None
     std: float = 0.0
     axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-    seed: int | None = None
-    axis_policy: str = "fixed"
+    seed: int | np.random.SeedSequence | None = None
     rotations: np.ndarray | None = None
-    full_cycle: bool = False
 
     def __post_init__(self):
         if self.kind not in ("systematic", "random", "explicit"):
@@ -133,38 +143,12 @@ class RotationErrorModel:
         elif self.kind == "random":
             if self.seed is None:
                 raise ValueError("random errors need an explicit seed")
-            if self.std < 0.0:
-                raise ValueError("std must be nonnegative")
-            if self.axis_policy not in ("fixed", "isotropic"):
-                raise ValueError(f"unknown axis policy {self.axis_policy!r}")
-            self.axis = np.asarray(self.axis, dtype=float)
-            norm = np.linalg.norm(self.axis)
-            if self.axis_policy == "fixed":
-                if norm == 0.0:
-                    raise ValueError("fixed axis must be nonzero")
-                self.axis = self.axis / norm
+            self.std = _checked_std(self.std)
+            self.axis = _unit_axis(self.axis)
         else:
             if self.rotations is None:
                 raise ValueError("explicit errors need the rotations array")
             self.rotations = np.atleast_2d(np.asarray(self.rotations, dtype=float))
-
-    def rotation_vectors(self, n_max: int) -> np.ndarray:
-        """Per-cycle rotation vectors for cycles ``1 .. n_max``."""
-        if self.kind == "systematic":
-            return np.tile(self.delta_phi, (n_max, 1))
-        if self.kind == "random":
-            seed = self.seed
-            if not isinstance(seed, np.random.SeedSequence):
-                seed = np.random.SeedSequence(seed)
-            rng = np.random.default_rng(seed)
-            magnitudes = rng.normal(0.0, self.std, size=n_max)
-            if self.axis_policy == "fixed":
-                return magnitudes[:, None] * self.axis[None, :]
-            directions = rng.normal(size=(n_max, 3))
-            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-            return magnitudes[:, None] * directions
-        reps = -(-n_max // self.rotations.shape[0])
-        return np.tile(self.rotations, (reps, 1))[:n_max]
 
 
 @dataclass
@@ -179,26 +163,32 @@ def survival_curve(alpha_vec, error: RotationErrorModel, n_max: int) -> Survival
     """Iterate the dephasing-plus-error map and record ``S(N)``.
 
     A systematic error gives a fixed per-cycle map, whose curve comes from the
-    chunked rows of the first-crossing kernel; random and explicit errors
-    change the map every cycle and are iterated one step at a time.
+    chunked rows of the first-crossing kernel.  A random error is one row of
+    the fixed-axis kernel (module docstring): with the seed
+    ``SeedSequence(m).spawn(n)[i]`` the curve equals row ``i`` of
+    ``survival_ensemble(..., n_seeds=n, master_seed=m)`` bit for bit.
+    Explicit errors are iterated one step at a time.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     alpha_vec = np.asarray(alpha_vec, dtype=float)
-    mag = np.linalg.norm(alpha_vec)
-    alpha_hat = alpha_vec / mag if mag > 0.0 else np.array([0.0, 0.0, 1.0])
+    if error.kind == "random":
+        angles = _error_angles(error.seed, error.std, n_max)
+        values = _fixed_axis_survivals(alpha_vec, error.axis, angles[None, :])[:, 0]
+        return SurvivalCurve(values, lifetime(values))
+    alpha_hat = _measurement_axis(alpha_vec)
     deph = dephasing_map(alpha_vec)
     if error.kind == "systematic":
         step = so3_from_rotor(rotor_exp(error.delta_phi)) @ deph
         values = _survival_values(step, alpha_hat, n_max)
-        return SurvivalCurve(values, lifetime(values))
-    vectors = error.rotation_vectors(n_max)
-    values = np.empty(n_max + 1)
-    values[0] = 1.0
-    state = alpha_hat.copy()
-    for i in range(1, n_max + 1):
-        state = so3_from_rotor(rotor_exp(vectors[i - 1])) @ (deph @ state)
-        values[i] = float(alpha_hat @ state)
+    else:
+        vectors = np.resize(error.rotations, (n_max, 3))
+        values = np.empty(n_max + 1)
+        values[0] = 1.0
+        state = alpha_hat.copy()
+        for i in range(1, n_max + 1):
+            state = so3_from_rotor(rotor_exp(vectors[i - 1])) @ (deph @ state)
+            values[i] = float(alpha_hat @ state)
     return SurvivalCurve(values, lifetime(values))
 
 
@@ -213,33 +203,82 @@ def survival_ensemble(
     """Ensemble mean and standard error of ``S(N)`` for iid random errors.
 
     Instance ``i`` draws its error angles from the seed
-    ``SeedSequence(master_seed).spawn(n_seeds)[i]``, so each row reproduces
-    ``survival_curve`` with the corresponding random-kind model; the
-    iteration itself is vectorized across instances.
+    ``SeedSequence(master_seed).spawn(n_seeds)[i]`` and is row ``i`` of one
+    call of the fixed-axis kernel (module docstring), so it equals
+    ``survival_curve`` with the corresponding random-kind model bit for bit.
+    The ``(n_seeds, n_max)`` angle matrix is freed before the reduction over
+    the ``(n_max + 1, n_seeds)`` survivals.
     """
-    alpha_vec = np.asarray(alpha_vec, dtype=float)
-    mag = float(np.linalg.norm(alpha_vec))
-    alpha_hat = alpha_vec / mag if mag > 0.0 else np.array([0.0, 0.0, 1.0])
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    seeds = np.random.SeedSequence(master_seed).spawn(n_seeds)
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    if n_seeds < 2:
+        raise ValueError("n_seeds must be >= 2 for a standard error")
+    std = _checked_std(std)
+    axis = _unit_axis(axis)
     angles = np.empty((n_seeds, n_max))
-    for i, seq in enumerate(seeds):
-        angles[i] = np.random.default_rng(seq).normal(0.0, std, size=n_max)
-    deph = dephasing_map(alpha_vec)
-    states = np.tile(alpha_hat, (n_seeds, 1))
-    survivals = np.empty((n_max + 1, n_seeds))
-    survivals[0] = 1.0
-    for step in range(1, n_max + 1):
-        states = states @ deph.T
-        cos_a = np.cos(angles[:, step - 1])[:, None]
-        sin_a = np.sin(angles[:, step - 1])[:, None]
-        along = (states @ axis)[:, None] * axis[None, :]
-        states = states * cos_a + np.cross(axis[None, :], states) * sin_a + along * (1.0 - cos_a)
-        survivals[step] = states @ alpha_hat
+    for i, seq in enumerate(np.random.SeedSequence(master_seed).spawn(n_seeds)):
+        angles[i] = _error_angles(seq, std, n_max)
+    survivals = _fixed_axis_survivals(alpha_vec, axis, angles)
+    del angles
     mean = survivals.mean(axis=1)
     stderr = survivals.std(axis=1, ddof=1) / math.sqrt(n_seeds)
     return mean, stderr
+
+
+def _measurement_axis(alpha_vec: np.ndarray) -> np.ndarray:
+    """``alpha_hat``, or ``e_z`` when there is no measurement."""
+    mag = float(np.linalg.norm(alpha_vec))
+    return alpha_vec / mag if mag > 0.0 else np.array([0.0, 0.0, 1.0])
+
+
+def _error_angles(seed, std: float, n_max: int) -> np.ndarray:
+    """The ``n_max`` Gaussian error angles of one random-error sequence."""
+    return np.random.default_rng(seed).normal(0.0, std, size=n_max)
+
+
+def _fixed_axis_survivals(alpha_vec, axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """The fixed-axis random-error kernel: one row per error sequence.
+
+    ``axis`` is the unit error axis and row ``i`` of ``angles`` holds
+    sequence ``i``'s angles in cycle order.  Returns ``S(0..n_max)`` with
+    shape ``(n_max + 1, rows)``.  The cos and sin of 64 cycles at a time are
+    taken from a transposed scratch copy of the angles, so each cycle reads
+    contiguous rows; the work arrays are allocated once and updated in
+    place, with no matrix product (module docstring).
+    """
+    alpha_vec = np.asarray(alpha_vec, dtype=float)
+    frame = _axis_frame(axis)
+    start = frame @ _measurement_axis(alpha_vec)
+    deph = frame @ dephasing_map(alpha_vec) @ frame.T
+    # 0-d array coefficients: numpy converts a Python float on every call
+    terms = [[(np.array(m), j) for j, m in enumerate(row) if m != 0.0] for row in deph.tolist()]
+    readout = [(np.array(a), j) for j, a in enumerate(start.tolist()) if a != 0.0]
+
+    rows, n_max = angles.shape
+    survivals = np.empty((n_max + 1, rows))
+    survivals[0] = 1.0
+    x, y, z, nx, ny, nz, tmp = np.empty((7, rows))
+    for coord, value in zip((x, y, z), start):
+        coord.fill(value)
+    scratch = np.empty((3, _SLICE, rows))
+    for first in range(0, n_max, _SLICE):
+        width = min(_SLICE, n_max - first)
+        theta, cos, sin = scratch[:, :width]
+        np.copyto(theta, angles[:, first : first + width].T)
+        np.cos(theta, out=cos)
+        np.sin(theta, out=sin)
+        for c, s, out in zip(cos, sin, survivals[first + 1 : first + 1 + width]):
+            for dst, row_terms in zip((nx, ny, nz), terms):
+                _combine(dst, row_terms, (x, y, z), tmp)
+            np.multiply(c, nx, out=x)
+            np.multiply(s, ny, out=tmp)
+            np.subtract(x, tmp, out=x)
+            np.multiply(s, nx, out=y)
+            np.multiply(c, ny, out=tmp)
+            np.add(y, tmp, out=y)
+            z, nz = nz, z
+            _combine(out, readout, (x, y, z), tmp)
+    return survivals
 
 
 def _chunk_length(n_points: int) -> int:

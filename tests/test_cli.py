@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+import qndspin
 from qndspin.cli import main
 from qndspin.hyperfine import cpmg, exact_dd_evolution, extract_alpha_phi
 from qndspin.nv import PRESETS, nv_system
@@ -229,6 +232,35 @@ def test_nv_scan_bad_tau_span_is_config_error(tmp_path, capsys, scan):
     assert main(argv + ["--n-tdd", "2", "--n-tr", "3", "--n-max", "10"]) == 2
     assert "scan.tau_rel_" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stability", "--alpha-vec", "0,0,0.5", "--error", "random", "--delta-phi", "-0.1", "--seed", "1"],
+        ["stability", "--alpha-vec", "0,0,0.5", "--error", "random", "--delta-phi", "0.1", "--seed", "-1"],
+        ["stability", "--alpha-vec", "0,0,0.5", "--error", "random", "--delta-phi", "0.1", "--seed", "1",
+         "--error-axis", "0,0,0"],
+        ["stability", "--alpha-vec", "0,0,0", "--delta-phi", "0.1"],
+        ["stability", "--alpha-vec", "7,0,0", "--delta-phi", "0.1"],
+        ["trajectories", "--n", "5", "--alpha", "0.1", "--seed", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_out_of_range_inputs_are_config_errors(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_python_dash_m_entry_point():
+    src = os.path.dirname(os.path.dirname(qndspin.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "qndspin", "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert "stability" in done.stdout
 
 
 def test_output_collision_refused(tmp_path):

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qndspin.hyperfine import SpinSystem
 from qndspin.rotations import rotor_exp, so3_from_rotor
 from qndspin.stability import (
     RotationErrorModel,
+    _fixed_axis_survivals,
     analytic_survival,
     dephasing_map,
     lifetime,
@@ -130,11 +133,103 @@ def test_survival_ensemble_row_matches_survival_curve():
     np.testing.assert_allclose(mean, np.mean(curves, axis=0), atol=1e-12)
 
 
+def rodrigues_oracle(alpha_vec, axis, angles):
+    """Per-step ``S(N)``: the dephasing map, then Rodrigues' rotation about
+    ``axis`` by each angle, on one Bloch vector."""
+    alpha_hat = alpha_vec / np.linalg.norm(alpha_vec)
+    deph = dephasing_map(alpha_vec)
+    state = alpha_hat.copy()
+    values = [1.0]
+    for angle in angles:
+        state = deph @ state
+        cos_a, sin_a = math.cos(angle), math.sin(angle)
+        along = (state @ axis) * axis
+        state = state * cos_a + np.cross(axis, state) * sin_a + along * (1.0 - cos_a)
+        values.append(float(alpha_hat @ state))
+    return np.array(values)
+
+
+def unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
+    alpha_mag=st.one_of(st.floats(0.01, math.pi), st.floats(math.pi - 1e-6, math.pi)),
+    axis=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, -0.05)),
+    std=st.floats(0.0, 0.5),
+    n_max=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fixed_axis_kernel_matches_rodrigues_oracle(direction, alpha_mag, axis, std, n_max, seed):
+    # tilted error axes below the equator, |alpha| up to pi
+    alpha_vec = alpha_mag * unit(direction)
+    axis = unit(axis)
+    err = RotationErrorModel("random", std=std, axis=axis, seed=seed)
+    curve = survival_curve(alpha_vec, err, n_max)
+    angles = np.random.default_rng(seed).normal(0.0, std, size=n_max)
+    expected = rodrigues_oracle(alpha_vec, axis, angles)
+    np.testing.assert_allclose(curve.values, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_ensemble_rows_are_random_curves_bit_for_bit(rows):
+    # non-planar alpha near pi, a tilted axis below the equator, and 150
+    # cycles, which cross two 64-cycle slices of the kernel
+    alpha_vec = (math.pi - 0.05) * unit([0.3, -0.5, 0.8])
+    axis = [0.6, 0.2, -0.7]
+    std, n_max = 0.2, 150
+    seeds = np.random.SeedSequence(2024).spawn(rows)
+    angles = np.array([np.random.default_rng(seq).normal(0.0, std, size=n_max) for seq in seeds])
+    survivals = _fixed_axis_survivals(alpha_vec, unit(axis), angles)
+    curves = [
+        survival_curve(alpha_vec, RotationErrorModel("random", std=std, axis=axis, seed=seq), n_max)
+        for seq in seeds
+    ]
+    for i, curve in enumerate(curves):
+        np.testing.assert_array_equal(curve.values, survivals[:, i])
+    if rows > 1:
+        mean, _ = survival_ensemble(alpha_vec, std, axis, n_max, rows, 2024)
+        np.testing.assert_array_equal(mean, np.stack([c.values for c in curves], axis=1).mean(axis=1))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"n_max": 0}, "n_max"),
+        ({"n_seeds": 1}, "n_seeds"),
+        ({"std": -0.1}, "std"),
+        ({"std": math.nan}, "std"),
+        ({"std": math.inf}, "std"),
+        ({"axis": np.zeros(3)}, "axis"),
+        ({"axis": np.array([math.nan, 0.0, 1.0])}, "axis"),
+        ({"axis": np.array([math.inf, 0.0, 1.0])}, "axis"),
+    ],
+    ids=["n_max 0", "n_seeds 1", "std negative", "std nan", "std inf", "axis zero", "axis nan", "axis inf"],
+)
+def test_survival_ensemble_rejects_bad_arguments(change, message):
+    args = {"alpha_vec": 0.7 * EX, "std": 0.1, "axis": EZ, "n_max": 10, "n_seeds": 4, "master_seed": 1}
+    with pytest.raises(ValueError, match=message):
+        survival_ensemble(**{**args, **change})
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"std": math.nan}, {"std": -0.1}, {"axis": np.zeros(3)}, {"axis": np.array([0.0, math.nan, 1.0])}],
+    ids=["std nan", "std negative", "axis zero", "axis nan"],
+)
+def test_random_error_model_rejects_bad_arguments(change):
+    with pytest.raises(ValueError):
+        RotationErrorModel("random", **{"std": 0.1, "axis": EZ, "seed": 1, **change})
+
+
 def test_explicit_full_rotation_mode():
     # under the exact QND condition the full-rotation map keeps S(N) = 1
     alpha_vec = 0.4 * EX
     qnd_rotation = 1.3 * EX  # parallel to the measurement axis
-    err = RotationErrorModel("explicit", rotations=qnd_rotation, full_cycle=True)
+    err = RotationErrorModel("explicit", rotations=qnd_rotation)
     curve = survival_curve(alpha_vec, err, 100)
     np.testing.assert_allclose(curve.values, 1.0, atol=1e-12)
 
@@ -144,7 +239,7 @@ def test_explicit_equals_systematic_when_ideal_part_trivial():
     # iteration must reproduce the plain error iteration
     alpha_vec = 0.9 * EX
     dphi = 0.07 * EZ
-    err_full = RotationErrorModel("explicit", rotations=dphi, full_cycle=True)
+    err_full = RotationErrorModel("explicit", rotations=dphi)
     err_sys = RotationErrorModel("systematic", delta_phi=dphi)
     a = survival_curve(alpha_vec, err_full, 300)
     b = survival_curve(alpha_vec, err_sys, 300)
@@ -165,7 +260,7 @@ def test_explicit_full_rotation_conjugation_equivalence():
         from qndspin.rotations import rotor_compose, rotor_log
 
         fulls.append(rotor_log(rotor_compose(rotor_exp(dphis[k]), rotor_exp(ideal))))
-    err_full = RotationErrorModel("explicit", rotations=np.array(fulls), full_cycle=True)
+    err_full = RotationErrorModel("explicit", rotations=np.array(fulls))
     inv = np.linalg.inv(r_ideal)
     conjugated = []
     acc = np.eye(3)
