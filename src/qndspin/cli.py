@@ -1,9 +1,11 @@
 """Command-line front end: subcommand dispatch, CSV emission, run manifests.
 
 Conventions: angles in radians, frequencies in MHz, times in nanoseconds at
-the interface (seconds internally).  Every run writes its CSV outputs plus a
-JSON manifest recording the resolved inputs, seed, package version and wall
-time; re-running with the manifest's parameters reproduces the CSV bytes.
+the interface (seconds internally).  Each subcommand validates its inputs,
+claims its paths with ``_outputs`` (refusing existing ones before any work),
+computes, and hands ``(header, rows)`` tables to ``_emit``, the one writer:
+the CSVs, then a JSON manifest of the resolved inputs, seed, version, wall
+time and any diagnostics, from which a re-run reproduces the CSV bytes.
 Exit codes: 0 success, 2 configuration error, 1 runtime error.
 """
 
@@ -16,11 +18,13 @@ import os
 import sys
 import time
 from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 
 from . import __version__
 from .cascade import (
+    critical_n,
     exact_distribution,
     gaussian_distribution,
     optimal_threshold,
@@ -28,6 +32,7 @@ from .cascade import (
 )
 from .config import (
     ConfigError,
+    config_count,
     load_config,
     nv_params_from_config,
     phi_from_config,
@@ -59,45 +64,47 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+def _outputs(args, *names: str) -> list[str]:
+    """The output paths, manifest last; an existing one needs ``--force``.
 
-
-def _check_outputs(paths: list[str], force: bool) -> None:
+    ``--out PREFIX`` gives ``PREFIX.csv`` and ``PREFIX.manifest.json``; with
+    ``--out-dir`` (made here, after validation) they are ``names`` and
+    ``manifest.json`` in that directory.
+    """
+    if "out_dir" in args:
+        os.makedirs(args.out_dir, exist_ok=True)  # a collision needs it to exist already
+        paths = [os.path.join(args.out_dir, name) for name in (*names, "manifest.json")]
+    else:
+        paths = [args.out + ".csv", args.out + ".manifest.json"]
     for path in paths:
-        if os.path.exists(path) and not force:
+        if os.path.exists(path) and not args.force:
             raise ConfigError(f"output {path} exists (use --force to overwrite)")
+    return paths
 
 
-def _write_manifest(
-    path: str,
-    subcommand: str,
-    params: dict,
-    outputs: list[str],
-    started: float,
-    diagnostics: dict | None = None,
-) -> None:
+def _emit(args, paths: list[str], params: dict, tables, diagnostics: dict | None = None) -> None:
+    """Write each ``(header, rows)`` table to its path, then the manifest.
+
+    ``diagnostics``, when given, gain ``write_s``: the seconds spent on the CSVs.
+    """
+    written = time.perf_counter()
+    for path, (header, rows) in zip(paths, tables):
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(",".join(header) + "\n")
+            for row in rows:
+                handle.write(",".join(_fmt(v) for v in row) + "\n")
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "version": __version__,
         "parameters": params,
-        "outputs": outputs,
-        "wall_time_s": round(time.time() - started, 3),
+        "outputs": paths[:-1],
+        "wall_time_s": round(time.time() - args.started, 3),
     }
     if diagnostics is not None:
-        manifest["diagnostics"] = diagnostics
-    with open(path, "w", encoding="utf-8") as handle:
+        manifest["diagnostics"] = dict(diagnostics, write_s=round(time.perf_counter() - written, 3))
+    with open(paths[-1], "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def _at_least_one(flag: str, value: int) -> int:
-    if value < 1:
-        raise ConfigError(f"{flag} must be >= 1, got {value}")
-    return value
 
 
 def _positive_finite(name: str, value) -> float:
@@ -107,6 +114,13 @@ def _positive_finite(name: str, value) -> float:
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc
     if not (math.isfinite(value) and value > 0.0):
         raise ConfigError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -157,166 +171,101 @@ def _setting_from_args(args, cfg) -> MeasurementSetting:
         raise ConfigError(f"invalid measurement setting: {exc}") from exc
 
 
+def _setting_params(setting: MeasurementSetting) -> dict:
+    return {
+        "alpha": setting.alpha_mag,
+        "phi": setting.phi,
+        "p_plus": setting.readout.p_plus,
+        "p_minus": setting.readout.p_minus,
+    }
+
+
+def _nv_params(params) -> dict:
+    return {
+        "B_gauss": params.b_gauss,
+        "N_DD": params.n_dd,
+        "gamma_n_MHz_per_T": params.gamma_n_mhz_per_t,
+        "A_MHz": list(params.a_mhz),
+    }
+
+
+def _scan_count(args, scan_cfg: dict, name: str, default: int) -> int:
+    """``--name`` if given, else ``scan.name`` from the config, else ``default``."""
+    value = getattr(args, name)
+    return config_count(scan_cfg.get(name, default), "scan." + name) if value is None else value
+
+
 # ----------------------------------------------------------------- commands
 
 
-def _cmd_table1(args) -> int:
-    started = time.time()
-    names = [args.preset] if args.preset else sorted(PRESETS)
+def _cmd_table1(args) -> None:
+    paths = _outputs(args)
     rows = []
-    for name in names:
+    for name in [args.preset] if args.preset else sorted(PRESETS):
         params = PRESETS[name]
-        rows.append(
-            (
-                name,
-                params.n_dd,
-                params.b_gauss,
-                params.larmor_period_wait * 1e9,
-                params.larmor_period_dd * 1e9,
-            )
-        )
-        print(
-            f"{name}: N_DD={params.n_dd} B={params.b_gauss:g} G  "
-            f"T_R={params.larmor_period_wait * 1e9:.0f} ns  "
-            f"T={params.larmor_period_dd * 1e9:.0f} ns"
-        )
-    csv_path, manifest_path = args.out + ".csv", args.out + ".manifest.json"
-    _check_outputs([csv_path, manifest_path], args.force)
-    _write_csv(csv_path, ["preset", "N_DD", "B_gauss", "T_R_ns", "T_ns"], rows)
-    _write_manifest(manifest_path, "table1", {"preset": args.preset}, [csv_path], started)
-    return 0
+        t_r, t = params.larmor_period_wait * 1e9, params.larmor_period_dd * 1e9
+        rows.append((name, params.n_dd, params.b_gauss, t_r, t))
+        print(f"{name}: N_DD={params.n_dd} B={params.b_gauss:g} G  T_R={t_r:.0f} ns  T={t:.0f} ns")
+    header = ["preset", "N_DD", "B_gauss", "T_R_ns", "T_ns"]
+    _emit(args, paths, {"preset": args.preset}, [(header, rows)])
 
 
-def _cmd_binary_stats(args) -> int:
-    started = time.time()
-    cfg = _load_cfg(args)
-    setting = _setting_from_args(args, cfg)
+def _cmd_binary_stats(args) -> None:
+    setting = _setting_from_args(args, _load_cfg(args))
+    paths = _outputs(args)
     stats = binary_stats(setting)
     print(
         f"alpha={setting.alpha_mag:g} phi={setting.phi:g}  "
         f"<u>_+ = {stats.mean_plus:.6f}  <u>_- = {stats.mean_minus:.6f}  "
         f"D = {stats.strength_d:.6g}"
     )
-    csv_path, manifest_path = args.out + ".csv", args.out + ".manifest.json"
-    _check_outputs([csv_path, manifest_path], args.force)
-    _write_csv(
-        csv_path,
-        ["alpha", "phi", "p_plus", "p_minus", "mean_plus", "mean_minus", "sigma_plus", "sigma_minus", "D"],
-        [
-            (
-                setting.alpha_mag,
-                setting.phi,
-                setting.readout.p_plus,
-                setting.readout.p_minus,
-                stats.mean_plus,
-                stats.mean_minus,
-                stats.sigma_plus,
-                stats.sigma_minus,
-                stats.strength_d,
-            )
-        ],
-    )
-    _write_manifest(
-        manifest_path,
-        "binary-stats",
-        {
-            "alpha": setting.alpha_mag,
-            "phi": setting.phi,
-            "p_plus": setting.readout.p_plus,
-            "p_minus": setting.readout.p_minus,
-        },
-        [csv_path],
-        started,
-    )
-    return 0
+    params = _setting_params(setting)
+    header = [*params, "mean_plus", "mean_minus", "sigma_plus", "sigma_minus", "D"]
+    _emit(args, paths, params, [(header, [(*params.values(), *astuple(stats))])])
 
 
-def _distribution_for(args, setting):
-    if args.law == "gaussian":
-        return gaussian_distribution(setting, args.n)
-    return exact_distribution(setting, args.n)
+def _cmd_distribution(args) -> None:
+    setting = _setting_from_args(args, _load_cfg(args))
+    paths = _outputs(args)
+    law = gaussian_distribution if args.law == "gaussian" else exact_distribution
+    dist = law(setting, args.n)
+    params = dict(_setting_params(setting), n=args.n, law=args.law)
+    header = ["u_bar", "p_plus_alpha", "p_minus_alpha"]
+    _emit(args, paths, params, [(header, zip(dist.u_grid, dist.probs_plus, dist.probs_minus))])
+    print(f"wrote {paths[0]} ({args.n + 1} outcomes, law={args.law})")
 
 
-def _cmd_distribution(args) -> int:
-    started = time.time()
-    _at_least_one("--n", args.n)
-    cfg = _load_cfg(args)
-    setting = _setting_from_args(args, cfg)
-    dist = _distribution_for(args, setting)
-    csv_path, manifest_path = args.out + ".csv", args.out + ".manifest.json"
-    _check_outputs([csv_path, manifest_path], args.force)
-    _write_csv(
-        csv_path,
-        ["u_bar", "p_plus_alpha", "p_minus_alpha"],
-        zip(dist.u_grid, dist.probs_plus, dist.probs_minus),
-    )
-    _write_manifest(
-        manifest_path,
-        "distribution",
-        {
-            "alpha": setting.alpha_mag,
-            "phi": setting.phi,
-            "p_plus": setting.readout.p_plus,
-            "p_minus": setting.readout.p_minus,
-            "n": args.n,
-            "law": args.law,
-        },
-        [csv_path],
-        started,
-    )
-    print(f"wrote {csv_path} ({args.n + 1} outcomes, law={args.law})")
-    return 0
-
-
-def _cmd_fidelity(args) -> int:
-    started = time.time()
-    _at_least_one("--n", args.n)
-    cfg = _load_cfg(args)
-    setting = _setting_from_args(args, cfg)
+def _cmd_fidelity(args) -> None:
+    setting = _setting_from_args(args, _load_cfg(args))
+    strength_d = binary_stats(setting).strength_d
+    try:
+        critical_n(strength_d)  # the cascade's own test for an informative shot
+    except ValueError as exc:
+        raise ConfigError(f"invalid measurement setting: {exc}") from exc
+    paths = _outputs(args)
     dist = exact_distribution(setting, args.n)
     threshold = optimal_threshold(dist, mode=args.threshold_mode)
-    report = readout_fidelity(dist, threshold, binary_stats(setting).strength_d)
+    report = readout_fidelity(dist, threshold, strength_d)
     print(
-        f"n={args.n}  D={binary_stats(setting).strength_d:.6g}  "
+        f"n={args.n}  D={strength_d:.6g}  "
         f"u_th={threshold:.6g}  F_bar={report.f_bar:.4f}  (erf: {report.f_erf:.4f})"
     )
-    csv_path, manifest_path = args.out + ".csv", args.out + ".manifest.json"
-    _check_outputs([csv_path, manifest_path], args.force)
-    _write_csv(
-        csv_path,
-        ["n", "D", "DN", "u_th", "F_plus", "F_minus", "F_bar", "F_erf"],
-        [
-            (
-                report.n,
-                binary_stats(setting).strength_d,
-                report.strength_dn,
-                report.u_threshold,
-                report.f_plus,
-                report.f_minus,
-                report.f_bar,
-                report.f_erf,
-            )
-        ],
+    row = (
+        report.n,
+        strength_d,
+        report.strength_dn,
+        report.u_threshold,
+        report.f_plus,
+        report.f_minus,
+        report.f_bar,
+        report.f_erf,
     )
-    _write_manifest(
-        manifest_path,
-        "fidelity",
-        {
-            "alpha": setting.alpha_mag,
-            "phi": setting.phi,
-            "p_plus": setting.readout.p_plus,
-            "p_minus": setting.readout.p_minus,
-            "n": args.n,
-            "threshold_mode": args.threshold_mode,
-        },
-        [csv_path],
-        started,
-    )
-    return 0
+    params = dict(_setting_params(setting), n=args.n, threshold_mode=args.threshold_mode)
+    header = ["n", "D", "DN", "u_th", "F_plus", "F_minus", "F_bar", "F_erf"]
+    _emit(args, paths, params, [(header, [row])])
 
 
-def _cmd_qnd_solve(args) -> int:
-    started = time.time()
+def _cmd_qnd_solve(args) -> None:
     cfg = _load_cfg(args)
     if args.preset:
         cfg = dict(cfg, preset=args.preset)
@@ -324,57 +273,35 @@ def _cmd_qnd_solve(args) -> int:
     if args.tau_ns is not None:
         cfg = dict(cfg, tau_ns=args.tau_ns)
     seq = sequence_from_config(cfg, params)
+    paths = _outputs(args)
     sys_ = nv_system(params)
     alpha_vec, phi_dd = extract_alpha_phi(*exact_dd_evolution(sys_, seq))
     mag = np.linalg.norm(alpha_vec)
     if mag == 0.0:
         raise RuntimeError("measurement vector vanishes for this sequence")
-    window = (0.0, sys_.wait_period)
-    roots = solve_waiting_time(sys_, phi_dd, alpha_vec / mag, window)
-    csv_path, manifest_path = args.out + ".csv", args.out + ".manifest.json"
-    _check_outputs([csv_path, manifest_path], args.force)
-    _write_csv(
-        csv_path,
-        ["t_R_ns", "residual_rad"],
-        [(t * 1e9, r) for t, r in roots],
-    )
-    _write_manifest(
-        manifest_path,
-        "qnd-solve",
-        {
-            "B_gauss": params.b_gauss,
-            "N_DD": params.n_dd,
-            "gamma_n_MHz_per_T": params.gamma_n_mhz_per_t,
-            "A_MHz": list(params.a_mhz),
-            "tau_ns": seq.duration / params.n_dd * 1e9,
-        },
-        [csv_path],
-        started,
-    )
+    roots = solve_waiting_time(sys_, phi_dd, alpha_vec / mag, (0.0, sys_.wait_period))
+    manifest_params = dict(_nv_params(params), tau_ns=seq.duration / params.n_dd * 1e9)
+    rows = [(t * 1e9, r) for t, r in roots]
+    _emit(args, paths, manifest_params, [(["t_R_ns", "residual_rad"], rows)])
     best = min(roots, key=lambda r: r[1])
     print(
         f"{len(roots)} root(s) of the QND condition in [0, T_R]; best residual {best[1]:.3e} rad "
         f"at t_R = {best[0] * 1e9:.3f} ns"
     )
-    return 0
 
 
-def _cmd_stability(args) -> int:
-    started = time.time()
-    _at_least_one("--n-max", args.n_max)
+def _cmd_stability(args) -> None:
     if not math.isfinite(args.delta_phi):
         raise ConfigError(f"--delta-phi must be finite, got {args.delta_phi}")
-    alpha_vec = args.alpha_vec
-    alpha_mag = float(np.linalg.norm(alpha_vec))
+    alpha_mag = float(np.linalg.norm(args.alpha_vec))
     # the measurement axis must exist, and |alpha| is canonical as in MeasurementSetting
     if not 0.0 < alpha_mag <= math.pi + 1e-9:
         raise ConfigError(f"|--alpha-vec| must lie in (0, pi], got {alpha_mag}")
     if not np.any(args.error_axis):
         raise ConfigError("--error-axis must be nonzero")
-    if args.error == "systematic":
-        error = RotationErrorModel(
-            "systematic", delta_phi=args.delta_phi * args.error_axis
-        )
+    if args.error == "systematic":  # the random model normalizes its axis itself
+        axis = args.error_axis / float(np.linalg.norm(args.error_axis))
+        error = RotationErrorModel("systematic", delta_phi=args.delta_phi * axis)
     else:
         if args.seed is None:
             raise ConfigError("--seed is required for random errors")
@@ -383,34 +310,23 @@ def _cmd_stability(args) -> int:
         error = RotationErrorModel(
             "random", std=args.delta_phi, axis=args.error_axis, seed=args.seed
         )
-    curve = survival_curve(alpha_vec, error, args.n_max)
+    paths = _outputs(args)
+    curve = survival_curve(args.alpha_vec, error, args.n_max)
     steps = np.arange(args.n_max + 1)
     analytic = analytic_survival(args.error, alpha_mag, args.delta_phi, steps)
-    csv_path, manifest_path = args.out + ".csv", args.out + ".manifest.json"
-    _check_outputs([csv_path, manifest_path], args.force)
-    _write_csv(csv_path, ["N", "S_sim", "S_analytic"], zip(steps, curve.values, analytic))
-    _write_manifest(
-        manifest_path,
-        "stability",
-        {
-            "alpha_vec": list(map(float, alpha_vec)),
-            "error": args.error,
-            "delta_phi": args.delta_phi,
-            "error_axis": list(map(float, args.error_axis)),
-            "n_max": args.n_max,
-            "seed": args.seed,
-        },
-        [csv_path],
-        started,
-    )
+    params = {
+        "alpha_vec": list(map(float, args.alpha_vec)),
+        "error": args.error,
+        "delta_phi": args.delta_phi,
+        "error_axis": list(map(float, args.error_axis)),
+        "n_max": args.n_max,
+        "seed": args.seed,
+    }
+    _emit(args, paths, params, [(["N", "S_sim", "S_analytic"], zip(steps, curve.values, analytic))])
     print(f"lifetime N_L = {curve.lifetime}")
-    return 0
 
 
-def _cmd_trajectories(args) -> int:
-    started = time.time()
-    _at_least_one("--n", args.n)
-    _at_least_one("--n-traj", args.n_traj)
+def _cmd_trajectories(args) -> None:
     cfg = _load_cfg(args)
     setting = _setting_from_args(args, cfg)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
@@ -419,45 +335,31 @@ def _cmd_trajectories(args) -> int:
         "minus": NuclearState.eigenstate(setting.alpha_hat, -1),
         "mixed": NuclearState.mixed(),
     }[args.initial]
-    csv_path, manifest_path = args.out + ".csv", args.out + ".manifest.json"
-    _check_outputs([csv_path, manifest_path], args.force)
+    paths = _outputs(args)
     timings = Counter()
     u_bars, finals = run_ensemble(
         setting, rotor_exp(args.cycle_rot), initial, args.n, args.n_traj, seed, diagnostics=timings
     )
-    written = time.perf_counter()
-    _write_csv(
-        csv_path,
-        ["seed", "u_bar", "final_bx", "final_by", "final_bz"],
-        (
-            (i, u_bars[i], finals[i, 0], finals[i, 1], finals[i, 2])
-            for i in range(args.n_traj)
-        ),
-    )
-    timings["write_s"] = time.perf_counter() - written
-    _write_manifest(
-        manifest_path,
-        "trajectories",
-        {
-            "alpha": setting.alpha_mag,
-            "phi": setting.phi,
-            "n": args.n,
-            "n_traj": args.n_traj,
-            "master_seed": seed,
-            "initial": args.initial,
-            "cycle_rot": list(map(float, args.cycle_rot)),
-        },
-        [csv_path],
-        started,
-        {stage: round(seconds, 3) for stage, seconds in timings.items()},
-    )
-    print(f"wrote {csv_path} ({args.n_traj} trajectories, <u_bar> = {u_bars.mean():.4f})")
-    return 0
+    params = {
+        "alpha": setting.alpha_mag,
+        "phi": setting.phi,
+        "n": args.n,
+        "n_traj": args.n_traj,
+        "master_seed": seed,
+        "initial": args.initial,
+        "cycle_rot": list(map(float, args.cycle_rot)),
+    }
+    header = ["seed", "u_bar", "final_bx", "final_by", "final_bz"]
+    rows = ((i, u_bars[i], finals[i, 0], finals[i, 1], finals[i, 2]) for i in range(args.n_traj))
+    timings = {stage: round(seconds, 3) for stage, seconds in timings.items()}
+    _emit(args, paths, params, [(header, rows)], timings)
+    print(f"wrote {paths[0]} ({args.n_traj} trajectories, <u_bar> = {u_bars.mean():.4f})")
 
 
-def _cmd_nv_scan(args) -> int:
-    started = time.time()
+def _cmd_nv_scan(args) -> None:
     cfg = _load_cfg(args)
+    if "phi" in cfg:
+        raise ConfigError("nv-scan reads out at phi = pi/2; remove 'phi' from the config")
     if args.preset:
         cfg = dict(cfg, preset=args.preset)
     params = nv_params_from_config(cfg)
@@ -465,77 +367,35 @@ def _cmd_nv_scan(args) -> int:
     if readout.is_ideal:
         readout = room_temp_readout(0.1, 0.07)
     scan_cfg = cfg.get("scan", {})
-    n_tdd = _at_least_one(
-        "--n-tdd", args.n_tdd if args.n_tdd is not None else int(scan_cfg.get("n_tdd", 256))
-    )
-    n_tr = _at_least_one(
-        "--n-tr", args.n_tr if args.n_tr is not None else int(scan_cfg.get("n_tr", 256))
-    )
+    n_tdd = _scan_count(args, scan_cfg, "n_tdd", 256)
+    n_tr = _scan_count(args, scan_cfg, "n_tr", 256)
+    if n_tr < 2:
+        raise ConfigError(f"n_tr must be >= 2 to span a search window, got {n_tr}")
     rel = (
         _positive_finite("scan.tau_rel_min", scan_cfg.get("tau_rel_min", 0.95)),
         _positive_finite("scan.tau_rel_max", scan_cfg.get("tau_rel_max", 1.05)),
     )
-    n_max = _at_least_one(
-        "--n-max",
-        args.n_max if args.n_max is not None else int(scan_cfg.get("n_max", 1_000_000)),
-    )
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    scan_path = os.path.join(args.out_dir, "scan.csv")
-    tol_path = os.path.join(args.out_dir, "tolerance.csv")
-    manifest_path = os.path.join(args.out_dir, "manifest.json")
-    _check_outputs([scan_path, tol_path, manifest_path], args.force)
-
+    n_max = _scan_count(args, scan_cfg, "n_max", 1_000_000)
+    paths = _outputs(args, "scan.csv", "tolerance.csv")
     diagnostics = Counter(no_crossing_points=0, bisection_probes=0, kernel_calls=0)
-    scan = scan_2d(
-        params,
-        default_tau_grid(params, n_tdd, rel),
-        default_tr_grid(params, n_tr),
-        readout,
-        n_max=n_max,
-        diagnostics=diagnostics,
-    )
-    _write_csv(
-        scan_path,
-        ["t_DD_ns", "t_R_ns", "alpha_mag", "qnd_residual", "D", "N_c", "N_L"],
-        (
-            (t_dd * 1e9, t_r * 1e9, mag, res, d, n_c, n_l)
-            for t_dd, t_r, mag, res, d, n_c, n_l in scan.rows()
-        ),
-    )
+    tau_grid, tr_grid = default_tau_grid(params, n_tdd, rel), default_tr_grid(params, n_tr)
+    scan = scan_2d(params, tau_grid, tr_grid, readout, n_max=n_max, diagnostics=diagnostics)
     profile = tolerance_profile(scan, diagnostics)
-    _write_csv(
-        tol_path,
-        ["t_DD_ns", "dtR_measured_ns", "dtR_worst_case_ns", "Nc"],
-        ((row[0] * 1e9, row[1] * 1e9, row[2] * 1e9, row[3]) for row in profile),
-    )
-    _write_manifest(
-        manifest_path,
-        "nv-scan",
-        {
-            "B_gauss": params.b_gauss,
-            "N_DD": params.n_dd,
-            "gamma_n_MHz_per_T": params.gamma_n_mhz_per_t,
-            "A_MHz": list(params.a_mhz),
-            "p_plus": readout.p_plus,
-            "p_minus": readout.p_minus,
-            "phi": scan.phi,
-            "n_tdd": n_tdd,
-            "n_tr": n_tr,
-            "tau_rel": list(rel),
-            "n_max": n_max,
-        },
-        [scan_path, tol_path],
-        started,
-        dict(diagnostics),
-    )
+    scan_rows = ((t_dd * 1e9, t_r * 1e9, *rest) for t_dd, t_r, *rest in scan.rows())
+    tol_rows = ((row[0] * 1e9, row[1] * 1e9, row[2] * 1e9, row[3]) for row in profile)
+    manifest_params = dict(_nv_params(params), p_plus=readout.p_plus, p_minus=readout.p_minus)
+    manifest_params.update(phi=scan.phi, n_tdd=n_tdd, n_tr=n_tr, tau_rel=list(rel), n_max=n_max)
+    tables = [
+        (["t_DD_ns", "t_R_ns", "alpha_mag", "qnd_residual", "D", "N_c", "N_L"], scan_rows),
+        (["t_DD_ns", "dtR_measured_ns", "dtR_worst_case_ns", "Nc"], tol_rows),
+    ]
+    _emit(args, paths, manifest_params, tables, diagnostics)
     finite = scan.lifetimes[np.isfinite(scan.lifetimes)]
     print(
-        f"wrote {scan_path} and {tol_path}; "
+        f"wrote {paths[0]} and {paths[1]}; "
         f"max finite N_L = {int(finite.max()) if finite.size else 0}, "
         f"{int(np.isinf(scan.lifetimes).sum())} divergent points"
     )
-    return 0
 
 
 # ----------------------------------------------------------------- parser
@@ -581,14 +441,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distribution", help="conditional laws of the averaged outcome")
     common(p, "distribution")
     _add_setting_args(p)
-    p.add_argument("--n", type=int, required=True, help="number of binary measurements")
+    p.add_argument("--n", type=_count, required=True, help="number of binary measurements")
     p.add_argument("--law", choices=("exact", "gaussian"), default="exact")
     p.set_defaults(func=_cmd_distribution)
 
     p = sub.add_parser("fidelity", help="threshold readout fidelity of the cascade")
     common(p, "fidelity")
     _add_setting_args(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--threshold-mode", choices=("exact", "gaussian"), default="exact")
     p.set_defaults(func=_cmd_fidelity)
 
@@ -604,15 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--error", choices=("systematic", "random"), default="systematic")
     p.add_argument("--delta-phi", type=float, required=True, help="error angle or std (rad)")
     p.add_argument("--error-axis", type=_vector, default=np.array([0.0, 0.0, 1.0]))
-    p.add_argument("--n-max", type=int, default=10_000)
+    p.add_argument("--n-max", type=_count, default=10_000)
     p.add_argument("--seed", type=_seed)
     p.set_defaults(func=_cmd_stability)
 
     p = sub.add_parser("trajectories", help="stochastic measurement records")
     common(p, "trajectories")
     _add_setting_args(p)
-    p.add_argument("--n", type=int, required=True, help="cycles per trajectory")
-    p.add_argument("--n-traj", type=int, default=1000)
+    p.add_argument("--n", type=_count, required=True, help="cycles per trajectory")
+    p.add_argument("--n-traj", type=_count, default=1000)
     p.add_argument("--seed", type=_seed)
     p.add_argument("--initial", choices=("plus", "minus", "mixed"), default="plus")
     p.add_argument(
@@ -629,9 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_readout_args(p)
     p.add_argument("--out-dir", default="nv_scan_out")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--n-tdd", type=int, help="sequence-duration grid points")
-    p.add_argument("--n-tr", type=int, help="waiting-time grid points")
-    p.add_argument("--n-max", type=int, help="lifetime iteration cap")
+    p.add_argument("--n-tdd", type=_count, help="sequence-duration grid points")
+    p.add_argument("--n-tr", type=_count, help="waiting-time grid points")
+    p.add_argument("--n-max", type=_count, help="lifetime iteration cap")
     p.set_defaults(func=_cmd_nv_scan)
 
     return parser
@@ -643,14 +503,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    args.started = time.time()
     try:
-        return args.func(args)
+        args.func(args)
     except (ConfigError, argparse.ArgumentTypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

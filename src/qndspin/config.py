@@ -30,6 +30,7 @@ from .nv import PRESETS, NvParams, room_temp_readout
 
 __all__ = [
     "ConfigError",
+    "config_count",
     "load_config",
     "nv_params_from_config",
     "sequence_from_config",
@@ -61,6 +62,17 @@ _SCAN_KEYS = {"n_tdd", "n_tr", "tau_rel_min", "tau_rel_max", "n_max"}
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
+
+
+def config_count(value, name: str) -> int:
+    """A count from a config file: an integer >= 1 (``1e6`` passes, ``2.5`` and ``true`` do not)."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
 def load_config(path: str) -> dict:
@@ -105,7 +117,7 @@ def nv_params_from_config(cfg: dict) -> NvParams:
     try:
         return NvParams(
             b_gauss=float(b_gauss),
-            n_dd=int(n_dd),
+            n_dd=config_count(n_dd, "N_DD"),
             gamma_n_mhz_per_t=float(gamma),
             a_mhz=tuple(float(a) for a in a_mhz),
         )

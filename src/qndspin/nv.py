@@ -67,6 +67,9 @@ class NvParams:
     a_mhz: tuple = C13_HYPERFINE_MHZ
 
     def __post_init__(self):
+        for name in ("b_gauss", "gamma_n_mhz_per_t", "a_mhz"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.b_gauss <= 0.0:
             raise ValueError("magnetic field must be positive")
         if self.n_dd < 1:

@@ -38,7 +38,6 @@ __all__ = [
     "rotor_compose",
     "rotor_conj",
     "so3_from_rotor",
-    "so3_apply",
     "su2_matrix",
 ]
 
@@ -49,10 +48,6 @@ class Rotor:
 
     scalar: float
     vector: np.ndarray
-
-    def normalized(self) -> "Rotor":
-        n = math.sqrt(self.scalar**2 + float(self.vector @ self.vector))
-        return Rotor(self.scalar / n, self.vector / n)
 
 
 def identity_rotor() -> Rotor:
@@ -136,11 +131,6 @@ def so3_from_rotor(r: Rotor) -> np.ndarray:
         ]
     )
     return (s * s - vv) * np.eye(3) + 2.0 * np.outer(v, v) - 2.0 * s * cross
-
-
-def so3_apply(m: np.ndarray, vec) -> np.ndarray:
-    """Rotate a 3-vector by an SO(3) matrix (length-preserving)."""
-    return m @ np.asarray(vec, dtype=float)
 
 
 def su2_matrix(r: Rotor) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -214,23 +215,50 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "scan",
+    "cfg, message",
     [
-        {"tau_rel_min": math.nan},
-        {"tau_rel_max": math.inf},
-        {"tau_rel_min": 0.0},
-        {"tau_rel_max": -1.05},
-        {"tau_rel_min": "wide"},
+        ({"scan": {"tau_rel_min": math.nan}}, "scan.tau_rel_"),
+        ({"scan": {"tau_rel_max": math.inf}}, "scan.tau_rel_"),
+        ({"scan": {"tau_rel_min": 0.0}}, "scan.tau_rel_"),
+        ({"scan": {"tau_rel_max": -1.05}}, "scan.tau_rel_"),
+        ({"scan": {"tau_rel_min": "wide"}}, "scan.tau_rel_"),
+        ({"A_MHz": [0.2, math.nan, 0.3]}, "a_mhz must be finite"),
+        ({"B_gauss": math.nan}, "b_gauss must be finite"),
+        ({"gamma_n_MHz_per_T": math.inf}, "gamma_n_mhz_per_t must be finite"),
+        ({"N_DD": 2.5}, "N_DD must be an integer"),
+        ({"scan": {"n_tdd": 2.7}}, "scan.n_tdd must be an integer"),
+        ({"scan": {"n_tdd": True}}, "scan.n_tdd must be an integer"),
+        ({"scan": {"n_tr": 3.5}}, "scan.n_tr must be an integer"),
+        ({"scan": {"n_max": False}}, "scan.n_max must be an integer"),
+        ({"scan": {"n_tr": 1}}, "n_tr must be >= 2"),
+        ({"phi": 1.0}, "'phi'"),
     ],
-    ids=["min nan", "max inf", "min zero", "max negative", "min not a number"],
+    ids=[
+        "min nan",
+        "max inf",
+        "min zero",
+        "max negative",
+        "min not a number",
+        "A_MHz nan",
+        "B_gauss nan",
+        "gamma inf",
+        "N_DD fractional",
+        "n_tdd fractional",
+        "n_tdd bool",
+        "n_tr fractional",
+        "n_max bool",
+        "n_tr one",
+        "phi key",
+    ],
 )
-def test_nv_scan_bad_tau_span_is_config_error(tmp_path, capsys, scan):
-    cfg = tmp_path / "scan.json"
-    cfg.write_text(json.dumps({"preset": "P2", "scan": scan}))
+def test_nv_scan_bad_tau_span_is_config_error(tmp_path, capsys, cfg, message):
+    """Bad scan spans, system parameters, counts and keys in an nv-scan config."""
+    scan = {"n_tdd": 2, "n_tr": 3, "n_max": 10, **cfg.get("scan", {})}
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps({"preset": "P2", **cfg, "scan": scan}))
     out_dir = tmp_path / "out"
-    argv = ["nv-scan", "--config", str(cfg), "--out-dir", str(out_dir)]
-    assert main(argv + ["--n-tdd", "2", "--n-tr", "3", "--n-max", "10"]) == 2
-    assert "scan.tau_rel_" in capsys.readouterr().err
+    assert main(["nv-scan", "--config", str(path), "--out-dir", str(out_dir)]) == 2
+    assert message in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -244,13 +272,145 @@ def test_nv_scan_bad_tau_span_is_config_error(tmp_path, capsys, scan):
         ["stability", "--alpha-vec", "0,0,0", "--delta-phi", "0.1"],
         ["stability", "--alpha-vec", "7,0,0", "--delta-phi", "0.1"],
         ["trajectories", "--n", "5", "--alpha", "0.1", "--seed", "-1"],
+        ["nv-scan", "--preset", "P2", "--n-tdd", "2", "--n-tr", "1", "--n-max", "10"],
+        ["fidelity", "--n", "10", "--alpha", "0"],
+        ["fidelity", "--n", "10", "--alpha", "0.1", "--p-plus", "0.5", "--p-minus", "0.5"],
     ],
     ids=lambda argv: " ".join(argv),
 )
 def test_out_of_range_inputs_are_config_errors(tmp_path, capsys, argv):
-    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    out = str(tmp_path / "out")
+    assert main(argv + (["--out-dir", out] if argv[0] == "nv-scan" else ["--out", out])) == 2
     assert "error" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("kind", ["systematic", "random"])
+def test_error_axis_is_normalized_for_both_kinds(tmp_path, kind):
+    outputs = []
+    for axis in ("2,0,0", "1,0,0"):
+        out = str(tmp_path / f"{kind}-{axis[0]}")
+        argv = ["stability", "--alpha-vec", "0,0,2.5", "--error", kind, "--delta-phi", "0.05"]
+        argv += ["--error-axis", axis, "--n-max", "2000", "--seed", "3", "--out", out]
+        assert main(argv) == 0
+        with open(out + ".csv", "rb") as handle:
+            outputs.append(handle.read())
+    assert outputs[0] == outputs[1]
+
+
+# Each case runs in its own directory with relative output paths, so stdout
+# and the manifests' "outputs" are reproducible.  The digests, parameters and
+# outputs in cli_golden.json were recorded before the subcommands shared one
+# emit path; any change to them must be deliberate.
+GOLDEN_CASES = [
+    ("table1", ["table1", "--out", "t1"], None),
+    ("table1 P3", ["table1", "--preset", "P3", "--out", "t1"], None),
+    (
+        "binary-stats",
+        ["binary-stats", "--alpha", "0.3", "--phi", "1.2", "--p-plus", "0.9", "--p-minus", "0.8"]
+        + ["--out", "bs"],
+        None,
+    ),
+    (
+        "binary-stats config",
+        ["binary-stats", "--config", "run.json", "--out", "bs"],
+        {"alpha": 0.2, "phi": 1.3, "n_bar": 0.1, "contrast": 0.3},
+    ),
+    (
+        "distribution",
+        ["distribution", "--alpha", "0.2", "--phi", "1.1", "--n", "40", "--out", "d"],
+        None,
+    ),
+    (
+        "distribution gaussian",
+        ["distribution", "--alpha", "0.25", "--phi", "1.0", "--n", "60", "--law", "gaussian"]
+        + ["--n-plus", "0.1", "--n-minus", "0.07", "--out", "d"],
+        None,
+    ),
+    (
+        "fidelity",
+        ["fidelity", "--alpha", "0.1", "--phi", "1.5707963", "--n", "200", "--out", "f"],
+        None,
+    ),
+    (
+        "fidelity gaussian",
+        ["fidelity", "--alpha", "0.3", "--phi", "1.2", "--n", "50", "--threshold-mode", "gaussian"]
+        + ["--p-plus", "0.95", "--p-minus", "0.9", "--out", "f"],
+        None,
+    ),
+    ("qnd-solve", ["qnd-solve", "--preset", "P2", "--out", "q"], None),
+    ("qnd-solve tau", ["qnd-solve", "--preset", "P1", "--tau-ns", "1100", "--out", "q"], None),
+    (
+        "qnd-solve config",
+        ["qnd-solve", "--config", "run.json", "--out", "q"],
+        {"B_gauss": 500.0, "N_DD": 4, "A_MHz": [0.1, 0.2, 0.3], "t_DD_ns": 8000.0},
+    ),
+    (
+        "stability systematic",
+        ["stability", "--alpha-vec", "0,0,2.5", "--delta-phi", "0.05", "--error-axis", "1,0,0"]
+        + ["--n-max", "300", "--out", "s"],
+        None,
+    ),
+    (
+        "stability random tilted",
+        ["stability", "--alpha-vec", "0.3,0.2,1.1", "--error", "random", "--delta-phi", "0.05"]
+        + ["--error-axis", "0.3,-0.5,0.8", "--seed", "4", "--n-max", "300", "--out", "s"],
+        None,
+    ),
+    (
+        "trajectories tilted",
+        ["trajectories", "--alpha", "0.2", "--phi", "1.3", "--n", "30", "--n-traj", "40"]
+        + ["--seed", "5", "--initial", "mixed", "--cycle-rot", "0.1,-0.2,0.3", "--out", "tr"],
+        None,
+    ),
+    (
+        "trajectories config",
+        ["trajectories", "--config", "run.json", "--n", "20", "--n-traj", "10", "--out", "tr"],
+        {"alpha": 0.1, "phi": 1.4, "seed": 9},
+    ),
+    (
+        "nv-scan",
+        ["nv-scan", "--preset", "P2", "--n-tdd", "6", "--n-tr", "12", "--n-max", "2000"]
+        + ["--out-dir", "scan"],
+        None,
+    ),
+    (
+        "nv-scan config",
+        ["nv-scan", "--config", "run.json", "--out-dir", "scan"],
+        {
+            "preset": "P1",
+            "n_plus": 0.12,
+            "n_minus": 0.05,
+            "scan": {"n_tdd": 6, "n_tr": 12, "n_max": 2000}
+            | {"tau_rel_min": 0.97, "tau_rel_max": 1.02},
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("name, argv, cfg", GOLDEN_CASES, ids=[case[0] for case in GOLDEN_CASES])
+def test_outputs_match_golden_bytes(tmp_path, monkeypatch, capsys, name, argv, cfg):
+    golden_path = os.path.join(os.path.dirname(__file__), "cli_golden.json")
+    with open(golden_path, encoding="utf-8") as handle:
+        golden = json.load(handle)[name]
+    monkeypatch.chdir(tmp_path)
+    if cfg is not None:
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+    assert main(argv) == 0
+    digests, manifests = {}, {}
+    for root, _, files in os.walk("."):
+        for name in files:
+            path = os.path.relpath(os.path.join(root, name))
+            if path.endswith(".csv"):
+                with open(path, "rb") as handle:
+                    digests[path] = hashlib.sha256(handle.read()).hexdigest()
+            elif path.endswith("manifest.json"):
+                with open(path, encoding="utf-8") as handle:
+                    manifest = json.load(handle)
+                manifests[path] = {key: manifest[key] for key in ("parameters", "outputs")}
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == golden["stdout"]
+    assert digests == golden["csv"]
+    assert manifests == golden["manifests"]
 
 
 def test_python_dash_m_entry_point():

@@ -70,6 +70,20 @@ def test_params_validation():
         NvParams(b_gauss=305.0, n_dd=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("b_gauss", math.nan),
+        ("b_gauss", math.inf),
+        ("gamma_n_mhz_per_t", math.nan),
+        ("a_mhz", (0.2, math.nan, 0.3)),
+    ],
+)
+def test_params_reject_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        NvParams(**{"b_gauss": 305.0, "n_dd": 6, field: value})
+
+
 # ---------------------------------------------------------------- readout
 
 

@@ -11,7 +11,6 @@ from qndspin.rotations import (
     rotor_exp,
     rotor_log,
     rotor_log_full,
-    so3_apply,
     so3_from_rotor,
     su2_matrix,
 )
@@ -133,7 +132,7 @@ def test_so3_identity():
 
 def test_so3_quarter_turn():
     m = so3_from_rotor(rotor_exp([0.0, 0.0, math.pi / 2]))
-    np.testing.assert_allclose(so3_apply(m, [1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(m @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_so3_conjugation_oracle():
