@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -85,19 +86,26 @@ def _outputs(args, *names: str) -> list[str]:
 def _emit(args, paths: list[str], params: dict, tables, diagnostics: dict | None = None) -> None:
     """Write each ``(header, rows)`` table to its path, then the manifest.
 
+    The manifest's ``sha256`` maps each CSV path to the digest of its bytes.
     ``diagnostics``, when given, gain ``write_s``: the seconds spent on the CSVs.
     """
-    written = time.perf_counter()
+    written, digests = time.perf_counter(), {}
     for path, (header, rows) in zip(paths, tables):
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(",".join(header) + "\n")
             for row in rows:
                 handle.write(",".join(_fmt(v) for v in row) + "\n")
+        digest = hashlib.sha256()
+        with open(path, "rb") as handle:
+            for chunk in iter(lambda: handle.read(1 << 16), b""):
+                digest.update(chunk)
+        digests[path] = digest.hexdigest()
     manifest = {
         "subcommand": args.command,
         "version": __version__,
         "parameters": params,
         "outputs": paths[:-1],
+        "sha256": digests,
         "wall_time_s": round(time.time() - args.started, 3),
     }
     if diagnostics is not None:
@@ -329,7 +337,7 @@ def _cmd_stability(args) -> None:
 def _cmd_trajectories(args) -> None:
     cfg = _load_cfg(args)
     setting = _setting_from_args(args, cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else config_count(cfg.get("seed", 0), "seed", 0)
     initial = {
         "plus": NuclearState.eigenstate(setting.alpha_hat, 1),
         "minus": NuclearState.eigenstate(setting.alpha_hat, -1),

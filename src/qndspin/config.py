@@ -64,14 +64,15 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
 
-def config_count(value, name: str) -> int:
-    """A count from a config file: an integer >= 1 (``1e6`` passes, ``2.5`` and ``true`` do not)."""
+def config_count(value, name: str, least: int = 1) -> int:
+    """A count (or, with ``least=0``, a seed) from a config file: an integer
+    >= ``least`` (``1e6`` passes, ``2.5`` and ``true`` do not)."""
     if isinstance(value, bool) or not (
         isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     ):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
     return int(value)
 
 

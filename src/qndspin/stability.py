@@ -63,7 +63,7 @@ import numpy as np
 
 from .hyperfine import SpinSystem
 from .rotations import rotor_exp, so3_from_rotor
-from .trajectory import _SLICE, _axis_frame, _combine
+from .trajectory import _SLICE, _axis_frame, _checked_seed, _child_generators, _combine
 
 __all__ = [
     "RotationErrorModel",
@@ -173,8 +173,8 @@ def survival_curve(alpha_vec, error: RotationErrorModel, n_max: int) -> Survival
         raise ValueError("n_max must be >= 1")
     alpha_vec = np.asarray(alpha_vec, dtype=float)
     if error.kind == "random":
-        angles = _error_angles(error.seed, error.std, n_max)
-        values = _fixed_axis_survivals(alpha_vec, error.axis, angles[None, :])[:, 0]
+        angles = np.random.default_rng(error.seed).normal(0.0, error.std, size=(1, n_max))
+        values = _fixed_axis_survivals(alpha_vec, error.axis, angles)[:, 0]
         return SurvivalCurve(values, lifetime(values))
     alpha_hat = _measurement_axis(alpha_vec)
     deph = dephasing_map(alpha_vec)
@@ -206,6 +206,10 @@ def survival_ensemble(
     ``SeedSequence(master_seed).spawn(n_seeds)[i]`` and is row ``i`` of one
     call of the fixed-axis kernel (module docstring), so it equals
     ``survival_curve`` with the corresponding random-kind model bit for bit.
+    ``master_seed`` must be an integer >= 0.  That child has the spawn key
+    ``(i,)``, so its stream comes from ``trajectory._child_generators``
+    (batched seed-sequence hashes and one re-seeded ``PCG64``) with no
+    ``SeedSequence`` object per instance; the contract is unchanged.
     The ``(n_seeds, n_max)`` angle matrix is freed before the reduction over
     the ``(n_max + 1, n_seeds)`` survivals.
     """
@@ -215,9 +219,10 @@ def survival_ensemble(
         raise ValueError("n_seeds must be >= 2 for a standard error")
     std = _checked_std(std)
     axis = _unit_axis(axis)
+    master_seed = _checked_seed(master_seed)
     angles = np.empty((n_seeds, n_max))
-    for i, seq in enumerate(np.random.SeedSequence(master_seed).spawn(n_seeds)):
-        angles[i] = _error_angles(seq, std, n_max)
+    for i, gen in enumerate(_child_generators(master_seed, 0, n_seeds)):
+        angles[i] = gen.normal(0.0, std, n_max)
     survivals = _fixed_axis_survivals(alpha_vec, axis, angles)
     del angles
     mean = survivals.mean(axis=1)
@@ -229,11 +234,6 @@ def _measurement_axis(alpha_vec: np.ndarray) -> np.ndarray:
     """``alpha_hat``, or ``e_z`` when there is no measurement."""
     mag = float(np.linalg.norm(alpha_vec))
     return alpha_vec / mag if mag > 0.0 else np.array([0.0, 0.0, 1.0])
-
-
-def _error_angles(seed, std: float, n_max: int) -> np.ndarray:
-    """The ``n_max`` Gaussian error angles of one random-error sequence."""
-    return np.random.default_rng(seed).normal(0.0, std, size=n_max)
 
 
 def _fixed_axis_survivals(alpha_vec, axis: np.ndarray, angles: np.ndarray) -> np.ndarray:

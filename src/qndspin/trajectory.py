@@ -16,11 +16,17 @@ measurement axis (``_evolve``), and ``run`` is one row of the same kernel.
 Randomness comes from numpy's PCG64 ``default_rng``.  Trajectory ``i`` of an
 ensemble draws from ``SeedSequence(master_seed, spawn_key=(i,))``; a single
 ``run`` with that seed sequence reproduces the ensemble row bit for bit.
+The ensemble builds no ``SeedSequence`` per row: ``_child_seed_words``
+evaluates the seed sequence's pool hash and ``generate_state(4, uint64)`` for
+256 children at once in uint32 arithmetic, and ``_child_generators``
+seeds one reused ``PCG64`` from those words with PCG64's own seeding
+recurrence.  The streams are the ``SeedSequence`` streams bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -41,6 +47,19 @@ __all__ = [
 
 # Cycles whose uniforms are transposed into the scratch buffer at a time.
 _SLICE = 64
+
+# Children whose seeding words are hashed, then listed as Python ints, at a time.
+_SEED_ROWS = 256
+
+# numpy's SeedSequence: pool size, hash constants, mixing shift, word mask
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT, _MASK32 = 16, 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier and state mask
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass
@@ -121,6 +140,88 @@ def step(
     return u, NuclearState(bloch)
 
 
+def _checked_seed(master_seed) -> int:
+    """A master seed: an integer >= 0 (``bool`` is refused)."""
+    if isinstance(master_seed, bool) or not isinstance(master_seed, numbers.Integral):
+        raise ValueError(f"master seed must be an integer, got {master_seed!r}")
+    if master_seed < 0:
+        raise ValueError(f"master seed must be >= 0, got {master_seed}")
+    return int(master_seed)
+
+
+def _child_seed_words(master_seed: int, first: int, count: int) -> np.ndarray:
+    """``SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, np.uint64)``
+    for ``i = first .. first + count - 1``, as a ``(count, 4)`` uint64 array.
+
+    The entropy words are the master seed's little-endian uint32 words,
+    padded with zeros to the pool size, followed by ``i``.  Every word but
+    the last is shared, so the pool is hashed as ``(1,)`` arrays until ``i``
+    is mixed in, and from then on as one ``(count,)`` array per pool word.
+    """
+    if first + count > 1 << 32:
+        raise ValueError("child indices must lie in [0, 2**32)")
+    entropy = [master_seed & _MASK32]
+    while master_seed >> 32 * len(entropy):
+        entropy.append(master_seed >> 32 * len(entropy) & _MASK32)
+    entropy += [0] * (_POOL - len(entropy))
+    words = [np.array([w], dtype=np.uint32) for w in entropy]
+    words.append(np.arange(first, first + count, dtype=np.uint32))
+
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ value >> _XSHIFT
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> _XSHIFT
+
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    const, state = _INIT_B, []
+    for k in range(2 * _POOL):
+        value = pool[k % _POOL] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        state.append((value ^ value >> _XSHIFT).astype(np.uint64))
+    return np.stack([lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])], axis=1)
+
+
+def _child_generators(master_seed: int, first: int, count: int):
+    """Yield, for each child ``i = first .. first + count - 1``, one reused
+    ``Generator`` in the state of ``default_rng(SeedSequence(master_seed,
+    spawn_key=(i,)))``.
+
+    PCG64 seeds from the words ``w0..w3`` as ``initstate = w0:w1``,
+    ``initseq = w2:w3``, ``inc = 2 initseq + 1`` and ``state = ((inc +
+    initstate) MULT + inc) mod 2**128``; setting that state replaces building
+    a ``SeedSequence`` and a ``default_rng`` per child.
+    """
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    lcg = {}  # refilled per child: the setter copies it, and fresh dicts cost ≈ 2 µs
+    seeded = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
+    for start in range(first, first + count, _SEED_ROWS):
+        words = _child_seed_words(master_seed, start, min(_SEED_ROWS, first + count - start))
+        for w0, w1, w2, w3 in words.tolist():
+            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+            lcg["state"] = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+            lcg["inc"] = inc
+            bitgen.state = seeded
+            yield gen
+
+
 def _axis_frame(alpha_hat: np.ndarray) -> np.ndarray:
     """Rows ``(e1, e2, a)`` of a right-handed orthonormal frame; exactly the
     identity for ``a = e_z`` (adding 0.0 clears the negative zeros)."""
@@ -159,14 +260,17 @@ def _evolve(setting, cycle_rotation, initial, uniforms, outcomes=None):
     """
     frame = _axis_frame(setting.alpha_hat)
     rotation = frame @ so3_from_rotor(cycle_rotation) @ frame.T
-    terms = [[(r, j) for j, r in enumerate(row) if r != 0.0] for row in rotation.tolist()]
+    # 0-d array coefficients: numpy converts a Python float on every call
+    terms = [
+        [(np.array(r), j) for j, r in enumerate(row) if r != 0.0] for row in rotation.tolist()
+    ]
     # |l_+|^2 / 2, |l_-|^2 / 2 and l_+ l_-^* per outcome, as np.where columns
     coeffs = {}
     for u in (1, -1):
         l_plus, l_minus = kraus_eigenvalues(setting, u)
         cross = (l_plus * l_minus.conjugate()).real
         coeffs[u] = np.array([[0.5 * abs(l_plus) ** 2], [0.5 * abs(l_minus) ** 2], [cross]])
-    (ha,), (hb,) = coeffs[1][:2]
+    one, ha, hb = map(np.array, (1.0, *coeffs[1][:2, 0]))
 
     rows, n = uniforms.shape
     x, y, z, nx, ny, nz, pp, pm, p, tmp = np.empty((10, rows))
@@ -178,8 +282,8 @@ def _evolve(setting, cycle_rotation, initial, uniforms, outcomes=None):
         width = min(_SLICE, n - first)
         np.copyto(scratch[:width], uniforms[:, first : first + width].T)
         for j, draws in enumerate(scratch[:width]):
-            np.add(1.0, z, out=pp)
-            np.subtract(1.0, z, out=pm)
+            np.add(one, z, out=pp)
+            np.subtract(one, z, out=pm)
             np.multiply(ha, pp, out=nx)
             np.multiply(hb, pm, out=ny)
             np.add(nx, ny, out=p)
@@ -240,10 +344,13 @@ def run_ensemble(
     Returns ``(u_bars, final_blochs)`` with one row per trajectory.
     Trajectory ``i`` consumes the stream ``SeedSequence(master_seed,
     spawn_key=(i,))`` exactly as ``run`` would, so the ensemble is a
-    bit-for-bit parallelization of repeated single runs.  Up to ``block``
-    trajectories draw their uniforms into one ``(block, n)`` buffer, which
-    dominates the memory (``8 block n`` bytes), and go through the kernel
-    together.
+    bit-for-bit parallelization of repeated single runs.  ``master_seed``
+    must be an integer >= 0.  Up to ``block`` trajectories draw their
+    uniforms into one ``(block, n)`` buffer, which dominates the memory
+    (``8 block n`` bytes), and go through the kernel together.  The streams
+    come from batched seed-sequence hashes and one re-seeded ``PCG64`` per
+    block (``_child_generators``), not from a ``SeedSequence`` object per
+    trajectory; the contract above is unchanged.
 
     ``diagnostics``, when given, is a counter that receives the seconds
     spent building the streams and drawing (``stream_s``) and in the kernel
@@ -251,15 +358,15 @@ def run_ensemble(
     """
     if not setting.readout.is_ideal:
         raise ValueError("trajectory updates are defined for ideal readout only")
+    master_seed = _checked_seed(master_seed)
     u_bars, finals = np.empty(n_traj), np.empty((n_traj, 3))
     uniforms = np.empty((min(block, n_traj), n))
     stream_s = kernel_s = 0.0
     for start in range(0, n_traj, block):
         draws = uniforms[: n_traj - start]
         began = time.perf_counter()
-        for i, row in enumerate(draws):
-            seq = np.random.SeedSequence(master_seed, spawn_key=(start + i,))
-            np.random.default_rng(seq).random(out=row)
+        for row, gen in zip(draws, _child_generators(master_seed, start, len(draws))):
+            gen.random(out=row)
         drawn = time.perf_counter()
         done = slice(start, start + len(draws))
         u_bars[done], finals[done] = _evolve(setting, cycle_rotation, initial, draws)

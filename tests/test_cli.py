@@ -285,6 +285,21 @@ def test_out_of_range_inputs_are_config_errors(tmp_path, capsys, argv):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [(2.5, "seed must be an integer"), (-1, "seed must be >= 0"), (True, "seed must be an integer")],
+    ids=["fractional", "negative", "bool"],
+)
+def test_trajectories_bad_config_seed_is_config_error(tmp_path, capsys, seed, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"alpha": 0.1, "seed": seed}))
+    out = tmp_path / "out"
+    assert main(["trajectories", "--config", str(path), "--n", "5", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
+    assert os.listdir(tmp_path) == ["run.json"]
+
+
 @pytest.mark.parametrize("kind", ["systematic", "random"])
 def test_error_axis_is_normalized_for_both_kinds(tmp_path, kind):
     outputs = []
@@ -397,7 +412,7 @@ def test_outputs_match_golden_bytes(tmp_path, monkeypatch, capsys, name, argv, c
     if cfg is not None:
         (tmp_path / "run.json").write_text(json.dumps(cfg))
     assert main(argv) == 0
-    digests, manifests = {}, {}
+    digests, manifests, recorded = {}, {}, {}
     for root, _, files in os.walk("."):
         for name in files:
             path = os.path.relpath(os.path.join(root, name))
@@ -408,9 +423,14 @@ def test_outputs_match_golden_bytes(tmp_path, monkeypatch, capsys, name, argv, c
                 with open(path, encoding="utf-8") as handle:
                     manifest = json.load(handle)
                 manifests[path] = {key: manifest[key] for key in ("parameters", "outputs")}
+                recorded[path] = manifest["sha256"]
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == golden["stdout"]
     assert digests == golden["csv"]
     assert manifests == golden["manifests"]
+    for path, manifest in manifests.items():  # each manifest digests its own outputs
+        assert sorted(recorded[path]) == sorted(manifest["outputs"])
+        for output, digest in recorded[path].items():
+            assert digests[os.path.relpath(output)] == digest
 
 
 def test_python_dash_m_entry_point():

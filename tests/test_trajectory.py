@@ -1,16 +1,18 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qndspin.cascade import exact_distribution
 from qndspin.measurement import MeasurementSetting, ReadoutModel, outcome_prob
 from qndspin.rotations import identity_rotor, rotor_exp, so3_from_rotor
-from qndspin.stability import dephasing_map
+from qndspin.stability import _fixed_axis_survivals, dephasing_map, survival_ensemble
 from qndspin.trajectory import (
     NuclearState,
+    _child_seed_words,
     kraus_eigenvalues,
     run,
     run_ensemble,
@@ -180,6 +182,80 @@ def test_ensemble_rows_are_runs_bit_for_bit(block):
         rec = run(s, cycle, initial, n, np.random.SeedSequence(31, spawn_key=(i,)))
         np.testing.assert_array_equal(u_bars[i], rec.u_bar)
         np.testing.assert_array_equal(finals[i], rec.final_state.bloch)
+
+
+EDGE_MASTERS = [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 + 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    master=st.one_of(st.sampled_from(EDGE_MASTERS), st.integers(0, 2**160)),
+    first=st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)),
+    count=st.integers(1, 5),
+)
+@example(master=2**128 + 1, first=2**32 - 1, count=1)
+@example(master=0, first=0, count=1)
+def test_child_seed_words_are_seed_sequence_states(master, first, count):
+    first = min(first, 2**32 - count)
+    words = _child_seed_words(master, first, count)
+    expected = [
+        np.random.SeedSequence(master, spawn_key=(i,)).generate_state(4, np.uint64)
+        for i in range(first, first + count)
+    ]
+    assert words.dtype == np.uint64
+    np.testing.assert_array_equal(words, expected)
+
+
+def test_child_seed_words_reject_indices_past_one_word():
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        _child_seed_words(0, 2**32 - 1, 2)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        _child_seed_words(0, 0, 2**32 + 1)  # refused before anything is allocated
+
+
+STREAM_CASE = (
+    MeasurementSetting(0.4 * _unit([0.3, -0.5, 0.8]), 1.2),
+    rotor_exp(np.array([0.2, 0.1, -0.3])),
+    NuclearState.mixed(),
+    3,  # cycles
+    2051,  # trajectories: not a multiple of any block, so the last block is partial
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _single_runs(master):
+    """``run`` on ``default_rng(SeedSequence(master, spawn_key=(i,)))`` for each row ``i``."""
+    s, cycle, initial, n, n_traj = STREAM_CASE
+    records = [run(s, cycle, initial, n, np.random.SeedSequence(master, spawn_key=(i,))) for i in range(n_traj)]
+    return np.array([r.u_bar for r in records]), np.array([r.final_state.bloch for r in records])
+
+
+@pytest.mark.parametrize("block", [1, 3, 2048])
+@pytest.mark.parametrize("master", [12345, 2**128 + 1], ids=["one-word master", "five-word master"])
+def test_ensemble_streams_are_seed_sequence_children(block, master):
+    u_bars, finals = run_ensemble(*STREAM_CASE, master, block=block)
+    expected_u_bars, expected_finals = _single_runs(master)
+    np.testing.assert_array_equal(u_bars, expected_u_bars)
+    np.testing.assert_array_equal(finals, expected_finals)
+
+
+def test_survival_ensemble_equals_spawned_rows():
+    alpha_vec = 2.2 * _unit([0.3, -0.5, 0.8])
+    axis, std, n_max, n_seeds, master = _unit([0.6, 0.2, -0.7]), 0.05, 100, 40, 2**64 + 9
+    children = np.random.SeedSequence(master).spawn(n_seeds)
+    angles = np.array([np.random.default_rng(seq).normal(0.0, std, n_max) for seq in children])
+    rows = _fixed_axis_survivals(alpha_vec, axis, angles)
+    mean, stderr = survival_ensemble(alpha_vec, std, axis, n_max, n_seeds, master)
+    np.testing.assert_array_equal(mean, rows.mean(axis=1))
+    np.testing.assert_array_equal(stderr, rows.std(axis=1, ddof=1) / math.sqrt(n_seeds))
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, 3.0, True, "7", None], ids=repr)
+def test_master_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="master seed"):
+        run_ensemble(setting(), identity_rotor(), NuclearState.mixed(), 5, 4, seed)
+    with pytest.raises(ValueError, match="master seed"):
+        survival_ensemble(0.7 * EZ, 0.1, [1.0, 0.0, 0.0], 5, 4, seed)
 
 
 def test_qnd_ensemble_reproduces_exact_distribution():
