@@ -68,15 +68,20 @@ def _fmt(value) -> str:
 def _outputs(args, *names: str) -> list[str]:
     """The output paths, manifest last; an existing one needs ``--force``.
 
-    ``--out PREFIX`` gives ``PREFIX.csv`` and ``PREFIX.manifest.json``; with
-    ``--out-dir`` (made here, after validation) they are ``names`` and
-    ``manifest.json`` in that directory.
+    ``--out PREFIX`` gives ``PREFIX.csv`` and ``PREFIX.manifest.json`` in an
+    existing directory; with ``--out-dir`` (made here, after validation) they
+    are ``names`` and ``manifest.json`` in it.
     """
     if "out_dir" in args:
-        os.makedirs(args.out_dir, exist_ok=True)  # a collision needs it to exist already
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)  # a collision needs it to exist already
+        except OSError as exc:  # a file in the way, or no permission
+            raise ConfigError(f"cannot create --out-dir {args.out_dir}: {exc.strerror}") from exc
         paths = [os.path.join(args.out_dir, name) for name in (*names, "manifest.json")]
-    else:
+    elif os.path.isdir(os.path.dirname(args.out) or "."):
         paths = [args.out + ".csv", args.out + ".manifest.json"]
+    else:
+        raise ConfigError(f"--out {args.out}: its directory does not exist")
     for path in paths:
         if os.path.exists(path) and not args.force:
             raise ConfigError(f"output {path} exists (use --force to overwrite)")
@@ -87,7 +92,7 @@ def _emit(args, paths: list[str], params: dict, tables, diagnostics: dict | None
     """Write each ``(header, rows)`` table to its path, then the manifest.
 
     The manifest's ``sha256`` maps each CSV path to the digest of its bytes.
-    ``diagnostics``, when given, gain ``write_s``: the seconds spent on the CSVs.
+    ``diagnostics``, when given, gain ``write_s`` (CSV seconds); ``*_s`` keep 3 decimals.
     """
     written, digests = time.perf_counter(), {}
     for path, (header, rows) in zip(paths, tables):
@@ -109,7 +114,9 @@ def _emit(args, paths: list[str], params: dict, tables, diagnostics: dict | None
         "wall_time_s": round(time.time() - args.started, 3),
     }
     if diagnostics is not None:
-        manifest["diagnostics"] = dict(diagnostics, write_s=round(time.perf_counter() - written, 3))
+        timed = dict(diagnostics, write_s=time.perf_counter() - written)
+        seconds = {key: round(value, 3) for key, value in timed.items() if key.endswith("_s")}
+        manifest["diagnostics"] = dict(timed, **seconds)
     with open(paths[-1], "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -359,7 +366,6 @@ def _cmd_trajectories(args) -> None:
     }
     header = ["seed", "u_bar", "final_bx", "final_by", "final_bz"]
     rows = ((i, u_bars[i], finals[i, 0], finals[i, 1], finals[i, 2]) for i in range(args.n_traj))
-    timings = {stage: round(seconds, 3) for stage, seconds in timings.items()}
     _emit(args, paths, params, [(header, rows)], timings)
     print(f"wrote {paths[0]} ({args.n_traj} trajectories, <u_bar> = {u_bars.mean():.4f})")
 
@@ -388,7 +394,9 @@ def _cmd_nv_scan(args) -> None:
     diagnostics = Counter(no_crossing_points=0, bisection_probes=0, kernel_calls=0)
     tau_grid, tr_grid = default_tau_grid(params, n_tdd, rel), default_tr_grid(params, n_tr)
     scan = scan_2d(params, tau_grid, tr_grid, readout, n_max=n_max, diagnostics=diagnostics)
+    started = time.perf_counter()
     profile = tolerance_profile(scan, diagnostics)
+    diagnostics["tolerance_s"] = time.perf_counter() - started
     scan_rows = ((t_dd * 1e9, t_r * 1e9, *rest) for t_dd, t_r, *rest in scan.rows())
     tol_rows = ((row[0] * 1e9, row[1] * 1e9, row[2] * 1e9, row[3]) for row in profile)
     manifest_params = dict(_nv_params(params), p_plus=readout.p_plus, p_minus=readout.p_minus)

@@ -200,17 +200,11 @@ def decompose_joint(c0, d0) -> tuple[np.ndarray, np.ndarray]:
     in the plane of ``c0`` and ``d0`` while ``d`` is parallel to
     ``c0 x d0``.
     """
-    c0 = np.asarray(c0, dtype=float)
-    d0 = np.asarray(d0, dtype=float)
-    g = {}
-    for s in (1.0, -1.0):
-        product = rotor_compose(
-            rotor_exp(c0 - s * d0 / 2.0), rotor_exp(c0 + s * d0 / 2.0)
-        )
-        g[s] = rotor_log_full(product)
-    c = 0.5 * (g[1.0] + g[-1.0])
-    d = g[1.0] - g[-1.0]
-    return c, d
+    c0, d0 = np.asarray(c0, dtype=float), np.asarray(d0, dtype=float)
+    s = np.array([[1.0], [-1.0]])  # both conditional products as one batch
+    product = rotor_compose(rotor_exp(c0 - s * d0 / 2.0), rotor_exp(c0 + s * d0 / 2.0))
+    g_plus, g_minus = rotor_log_full(product)
+    return 0.5 * (g_plus + g_minus), g_plus - g_minus
 
 
 def split_conditional(c, d, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,89 +129,96 @@ class SpinSystem:
 
 @dataclass
 class DDSequence:
-    """Instantaneous pi-pulse timings inside a total duration ``duration``."""
+    """Pi-pulse timings inside ``duration``; batched as ``(..., n_pulses)`` and ``(...)``."""
 
     pulse_times: np.ndarray
-    duration: float
+    duration: float | np.ndarray
 
     def __post_init__(self):
         self.pulse_times = np.asarray(self.pulse_times, dtype=float)
-        if self.duration <= 0.0:
+        if not np.all(np.asarray(self.duration) > 0.0):
             raise ValueError("sequence duration must be positive")
-        if self.pulse_times.size:
-            if np.any(np.diff(self.pulse_times) < 0.0):
+        if self.n_pulses:
+            if np.any(np.diff(self.pulse_times, axis=-1) < 0.0):
                 raise ValueError("pulse times must be sorted")
-            if self.pulse_times[0] < 0.0 or self.pulse_times[-1] > self.duration:
+            first, last = self.pulse_times[..., 0], self.pulse_times[..., -1]
+            if np.any(first < 0.0) or np.any(last > self.duration):
                 raise ValueError("pulse times must lie within [0, duration]")
 
     @property
     def n_pulses(self) -> int:
-        return int(self.pulse_times.size)
+        return int(self.pulse_times.shape[-1])
 
     def interval_bounds(self) -> np.ndarray:
-        return np.concatenate(([0.0], self.pulse_times, [self.duration]))
+        end = np.asarray(self.duration, dtype=float)[..., None]
+        return np.concatenate((np.zeros_like(end), self.pulse_times, end), axis=-1)
 
     def interval_signs(self) -> np.ndarray:
         """Modulation sign per inter-pulse interval, starting at +1."""
         n = self.n_pulses + 1
         return np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
 
-    def modulation_integral(self) -> float:
-        """``integral of s(t) dt`` over the sequence (0 for balanced sequences)."""
-        widths = np.diff(self.interval_bounds())
-        return float(self.interval_signs() @ widths)
+    def modulation_integral(self):
+        """``integral of s(t) dt`` per sequence (0 for balanced sequences)."""
+        return np.diff(self.interval_bounds()) @ self.interval_signs()
 
 
-def cpmg(n_periods: int, tau: float) -> DDSequence:
-    """CPMG sequence of ``n_periods`` repetitions of (tau/4 - pi - tau/2 - pi - tau/4)."""
+def cpmg(n_periods: int, tau) -> DDSequence:
+    """CPMG sequences of ``n_periods`` repetitions of (tau/4 - pi - tau/2 - pi - tau/4), per tau."""
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
-    if tau <= 0.0:
+    tau = np.asarray(tau, dtype=float)[..., None]
+    if not np.all(tau > 0.0):  # a nan period would pass a "<= 0" test
         raise ValueError("tau must be positive")
     starts = np.arange(n_periods) * tau
-    times = np.sort(np.concatenate((starts + tau / 4.0, starts + 3.0 * tau / 4.0)))
-    return DDSequence(times, n_periods * tau)
+    times = np.sort(np.concatenate((starts + tau / 4.0, starts + 3.0 * tau / 4.0), axis=-1))
+    return DDSequence(times, n_periods * tau[..., 0])
 
 
 def exact_dd_evolution(sys: SpinSystem, seq: DDSequence) -> tuple[Rotor, Rotor]:
     """Conditional nuclear rotors ``(u_plus, u_minus)`` for a DD sequence.
 
     Each inter-pulse interval is evolved exactly under the constant field
-    ``omega +- s_k A / 2`` for the electron in ``|+z>`` / ``|-z>``.
+    ``omega +- s_k A / 2`` for the electron in ``|+z>`` / ``|-z>``.  Both
+    branches and all sequences of a batch advance together, each row bit for
+    bit its one-sequence result (a zero-width interval leaves its rows alone).
     """
-    omega = sys.omega
-    half_a = 0.5 * sys.hyperfine
-    bounds = seq.interval_bounds()
-    signs = seq.interval_signs()
-    u_plus = Rotor(1.0, np.zeros(3))
-    u_minus = Rotor(1.0, np.zeros(3))
-    for k in range(signs.size):
-        dt = bounds[k + 1] - bounds[k]
-        if dt == 0.0:
-            continue
-        u_plus = rotor_compose(rotor_exp((omega + signs[k] * half_a) * dt), u_plus)
-        u_minus = rotor_compose(rotor_exp((omega - signs[k] * half_a) * dt), u_minus)
-    return u_plus, u_minus
+    widths = np.diff(seq.interval_bounds())
+    batch = widths.shape[:-1]
+    omega, half_a = sys.omega, 0.5 * sys.hyperfine
+    u = Rotor(np.ones((2, *batch)), np.zeros((2, *batch, 3)))
+    branch = np.array([1.0, -1.0]).reshape((2,) + (1,) * len(batch) + (1,))  # |+z>, |-z>
+    for k, sign in enumerate(seq.interval_signs()):
+        dt = widths[..., k]
+        moved = rotor_compose(rotor_exp((omega + (branch * sign) * half_a) * dt[..., None]), u)
+        keep = dt == 0.0  # composing with the identity would move the bits
+        u.scalar = np.where(keep, u.scalar, moved.scalar)
+        u.vector = np.where(keep[..., None], u.vector, moved.vector)
+    return Rotor(u.scalar[0], u.vector[0]), Rotor(u.scalar[1], u.vector[1])
 
 
-def extract_alpha_phi(u_plus: Rotor, u_minus: Rotor) -> tuple[np.ndarray, np.ndarray]:
-    """Split a conditional pair into ``(alpha_vec, phi_dd)``.
+def extract_alpha_phi(
+    u_plus: Rotor, u_minus: Rotor, diagnostics: Counter | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split conditional pairs into ``(alpha_vec, phi_dd)``.
 
     ``alpha_vec`` solves ``exp(2i alpha . I) = u_plus^dag u_minus`` with
     ``|alpha|`` in ``[0, pi]``; ``phi_dd`` solves ``exp(-i phi_dd . I) =
     u_plus exp(i alpha . I)``.  Both use the sign-exact ``[0, 2*pi)`` branch
     of the rotor logarithm so that ``u_pm = rotor_exp(phi_dd) o
-    rotor_exp(-+ alpha)`` holds exactly, not only up to a rotor sign.
+    rotor_exp(-+ alpha)`` holds exactly, not only up to a rotor sign.  Both
+    reconstructions ``u_pm exp(+-i alpha . I)`` must agree to 1e-10 per row;
+    ``diagnostics`` (a counter) keeps the worst gap as ``worst_alpha_phi_error``.
     """
     w = rotor_compose(rotor_conj(u_plus), u_minus)
     alpha_vec = -0.5 * rotor_log_full(w)
     half = rotor_exp(-alpha_vec)  # exp(+i alpha . I)
     lhs = rotor_compose(u_plus, half)
     rhs = rotor_compose(u_minus, rotor_conj(half))
-    err = max(
-        abs(lhs.scalar - rhs.scalar), float(np.max(np.abs(lhs.vector - rhs.vector)))
-    )
-    if err > 1e-10:
+    err = float(max(np.abs(lhs.scalar - rhs.scalar).max(), np.abs(lhs.vector - rhs.vector).max()))
+    if diagnostics is not None:
+        diagnostics["worst_alpha_phi_error"] = max(err, diagnostics["worst_alpha_phi_error"])
+    if not err <= 1e-10:  # nan rotors fail too
         raise RuntimeError(f"conditional-rotation consistency check failed ({err:.2e})")
     phi_dd = rotor_log_full(lhs)
     return alpha_vec, phi_dd

@@ -29,6 +29,7 @@ QND condition whose usable width in ``t_r`` is the timing tolerance.
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -38,7 +39,7 @@ from .control import solve_waiting_time
 from .hyperfine import MHZ, SpinSystem, cpmg, exact_dd_evolution, extract_alpha_phi
 from .measurement import MeasurementSetting, ReadoutModel, binary_stats
 from .rotations import rotor_exp, so3_from_rotor
-from .stability import dephasing_map, first_crossing
+from .stability import _measurement_axis, dephasing_map, first_crossing
 
 __all__ = [
     "C13_HYPERFINE_MHZ",
@@ -166,19 +167,11 @@ class ScanResult:
         return np.linalg.norm(self.alpha_vecs, axis=1)
 
     def rows(self):
-        """Yield (t_dd, t_r, alpha_mag, residual, strength, n_c, n_l) in grid order."""
-        mags = self.alpha_mags
-        for i, t_dd in enumerate(self.t_dd_grid):
-            for j, t_r in enumerate(self.tr_grid):
-                yield (
-                    t_dd,
-                    t_r,
-                    mags[i],
-                    self.residuals[i, j],
-                    self.strengths[i],
-                    self.n_crit[i],
-                    self.lifetimes[i, j],
-                )
+        """(t_dd, t_r, alpha_mag, residual, strength, n_c, n_l) per point in grid order."""
+        per_row = (self.t_dd_grid, self.alpha_mags, self.strengths, self.n_crit)
+        t_dd, mag, strength, n_c = (c[:, None] for c in per_row)
+        cols = (t_dd, self.tr_grid, mag, self.residuals, strength, n_c, self.lifetimes)
+        return zip(*(np.broadcast_to(c, self.residuals.shape).ravel().tolist() for c in cols))
 
 
 def _wait_rotation_matrices(omega_n: float, tr_grid: np.ndarray) -> np.ndarray:
@@ -201,13 +194,8 @@ def _batched_lifetimes(maps: np.ndarray, axes: np.ndarray, n_max: int) -> np.nda
 
 def _row_frames(alpha_vecs: np.ndarray, phi_dds: np.ndarray):
     """Per row: measured axis, DD rotation matrix and dephasing map."""
-    hats, r_dds, dephs = [], [], []
-    for alpha_vec, phi_dd in zip(alpha_vecs, phi_dds):
-        mag = np.linalg.norm(alpha_vec)
-        hats.append(alpha_vec / mag if mag > 0 else np.array([0.0, 0.0, 1.0]))
-        r_dds.append(so3_from_rotor(rotor_exp(phi_dd)))
-        dephs.append(dephasing_map(alpha_vec))
-    return np.array(hats), np.array(r_dds), np.array(dephs)
+    hats = _measurement_axis(alpha_vecs)
+    return hats, so3_from_rotor(rotor_exp(phi_dds)), dephasing_map(alpha_vecs)
 
 
 def scan_2d(
@@ -224,54 +212,44 @@ def scan_2d(
     Per CPMG duration: exact conditional evolution, extraction of the
     measurement vector and the sequence rotation, strength from the readout
     model.  Per waiting time: total cycle rotation, QND residual, and the
-    full per-cycle map ``R(phi_total) M``.  The lifetimes of all grid points
-    then come from one call of ``stability.first_crossing`` with horizon
-    ``n_max``.  Rows are computed independently and assembled by index, so
-    the output is deterministic.
+    full per-cycle map ``R(phi_total) M``.  All durations share one batched
+    geometry call, and the lifetimes of all grid points one call of
+    ``stability.first_crossing`` with horizon ``n_max``.
 
-    ``diagnostics``, when given, is a counter that receives the number of
-    kernel calls (``kernel_calls``) and of grid points without a crossing
-    within ``n_max`` (``no_crossing_points``).
+    ``diagnostics``, when given, is a counter that receives ``kernel_calls``,
+    ``no_crossing_points`` (no crossing within ``n_max``), the seconds before
+    the kernel (``geometry_s``) and in it (``lifetimes_s``), and the
+    ``worst_alpha_phi_error`` of ``extract_alpha_phi``.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     tr_grid = np.asarray(tr_grid, dtype=float)
     if tau_grid.size == 0 or tr_grid.size == 0:
         raise ValueError("scan grids must be non-empty")
-    sys = nv_system(params)
     n_tau, n_tr = tau_grid.size, tr_grid.size
 
-    geom = [extract_alpha_phi(*exact_dd_evolution(sys, cpmg(params.n_dd, t))) for t in tau_grid]
-    alpha_vecs = np.array([g[0] for g in geom])
-    phi_dds = np.array([g[1] for g in geom])
+    started = time.perf_counter()
+    pair = exact_dd_evolution(nv_system(params), cpmg(params.n_dd, tau_grid))
+    alpha_vecs, phi_dds = extract_alpha_phi(*pair, diagnostics)
 
-    strengths = np.empty(n_tau)
-    n_crit = np.empty(n_tau)
-    for i in range(n_tau):
-        stats = binary_stats(MeasurementSetting(alpha_vecs[i], phi, readout))
-        strengths[i] = stats.strength_d
-        if stats.strength_d == 0.0:
-            n_crit[i] = math.inf
-        elif stats.projective:
-            n_crit[i] = 1.0
-        else:
-            n_crit[i] = math.ceil(2.0 / stats.strength_d**2)
+    strengths, n_crit = np.empty(n_tau), np.empty(n_tau)
+    for i, alpha_vec in enumerate(alpha_vecs):
+        d = strengths[i] = binary_stats(MeasurementSetting(alpha_vec, phi, readout)).strength_d
+        n_crit[i] = math.inf if d == 0.0 else 1.0 if math.isinf(d) else math.ceil(2.0 / d**2)
 
     wait_mats = _wait_rotation_matrices(params.omega_n, tr_grid)
     hats, r_dds, dephs = _row_frames(alpha_vecs, phi_dds)
-    residuals = np.empty((n_tau, n_tr))
-    all_maps = np.empty((n_tau * n_tr, 3, 3))
-    all_axes = np.empty((n_tau * n_tr, 3))
-    for i in range(n_tau):
-        totals = np.einsum("pij,jk->pik", wait_mats, r_dds[i])
-        moved = np.einsum("pij,j->pi", totals, hats[i])
-        chord = 0.5 * np.linalg.norm(moved - hats[i], axis=1)
-        residuals[i] = 2.0 * np.arcsin(np.clip(chord, 0.0, 1.0))
-        sl = slice(i * n_tr, (i + 1) * n_tr)
-        all_maps[sl] = np.einsum("pij,jk->pik", totals, dephs[i])
-        all_axes[sl] = hats[i]
+    totals = np.einsum("pij,tjk->tpik", wait_mats, r_dds)
+    moved = np.einsum("tpij,tj->tpi", totals, hats)
+    chord = 0.5 * np.linalg.norm(moved - hats[:, None, :], axis=-1)
+    residuals = 2.0 * np.arcsin(np.clip(chord, 0.0, 1.0))
+    all_maps = np.einsum("tpij,tjk->tpik", totals, dephs).reshape(-1, 3, 3)
+    all_axes = np.repeat(hats, n_tr, axis=0)
+    geometry_s, started = time.perf_counter() - started, time.perf_counter()
 
     lifetimes = _batched_lifetimes(all_maps, all_axes, n_max).reshape(n_tau, n_tr)
     if diagnostics is not None:
+        diagnostics["geometry_s"] += geometry_s
+        diagnostics["lifetimes_s"] += time.perf_counter() - started
         diagnostics["kernel_calls"] += 1
         diagnostics["no_crossing_points"] += int(np.isinf(lifetimes).sum())
     return ScanResult(

@@ -1,4 +1,4 @@
-"""SU(2) rotors and their SO(3) images.
+"""SU(2) rotors and their SO(3) images, batched over leading axes.
 
 A rotation through the axis-angle vector ``theta`` (angle ``|theta|`` about
 ``theta/|theta|``) acts on a spin-1/2 as ``exp(-i theta . I)`` with
@@ -9,6 +9,17 @@ A rotation through the axis-angle vector ``theta`` (angle ``|theta|`` about
 so ``rotor_exp(theta)`` has ``scalar = cos(|theta|/2)`` and
 ``vector = -sin(|theta|/2) * theta_hat``.  Rotors are kept unit-normalized
 (``scalar**2 + |vector|**2 = 1``); ``r`` and ``-r`` have the same SO(3) image.
+
+Broadcasting: ``scalar`` has shape ``(...)`` and ``vector`` (like an
+axis-angle array) ``(..., 3)``.  Every function but ``su2_matrix`` takes any
+batch shape; row ``i`` of a batched call equals the one-rotation call on row
+``i`` bit for bit, and that call returns a float ``scalar``.  Three rules:
+1. each 3-vector dot is ``a[..., None, :] @ b[..., :, None]``, numpy's
+   kernel for a 1-D ``a @ b`` (``einsum`` or ``x0*y0 + ...`` round differently);
+2. ``atan2`` is ``math.atan2`` per element (``np.arctan2`` can be an ulp off);
+3. the order of operations is fixed, e.g. ``(2.0 * s) * cross``, and rows that
+   must stay unchanged are selected with ``np.where``: composing with the
+   identity renormalizes a rotor and moves its bits.
 
 Logarithm branches:
 
@@ -41,13 +52,30 @@ __all__ = [
     "su2_matrix",
 ]
 
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
+_ATAN2 = np.frompyfunc(math.atan2, 2, 1)
+# turns without a defined axis take x by convention
+_HALF_TURN, _FULL_TURN = np.array([math.pi, 0.0, 0.0]), np.array([2.0 * math.pi, 0.0, 0.0])
+
 
 @dataclass(slots=True)
 class Rotor:
-    """Unit rotor ``scalar + i sigma . vector`` for a spin-1/2 rotation."""
+    """Unit rotors ``scalar + i sigma . vector``: shapes ``(...)`` and ``(..., 3)``."""
 
-    scalar: float
+    scalar: float | np.ndarray
     vector: np.ndarray
+
+
+def _dot(a, b):
+    """Dot product over the last axis, per row the bits of a 1-D ``a @ b``."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _axis_angle(s, v, vnorm, small, fallback):
+    """``(-2 atan2(|v|, s) / |v|) v`` per rotor, ``fallback`` where ``small``."""
+    angle = 2.0 * np.asarray(_ATAN2(vnorm, s), dtype=float)
+    out = (-angle / np.where(small, 1.0, vnorm))[..., None] * v
+    return np.where(small[..., None], fallback, out)
 
 
 def identity_rotor() -> Rotor:
@@ -55,11 +83,11 @@ def identity_rotor() -> Rotor:
 
 
 def rotor_exp(theta) -> Rotor:
-    """Rotor of ``exp(-i theta . I)`` for an axis-angle vector ``theta``."""
+    """Rotor of ``exp(-i theta . I)`` for axis-angle vectors ``theta``."""
     theta = np.asarray(theta, dtype=float)
-    half = 0.5 * math.sqrt(float(theta @ theta))
+    half = 0.5 * np.sqrt(_dot(theta, theta))
     # sin(half)/|theta| -> 1/2 smoothly as |theta| -> 0
-    return Rotor(math.cos(half), -0.5 * np.sinc(half / math.pi) * theta)
+    return Rotor(np.cos(half), (-0.5 * np.sinc(half / math.pi))[..., None] * theta)
 
 
 def rotor_log(r: Rotor) -> np.ndarray:
@@ -68,77 +96,59 @@ def rotor_log(r: Rotor) -> np.ndarray:
     The rotor sign is dropped (same SO(3) image), so the round trip
     ``rotor_exp(rotor_log(r))`` equals ``r`` up to an overall sign.
     """
-    s, v = r.scalar, r.vector
-    vnorm = math.sqrt(float(v @ v))
-    if vnorm < 1e-12 and s < 0.0:
-        warnings.warn(
-            "rotation axis undefined for rotor with scalar ~ -1; "
-            "returning (pi, 0, 0) by convention",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return np.array([math.pi, 0.0, 0.0])
-    if s < 0.0:
-        s, v = -s, -v
-    if vnorm == 0.0:
-        return np.zeros(3)
-    angle = 2.0 * math.atan2(vnorm, s)
-    return (-angle / vnorm) * v
+    s, v = np.asarray(r.scalar), r.vector
+    vnorm = np.sqrt(_dot(v, v))
+    flip = s < 0.0
+    undefined = flip & (vnorm < 1e-12)
+    if np.any(undefined):
+        text = "rotation axis undefined for rotor with scalar ~ -1; (pi, 0, 0) by convention"
+        warnings.warn(text, RuntimeWarning, stacklevel=2)
+    s, v = np.where(flip, -s, s), np.where(flip[..., None], -v, v)
+    fallback = np.where(undefined[..., None], _HALF_TURN, 0.0)
+    return _axis_angle(s, v, vnorm, undefined | (vnorm == 0.0), fallback)
 
 
 def rotor_log_full(r: Rotor) -> np.ndarray:
     """Axis-angle vector of ``r`` on the ``[0, 2*pi)`` branch (sign-exact)."""
-    s, v = r.scalar, r.vector
-    vnorm = math.sqrt(float(v @ v))
-    if vnorm < 1e-12:
-        if s < 0.0:
-            # full turn; axis undefined, x by convention
-            return np.array([2.0 * math.pi, 0.0, 0.0])
-        return np.zeros(3)
-    angle = 2.0 * math.atan2(vnorm, s)
-    return (-angle / vnorm) * v
+    s, v = np.asarray(r.scalar), r.vector
+    vnorm = np.sqrt(_dot(v, v))
+    fallback = np.where((s < 0.0)[..., None], _FULL_TURN, 0.0)
+    return _axis_angle(s, v, vnorm, vnorm < 1e-12, fallback)
 
 
 def rotor_compose(r2: Rotor, r1: Rotor) -> Rotor:
-    """Rotor of applying ``r1`` first and then ``r2`` (operator product)."""
-    s1, v1 = r1.scalar, r1.vector
-    s2, v2 = r2.scalar, r2.vector
-    s = s2 * s1 - float(v2 @ v1)
-    v = s2 * v1 + s1 * v2 - np.cross(v2, v1)
-    n = math.sqrt(s * s + float(v @ v))
-    return Rotor(s / n, v / n)
+    """Rotors of applying ``r1`` first and then ``r2`` (operator product)."""
+    s1, v1 = np.asarray(r1.scalar), r1.vector
+    s2, v2 = np.asarray(r2.scalar), r2.vector
+    s = s2 * s1 - _dot(v2, v1)
+    cross = v2[..., _NEXT] * v1[..., _PREV] - v2[..., _PREV] * v1[..., _NEXT]  # np.cross bits
+    v = s2[..., None] * v1 + s1[..., None] * v2 - cross
+    n = np.sqrt(s * s + _dot(v, v))
+    return Rotor(s / n, v / n[..., None])
 
 
 def rotor_conj(r: Rotor) -> Rotor:
-    """Inverse (dagger) of a unit rotor."""
+    """Inverse (dagger) of unit rotors."""
     return Rotor(r.scalar, -r.vector)
 
 
 def so3_from_rotor(r: Rotor) -> np.ndarray:
-    """3x3 rotation matrix acting on vectors by conjugation with ``r``.
+    """3x3 rotation matrices acting on vectors by conjugation with ``r``.
 
     ``so3_from_rotor(rotor_exp(theta))`` rotates counterclockwise about
     ``theta`` by ``|theta|``; the map is a homomorphism and kills the rotor
     sign (double cover).
     """
-    s, v = r.scalar, r.vector
-    vv = float(v @ v)
-    cross = np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
-    return (s * s - vv) * np.eye(3) + 2.0 * np.outer(v, v) - 2.0 * s * cross
+    s, v = np.asarray(r.scalar)[..., None, None], r.vector
+    vv = _dot(v, v)[..., None, None]
+    cross = np.zeros(v.shape + (3,))
+    cross[..., 0, 1], cross[..., 0, 2] = -v[..., 2], v[..., 1]
+    cross[..., 1, 0], cross[..., 1, 2] = v[..., 2], -v[..., 0]
+    cross[..., 2, 0], cross[..., 2, 1] = -v[..., 1], v[..., 0]
+    return (s * s - vv) * np.eye(3) + 2.0 * (v[..., :, None] * v[..., None, :]) - (2.0 * s) * cross
 
 
 def su2_matrix(r: Rotor) -> np.ndarray:
-    """2x2 complex matrix ``scalar + i sigma . vector`` of a rotor."""
-    s, v = r.scalar, r.vector
-    return np.array(
-        [
-            [s + 1j * v[2], v[1] + 1j * v[0]],
-            [-v[1] + 1j * v[0], s - 1j * v[2]],
-        ]
-    )
+    """2x2 complex matrix ``scalar + i sigma . vector`` of one rotor."""
+    s, (x, y, z) = r.scalar, r.vector
+    return np.array([[s + 1j * z, y + 1j * x], [-y + 1j * x, s - 1j * z]])

@@ -89,7 +89,7 @@ CHUNK_BUDGET = 2**12
 
 
 def dephasing_map(alpha_vec) -> np.ndarray:
-    """Matrix ``[R(alpha_vec) + R(-alpha_vec)] / 2``.
+    """Matrices ``[R(alpha_vec) + R(-alpha_vec)] / 2``, one per row of ``alpha_vec``.
 
     Fixes the measurement axis and scales perpendicular components by
     ``cos(|alpha_vec|)``.
@@ -231,9 +231,10 @@ def survival_ensemble(
 
 
 def _measurement_axis(alpha_vec: np.ndarray) -> np.ndarray:
-    """``alpha_hat``, or ``e_z`` when there is no measurement."""
-    mag = float(np.linalg.norm(alpha_vec))
-    return alpha_vec / mag if mag > 0.0 else np.array([0.0, 0.0, 1.0])
+    """``alpha_hat`` per row, or ``e_z`` where there is no measurement."""
+    # sqrt(a @ a) as a row-matrix product rounds as np.linalg.norm of one row
+    mag = np.sqrt(alpha_vec[..., None, :] @ alpha_vec[..., :, None])[..., 0]
+    return np.where(mag > 0.0, alpha_vec / np.where(mag > 0.0, mag, 1.0), [0.0, 0.0, 1.0])
 
 
 def _fixed_axis_survivals(alpha_vec, axis: np.ndarray, angles: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 import qndspin
+from qndspin import cli
 from qndspin.cli import main
 from qndspin.hyperfine import cpmg, exact_dd_evolution, extract_alpha_phi
 from qndspin.nv import PRESETS, nv_system
@@ -159,6 +160,9 @@ def test_nv_scan_outputs(tmp_path):
     assert diagnostics["bisection_probes"] >= diagnostics["kernel_calls"] - 1
     # criterion 9 over the whole scan: CPMG reaches the QND condition in every row
     assert 0.0 <= diagnostics["worst_row_qnd_residual"] < 1e-9
+    assert 0.0 <= diagnostics["worst_alpha_phi_error"] < 1e-10
+    for stage in ("geometry_s", "lifetimes_s", "tolerance_s", "write_s"):
+        assert diagnostics[stage] >= 0.0
 
 
 @pytest.mark.parametrize(
@@ -283,6 +287,35 @@ def test_out_of_range_inputs_are_config_errors(tmp_path, capsys, argv):
     assert main(argv + (["--out-dir", out] if argv[0] == "nv-scan" else ["--out", out])) == 2
     assert "error" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
+
+
+UNUSABLE_OUTPUT_CASES = [
+    ["table1"],
+    ["binary-stats", "--alpha", "0.1"],
+    ["distribution", "--n", "10", "--alpha", "0.1"],
+    ["fidelity", "--n", "10", "--alpha", "0.1"],
+    ["qnd-solve", "--preset", "P2"],
+    ["stability", "--alpha-vec", "0,0,0.5", "--delta-phi", "0.01"],
+    ["trajectories", "--n", "1000", "--n-traj", "100000", "--alpha", "0.1", "--seed", "1"],
+    ["nv-scan", "--preset", "P2", "--n-tdd", "2", "--n-tr", "3", "--n-max", "10"],
+]
+
+
+@pytest.mark.parametrize("argv", UNUSABLE_OUTPUT_CASES, ids=lambda argv: argv[0])
+def test_unusable_output_paths_are_config_errors(tmp_path, monkeypatch, capsys, argv):
+    """A missing --out directory, or an --out-dir that is a file, exits 2 before any work."""
+    for name in ("scan_2d", "run_ensemble", "survival_curve", "exact_distribution"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("work started"))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    if argv[0] == "nv-scan":
+        target, message = ["--out-dir", str(blocker)], "cannot create --out-dir"
+    else:
+        target, message = ["--out", str(tmp_path / "no" / "such" / "x")], "does not exist"
+    assert main(argv + target) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
+    assert os.listdir(tmp_path) == ["blocker"] and blocker.read_text() == "keep"
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,13 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import scalar_rotors as ref
+from qndspin.control import concatenated_dd
 from qndspin.hyperfine import (
     MHZ,
     DDSequence,
@@ -15,7 +20,9 @@ from qndspin.hyperfine import (
     match_alpha_branch,
     weak_coupling_alpha,
 )
+from qndspin.nv import PRESETS, default_tau_grid, nv_system
 from qndspin.rotations import (
+    Rotor,
     rotor_compose,
     rotor_exp,
     rotor_log,
@@ -191,6 +198,96 @@ def test_alpha_magnitude_frame_invariant():
         assert np.linalg.norm(alpha_rot) == pytest.approx(
             np.linalg.norm(alpha_vec), abs=1e-10
         )
+
+
+# ------------------------------------------------------- batched sequences
+
+
+def assert_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def assert_rows_match_reference(sys, seq, pulse_rows, durations):
+    """Batched evolution + extraction equal the one-sequence reference per row."""
+    u_plus, u_minus = exact_dd_evolution(sys, seq)
+    alpha_vecs, phi_dds = extract_alpha_phi(u_plus, u_minus)
+    for i, (pulses, duration) in enumerate(zip(pulse_rows, durations)):
+        ref_plus, ref_minus = ref.dd_evolution(sys, pulses, duration)
+        for batch, one in ((u_plus, ref_plus), (u_minus, ref_minus)):
+            assert_bits(batch.scalar[i], one[0])
+            assert_bits(batch.vector[i], one[1])
+        ref_alpha, ref_phi = ref.alpha_phi(ref_plus, ref_minus)
+        assert_bits(alpha_vecs[i], ref_alpha)
+        assert_bits(phi_dds[i], ref_phi)
+        one_alpha, one_phi = extract_alpha_phi(
+            *exact_dd_evolution(sys, DDSequence(pulses, duration))
+        )
+        assert_bits(one_alpha, ref_alpha)
+        assert_bits(one_phi, ref_phi)
+
+
+def test_batched_geometry_is_per_tau_on_the_benchmark_grid():
+    # the scan benchmark's grid; with numpy 2.4 on AVX-512 one of its rows has a
+    # logarithm that np.arctan2 rounds differently from math.atan2
+    params = PRESETS["P2"]
+    sys = nv_system(params)
+    taus = default_tau_grid(params, 25)
+    seq = cpmg(params.n_dd, taus)
+    rows = [ref.cpmg_times(params.n_dd, tau) for tau in taus]
+    for i, pulses in enumerate(rows):
+        assert_bits(seq.pulse_times[i], pulses)
+        assert_bits(seq.pulse_times[i], cpmg(params.n_dd, taus[i]).pulse_times)
+    assert_rows_match_reference(sys, seq, rows, params.n_dd * taus)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.lists(st.floats(0.2, 6.0), min_size=1, max_size=6),
+)
+def test_batched_cpmg_rows_equal_one_sequence_calls(seed, n_periods, taus):
+    sys = generic_system(np.random.default_rng(seed))
+    taus = np.array(taus)
+    rows = [ref.cpmg_times(n_periods, tau) for tau in taus]
+    assert_rows_match_reference(sys, cpmg(n_periods, taus), rows, n_periods * taus)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_zero_width_last_interval_keeps_its_rows(order):
+    """Odd orders end on a pulse; rows with and without that empty interval mix."""
+    sys = p2_system()
+    seqs = [concatenated_dd(order, tau, 2) for tau in sys.dd_period * np.linspace(0.9, 1.1, 5)]
+    pulse_rows = [seq.pulse_times for seq in seqs] * 2
+    durations = [seq.duration for seq in seqs] + [1.01 * seq.duration for seq in seqs]
+    assert all(rows[-1] == d for rows, d in zip(pulse_rows[:5], durations[:5]))
+    for chosen in (slice(0, 5), slice(0, 10)):
+        batch = DDSequence(np.array(pulse_rows[chosen]), np.array(durations[chosen]))
+        assert_rows_match_reference(sys, batch, pulse_rows[chosen], durations[chosen])
+
+
+def test_nan_periods_and_rotors_are_refused():
+    with pytest.raises(ValueError):
+        cpmg(6, np.array([1.0, math.nan]))
+    with pytest.raises(ValueError):
+        DDSequence(np.array([]), math.nan)
+    nan_rotor = Rotor(math.nan, np.full(3, math.nan))
+    with pytest.raises(RuntimeError):
+        extract_alpha_phi(nan_rotor, nan_rotor)
+
+
+def test_extraction_reports_its_worst_consistency_error():
+    params = PRESETS["P2"]
+    seq = cpmg(params.n_dd, default_tau_grid(params, 9))
+    counter = Counter()
+    alpha_vecs, phi_dds = extract_alpha_phi(*exact_dd_evolution(nv_system(params), seq), counter)
+    assert alpha_vecs.shape == phi_dds.shape == (9, 3)
+    worst = counter["worst_alpha_phi_error"]
+    assert 0.0 <= worst < 1e-12
+    single = Rotor(1.0, np.zeros(3))
+    extract_alpha_phi(single, single, counter)
+    assert counter["worst_alpha_phi_error"] == worst
 
 
 # ---------------------------------------------------------------- filter

@@ -1,8 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import scalar_rotors as ref
 from qndspin.rotations import (
     Rotor,
     identity_rotor,
@@ -14,6 +18,7 @@ from qndspin.rotations import (
     so3_from_rotor,
     su2_matrix,
 )
+from qndspin.stability import dephasing_map
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -194,3 +199,89 @@ def test_unit_norm_preserved_over_many_compositions():
     for _ in range(5000):
         r = rotor_compose(rotor_exp(rng.normal(size=3) * 0.5), r)
     assert r.scalar**2 + float(r.vector @ r.vector) == pytest.approx(1.0, abs=1e-12)
+
+
+# ------------------------------------------------------- batched = per row
+
+
+def assert_bits(a, b):
+    """Equal values and equal signs of zero."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def assert_rotor_bits(r, s, v):
+    assert_bits(r.scalar, s)
+    assert_bits(r.vector, v)
+
+
+angle = st.floats(-40.0, 40.0, allow_nan=False)
+vector = st.tuples(angle, angle, angle).map(np.array)
+tiny = st.floats(-1e-12, 1e-12, allow_nan=False)
+# generic rotors, plus |v| < 1e-12 with either sign of the scalar (the
+# special branches of both logarithms), in one batch
+rotor_row = st.one_of(
+    vector.map(ref.exp),
+    st.tuples(st.sampled_from([1.0, -1.0, 0.5, -0.5]), st.tuples(tiny, tiny, tiny)).map(
+        lambda pair: (pair[0], np.array(pair[1]))
+    ),
+)
+
+
+def batch_of(rows) -> Rotor:
+    return Rotor(np.array([s for s, _ in rows]), np.array([v for _, v in rows]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(vector, min_size=1, max_size=12))
+def test_batched_exp_so3_and_dephasing_map_equal_rows(thetas):
+    batch = rotor_exp(np.array(thetas))
+    mats, dephs = so3_from_rotor(batch), dephasing_map(np.array(thetas))
+    for i, theta in enumerate(thetas):
+        one = rotor_exp(theta)
+        assert isinstance(one.scalar, float) and not isinstance(one.scalar, np.ndarray)
+        s, v = ref.exp(theta)
+        assert_rotor_bits(one, s, v)
+        assert_rotor_bits(Rotor(batch.scalar[i], batch.vector[i]), s, v)
+        assert_bits(so3_from_rotor(one), ref.so3((s, v)))
+        assert_bits(mats[i], ref.so3((s, v)))
+        expected = 0.5 * (ref.so3(ref.exp(theta)) + ref.so3(ref.exp(-theta)))
+        assert_bits(dephasing_map(theta), expected)
+        assert_bits(dephs[i], expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rotor_row, min_size=1, max_size=12))
+def test_batched_logs_equal_rows(rows):
+    batch = batch_of(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        logs, fulls = rotor_log(batch), rotor_log_full(batch)
+        for i, (s, v) in enumerate(rows):
+            assert_bits(logs[i], ref.log((s, v)))
+            assert_bits(rotor_log(Rotor(s, v)), ref.log((s, v)))
+            assert_bits(fulls[i], ref.log_full((s, v)))
+            assert_bits(rotor_log_full(Rotor(s, v)), ref.log_full((s, v)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(rotor_row, rotor_row), min_size=1, max_size=12))
+def test_batched_compose_and_conj_equal_rows(pairs):
+    left, right = batch_of([a for a, _ in pairs]), batch_of([b for _, b in pairs])
+    composed = rotor_compose(left, right)
+    # a single rotor broadcasts against a batch
+    first = rotor_compose(Rotor(*pairs[0][0]), right)
+    for i, (a, b) in enumerate(pairs):
+        s, v = ref.compose(a, b)
+        assert_rotor_bits(Rotor(composed.scalar[i], composed.vector[i]), s, v)
+        assert_rotor_bits(rotor_compose(Rotor(*a), Rotor(*b)), s, v)
+        assert_rotor_bits(Rotor(first.scalar[i], first.vector[i]), *ref.compose(pairs[0][0], b))
+        assert_bits(rotor_conj(left).vector[i], ref.conj(a)[1])
+
+
+def test_log_warns_once_for_a_batch_with_an_undefined_axis():
+    batch = Rotor(np.array([-1.0, 1.0]), np.zeros((2, 3)))
+    with pytest.warns(RuntimeWarning):
+        out = rotor_log(batch)
+    np.testing.assert_array_equal(out, [[math.pi, 0.0, 0.0], [0.0, 0.0, 0.0]])
