@@ -52,7 +52,7 @@ from .nv import (
     scan_2d,
     tolerance_profile,
 )
-from .rotations import rotor_exp
+from .rotations import _unit_axis, rotor_exp
 from .stability import RotationErrorModel, analytic_survival, survival_curve
 from .trajectory import NuclearState, run_ensemble
 
@@ -312,10 +312,11 @@ def _cmd_stability(args) -> None:
     # the measurement axis must exist, and |alpha| is canonical as in MeasurementSetting
     if not 0.0 < alpha_mag <= math.pi + 1e-9:
         raise ConfigError(f"|--alpha-vec| must lie in (0, pi], got {alpha_mag}")
-    if not np.any(args.error_axis):
-        raise ConfigError("--error-axis must be nonzero")
+    try:  # a norm that underflows to 0 is refused too
+        axis = _unit_axis(args.error_axis, "--error-axis")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if args.error == "systematic":  # the random model normalizes its axis itself
-        axis = args.error_axis / float(np.linalg.norm(args.error_axis))
         error = RotationErrorModel("systematic", delta_phi=args.delta_phi * axis)
     else:
         if args.seed is None:
@@ -344,6 +345,8 @@ def _cmd_stability(args) -> None:
 def _cmd_trajectories(args) -> None:
     cfg = _load_cfg(args)
     setting = _setting_from_args(args, cfg)
+    if not setting.readout.is_ideal:
+        raise ConfigError("trajectories need ideal readout (p_plus = p_minus = 1)")
     seed = args.seed if args.seed is not None else config_count(cfg.get("seed", 0), "seed", 0)
     initial = {
         "plus": NuclearState.eigenstate(setting.alpha_hat, 1),

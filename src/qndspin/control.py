@@ -4,11 +4,14 @@ Each measurement cycle leaves the nucleus with a net rotation
 ``exp(-i phi . I) = exp(-i phi_R . I) exp(-i phi_dd . I)``: the rotation
 ``phi_dd`` accumulated during the control sequence followed by the
 waiting-time rotation ``phi_R``, which is tunable through the waiting
-duration and optional electron flips.  The measurement is QND when this net
+duration and optional electron flips.  The flips are a ``DDSequence``: its
+pulses flip the electron and its duration is the wait, so ``phi_R`` is the
+``|+z>`` branch of ``exact_dd_evolution``.  The measurement is QND when this net
 rotation preserves the measured eigenstates, i.e. when ``R(phi)`` fixes the
 measurement axis ``alpha_hat``.  Both textbook branches of the condition
 (``|phi| = 0 mod 2 pi`` or ``phi || alpha_hat``) collapse into one scalar
-objective, the angle between ``alpha_hat`` and its image under ``R(phi)``.
+objective, the angle between ``alpha_hat`` and its image under ``R(phi)``,
+taken from their chord by ``_chord_angle`` (which ``nv`` uses as well).
 
 Without flips the wait is free precession about ``w = omega + A/2``, so the
 objective is a sinusoid in the precession angle: ``solve_waiting_time``
@@ -24,13 +27,13 @@ implement the two product identities behind that classification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hyperfine import DDSequence, SpinSystem, extract_alpha_phi
+from .hyperfine import DDSequence, SpinSystem, exact_dd_evolution, extract_alpha_phi
 from .rotations import (
     Rotor,
+    _unit_axis,
     rotor_compose,
     rotor_exp,
     rotor_log,
@@ -39,7 +42,6 @@ from .rotations import (
 )
 
 __all__ = [
-    "FlipSchedule",
     "waiting_rotation",
     "total_cycle_rotation",
     "qnd_residual",
@@ -50,41 +52,17 @@ __all__ = [
 ]
 
 
-@dataclass
-class FlipSchedule:
-    """Waiting duration plus electron pi-flip times inside ``[0, t_r]``."""
-
-    t_r: float
-    flip_times: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self):
-        self.flip_times = np.asarray(self.flip_times, dtype=float)
-        if self.flip_times.size:
-            if np.any(np.diff(self.flip_times) < 0.0):
-                raise ValueError("flip times must be sorted")
-            if self.flip_times[0] < 0.0 or self.flip_times[-1] > self.t_r:
-                raise ValueError("flip times must lie within [0, t_r]")
-
-
-def waiting_rotation(sys: SpinSystem, sched: FlipSchedule) -> np.ndarray:
-    """Canonical rotation vector generated during the waiting time.
+def waiting_rotation(sys: SpinSystem, flips: DDSequence) -> np.ndarray:
+    """Canonical rotation vector generated during the wait ``flips.duration``.
 
     The electron starts in ``|+z>`` (field ``omega + A/2``) and toggles to
-    ``omega - A/2`` at every flip.  With no flips this is the single rotation
+    ``omega - A/2`` at every pulse of ``flips``: the ``u_plus`` branch of
+    ``exact_dd_evolution``.  With no flips this is the single rotation
     ``(omega + A/2) t_r``, exact as a vector while its angle stays below pi
     (beyond that the canonical representative of the same rotation is
     returned).
     """
-    bounds = np.concatenate(([0.0], sched.flip_times, [sched.t_r]))
-    half_a = 0.5 * sys.hyperfine
-    total = Rotor(1.0, np.zeros(3))
-    for k in range(bounds.size - 1):
-        dt = bounds[k + 1] - bounds[k]
-        if dt == 0.0:
-            continue
-        sign = 1.0 if k % 2 == 0 else -1.0
-        total = rotor_compose(rotor_exp((sys.omega + sign * half_a) * dt), total)
-    return rotor_log(total)
+    return rotor_log(exact_dd_evolution(sys, flips)[0])
 
 
 def total_cycle_rotation(phi_r, phi_dd) -> Rotor:
@@ -92,17 +70,24 @@ def total_cycle_rotation(phi_r, phi_dd) -> Rotor:
     return rotor_compose(rotor_exp(phi_r), rotor_exp(phi_dd))
 
 
+def _chord_angle(moved, start) -> np.ndarray:
+    """Angle between unit vectors ``start`` and ``moved`` along the last axis.
+
+    Evaluated through the chord length ``2 asin(|moved - start| / 2)``, which
+    equals ``arccos(start . moved)`` but stays accurate down to ~1e-15 rad.
+    """
+    return 2.0 * np.arcsin(np.minimum(0.5 * np.linalg.norm(moved - start, axis=-1), 1.0))
+
+
 def qnd_residual(total: Rotor, alpha_hat) -> float:
     """Angle between ``alpha_hat`` and its image under the cycle rotation.
 
     Zero exactly when the cycle rotation commutes with the measured
-    observable.  Evaluated through the chord length ``2 asin(|R a - a| / 2)``,
-    which equals ``arccos(a . R a)`` but stays accurate down to ~1e-15 rad.
+    observable.  ``alpha_hat`` is normalized first; a zero or non-finite
+    axis is a ``ValueError``.
     """
-    alpha_hat = np.asarray(alpha_hat, dtype=float)
-    moved = so3_from_rotor(total) @ alpha_hat
-    chord = 0.5 * float(np.linalg.norm(moved - alpha_hat))
-    return 2.0 * math.asin(min(chord, 1.0))
+    alpha_hat = _unit_axis(alpha_hat, "alpha_hat")
+    return float(_chord_angle(so3_from_rotor(total) @ alpha_hat, alpha_hat))
 
 
 def solve_waiting_time(
@@ -117,8 +102,9 @@ def solve_waiting_time(
     m)`` (both taken from the components across ``w``, free of cancellation).
     The residual is smallest at ``theta* = atan2(s1, c1) mod 2 pi``, i.e. at
     ``t_k = (theta* + 2 pi k) / |w|``, and is evaluated with the chord formula
-    of ``qnd_residual`` and Rodrigues' form of ``R(theta) m``.  It need not
-    reach zero: odd-order sequences have a nonzero infimum.
+    (``_chord_angle``) and Rodrigues' form of ``R(theta) m``.  It need not
+    reach zero: odd-order sequences have a nonzero infimum.  A zero or
+    non-finite ``alpha_hat`` and a non-finite window are ``ValueError``s.
 
     Returns ``(t, residual)`` pairs in increasing ``t``: every ``t_k`` in
     ``(lo, hi) = window`` (any span, negative times allowed), one period
@@ -129,10 +115,11 @@ def solve_waiting_time(
     endpoint with the smaller residual.  No other endpoint is ever returned.
     """
     lo, hi = float(window[0]), float(window[1])
+    if not math.isfinite(hi - lo):  # an infinite end, or a span that overflows
+        raise ValueError(f"search window must be finite, got {window}")
     if not hi > lo:
         raise ValueError("search window must be non-empty")
-    alpha_hat = np.asarray(alpha_hat, dtype=float)
-    alpha_hat = alpha_hat / np.linalg.norm(alpha_hat)
+    alpha_hat = _unit_axis(alpha_hat, "alpha_hat")
     rate = float(np.linalg.norm(sys.wait_field))
     w_hat = sys.wait_field / rate
     m = so3_from_rotor(rotor_exp(phi_dd)) @ alpha_hat
@@ -143,8 +130,7 @@ def solve_waiting_time(
 
     def residuals(times: np.ndarray) -> np.ndarray:
         c, s = np.cos(rate * times)[:, None], np.sin(rate * times)[:, None]
-        moved = m + (c - 1.0) * m_perp + s * m_turn
-        return 2.0 * np.arcsin(np.minimum(0.5 * np.linalg.norm(moved - alpha_hat, axis=1), 1.0))
+        return _chord_angle(m + (c - 1.0) * m_perp + s * m_turn, alpha_hat)
 
     times = np.zeros(0)
     if min(np.linalg.norm(a_perp), np.linalg.norm(m_perp)) > 1e-12:

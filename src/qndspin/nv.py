@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import solve_waiting_time
+from .control import _chord_angle, solve_waiting_time
 from .hyperfine import MHZ, SpinSystem, cpmg, exact_dd_evolution, extract_alpha_phi
 from .measurement import MeasurementSetting, ReadoutModel, binary_stats
 from .rotations import rotor_exp, so3_from_rotor
@@ -174,17 +174,21 @@ class ScanResult:
         return zip(*(np.broadcast_to(c, self.residuals.shape).ravel().tolist() for c in cols))
 
 
-def _wait_rotation_matrices(omega_n: float, tr_grid: np.ndarray) -> np.ndarray:
-    """Stack of rotations about e_z by the signed angles ``omega_n * t_r``."""
-    angles = omega_n * tr_grid
+def _cycle_maps(omega_n: float, times, r_dds: np.ndarray, dephs: np.ndarray):
+    """Per point ``T = R_z(omega_n t_R) R(phi_dd)`` and the cycle map ``T M``.
+
+    ``times`` broadcasts against the leading axes of the per-row ``r_dds``
+    and ``dephs``: rows ``[:, None]`` give the scan grid, gathered rows the
+    tolerance probes, with the same bits per point either way.
+    """
+    angles = omega_n * np.asarray(times, dtype=float)
     cos_a, sin_a = np.cos(angles), np.sin(angles)
-    mats = np.zeros((tr_grid.size, 3, 3))
-    mats[:, 0, 0] = cos_a
-    mats[:, 0, 1] = -sin_a
-    mats[:, 1, 0] = sin_a
-    mats[:, 1, 1] = cos_a
-    mats[:, 2, 2] = 1.0
-    return mats
+    waits = np.zeros(angles.shape + (3, 3))
+    waits[..., 0, 0] = waits[..., 1, 1] = cos_a
+    waits[..., 1, 0], waits[..., 0, 1] = sin_a, -sin_a
+    waits[..., 2, 2] = 1.0
+    totals = np.einsum("...ij,...jk->...ik", waits, r_dds)
+    return totals, np.einsum("...ij,...jk->...ik", totals, dephs)
 
 
 def _batched_lifetimes(maps: np.ndarray, axes: np.ndarray, n_max: int) -> np.ndarray:
@@ -236,14 +240,10 @@ def scan_2d(
         d = strengths[i] = binary_stats(MeasurementSetting(alpha_vec, phi, readout)).strength_d
         n_crit[i] = math.inf if d == 0.0 else 1.0 if math.isinf(d) else math.ceil(2.0 / d**2)
 
-    wait_mats = _wait_rotation_matrices(params.omega_n, tr_grid)
     hats, r_dds, dephs = _row_frames(alpha_vecs, phi_dds)
-    totals = np.einsum("pij,tjk->tpik", wait_mats, r_dds)
-    moved = np.einsum("tpij,tj->tpi", totals, hats)
-    chord = 0.5 * np.linalg.norm(moved - hats[:, None, :], axis=-1)
-    residuals = 2.0 * np.arcsin(np.clip(chord, 0.0, 1.0))
-    all_maps = np.einsum("tpij,tjk->tpik", totals, dephs).reshape(-1, 3, 3)
-    all_axes = np.repeat(hats, n_tr, axis=0)
+    totals, maps = _cycle_maps(params.omega_n, tr_grid, r_dds[:, None], dephs[:, None])
+    residuals = _chord_angle(np.einsum("tpij,tj->tpi", totals, hats), hats[:, None, :])
+    all_maps, all_axes = maps.reshape(-1, 3, 3), np.repeat(hats, n_tr, axis=0)
     geometry_s, started = time.perf_counter() - started, time.perf_counter()
 
     lifetimes = _batched_lifetimes(all_maps, all_axes, n_max).reshape(n_tau, n_tr)
@@ -411,7 +411,7 @@ def tolerance_profile(scan: ScanResult, diagnostics: Counter | None = None) -> n
             break
         index = np.fromiter(pending, dtype=int, count=len(pending))
         times = np.fromiter(pending.values(), dtype=float, count=len(pending))
-        maps = _wait_rotation_matrices(scan.params.omega_n, times) @ r_dds[index] @ dephs[index]
+        _, maps = _cycle_maps(scan.params.omega_n, times, r_dds[index], dephs[index])
         reaches = np.isinf(first_crossing(maps, hats[index], horizons[index].astype(np.int64)))
         if diagnostics is not None:
             diagnostics["kernel_calls"] += 1

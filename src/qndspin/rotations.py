@@ -78,6 +78,15 @@ def _axis_angle(s, v, vnorm, small, fallback):
     return np.where(small[..., None], fallback, out)
 
 
+def _unit_axis(axis, what: str = "fixed axis") -> np.ndarray:
+    """``axis / |axis|``; a zero, underflowing or non-finite ``axis`` is a ``ValueError``."""
+    axis = np.asarray(axis, dtype=float)
+    norm = float(np.linalg.norm(axis))
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise ValueError(f"{what} must be nonzero and finite")
+    return axis / norm
+
+
 def identity_rotor() -> Rotor:
     return Rotor(1.0, np.zeros(3))
 

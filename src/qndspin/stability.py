@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hyperfine import SpinSystem
-from .rotations import rotor_exp, so3_from_rotor
+from .rotations import _unit_axis, rotor_exp, so3_from_rotor
 from .trajectory import _SLICE, _axis_frame, _checked_seed, _child_generators, _combine
 
 __all__ = [
@@ -105,14 +105,6 @@ def _checked_std(std) -> float:
     return std
 
 
-def _unit_axis(axis) -> np.ndarray:
-    axis = np.asarray(axis, dtype=float)
-    norm = float(np.linalg.norm(axis))
-    if not (math.isfinite(norm) and norm > 0.0):
-        raise ValueError("fixed axis must be nonzero and finite")
-    return axis / norm
-
-
 @dataclass
 class RotationErrorModel:
     """Per-cycle rotation error.
@@ -149,6 +141,8 @@ class RotationErrorModel:
             if self.rotations is None:
                 raise ValueError("explicit errors need the rotations array")
             self.rotations = np.atleast_2d(np.asarray(self.rotations, dtype=float))
+            if self.rotations.shape[1:] != (3,) or not self.rotations.size:
+                raise ValueError(f"explicit rotations need shape (p, 3), got {self.rotations.shape}")
 
 
 @dataclass
@@ -167,7 +161,8 @@ def survival_curve(alpha_vec, error: RotationErrorModel, n_max: int) -> Survival
     the fixed-axis kernel (module docstring): with the seed
     ``SeedSequence(m).spawn(n)[i]`` the curve equals row ``i`` of
     ``survival_ensemble(..., n_seeds=n, master_seed=m)`` bit for bit.
-    Explicit errors are iterated one step at a time.
+    Explicit errors are iterated one step at a time, with the rotation
+    matrices of the (at most ``n_max``) listed errors built in one call.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -182,13 +177,13 @@ def survival_curve(alpha_vec, error: RotationErrorModel, n_max: int) -> Survival
         step = so3_from_rotor(rotor_exp(error.delta_phi)) @ deph
         values = _survival_values(step, alpha_hat, n_max)
     else:
-        vectors = np.resize(error.rotations, (n_max, 3))
+        errors = so3_from_rotor(rotor_exp(error.rotations[:n_max]))  # one per distinct step
         values = np.empty(n_max + 1)
         values[0] = 1.0
         state = alpha_hat.copy()
-        for i in range(1, n_max + 1):
-            state = so3_from_rotor(rotor_exp(vectors[i - 1])) @ (deph @ state)
-            values[i] = float(alpha_hat @ state)
+        for i in range(n_max):
+            state = errors[i % len(errors)] @ (deph @ state)
+            values[i + 1] = float(alpha_hat @ state)
     return SurvivalCurve(values, lifetime(values))
 
 

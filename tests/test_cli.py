@@ -273,9 +273,14 @@ def test_nv_scan_bad_tau_span_is_config_error(tmp_path, capsys, cfg, message):
         ["stability", "--alpha-vec", "0,0,0.5", "--error", "random", "--delta-phi", "0.1", "--seed", "-1"],
         ["stability", "--alpha-vec", "0,0,0.5", "--error", "random", "--delta-phi", "0.1", "--seed", "1",
          "--error-axis", "0,0,0"],
+        ["stability", "--alpha-vec", "0,0,0.5", "--error", "random", "--delta-phi", "0.1", "--seed", "1",
+         "--error-axis", "1e-170,0,0"],
+        ["stability", "--alpha-vec", "0,0,0.5", "--delta-phi", "0.1", "--error-axis", "1e-170,0,0"],
         ["stability", "--alpha-vec", "0,0,0", "--delta-phi", "0.1"],
         ["stability", "--alpha-vec", "7,0,0", "--delta-phi", "0.1"],
         ["trajectories", "--n", "5", "--alpha", "0.1", "--seed", "-1"],
+        ["trajectories", "--n", "5", "--alpha", "0.1", "--p-plus", "0.9", "--p-minus", "0.9"],
+        ["trajectories", "--n", "5", "--alpha", "0.1", "--n-plus", "0.1", "--n-minus", "0.07"],
         ["nv-scan", "--preset", "P2", "--n-tdd", "2", "--n-tr", "1", "--n-max", "10"],
         ["fidelity", "--n", "10", "--alpha", "0"],
         ["fidelity", "--n", "10", "--alpha", "0.1", "--p-plus", "0.5", "--p-minus", "0.5"],
@@ -285,7 +290,8 @@ def test_nv_scan_bad_tau_span_is_config_error(tmp_path, capsys, cfg, message):
 def test_out_of_range_inputs_are_config_errors(tmp_path, capsys, argv):
     out = str(tmp_path / "out")
     assert main(argv + (["--out-dir", out] if argv[0] == "nv-scan" else ["--out", out])) == 2
-    assert "error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error" in captured.err and not captured.out
     assert not os.listdir(tmp_path)
 
 

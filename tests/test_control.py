@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from qndspin.control import (
-    FlipSchedule,
     concatenated_dd,
     decompose_joint,
     qnd_residual,
@@ -25,9 +24,11 @@ from qndspin.hyperfine import (
     extract_alpha_phi,
 )
 from qndspin.rotations import (
+    Rotor,
     identity_rotor,
     rotor_compose,
     rotor_exp,
+    rotor_log,
     so3_from_rotor,
     su2_matrix,
 )
@@ -51,20 +52,28 @@ def direction_angle(u, v) -> float:
     return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(u @ v))
 
 
+vec3 = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: sum(x * x for x in v) > 1e-2)
+
+
 # -------------------------------------------------------------- waiting time
+
+
+def flips(t_r, flip_times=()) -> DDSequence:
+    """A wait of ``t_r`` with electron flips at ``flip_times``."""
+    return DDSequence(np.asarray(flip_times, dtype=float), t_r)
 
 
 def test_waiting_rotation_free_precession():
     sys = SpinSystem.from_vectors([0.1, 0.0, 0.9], [0.2, -0.1, 0.05])
     t_r = 1.3
-    out = waiting_rotation(sys, FlipSchedule(t_r))
+    out = waiting_rotation(sys, flips(t_r))
     np.testing.assert_allclose(out, sys.wait_field * t_r, atol=1e-12)
 
 
 def test_waiting_rotation_single_flip():
     sys = SpinSystem.from_vectors([0.1, 0.0, 0.9], [0.2, -0.1, 0.05])
     t_r, t_1 = 1.1, 0.4
-    out = waiting_rotation(sys, FlipSchedule(t_r, np.array([t_1])))
+    out = waiting_rotation(sys, flips(t_r, [t_1]))
     expected = rotor_compose(
         rotor_exp((sys.omega - sys.hyperfine / 2) * (t_r - t_1)),
         rotor_exp((sys.omega + sys.hyperfine / 2) * t_1),
@@ -75,17 +84,55 @@ def test_waiting_rotation_single_flip():
 def test_waiting_rotation_no_hyperfine_ignores_flips():
     sys = SpinSystem.from_vectors([0.0, 0.2, 1.1], [0.0, 0.0, 0.0])
     t_r = 0.9
-    free = waiting_rotation(sys, FlipSchedule(t_r))
-    flipped = waiting_rotation(sys, FlipSchedule(t_r, np.array([0.2, 0.5, 0.7])))
+    free = waiting_rotation(sys, flips(t_r))
+    flipped = waiting_rotation(sys, flips(t_r, [0.2, 0.5, 0.7]))
     np.testing.assert_allclose(free, sys.omega * t_r, atol=1e-12)
     np.testing.assert_allclose(flipped, free, atol=1e-12)
 
 
 def test_flip_schedule_validation():
     with pytest.raises(ValueError):
-        FlipSchedule(1.0, np.array([0.8, 0.2]))
+        flips(1.0, [0.8, 0.2])
     with pytest.raises(ValueError):
-        FlipSchedule(1.0, np.array([1.2]))
+        flips(1.0, [1.2])
+    for t_r in (0.0, -1.0, math.nan):  # a wait must have a positive duration
+        with pytest.raises(ValueError):
+            flips(t_r)
+
+
+def interval_loop_waiting_rotation(sys, t_r, flip_times):
+    """Reference: the waiting rotation composed interval by interval."""
+    bounds = np.concatenate(([0.0], flip_times, [t_r]))
+    half_a = 0.5 * sys.hyperfine
+    total = Rotor(1.0, np.zeros(3))
+    for k in range(bounds.size - 1):
+        dt = bounds[k + 1] - bounds[k]
+        if dt == 0.0:
+            continue
+        sign = 1.0 if k % 2 == 0 else -1.0
+        total = rotor_compose(rotor_exp((sys.omega + sign * half_a) * dt), total)
+    return rotor_log(total)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    omega=vec3,
+    hyperfine=vec3,
+    t_r=st.floats(0.01, 20.0),
+    fractions=st.lists(
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)), max_size=8
+    ),
+    repeat=st.booleans(),
+)
+def test_waiting_rotation_equals_interval_loop_bit_for_bit(
+    omega, hyperfine, t_r, fractions, repeat
+):
+    """Flips at 0, at t_r and repeated flip times give zero-width intervals."""
+    sys = SpinSystem.from_vectors(omega, hyperfine)
+    flip_times = np.sort(np.array(fractions + fractions[:1] * repeat) * t_r)
+    out = waiting_rotation(sys, flips(t_r, flip_times))
+    ref = interval_loop_waiting_rotation(sys, t_r, flip_times)
+    assert out.tobytes() == ref.tobytes()
 
 
 # -------------------------------------------------------------- cycle rotation
@@ -128,6 +175,22 @@ def test_residual_parallel_rotation():
 def test_residual_quarter_turn():
     total = rotor_exp([0.0, 0.0, math.pi / 2])
     assert qnd_residual(total, [1.0, 0.0, 0.0]) == pytest.approx(math.pi / 2)
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.5, 1e-150, 1e150])
+def test_residual_normalizes_the_axis(scale):
+    total = rotor_exp([0.0, 0.0, math.pi / 2])
+    assert qnd_residual(total, [scale, 0.0, 0.0]) == pytest.approx(math.pi / 2)
+
+
+@pytest.mark.parametrize(
+    "alpha_hat", [[0.0, 0.0, 0.0], [1e-170, 0.0, 0.0], [math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0]]
+)
+def test_residual_and_solve_reject_unusable_axes(alpha_hat):
+    with pytest.raises(ValueError, match="alpha_hat must be nonzero and finite"):
+        qnd_residual(rotor_exp([0.0, 0.0, 0.3]), alpha_hat)
+    with pytest.raises(ValueError, match="alpha_hat must be nonzero and finite"):
+        solve_waiting_time(p2_system(), np.zeros(3), alpha_hat, (0.0, 1e-6))
 
 
 def test_residual_frame_invariant():
@@ -185,6 +248,15 @@ def test_solve_rejects_empty_window():
         solve_waiting_time(sys, np.zeros(3), [1.0, 0.0, 0.0], (1.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "window",
+    [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf), (0.0, math.nan), (-1e308, 1e308)],
+)
+def test_solve_rejects_non_finite_window(window):
+    with pytest.raises(ValueError, match="search window must be finite"):
+        solve_waiting_time(p2_system(), np.zeros(3), [1.0, 0.0, 0.0], window)
+
+
 def oracle_residuals(sys, phi_dd, alpha_hat, times):
     """QND residual at each waiting time, built with scipy rotations."""
     alpha_hat = np.asarray(alpha_hat, dtype=float)
@@ -218,9 +290,6 @@ def assert_roots_contract(sys, phi_dd, alpha_hat, window, roots):
     grid = np.linspace(lo, hi, 20_001)
     brute = float(np.min(oracle_residuals(sys, phi_dd, alpha_hat, grid)))
     assert min(r for _, r in roots) <= brute + 1e-12
-
-
-vec3 = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: sum(x * x for x in v) > 1e-2)
 
 
 @settings(max_examples=60, deadline=None)

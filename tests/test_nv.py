@@ -9,6 +9,8 @@ from qndspin.measurement import MeasurementSetting, ReadoutModel, binary_stats
 from qndspin.nv import (
     PRESETS,
     NvParams,
+    _cycle_maps,
+    _row_frames,
     default_tau_grid,
     default_tr_grid,
     nv_system,
@@ -163,6 +165,21 @@ def test_qnd_root_is_lifetime_divergent():
     j = int(np.argmin(np.abs(scan.tr_grid - t_root)))
     assert scan.residuals[0, j] < 1e-9
     assert math.isinf(scan.lifetimes[0, j])
+
+
+@pytest.mark.parametrize("n_probes", [1, 7, 500])
+def test_cycle_maps_at_gathered_probes_equal_the_scan_grid(n_probes):
+    """A tolerance probe on a grid point repeats the scan's map bit for bit."""
+    scan = small_scan(n_tau=25, n_tr=64, n_max=10)
+    omega_n = scan.params.omega_n
+    _, r_dds, dephs = _row_frames(scan.alpha_vecs, scan.phi_dds)
+    totals, maps = _cycle_maps(omega_n, scan.tr_grid, r_dds[:, None], dephs[:, None])
+    assert maps.shape == (25, 64, 3, 3)
+    rng = np.random.default_rng(n_probes)
+    rows, cols = rng.integers(0, 25, n_probes), rng.integers(0, 64, n_probes)
+    probe_totals, probe_maps = _cycle_maps(omega_n, scan.tr_grid[cols], r_dds[rows], dephs[rows])
+    assert probe_totals.tobytes() == totals[rows, cols].tobytes()
+    assert probe_maps.tobytes() == maps[rows, cols].tobytes()
 
 
 def test_scan_determinism():

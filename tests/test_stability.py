@@ -273,6 +273,28 @@ def test_explicit_full_rotation_conjugation_equivalence():
     np.testing.assert_allclose(a.values, b.values, atol=1e-10)
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 3, 7, 50])
+def test_explicit_curve_equals_per_step_reference_bit_for_bit(n_max):
+    """The step matrices of a period-3 list, built in one call, keep every bit."""
+    alpha_vec = np.array([0.3, -0.5, 1.1])
+    rotations = np.array([[0.02, -0.01, 0.03], [0.0, 0.0, 0.0], [-0.4, 0.2, 0.1]])
+    curve = survival_curve(alpha_vec, RotationErrorModel("explicit", rotations=rotations), n_max)
+    alpha_hat = alpha_vec / np.linalg.norm(alpha_vec)
+    deph = dephasing_map(alpha_vec)
+    values, state = [1.0], alpha_hat.copy()
+    for i in range(n_max):
+        state = so3_from_rotor(rotor_exp(rotations[i % 3])) @ (deph @ state)
+        values.append(float(alpha_hat @ state))
+    assert curve.values.tobytes() == np.array(values).tobytes()
+    assert curve.lifetime == lifetime(values)
+
+
+@pytest.mark.parametrize("rotations", [np.zeros((0, 3)), np.zeros(6), np.zeros((2, 2, 3))])
+def test_explicit_rotations_must_be_rows_of_three(rotations):
+    with pytest.raises(ValueError, match="shape"):
+        RotationErrorModel("explicit", rotations=rotations)
+
+
 # ---------------------------------------------------------------- lifetime
 
 
