@@ -58,11 +58,8 @@ from .trajectory import NuclearState, run_ensemble
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        return f"{value:.12g}"
-    return str(value)
+    """One CSV cell: floats to 12 significant digits (``inf``, ``-inf``, ``nan`` kept)."""
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 def _outputs(args, *names: str) -> list[str]:

@@ -157,6 +157,9 @@ class ScanResult:
     n_crit: np.ndarray  # (n_tau,), inf where D = 0
     residuals: np.ndarray  # (n_tau, n_tr)
     lifetimes: np.ndarray  # (n_tau, n_tr), inf = no crossing within n_max
+    hats: np.ndarray  # (n_tau, 3), measured axis per row
+    r_dds: np.ndarray  # (n_tau, 3, 3), DD rotation per row
+    dephs: np.ndarray  # (n_tau, 3, 3), dephasing map per row
 
     @property
     def t_dd_grid(self) -> np.ndarray:
@@ -265,6 +268,9 @@ def scan_2d(
         n_crit=n_crit,
         residuals=residuals,
         lifetimes=lifetimes,
+        hats=hats,
+        r_dds=r_dds,
+        dephs=dephs,
     )
 
 
@@ -312,13 +318,37 @@ def _grow_edge(start, step, window, tol):
     return (yield from _refine_edge(inside, outside, tol))
 
 
+def _lockstep(probers):
+    """Advance probe generators in rounds, as one probe generator.
+
+    Each round resumes every unfinished generator with its answer, yields
+    ``{index: probe}`` for those still probing and receives ``{index:
+    answer}``.  Returns the generators' results in order.
+    """
+    results = [None] * len(probers)
+    answers = dict.fromkeys(range(len(probers)))  # None starts each generator
+    while True:
+        pending = {}
+        for i, answer in answers.items():
+            try:
+                pending[i] = probers[i].send(answer)
+            except StopIteration as done:
+                results[i] = done.value
+        if not pending:
+            return results
+        answers = yield pending
+
+
 def _row_width(scan: ScanResult, row: int, roots, window, spacing: float, tol: float):
     """Total width of ``{t_r : N_L >= N_c}`` in one row, as a probe generator.
 
     Qualifying grid runs are merged with intervals grown around the QND-root
     waiting times ``roots`` (which sub-grid-width regions would otherwise
-    miss), and every boundary is refined by bisection.  Each off-grid test
-    is yielded as a waiting time; the caller sends back whether it qualifies.
+    miss), and every boundary is refined by bisection.  The roots are tested
+    one at a time, since an accepted root can make a later one redundant;
+    then every edge grows and bisects side by side (``_lockstep``).  Each
+    round yields ``{index: waiting time}``; the caller sends back whether
+    each qualifies.
     """
     tr = scan.tr_grid
     target = scan.n_crit[row]
@@ -340,17 +370,15 @@ def _row_width(scan: ScanResult, row: int, roots, window, spacing: float, tol: f
         for t_root, _ in roots:
             if any(lo - spacing <= t_root <= hi + spacing for lo, hi in seeds):
                 continue
-            if (yield t_root):
+            if (yield {0: t_root})[0]:
                 seeds.append((t_root, t_root))
         seeds.sort()
 
-    intervals: list[tuple[float, float]] = []
-    for lo, hi in seeds:
-        left = yield from _grow_edge(lo, -spacing, window, tol)
-        right = yield from _grow_edge(hi, +spacing, window, tol)
-        intervals.append((left, right))
+    steps = (-spacing, spacing)
+    edges = [_grow_edge(t, step, window, tol) for seed in seeds for t, step in zip(seed, steps)]
+    bounds = yield from _lockstep(edges)
     merged: list[list[float]] = []
-    for lo, hi in sorted(intervals):
+    for lo, hi in sorted(zip(bounds[::2], bounds[1::2])):
         if merged and lo <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
@@ -365,12 +393,13 @@ def tolerance_profile(scan: ScanResult, diagnostics: Counter | None = None) -> n
     (see ``_row_width``).  Off the grid, ``N_L >= N_c`` holds when the first
     ``1/e`` crossing is later than ``min(N_c - 1, n_max)`` steps.  Every row
     runs its seeding and bisection as a generator, and the rows advance in
-    lockstep: each round collects the one pending waiting time of every row
-    and answers them all with one ``stability.first_crossing`` call.  The
-    sequence of decisions in each row is the one a row-by-row bisection
-    would make.  The worst-case estimate is ``(T_R / pi) sqrt(n_bar) C
-    sin^2(alpha / 2)`` from the systematic-error tolerance and the
-    room-temperature strength.
+    lockstep: each round collects every pending waiting time, the root probe
+    of each seeding row and one probe of every edge of every other row, and
+    answers them all with one ``stability.first_crossing`` call.  A lifetime
+    does not depend on the batch it is computed in, so each edge makes the
+    decisions a row-by-row bisection would make.  The worst-case estimate is
+    ``(T_R / pi) sqrt(n_bar) C sin^2(alpha / 2)`` from the systematic-error
+    tolerance and the room-temperature strength.
 
     ``diagnostics``, when given, is a counter that receives the number of
     probes (``bisection_probes``) and kernel calls (``kernel_calls``), and
@@ -387,7 +416,6 @@ def tolerance_profile(scan: ScanResult, diagnostics: Counter | None = None) -> n
     tol = 1e-4 * spacing
     window = (tr[0], tr[-1])
     sys = nv_system(scan.params)
-    hats, r_dds, dephs = _row_frames(scan.alpha_vecs, scan.phi_dds)
     horizons = np.minimum(scan.n_crit - 1, scan.n_max)
 
     roots = [
@@ -397,26 +425,23 @@ def tolerance_profile(scan: ScanResult, diagnostics: Counter | None = None) -> n
     if diagnostics is not None:
         worst = max((min(r for _, r in row) for row in roots if row), default=0.0)
         diagnostics["worst_row_qnd_residual"] = max(worst, diagnostics["worst_row_qnd_residual"])
-    rows = [_row_width(scan, i, roots[i], window, spacing, tol) for i in range(len(roots))]
-    measured = np.zeros(len(rows))
-    answers = dict.fromkeys(range(len(rows)))  # None starts each generator
-    while answers:
-        pending = {}
-        for i, answer in answers.items():
-            try:
-                pending[i] = rows[i].send(answer)
-            except StopIteration as done:
-                measured[i] = done.value
-        if not pending:
+    rows = _lockstep([_row_width(scan, i, r, window, spacing, tol) for i, r in enumerate(roots)])
+    answers = None
+    while True:
+        try:
+            pending = rows.send(answers)
+        except StopIteration as done:
+            measured = done.value
             break
-        index = np.fromiter(pending, dtype=int, count=len(pending))
-        times = np.fromiter(pending.values(), dtype=float, count=len(pending))
-        _, maps = _cycle_maps(scan.params.omega_n, times, r_dds[index], dephs[index])
-        reaches = np.isinf(first_crossing(maps, hats[index], horizons[index].astype(np.int64)))
+        index = np.array([i for i, p in pending.items() for _ in p])
+        times = np.array([t for p in pending.values() for t in p.values()])
+        _, maps = _cycle_maps(scan.params.omega_n, times, scan.r_dds[index], scan.dephs[index])
+        reaches = np.isinf(first_crossing(maps, scan.hats[index], horizons[index].astype(np.int64)))
         if diagnostics is not None:
             diagnostics["kernel_calls"] += 1
             diagnostics["bisection_probes"] += index.size
-        answers = dict(zip(index.tolist(), reaches.tolist()))
+        replies = iter(reaches.tolist())
+        answers = {i: {j: next(replies) for j in p} for i, p in pending.items()}
 
     worst = [
         (t_r_period / math.pi) * math.sqrt(n_bar) * contrast * math.sin(mag / 2.0) ** 2

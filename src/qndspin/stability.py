@@ -34,11 +34,10 @@ most points cross there and drop out.  The survivors then advance ``K``
 steps per iteration: the rows ``c_k = a^T G^k`` (``k = 1..K``) are built by
 doubling, ``c[m:2m] = c[:m] G^m``, so ``S(N0 + k) = c_k . G^N0 a`` for the
 whole chunk is one product, and ``G^K`` from repeated squaring moves the
-state on.  ``K`` is a power of two no larger than ``MAX_CHUNK`` and shrinks
-so that the coefficient rows of all survivors (``3 K`` doubles each) stay
-within ``CHUNK_BUDGET``; it grows again as points drop out.  The
-systematic branch of ``survival_curve`` uses the same rows to emit the whole
-curve ``S(0..N)``.
+state on.  ``K`` is ``MAX_CHUNK`` for every point, and every step is
+elementwise per point, so a point's lifetime does not depend on which other
+points share the call.  The systematic branch of ``survival_curve`` uses the
+same rows to emit the whole curve ``S(0..N)``.
 
 Random errors ``delta_phi_i = g_i e`` about a fixed axis ``e`` change the map
 every cycle, but only by a turn about ``e``.  Their kernel works in the frame
@@ -81,11 +80,8 @@ __all__ = [
 # Single steps before the chunked phase.  Most scan points cross within them,
 # and their lifetimes do not depend on the chunk arithmetic.
 DENSE_STEPS = 64
-# Largest chunk length K (a power of two).
+# Chunk length K (a power of two) of every point's coefficient rows.
 MAX_CHUNK = 256
-# Bound on the doubles held by the coefficient rows, 3 * K * (points advanced
-# together): 32 KiB, so the blocks stay small next to the scan's own arrays.
-CHUNK_BUDGET = 2**12
 
 
 def dephasing_map(alpha_vec) -> np.ndarray:
@@ -277,14 +273,6 @@ def _fixed_axis_survivals(alpha_vec, axis: np.ndarray, angles: np.ndarray) -> np
     return survivals
 
 
-def _chunk_length(n_points: int) -> int:
-    """Largest power of two up to ``MAX_CHUNK`` with ``3 K n_points <= CHUNK_BUDGET``."""
-    k = MAX_CHUNK
-    while k > 1 and 3 * k * n_points > CHUNK_BUDGET:
-        k //= 2
-    return k
-
-
 def _chunk_rows(maps: np.ndarray, axes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``a^T G^j`` for ``j = 1..k`` (shape ``(P, k, 3)``) and ``G^k``.
 
@@ -314,9 +302,12 @@ def first_crossing(maps, axes, horizon) -> np.ndarray:
     get ``inf``.
 
     The first ``DENSE_STEPS`` steps apply each map once per step; later steps
-    are evaluated ``K`` at a time from the rows ``a^T G^k`` (see the module
-    docstring), which reorders the floating-point operations: a point whose
-    ``S(N)`` lies within rounding error of ``1/e`` can move by one step.
+    are evaluated ``K = MAX_CHUNK`` at a time from the rows ``a^T G^k`` (see
+    the module docstring), which reorders the floating-point operations: a
+    point whose ``S(N)`` lies within rounding error of ``1/e`` can move by
+    one step against a step-by-step loop.  ``K`` is the same for every
+    point, so each lifetime depends only on its own map, axis and horizon,
+    not on the batch it shares a call with.
     """
     maps = np.asarray(maps, dtype=float)
     axes = np.asarray(axes, dtype=float)
@@ -341,11 +332,9 @@ def first_crossing(maps, axes, horizon) -> np.ndarray:
         lifetimes[index[crossed]] = step
         keep = ~crossed & (horizon > step)
 
-    k = 0
+    k = MAX_CHUNK
+    rows, power = _chunk_rows(maps, axes, k)
     while index.size:
-        if _chunk_length(index.size) > k:
-            k = _chunk_length(index.size)
-            rows, power = _chunk_rows(maps, axes, k)
         # S(step + 1 .. step + k), masked beyond each point's horizon
         below = np.einsum("pkj,pj->pk", rows, states) <= threshold
         if step + k > horizon.min():
@@ -355,8 +344,8 @@ def first_crossing(maps, axes, horizon) -> np.ndarray:
         keep = ~crossed & (horizon > step + k)
         if not keep.all():
             lifetimes[index[crossed]] = step + 1 + below[crossed].argmax(axis=1)
-            index, states, maps, axes, horizon, rows, power = (
-                a[keep] for a in (index, states, maps, axes, horizon, rows, power)
+            index, states, horizon, rows, power = (
+                a[keep] for a in (index, states, horizon, rows, power)
             )
         step += k
     return lifetimes
@@ -364,7 +353,7 @@ def first_crossing(maps, axes, horizon) -> np.ndarray:
 
 def _survival_values(step_map: np.ndarray, axis: np.ndarray, n_max: int) -> np.ndarray:
     """``S(0..n_max) = a . G^N a`` for one fixed map, ``K`` values per product."""
-    k = _chunk_length(1)
+    k = MAX_CHUNK
     rows, power = _chunk_rows(step_map[None], axis[None], k)
     rows, power = rows[0], power[0]
     values = np.empty(n_max + 1)

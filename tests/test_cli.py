@@ -472,6 +472,26 @@ def test_outputs_match_golden_bytes(tmp_path, monkeypatch, capsys, name, argv, c
             assert digests[os.path.relpath(output)] == digest
 
 
+# sha256 of the perfbench ``scan`` workload's outputs, as recorded in
+# perfbench/reference/reference.json
+BENCHMARK_GRID_SHA256 = {
+    "scan.csv": "9f92002bb4a7790e601ac255290746446954b24a0fbceafda279e41feb6c0aa4",
+    "tolerance.csv": "5953eab4e5b1eac7ee961e6b033bb6a88241c9c995e3722857efdd20346687ee",
+}
+
+
+def test_benchmark_grid_bytes(tmp_path):
+    argv = ["nv-scan", "--preset", "P2", "--n-tdd", "25", "--n-tr", "64", "--n-max", "100000"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    for name, digest in BENCHMARK_GRID_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_fmt_keeps_the_sign_of_infinities():
+    values = (math.inf, -math.inf, 0.1 + 0.2, np.float64(-2.5e-7), 3)
+    assert [cli._fmt(v) for v in values] == ["inf", "-inf", "0.3", "-2.5e-07", "3"]
+
+
 def test_python_dash_m_entry_point():
     src = os.path.dirname(os.path.dirname(qndspin.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -1,4 +1,5 @@
-"""The chunked first-crossing kernel against a one-step reference loop."""
+"""The chunked first-crossing kernel against a one-step reference loop and
+against one call per point."""
 
 import math
 
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from qndspin.rotations import rotor_exp, so3_from_rotor
 from qndspin.stability import (
     DENSE_STEPS,
+    MAX_CHUNK,
     RotationErrorModel,
-    _chunk_length,
     dephasing_map,
     first_crossing,
     lifetime,
@@ -46,6 +47,18 @@ def crossing_at(n):
     return contractive_map([theta, 0.0, 0.0], np.zeros(3))
 
 
+def razor_at(n):
+    """As ``crossing_at``, but ``S(n)`` equals ``1/e`` up to rounding, so the
+    order of the floating-point operations decides whether step ``n`` crosses."""
+    theta = math.acos(THRESHOLD) / n
+    return contractive_map([theta, 0.0, 0.0], np.zeros(3))
+
+
+def per_point_calls(maps, axes, horizons):
+    points = zip(maps, axes, horizons)
+    return np.array([first_crossing(g[None], a[None], h)[0] for g, a, h in points])
+
+
 unit = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: sum(x * x for x in v) > 1e-2)
 point = st.tuples(
     unit,  # rotation axis
@@ -57,25 +70,65 @@ point = st.tuples(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(point, min_size=1, max_size=6))
-def test_kernel_equals_naive_loop_on_random_contractive_maps(points):
+def random_points(points):
+    """Maps, measured axes and horizons drawn by the ``point`` strategy."""
     maps, axes, horizons = [], [], []
     for rot_axis, log_angle, deph_axis, deph_angle, axis, horizon in points:
         rot_axis, deph_axis, axis = (np.array(v) / np.linalg.norm(v) for v in (rot_axis, deph_axis, axis))
         maps.append(contractive_map(10.0**log_angle * rot_axis, deph_angle * deph_axis))
         axes.append(axis)
         horizons.append(horizon)
-    maps, axes, horizons = np.array(maps), np.array(axes), np.array(horizons)
+    return maps, axes, horizons
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(point, min_size=1, max_size=6))
+def test_kernel_equals_naive_loop_on_random_contractive_maps(points):
+    maps, axes, horizons = (np.array(c) for c in random_points(points))
     expected = naive_first_crossing(maps, axes, horizons)
     np.testing.assert_array_equal(first_crossing(maps, axes, horizons), expected)
     if len(set(horizons.tolist())) == 1:
         np.testing.assert_array_equal(first_crossing(maps, axes, int(horizons[0])), expected)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(point, max_size=6),
+    # late crossings, some within rounding of 1/e, with their own horizons
+    st.lists(
+        st.tuples(
+            st.integers(DENSE_STEPS + 2 * MAX_CHUNK + 1, 3000), st.booleans(), st.integers(0, 4000)
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_batch_equals_per_point_calls(points, late):
+    maps, axes, horizons = random_points(points)
+    for n, razor, horizon in late:
+        maps.append(razor_at(n) if razor else crossing_at(n))
+        axes.append(EZ)
+        horizons.append(horizon)
+    maps, axes, horizons = np.array(maps), np.array(axes), np.array(horizons)
+    expected = per_point_calls(maps, axes, horizons)
+    np.testing.assert_array_equal(first_crossing(maps, axes, horizons), expected)
+
+
+def test_razor_crossings_do_not_depend_on_the_batch():
+    # 343 points whose S(n) sits on 1/e: with a chunk length that depended on
+    # the batch size, several of them moved by one step
+    targets = np.arange(DENSE_STEPS + 2 * MAX_CHUNK + 24, 3000, 7)
+    maps = np.array([razor_at(n) for n in targets])
+    axes = np.tile(EZ, (targets.size, 1))
+    horizons = np.full(targets.size, 4000)
+    batch = first_crossing(maps, axes, horizons)
+    np.testing.assert_array_equal(batch, per_point_calls(maps, axes, horizons))
+    assert np.all(np.abs(batch - targets) <= 1)
+
+
 def test_crossings_on_the_phase_and_chunk_boundaries():
     # four points outlive the dense phase and share chunks of length k
-    k = _chunk_length(4)
+    k = MAX_CHUNK
     targets = [1, 2, DENSE_STEPS - 1, DENSE_STEPS, DENSE_STEPS + 1]
     targets += [DENSE_STEPS + k, DENSE_STEPS + k + 1, DENSE_STEPS + 3 * k + 7]
     maps = np.array([crossing_at(n) for n in targets])
@@ -114,7 +167,7 @@ def test_points_that_never_cross():
     assert math.isinf(result[0]) and result[1] == 500 and math.isinf(result[2])
 
 
-def test_many_points_shrink_the_chunk_and_agree():
+def test_many_points_agree_with_the_naive_loop():
     rng = np.random.default_rng(3)
     n = 400
     maps = np.array(

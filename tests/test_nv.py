@@ -172,7 +172,11 @@ def test_cycle_maps_at_gathered_probes_equal_the_scan_grid(n_probes):
     """A tolerance probe on a grid point repeats the scan's map bit for bit."""
     scan = small_scan(n_tau=25, n_tr=64, n_max=10)
     omega_n = scan.params.omega_n
-    _, r_dds, dephs = _row_frames(scan.alpha_vecs, scan.phi_dds)
+    # the scan carries the per-row frames that the tolerance probes gather
+    frames = (scan.hats, scan.r_dds, scan.dephs)
+    for carried, rebuilt in zip(frames, _row_frames(scan.alpha_vecs, scan.phi_dds)):
+        assert carried.tobytes() == rebuilt.tobytes()
+    r_dds, dephs = scan.r_dds, scan.dephs
     totals, maps = _cycle_maps(omega_n, scan.tr_grid, r_dds[:, None], dephs[:, None])
     assert maps.shape == (25, 64, 3, 3)
     rng = np.random.default_rng(n_probes)
@@ -220,10 +224,12 @@ def test_worst_case_width_vanishes_with_alpha():
 #
 # The scalar-probe path that ``tolerance_profile`` replaced: one waiting time
 # per call, one map application per step.  The lockstep version must make the
-# same decisions and therefore return the same array.
+# same decisions and therefore return the same array.  Every probe is
+# appended to the list ``probes`` of its row's root seeding or of its edge.
 
 
-def _reference_reaches(scan, row, t_r, target):
+def _reference_reaches(scan, row, t_r, target, probes):
+    probes.append(t_r)
     if math.isinf(target):
         return False
     alpha_vec = scan.alpha_vecs[row]
@@ -241,19 +247,19 @@ def _reference_reaches(scan, row, t_r, target):
     return True
 
 
-def _reference_refine_edge(scan, row, target, t_inside, t_outside, tol):
+def _reference_refine_edge(scan, row, target, t_inside, t_outside, tol, probes):
     for _ in range(200):
         if abs(t_outside - t_inside) <= tol:
             break
         mid = 0.5 * (t_inside + t_outside)
-        if _reference_reaches(scan, row, mid, target):
+        if _reference_reaches(scan, row, mid, target, probes):
             t_inside = mid
         else:
             t_outside = mid
     return 0.5 * (t_inside + t_outside)
 
 
-def _reference_grow_edge(scan, row, target, start, step, window, tol):
+def _reference_grow_edge(scan, row, target, start, step, window, tol, probes):
     lo, hi = window
     inside = start
     outside = None
@@ -261,11 +267,11 @@ def _reference_grow_edge(scan, row, target, start, step, window, tol):
     for _ in range(64):
         if probe < lo or probe > hi:
             boundary = lo if step < 0 else hi
-            if _reference_reaches(scan, row, boundary, target):
+            if _reference_reaches(scan, row, boundary, target, probes):
                 return boundary
             outside = boundary
             break
-        if _reference_reaches(scan, row, probe, target):
+        if _reference_reaches(scan, row, probe, target, probes):
             inside = probe
             probe = probe + step
         else:
@@ -273,10 +279,11 @@ def _reference_grow_edge(scan, row, target, start, step, window, tol):
             break
     if outside is None:
         return inside
-    return _reference_refine_edge(scan, row, target, inside, outside, tol)
+    return _reference_refine_edge(scan, row, target, inside, outside, tol, probes)
 
 
 def _reference_tolerance_profile(scan):
+    """The profile, and per row the lists of root probes and of each edge's probes."""
     n_bar, contrast = photon_stats(scan.readout)
     t_r_period = scan.params.larmor_period_wait
     tr = scan.tr_grid
@@ -285,7 +292,10 @@ def _reference_tolerance_profile(scan):
     window = (tr[0], tr[-1])
     sys = nv_system(scan.params)
     out = np.empty((scan.tau_grid.size, 4))
+    row_probes = []
     for i in range(scan.tau_grid.size):
+        root_probes, edge_probes = [], []
+        row_probes.append((root_probes, edge_probes))
         target = scan.n_crit[i]
         worst = (
             (t_r_period / math.pi) * math.sqrt(n_bar) * contrast
@@ -310,13 +320,15 @@ def _reference_tolerance_profile(scan):
             for t_root, _ in roots:
                 if any(lo - spacing <= t_root <= hi + spacing for lo, hi in seeds):
                     continue
-                if _reference_reaches(scan, i, t_root, target):
+                if _reference_reaches(scan, i, t_root, target, root_probes):
                     seeds.append((t_root, t_root))
             seeds.sort()
         intervals = []
         for lo, hi in seeds:
-            left = _reference_grow_edge(scan, i, target, lo, -spacing, window, tol)
-            right = _reference_grow_edge(scan, i, target, hi, +spacing, window, tol)
+            left_probes, right_probes = [], []
+            edge_probes += [left_probes, right_probes]
+            left = _reference_grow_edge(scan, i, target, lo, -spacing, window, tol, left_probes)
+            right = _reference_grow_edge(scan, i, target, hi, +spacing, window, tol, right_probes)
             intervals.append((left, right))
         merged = []
         for lo, hi in sorted(intervals):
@@ -325,12 +337,21 @@ def _reference_tolerance_profile(scan):
             else:
                 merged.append([lo, hi])
         out[i] = (scan.t_dd_grid[i], sum(hi - lo for lo, hi in merged), worst, target)
-    return out
+    return out, row_probes
 
 
 def test_lockstep_bisection_matches_row_by_row_probes():
     scan = small_scan(n_tau=12, n_tr=48, n_max=20_000)
     diagnostics = Counter()
     profile = tolerance_profile(scan, diagnostics)
-    np.testing.assert_array_equal(profile, _reference_tolerance_profile(scan))
+    expected, row_probes = _reference_tolerance_profile(scan)
+    np.testing.assert_array_equal(profile, expected)
     assert diagnostics["bisection_probes"] > diagnostics["kernel_calls"] > 0
+    assert diagnostics["bisection_probes"] == sum(
+        len(roots) + sum(map(len, edges)) for roots, edges in row_probes
+    )
+    # one round per root probe of a row, then all of its edges side by side:
+    # probing the edges one after another would need their sum of rounds
+    assert diagnostics["kernel_calls"] <= 1 + max(
+        len(roots) + max(map(len, edges), default=0) for roots, edges in row_probes
+    )
