@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cascade import critical_n
 from .control import _chord_angle, solve_waiting_time
 from .hyperfine import MHZ, SpinSystem, cpmg, exact_dd_evolution, extract_alpha_phi
 from .measurement import MeasurementSetting, ReadoutModel, binary_stats
@@ -241,7 +242,7 @@ def scan_2d(
     strengths, n_crit = np.empty(n_tau), np.empty(n_tau)
     for i, alpha_vec in enumerate(alpha_vecs):
         d = strengths[i] = binary_stats(MeasurementSetting(alpha_vec, phi, readout)).strength_d
-        n_crit[i] = math.inf if d == 0.0 else 1.0 if math.isinf(d) else math.ceil(2.0 / d**2)
+        n_crit[i] = math.inf if d == 0.0 else critical_n(d)
 
     hats, r_dds, dephs = _row_frames(alpha_vecs, phi_dds)
     totals, maps = _cycle_maps(params.omega_n, tr_grid, r_dds[:, None], dephs[:, None])
@@ -274,132 +275,60 @@ def scan_2d(
     )
 
 
-def _refine_edge(t_inside, t_outside, tol):
-    """Bisect the qualifying-region boundary between an inside/outside pair.
+def _sweep_edges(rows, starts, steps, window, tol, qualifies):
+    """Boundaries of qualifying regions, grown outward from qualifying ``starts``.
 
-    Yields each waiting time to test and receives whether ``N_L >= N_c``
-    there; returns the boundary estimate.
-    """
-    for _ in range(200):
-        if abs(t_outside - t_inside) <= tol:
-            break
-        mid = 0.5 * (t_inside + t_outside)
-        if (yield mid):
-            t_inside = mid
-        else:
-            t_outside = mid
-    return 0.5 * (t_inside + t_outside)
-
-
-def _grow_edge(start, step, window, tol):
-    """Walk outward from a qualifying point until the predicate fails, then bisect.
-
-    A generator like ``_refine_edge``.
+    Edge ``e`` probes row ``rows[e]``.  While growing it steps by ``steps[e]``,
+    probing the window end instead of a step past it, for at most 64 steps;
+    from its first failing probe on it bisects its inside / outside pair until
+    the pair is at most ``tol`` apart or 200 halvings are done.  Each round
+    asks ``qualifies(rows, times)`` once, for every unfinished edge.  Returns
+    per edge the last inside probe if growing stops inside, else the midpoint
+    of the final pair.
     """
     lo, hi = window
-    inside = start
-    outside = None
-    probe = start + step
-    for _ in range(64):
-        if probe < lo or probe > hi:
-            boundary = lo if step < 0 else hi
-            if (yield boundary):
-                return boundary
-            outside = boundary
-            break
-        if (yield probe):
-            inside = probe
-            probe = probe + step
-        else:
-            outside = probe
-            break
-    if outside is None:
-        return inside
-    return (yield from _refine_edge(inside, outside, tol))
-
-
-def _lockstep(probers):
-    """Advance probe generators in rounds, as one probe generator.
-
-    Each round resumes every unfinished generator with its answer, yields
-    ``{index: probe}`` for those still probing and receives ``{index:
-    answer}``.  Returns the generators' results in order.
-    """
-    results = [None] * len(probers)
-    answers = dict.fromkeys(range(len(probers)))  # None starts each generator
+    inside = np.array(starts, dtype=float)
+    outside = np.full(inside.shape, np.nan)  # NaN while growing
+    bounds = np.empty(inside.shape)
+    grown = np.zeros(inside.shape, dtype=int)
+    halved = np.zeros(inside.shape, dtype=int)
+    live = np.arange(inside.size)
     while True:
-        pending = {}
-        for i, answer in answers.items():
-            try:
-                pending[i] = probers[i].send(answer)
-            except StopIteration as done:
-                results[i] = done.value
-        if not pending:
-            return results
-        answers = yield pending
-
-
-def _row_width(scan: ScanResult, row: int, roots, window, spacing: float, tol: float):
-    """Total width of ``{t_r : N_L >= N_c}`` in one row, as a probe generator.
-
-    Qualifying grid runs are merged with intervals grown around the QND-root
-    waiting times ``roots`` (which sub-grid-width regions would otherwise
-    miss), and every boundary is refined by bisection.  The roots are tested
-    one at a time, since an accepted root can make a later one redundant;
-    then every edge grows and bisects side by side (``_lockstep``).  Each
-    round yields ``{index: waiting time}``; the caller sends back whether
-    each qualifies.
-    """
-    tr = scan.tr_grid
-    target = scan.n_crit[row]
-    seeds: list[tuple[float, float]] = []
-    if math.isfinite(target):
-        qual = scan.lifetimes[row] >= target
-        # maximal runs of qualifying grid points
-        j = 0
-        while j < tr.size:
-            if qual[j]:
-                k = j
-                while k + 1 < tr.size and qual[k + 1]:
-                    k += 1
-                seeds.append((tr[j], tr[k]))
-                j = k + 1
-            else:
-                j += 1
-        # QND roots seed regions narrower than the grid spacing
-        for t_root, _ in roots:
-            if any(lo - spacing <= t_root <= hi + spacing for lo, hi in seeds):
-                continue
-            if (yield {0: t_root})[0]:
-                seeds.append((t_root, t_root))
-        seeds.sort()
-
-    steps = (-spacing, spacing)
-    edges = [_grow_edge(t, step, window, tol) for seed in seeds for t, step in zip(seed, steps)]
-    bounds = yield from _lockstep(edges)
-    merged: list[list[float]] = []
-    for lo, hi in sorted(zip(bounds[::2], bounds[1::2])):
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return sum(hi - lo for lo, hi in merged)
+        done = (np.abs(outside[live] - inside[live]) <= tol) | (halved[live] == 200)
+        bounds[live[done]] = 0.5 * (inside[live[done]] + outside[live[done]])
+        live = live[~done]
+        if live.size == 0:
+            return bounds
+        growing = np.isnan(outside[live])
+        probes = np.where(growing, inside[live] + steps[live], 0.5 * (inside + outside)[live])
+        leaving = growing & ((probes < lo) | (probes > hi))
+        probes[leaving] = np.where(steps[live[leaving]] < 0, lo, hi)
+        ok = qualifies(rows[live], probes)
+        inside[live[ok]], outside[live[~ok]] = probes[ok], probes[~ok]
+        grown[live] += growing
+        halved[live] += ~growing
+        stop = growing & ok & (leaving | (grown[live] == 64))
+        bounds[live[stop]] = probes[stop]
+        live = live[~stop]
 
 
 def tolerance_profile(scan: ScanResult, diagnostics: Counter | None = None) -> np.ndarray:
     """Per ``t_dd``: measured and worst-case waiting-time tolerances.
 
-    The measured tolerance is the total width of ``{t_r : N_L >= N_c}``
-    (see ``_row_width``).  Off the grid, ``N_L >= N_c`` holds when the first
-    ``1/e`` crossing is later than ``min(N_c - 1, n_max)`` steps.  Every row
-    runs its seeding and bisection as a generator, and the rows advance in
-    lockstep: each round collects every pending waiting time, the root probe
-    of each seeding row and one probe of every edge of every other row, and
-    answers them all with one ``stability.first_crossing`` call.  A lifetime
-    does not depend on the batch it is computed in, so each edge makes the
-    decisions a row-by-row bisection would make.  The worst-case estimate is
-    ``(T_R / pi) sqrt(n_bar) C sin^2(alpha / 2)`` from the systematic-error
-    tolerance and the room-temperature strength.
+    The measured tolerance is the total width of ``{t_r : N_L >= N_c}``.  Off
+    the grid, ``N_L >= N_c`` holds when the first ``1/e`` crossing is later
+    than ``min(N_c - 1, n_max)`` steps.  Each round of probes, over all rows,
+    is one ``stability.first_crossing`` call, whose answers do not depend on
+    the batch, so every probe gets the answer a row-by-row search would get:
+
+    * seeds: the maximal runs of qualifying grid points, then the QND-root
+      waiting times (for sub-grid-width regions) in rounds by root index,
+      each skipped if within one grid spacing of a seed;
+    * edges: both ends of every seed grow outward and bisect to ``1e-4`` grid
+      spacings side by side (``_sweep_edges``); each row's intervals merge.
+
+    The worst-case estimate is ``(T_R / pi) sqrt(n_bar) C sin^2(alpha / 2)``
+    from the systematic-error tolerance and the room-temperature strength.
 
     ``diagnostics``, when given, is a counter that receives the number of
     probes (``bisection_probes``) and kernel calls (``kernel_calls``), and
@@ -409,39 +338,67 @@ def tolerance_profile(scan: ScanResult, diagnostics: Counter | None = None) -> n
     Returns an array with columns ``(t_dd, dtr_measured, dtr_worst_case,
     n_c)``.
     """
+    tr = scan.tr_grid
+    if tr.size < 2 or not np.all(np.diff(tr) > 0):
+        shown = np.array2string(tr, threshold=6)
+        raise ValueError(f"the t_R grid must be >= 2 strictly increasing times, got {shown}")
     n_bar, contrast = photon_stats(scan.readout)
     t_r_period = scan.params.larmor_period_wait
-    tr = scan.tr_grid
-    spacing = (tr[-1] - tr[0]) / max(tr.size - 1, 1)
-    tol = 1e-4 * spacing
+    spacing = (tr[-1] - tr[0]) / (tr.size - 1)
     window = (tr[0], tr[-1])
     sys = nv_system(scan.params)
-    horizons = np.minimum(scan.n_crit - 1, scan.n_max)
+    horizons = np.minimum(scan.n_crit - 1, scan.n_max).astype(np.int64)
 
+    def qualifies(rows, times):
+        _, maps = _cycle_maps(scan.params.omega_n, times, scan.r_dds[rows], scan.dephs[rows])
+        reaches = np.isinf(first_crossing(maps, scan.hats[rows], horizons[rows]))
+        if diagnostics is not None:
+            diagnostics["kernel_calls"] += 1
+            diagnostics["bisection_probes"] += rows.size
+        return reaches
+
+    finite = np.isfinite(scan.n_crit)
     roots = [
-        solve_waiting_time(sys, phi_dd, alpha_vec, window) if math.isfinite(n_c) else []
-        for phi_dd, alpha_vec, n_c in zip(scan.phi_dds, scan.alpha_vecs, scan.n_crit)
+        solve_waiting_time(sys, phi_dd, alpha_vec, window) if is_finite else []
+        for phi_dd, alpha_vec, is_finite in zip(scan.phi_dds, scan.alpha_vecs, finite)
     ]
     if diagnostics is not None:
         worst = max((min(r for _, r in row) for row in roots if row), default=0.0)
         diagnostics["worst_row_qnd_residual"] = max(worst, diagnostics["worst_row_qnd_residual"])
-    rows = _lockstep([_row_width(scan, i, r, window, spacing, tol) for i, r in enumerate(roots)])
-    answers = None
-    while True:
-        try:
-            pending = rows.send(answers)
-        except StopIteration as done:
-            measured = done.value
-            break
-        index = np.array([i for i, p in pending.items() for _ in p])
-        times = np.array([t for p in pending.values() for t in p.values()])
-        _, maps = _cycle_maps(scan.params.omega_n, times, scan.r_dds[index], scan.dephs[index])
-        reaches = np.isinf(first_crossing(maps, scan.hats[index], horizons[index].astype(np.int64)))
-        if diagnostics is not None:
-            diagnostics["kernel_calls"] += 1
-            diagnostics["bisection_probes"] += index.size
-        replies = iter(reaches.tolist())
-        answers = {i: {j: next(replies) for j in p} for i, p in pending.items()}
+
+    seeds = [[] for _ in roots]
+    qual = (scan.lifetimes >= scan.n_crit[:, None]) & finite[:, None]
+    runs, cols = np.nonzero(np.diff(np.pad(qual, ((0, 0), (1, 1))), axis=1))
+    for i, j, k in zip(runs[::2], cols[::2], cols[1::2] - 1):
+        seeds[i].append((tr[j], tr[k]))
+    for k in range(max(map(len, roots), default=0)):
+        asked = [
+            (i, row[k][0])
+            for i, row in enumerate(roots)
+            if k < len(row)
+            and not any(lo - spacing <= row[k][0] <= hi + spacing for lo, hi in seeds[i])
+        ]
+        if asked:
+            rows, times = (np.array(column) for column in zip(*asked))
+            ok = qualifies(rows, times)
+            for i, t in zip(rows[ok], times[ok]):
+                seeds[i].append((t, t))
+
+    seeds = [sorted(row) for row in seeds]
+    rows = np.repeat(np.arange(len(seeds)), [2 * len(row) for row in seeds])
+    starts = [t for row in seeds for seed in row for t in seed]
+    steps = np.tile([-spacing, spacing], len(starts) // 2)
+    edges = iter(_sweep_edges(rows, starts, steps, window, 1e-4 * spacing, qualifies).tolist())
+    intervals = zip(edges, edges)
+    measured = []
+    for row in seeds:
+        merged: list[list[float]] = []
+        for lo, hi in sorted(next(intervals) for _ in row):
+            if merged and lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        measured.append(sum(hi - lo for lo, hi in merged))
 
     worst = [
         (t_r_period / math.pi) * math.sqrt(n_bar) * contrast * math.sin(mag / 2.0) ** 2

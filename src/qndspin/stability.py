@@ -138,7 +138,8 @@ class RotationErrorModel:
                 raise ValueError("explicit errors need the rotations array")
             self.rotations = np.atleast_2d(np.asarray(self.rotations, dtype=float))
             if self.rotations.shape[1:] != (3,) or not self.rotations.size:
-                raise ValueError(f"explicit rotations need shape (p, 3), got {self.rotations.shape}")
+                shape = self.rotations.shape
+                raise ValueError(f"explicit rotations need shape (p, 3), got {shape}")
 
 
 @dataclass

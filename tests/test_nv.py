@@ -1,9 +1,12 @@
+import dataclasses
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import qndspin.nv as nv
+from qndspin.cascade import critical_n
 from qndspin.control import solve_waiting_time
 from qndspin.measurement import MeasurementSetting, ReadoutModel, binary_stats
 from qndspin.nv import (
@@ -11,6 +14,7 @@ from qndspin.nv import (
     NvParams,
     _cycle_maps,
     _row_frames,
+    _sweep_edges,
     default_tau_grid,
     default_tr_grid,
     nv_system,
@@ -20,7 +24,7 @@ from qndspin.nv import (
     tolerance_profile,
 )
 from qndspin.rotations import rotor_exp, so3_from_rotor
-from qndspin.stability import dephasing_map
+from qndspin.stability import dephasing_map, first_crossing
 
 
 def small_scan(n_tau=24, n_tr=32, n_max=20_000, **kwargs):
@@ -138,6 +142,12 @@ def test_scan_contains_high_fidelity_region():
     assert qualifying.any()
 
 
+def test_n_crit_follows_the_cascade_rule_row_by_row():
+    scan = small_scan()
+    expected = [math.inf if d == 0.0 else critical_n(d) for d in scan.strengths.tolist()]
+    assert scan.n_crit.tolist() == expected
+
+
 def test_far_detuned_waiting_time_is_short_lived():
     scan = small_scan()
     i = int(np.argmin(np.abs(scan.tau_grid - scan.params.larmor_period_dd)))
@@ -220,12 +230,84 @@ def test_worst_case_width_vanishes_with_alpha():
     assert widths[2] < 1e-3 * widths[0]  # quadratic vanishing in alpha
 
 
+@pytest.mark.parametrize(
+    "tr_grid",
+    [[0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 2.0, 1.0], [0.0, math.nan]],
+    ids=["one point", "repeated", "decreasing", "unsorted", "nan"],
+)
+def test_tolerance_profile_refuses_a_bad_tr_grid_before_any_solve(tr_grid, monkeypatch):
+    scan = dataclasses.replace(small_scan(n_tau=3, n_tr=4, n_max=500), tr_grid=np.array(tr_grid))
+
+    def unreachable(*args):
+        raise AssertionError("solved before the t_R grid was checked")
+
+    monkeypatch.setattr(nv, "solve_waiting_time", unreachable)
+    monkeypatch.setattr(nv, "first_crossing", unreachable)
+    with pytest.raises(ValueError, match="t_R grid"):
+        tolerance_profile(scan)
+
+
+# ----------------------------------------------- edge sweep, synthetic regions
+
+
+def _union_predicate(regions, probes):
+    """``qualifies`` for a union of closed intervals per row; counts each row's probes."""
+
+    def qualifies(rows, times):
+        probes.update(rows.tolist())
+        probes["rounds"] += 1
+        return np.array([any(a <= t <= b for a, b in regions[r]) for r, t in zip(rows, times)])
+
+    return qualifies
+
+
+def test_sweep_edges_stops_at_the_window_ends_and_bisects_side_by_side():
+    window, tol = (0.0, 10.0), 1e-4
+    # (start, step, qualifying intervals, boundary, probes of that edge)
+    edges = [
+        (8.5, 1.0, [(0.0, 10.0)], 10.0, 2),  # accepted at the window end
+        (1.5, -1.0, [(0.0, 10.0)], 0.0, 2),
+        (8.5, 1.0, [(0.0, 9.7)], 9.7, 2 + 13),  # rejected at the window end: 0.5 to 1e-4
+        (1.5, -1.0, [(0.3, 10.0)], 0.3, 2 + 13),
+        (2.0, 1.0, [(0.0, 2.25), (3.5, 4.0)], 2.25, 1 + 14),  # rejected inside: 1 to 1e-4
+    ]
+    starts, steps, regions, expected, counts = zip(*edges)
+    probes = Counter()
+    rows = np.arange(len(edges))
+    qualifies = _union_predicate(regions, probes)
+    bounds = _sweep_edges(rows, starts, np.array(steps), window, tol, qualifies)
+    assert np.all(np.abs(bounds - expected) <= tol / 2)
+    assert bounds[0] == 10.0 and bounds[1] == 0.0
+    assert [probes[r] for r in rows] == list(counts)
+    assert probes["rounds"] == max(counts)
+
+
+def test_sweep_edges_caps_growth_at_64_steps():
+    regions = [[(0.0, 100.0)], [(0.0, 100.0)]]
+    probes = Counter()
+    qualifies = _union_predicate(regions, probes)
+    starts, steps = [0.0, 100.0], np.array([1.0, -1.0])
+    bounds = _sweep_edges(np.arange(2), starts, steps, (0.0, 100.0), 1e-4, qualifies)
+    assert bounds.tolist() == [64.0, 36.0]
+    assert probes[0] == probes[1] == probes["rounds"] == 64
+
+
+def test_sweep_edges_caps_bisection_at_200_halvings():
+    # with tol = 0 the pair stalls one ulp apart and only the cap stops it
+    probes = Counter()
+    qualifies = _union_predicate([[(0.0, 0.3)]], probes)
+    bounds = _sweep_edges(np.arange(1), [0.0], np.array([1.0]), (0.0, 10.0), 0.0, qualifies)
+    assert probes[0] == 1 + 200
+    assert abs(bounds[0] - 0.3) <= 1e-15
+
+
 # ------------------------------------------------- row-by-row bisection oracle
 #
-# The scalar-probe path that ``tolerance_profile`` replaced: one waiting time
-# per call, one map application per step.  The lockstep version must make the
-# same decisions and therefore return the same array.  Every probe is
-# appended to the list ``probes`` of its row's root seeding or of its edge.
+# A scalar-probe search: one waiting time per call, one map application per
+# step, one edge after another.  ``tolerance_profile`` probes every pending
+# edge of every row in one batched call per round; it must make the same
+# decisions and therefore return the same array.  Every probe is appended to
+# the list ``probes`` of its row's root seeding or of its edge.
 
 
 def _reference_reaches(scan, row, t_r, target, probes):
@@ -340,8 +422,10 @@ def _reference_tolerance_profile(scan):
     return out, row_probes
 
 
-def test_lockstep_bisection_matches_row_by_row_probes():
-    scan = small_scan(n_tau=12, n_tr=48, n_max=20_000)
+@pytest.mark.parametrize("n_tau,n_tr,n_max", [(12, 48, 20_000), (7, 2, 2_000), (5, 3, 500)])
+def test_lockstep_bisection_matches_row_by_row_probes(n_tau, n_tr, n_max):
+    # at n_tr = 2 every first outward step leaves the window
+    scan = small_scan(n_tau=n_tau, n_tr=n_tr, n_max=n_max)
     diagnostics = Counter()
     profile = tolerance_profile(scan, diagnostics)
     expected, row_probes = _reference_tolerance_profile(scan)
@@ -350,8 +434,38 @@ def test_lockstep_bisection_matches_row_by_row_probes():
     assert diagnostics["bisection_probes"] == sum(
         len(roots) + sum(map(len, edges)) for roots, edges in row_probes
     )
-    # one round per root probe of a row, then all of its edges side by side:
+    # one round per root index, then every edge of every row side by side:
     # probing the edges one after another would need their sum of rounds
     assert diagnostics["kernel_calls"] <= 1 + max(
         len(roots) + max(map(len, edges), default=0) for roots, edges in row_probes
     )
+
+
+@pytest.mark.parametrize("n_tau,n_tr", [(12, 48), (24, 32)])
+def test_measured_width_matches_a_fine_brute_force_scan(n_tau, n_tr):
+    """``dtr_measured`` against qualifying points on a 64x finer ``t_R`` grid.
+
+    Each true edge is estimated to within ``tol / 2`` by the bisection (it
+    stops with its pair at most ``tol`` apart and returns the midpoint) and
+    to within one fine step by the span from the first to the last fine
+    point of a qualifying run, so per row the widths differ by at most
+    ``n_edges * (tol / 2 + fine_step)``.  A missed region breaks the bound.
+    """
+    scan = small_scan(n_tau=n_tau, n_tr=n_tr, n_max=20_000)
+    measured = tolerance_profile(scan)[:, 1]
+    tr = scan.tr_grid
+    spacing = (tr[-1] - tr[0]) / (tr.size - 1)
+    tol, fine_step = 1e-4 * spacing, spacing / 64
+    fine = np.linspace(tr[0], tr[-1], 64 * (tr.size - 1) + 1)
+    rows = np.flatnonzero(np.isfinite(scan.n_crit))
+    assert np.all(measured[np.isinf(scan.n_crit)] == 0.0)
+    index = np.repeat(rows, fine.size)
+    times = np.tile(fine, rows.size)
+    _, maps = _cycle_maps(scan.params.omega_n, times, scan.r_dds[index], scan.dephs[index])
+    horizons = np.minimum(scan.n_crit[index] - 1, scan.n_max).astype(np.int64)
+    qual = np.isinf(first_crossing(maps, scan.hats[index], horizons)).reshape(rows.size, fine.size)
+    for i, row in zip(rows, qual):
+        runs = np.flatnonzero(np.diff(np.concatenate(([False], row, [False])))).reshape(-1, 2)
+        brute = float(np.sum(fine[runs[:, 1] - 1] - fine[runs[:, 0]]))
+        n_edges = 2 * len(runs)
+        assert abs(measured[i] - brute) <= n_edges * (tol / 2 + fine_step), (i, measured[i], brute)
