@@ -1,11 +1,13 @@
 """Command-line front end: subcommand dispatch, CSV emission, run manifests.
 
 Conventions: angles in radians, frequencies in MHz, times in nanoseconds at
-the interface (seconds internally).  Each subcommand validates its inputs,
-claims its paths with ``_outputs`` (refusing existing ones before any work),
-computes, and hands ``(header, rows)`` tables to ``_emit``, the one writer:
-the CSVs, then a JSON manifest of the resolved inputs, seed, version, wall
-time and any diagnostics, from which a re-run reproduces the CSV bytes.
+the interface (seconds internally).  Each subcommand reads its inputs as
+config keys from ``_inputs`` (the ``--config`` file, each given flag laid
+over the key of its name), validates them, claims its paths with
+``_outputs`` (refusing existing ones before any work), computes, and hands
+``(header, rows)`` tables to ``_emit``, the one writer: the CSVs, then a
+JSON manifest of the resolved inputs, seed, version, wall time and any
+diagnostics, from which a re-run reproduces the CSV bytes.
 Exit codes: 0 success, 2 configuration error, 1 runtime error.
 """
 
@@ -32,19 +34,22 @@ from .cascade import (
     readout_fidelity,
 )
 from .config import (
+    _READOUT_KEYS,
+    _SCAN_KEYS,
+    _TOP_KEYS,
     ConfigError,
     config_count,
     load_config,
     nv_params_from_config,
-    phi_from_config,
     readout_from_config,
     sequence_from_config,
 )
 from .control import solve_waiting_time
 from .hyperfine import exact_dd_evolution, extract_alpha_phi
-from .measurement import MeasurementSetting, ReadoutModel, binary_stats
+from .measurement import MeasurementSetting, binary_stats
 from .nv import (
     PRESETS,
+    SCAN_PHI,
     default_tau_grid,
     default_tr_grid,
     nv_system,
@@ -150,35 +155,32 @@ def _vector(text: str) -> np.ndarray:
     return np.array(parts)
 
 
-def _load_cfg(args) -> dict:
-    return load_config(args.config) if args.config else {}
+def _inputs(args) -> dict:
+    """The ``--config`` file's keys, each given flag laid over the key of its name.
+
+    A readout flag replaces every readout key of the file, ``--tau-ns`` also
+    its ``t_DD_ns``, and nv-scan's ``--n-tdd``, ``--n-tr`` and ``--n-max`` go
+    into its ``scan`` block.
+    """
+    cfg = load_config(args.config) if args.config else {}
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    if flags.keys() & _READOUT_KEYS:
+        cfg = {key: value for key, value in cfg.items() if key not in _READOUT_KEYS}
+    if "tau_ns" in flags:
+        cfg.pop("t_DD_ns", None)
+    scan = {key: flags[key] for key in flags.keys() & _SCAN_KEYS}
+    cfg["scan"] = dict(cfg.get("scan", {}), **scan)
+    cfg.update((key, flags[key]) for key in flags.keys() & _TOP_KEYS)
+    return cfg
 
 
-def _readout_from_args(args, cfg) -> ReadoutModel:
-    if args.p_plus is not None or args.p_minus is not None:
-        if args.p_plus is None or args.p_minus is None:
-            raise ConfigError("give both --p-plus and --p-minus")
-        make, values = ReadoutModel, (args.p_plus, args.p_minus)
-    elif args.n_plus is not None or args.n_minus is not None:
-        if args.n_plus is None or args.n_minus is None:
-            raise ConfigError("give both --n-plus and --n-minus")
-        make, values = room_temp_readout, (args.n_plus, args.n_minus)
-    else:
-        return readout_from_config(cfg)
+def _setting(cfg: dict) -> MeasurementSetting:
+    """The measurement setting of ``alpha``, ``phi`` and the readout keys."""
+    readout = readout_from_config(cfg)
     try:
-        return make(*values)
-    except ValueError as exc:
-        raise ConfigError(f"invalid readout: {exc}") from exc
-
-
-def _setting_from_args(args, cfg) -> MeasurementSetting:
-    readout = _readout_from_args(args, cfg)
-    try:
-        alpha = args.alpha if args.alpha is not None else float(cfg.get("alpha", 0.1))
-        phi = args.phi if args.phi is not None else phi_from_config(cfg)
         with np.errstate(invalid="ignore"):  # 0 * inf; the setting rejects the nan
-            alpha_vec = alpha * np.array([0.0, 0.0, 1.0])
-        return MeasurementSetting(alpha_vec, phi, readout)
+            alpha_vec = float(cfg.get("alpha", 0.1)) * np.array([0.0, 0.0, 1.0])
+        return MeasurementSetting(alpha_vec, float(cfg.get("phi", math.pi / 2)), readout)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid measurement setting: {exc}") from exc
 
@@ -201,12 +203,6 @@ def _nv_params(params) -> dict:
     }
 
 
-def _scan_count(args, scan_cfg: dict, name: str, default: int) -> int:
-    """``--name`` if given, else ``scan.name`` from the config, else ``default``."""
-    value = getattr(args, name)
-    return config_count(scan_cfg.get(name, default), "scan." + name) if value is None else value
-
-
 # ----------------------------------------------------------------- commands
 
 
@@ -223,7 +219,7 @@ def _cmd_table1(args) -> None:
 
 
 def _cmd_binary_stats(args) -> None:
-    setting = _setting_from_args(args, _load_cfg(args))
+    setting = _setting(_inputs(args))
     paths = _outputs(args)
     stats = binary_stats(setting)
     print(
@@ -237,7 +233,7 @@ def _cmd_binary_stats(args) -> None:
 
 
 def _cmd_distribution(args) -> None:
-    setting = _setting_from_args(args, _load_cfg(args))
+    setting = _setting(_inputs(args))
     paths = _outputs(args)
     law = gaussian_distribution if args.law == "gaussian" else exact_distribution
     dist = law(setting, args.n)
@@ -248,7 +244,7 @@ def _cmd_distribution(args) -> None:
 
 
 def _cmd_fidelity(args) -> None:
-    setting = _setting_from_args(args, _load_cfg(args))
+    setting = _setting(_inputs(args))
     strength_d = binary_stats(setting).strength_d
     try:
         critical_n(strength_d)  # the cascade's own test for an informative shot
@@ -278,12 +274,8 @@ def _cmd_fidelity(args) -> None:
 
 
 def _cmd_qnd_solve(args) -> None:
-    cfg = _load_cfg(args)
-    if args.preset:
-        cfg = dict(cfg, preset=args.preset)
+    cfg = _inputs(args)
     params = nv_params_from_config(cfg)
-    if args.tau_ns is not None:
-        cfg = dict(cfg, tau_ns=args.tau_ns)
     seq = sequence_from_config(cfg, params)
     paths = _outputs(args)
     sys_ = nv_system(params)
@@ -340,11 +332,11 @@ def _cmd_stability(args) -> None:
 
 
 def _cmd_trajectories(args) -> None:
-    cfg = _load_cfg(args)
-    setting = _setting_from_args(args, cfg)
+    cfg = _inputs(args)
+    setting = _setting(cfg)
     if not setting.readout.is_ideal:
         raise ConfigError("trajectories need ideal readout (p_plus = p_minus = 1)")
-    seed = args.seed if args.seed is not None else config_count(cfg.get("seed", 0), "seed", 0)
+    seed = config_count(cfg.get("seed", 0), "seed", 0)
     initial = {
         "plus": NuclearState.eigenstate(setting.alpha_hat, 1),
         "minus": NuclearState.eigenstate(setting.alpha_hat, -1),
@@ -371,25 +363,23 @@ def _cmd_trajectories(args) -> None:
 
 
 def _cmd_nv_scan(args) -> None:
-    cfg = _load_cfg(args)
+    cfg = _inputs(args)
     if "phi" in cfg:
         raise ConfigError("nv-scan reads out at phi = pi/2; remove 'phi' from the config")
-    if args.preset:
-        cfg = dict(cfg, preset=args.preset)
     params = nv_params_from_config(cfg)
-    readout = _readout_from_args(args, cfg)
+    readout = readout_from_config(cfg)
     if readout.is_ideal:
         readout = room_temp_readout(0.1, 0.07)
-    scan_cfg = cfg.get("scan", {})
-    n_tdd = _scan_count(args, scan_cfg, "n_tdd", 256)
-    n_tr = _scan_count(args, scan_cfg, "n_tr", 256)
+    scan_cfg = cfg["scan"]
+    n_tdd = config_count(scan_cfg.get("n_tdd", 256), "scan.n_tdd")
+    n_tr = config_count(scan_cfg.get("n_tr", 256), "scan.n_tr")
     if n_tr < 2:
         raise ConfigError(f"n_tr must be >= 2 to span a search window, got {n_tr}")
     rel = (
         _positive_finite("scan.tau_rel_min", scan_cfg.get("tau_rel_min", 0.95)),
         _positive_finite("scan.tau_rel_max", scan_cfg.get("tau_rel_max", 1.05)),
     )
-    n_max = _scan_count(args, scan_cfg, "n_max", 1_000_000)
+    n_max = config_count(scan_cfg.get("n_max", 1_000_000), "scan.n_max")
     paths = _outputs(args, "scan.csv", "tolerance.csv")
     diagnostics = Counter(no_crossing_points=0, bisection_probes=0, kernel_calls=0)
     tau_grid, tr_grid = default_tau_grid(params, n_tdd, rel), default_tr_grid(params, n_tr)
@@ -400,7 +390,7 @@ def _cmd_nv_scan(args) -> None:
     scan_rows = ((t_dd * 1e9, t_r * 1e9, *rest) for t_dd, t_r, *rest in scan.rows())
     tol_rows = ((row[0] * 1e9, row[1] * 1e9, row[2] * 1e9, row[3]) for row in profile)
     manifest_params = dict(_nv_params(params), p_plus=readout.p_plus, p_minus=readout.p_minus)
-    manifest_params.update(phi=scan.phi, n_tdd=n_tdd, n_tr=n_tr, tau_rel=list(rel), n_max=n_max)
+    manifest_params.update(phi=SCAN_PHI, n_tdd=n_tdd, n_tr=n_tr, tau_rel=list(rel), n_max=n_max)
     tables = [
         (["t_DD_ns", "t_R_ns", "alpha_mag", "qnd_residual", "D", "N_c", "N_L"], scan_rows),
         (["t_DD_ns", "dtR_measured_ns", "dtR_worst_case_ns", "Nc"], tol_rows),
@@ -415,6 +405,9 @@ def _cmd_nv_scan(args) -> None:
 
 
 # ----------------------------------------------------------------- parser
+
+
+_CONFIG_HELP = "JSON configuration file; a flag overrides the key of its name"
 
 
 def _add_readout_args(parser) -> None:
@@ -438,15 +431,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_out):
-        p.add_argument("--config", help="JSON configuration file")
+    def common(p, default_out, config=True):
+        if config:
+            p.add_argument("--config", help=_CONFIG_HELP)
         p.add_argument("--out", default=default_out, help="output path prefix")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
     p = sub.add_parser("table1", help="Larmor periods of the built-in parameter sets")
     p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--out", default="table1")
-    p.add_argument("--force", action="store_true")
+    common(p, "table1", config=False)
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("binary-stats", help="single-measurement moments and strength")
@@ -475,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_qnd_solve)
 
     p = sub.add_parser("stability", help="survival curve under rotation errors")
-    common(p, "stability")
+    common(p, "stability", config=False)
     p.add_argument("--alpha-vec", type=_vector, required=True, help="x,y,z (rad)")
     p.add_argument("--error", choices=("systematic", "random"), default="systematic")
     p.add_argument("--delta-phi", type=float, required=True, help="error angle or std (rad)")
@@ -500,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_trajectories)
 
     p = sub.add_parser("nv-scan", help="2D (t_DD, t_R) lifetime and tolerance scan")
-    p.add_argument("--config", help="JSON configuration file")
+    p.add_argument("--config", help=_CONFIG_HELP)
     p.add_argument("--preset", choices=sorted(PRESETS))
     _add_readout_args(p)
     p.add_argument("--out-dir", default="nv_scan_out")

@@ -16,7 +16,10 @@ Top-level keys (all optional unless a subcommand needs them):
     seed                master seed for stochastic subcommands
     scan                {"n_tdd", "n_tr", "tau_rel_min", "tau_rel_max", "n_max"}
 
-Unknown keys are rejected before any computation runs.
+Unknown keys are rejected before any computation runs.  On the command line
+a flag overrides the key of its name (``--tau-ns`` is ``tau_ns`` and also
+drops ``t_DD_ns``; nv-scan's ``--n-max`` is ``scan.n_max``), and a readout
+flag replaces every readout key of the file.
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ _TOP_KEYS = {
     "seed",
     "scan",
 }
+
+_READOUT_KEYS = {"p_plus", "p_minus", "n_plus", "n_minus", "n_bar", "contrast"}
 
 _SCAN_KEYS = {"n_tdd", "n_tr", "tau_rel_min", "tau_rel_max", "n_max"}
 
@@ -159,10 +164,6 @@ def readout_from_config(cfg: dict) -> ReadoutModel:
             return room_temp_readout(n_bar * (1 + contrast), n_bar * (1 - contrast))
     except KeyError as exc:
         raise ConfigError(f"incomplete readout model: missing {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid readout model: {exc}") from exc
     return ReadoutModel()
-
-
-def phi_from_config(cfg: dict, default: float = math.pi / 2) -> float:
-    return float(cfg.get("phi", default))

@@ -49,6 +49,7 @@ __all__ = [
     "nv_system",
     "room_temp_readout",
     "photon_stats",
+    "SCAN_PHI",
     "ScanResult",
     "default_tau_grid",
     "default_tr_grid",
@@ -57,6 +58,9 @@ __all__ = [
 ]
 
 C13_HYPERFINE_MHZ = (0.316 / math.sqrt(2.0), 0.316 / math.sqrt(2.0), 0.330)
+
+# the scan's electron readout azimuth; tolerance_profile's worst case assumes it
+SCAN_PHI = math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -148,7 +152,6 @@ class ScanResult:
 
     params: NvParams
     readout: ReadoutModel
-    phi: float
     n_max: int
     tau_grid: np.ndarray
     tr_grid: np.ndarray
@@ -212,17 +215,17 @@ def scan_2d(
     tr_grid,
     readout: ReadoutModel,
     n_max: int = 1_000_000,
-    phi: float = math.pi / 2,
     diagnostics: Counter | None = None,
 ) -> ScanResult:
     """Map residual, strength and lifetime over the (t_dd, t_r) grid.
 
     Per CPMG duration: exact conditional evolution, extraction of the
     measurement vector and the sequence rotation, strength from the readout
-    model.  Per waiting time: total cycle rotation, QND residual, and the
-    full per-cycle map ``R(phi_total) M``.  All durations share one batched
-    geometry call, and the lifetimes of all grid points one call of
-    ``stability.first_crossing`` with horizon ``n_max``.
+    model at the azimuth ``SCAN_PHI``.  Per waiting time: total cycle
+    rotation, QND residual, and the full per-cycle map ``R(phi_total) M``.
+    All durations share one batched geometry call, and the lifetimes of all
+    grid points one call of ``stability.first_crossing`` with horizon
+    ``n_max``.
 
     ``diagnostics``, when given, is a counter that receives ``kernel_calls``,
     ``no_crossing_points`` (no crossing within ``n_max``), the seconds before
@@ -241,7 +244,7 @@ def scan_2d(
 
     strengths, n_crit = np.empty(n_tau), np.empty(n_tau)
     for i, alpha_vec in enumerate(alpha_vecs):
-        d = strengths[i] = binary_stats(MeasurementSetting(alpha_vec, phi, readout)).strength_d
+        d = strengths[i] = binary_stats(MeasurementSetting(alpha_vec, SCAN_PHI, readout)).strength_d
         n_crit[i] = math.inf if d == 0.0 else critical_n(d)
 
     hats, r_dds, dephs = _row_frames(alpha_vecs, phi_dds)
@@ -259,7 +262,6 @@ def scan_2d(
     return ScanResult(
         params=params,
         readout=readout,
-        phi=phi,
         n_max=n_max,
         tau_grid=tau_grid,
         tr_grid=tr_grid,

@@ -63,6 +63,7 @@ import numpy as np
 from .hyperfine import SpinSystem
 from .rotations import _unit_axis, rotor_exp, so3_from_rotor
 from .trajectory import _SLICE, _axis_frame, _checked_seed, _child_generators, _combine
+from .trajectory import _frame_terms
 
 __all__ = [
     "RotationErrorModel",
@@ -243,9 +244,7 @@ def _fixed_axis_survivals(alpha_vec, axis: np.ndarray, angles: np.ndarray) -> np
     frame = _axis_frame(axis)
     start = frame @ _measurement_axis(alpha_vec)
     deph = frame @ dephasing_map(alpha_vec) @ frame.T
-    # 0-d array coefficients: numpy converts a Python float on every call
-    terms = [[(np.array(m), j) for j, m in enumerate(row) if m != 0.0] for row in deph.tolist()]
-    readout = [(np.array(a), j) for j, a in enumerate(start.tolist()) if a != 0.0]
+    terms, (readout,) = _frame_terms(deph), _frame_terms(start[None])
 
     rows, n_max = angles.shape
     survivals = np.empty((n_max + 1, rows))

@@ -231,6 +231,12 @@ def _axis_frame(alpha_hat: np.ndarray) -> np.ndarray:
     return np.array([e1, np.cross(alpha_hat, e1), alpha_hat]) + 0.0
 
 
+def _frame_terms(matrix: np.ndarray) -> list:
+    """Per row of ``matrix``, its nonzero entries as ``_combine`` terms ``(coef, j)``."""
+    # 0-d array coefficients: numpy converts a Python float on every call
+    return [[(np.array(m), j) for j, m in enumerate(row) if m != 0.0] for row in matrix.tolist()]
+
+
 def _combine(dst, terms, sources, tmp) -> None:
     """``dst = sum(coef * sources[j] for coef, j in terms)``, left to right."""
     (coef, j), *rest = terms
@@ -260,10 +266,7 @@ def _evolve(setting, cycle_rotation, initial, uniforms, outcomes=None):
     """
     frame = _axis_frame(setting.alpha_hat)
     rotation = frame @ so3_from_rotor(cycle_rotation) @ frame.T
-    # 0-d array coefficients: numpy converts a Python float on every call
-    terms = [
-        [(np.array(r), j) for j, r in enumerate(row) if r != 0.0] for row in rotation.tolist()
-    ]
+    terms = _frame_terms(rotation)
     # |l_+|^2 / 2, |l_-|^2 / 2 and l_+ l_-^* per outcome, as np.where columns
     coeffs = {}
     for u in (1, -1):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -236,6 +237,7 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv):
         ({"scan": {"n_max": False}}, "scan.n_max must be an integer"),
         ({"scan": {"n_tr": 1}}, "n_tr must be >= 2"),
         ({"phi": 1.0}, "'phi'"),
+        ({"p_plus": [0.9], "p_minus": 0.9}, "invalid readout model"),
     ],
     ids=[
         "min nan",
@@ -253,6 +255,7 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv):
         "n_max bool",
         "n_tr one",
         "phi key",
+        "p_plus a list",
     ],
 )
 def test_nv_scan_bad_tau_span_is_config_error(tmp_path, capsys, cfg, message):
@@ -284,6 +287,10 @@ def test_nv_scan_bad_tau_span_is_config_error(tmp_path, capsys, cfg, message):
         ["nv-scan", "--preset", "P2", "--n-tdd", "2", "--n-tr", "1", "--n-max", "10"],
         ["fidelity", "--n", "10", "--alpha", "0"],
         ["fidelity", "--n", "10", "--alpha", "0.1", "--p-plus", "0.5", "--p-minus", "0.5"],
+        ["binary-stats", "--p-plus", "0.9", "--p-minus", "0.9",
+         "--n-plus", "0.1", "--n-minus", "0.07"],
+        ["stability", "--config", "no/such/run.json",
+         "--alpha-vec", "0,0,0.5", "--delta-phi", "0.01"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -322,6 +329,114 @@ def test_unusable_output_paths_are_config_errors(tmp_path, monkeypatch, capsys, 
     captured = capsys.readouterr()
     assert message in captured.err and not captured.out
     assert os.listdir(tmp_path) == ["blocker"] and blocker.read_text() == "keep"
+
+
+def _commands_taking_config():
+    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name for name, p in sub.choices.items() if "--config" in p._option_string_actions}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv in UNUSABLE_OUTPUT_CASES if argv[0] in _commands_taking_config()],
+    ids=lambda argv: argv[0],
+)
+def test_a_missing_config_file_is_a_config_error(tmp_path, monkeypatch, capsys, argv):
+    """Every subcommand that takes --config reads it, so a missing file exits 2."""
+    for name in ("scan_2d", "run_ensemble", "survival_curve", "exact_distribution"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("work started"))
+    out = str(tmp_path / "out")
+    target = ["--out-dir", out] if argv[0] == "nv-scan" else ["--out", out]
+    assert main(argv + ["--config", str(tmp_path / "missing.json")] + target) == 2
+    captured = capsys.readouterr()
+    assert "cannot read config" in captured.err and not captured.out
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "flags, cfg, missing",
+    [
+        (["--p-plus", "0.9"], None, "'p_minus'"),
+        (["--n-minus", "0.07"], None, "'n_plus'"),
+        (["--p-plus", "0.9"], {"p_plus": 0.8, "p_minus": 0.9}, "'p_minus'"),
+    ],
+    ids=["p_plus", "n_minus", "p_plus over a file pair"],
+)
+def test_half_a_readout_pair_names_the_missing_key(tmp_path, capsys, flags, cfg, missing):
+    """A readout flag replaces every readout key of the file, so its partner must be a flag too."""
+    argv = ["binary-stats", *flags, "--out", str(tmp_path / "out")]
+    if cfg is not None:
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        argv += ["--config", str(tmp_path / "run.json")]
+    assert main(argv) == 2
+    assert f"incomplete readout model: missing {missing}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == (["run.json"] if cfg else [])
+
+
+def _run(argv, name):
+    """Run in the current directory; the manifest's parameters and each output's bytes."""
+    scan = argv[0] == "nv-scan"
+    assert main(argv + (["--out-dir", name] if scan else ["--out", name])) == 0
+    with open(os.path.join(name, "manifest.json") if scan else name + ".manifest.json") as handle:
+        manifest = json.load(handle)
+    outputs = []
+    for path in manifest["outputs"]:
+        with open(path, "rb") as handle:
+            outputs.append(handle.read())
+    return manifest["parameters"], outputs
+
+
+NV_SCAN = ["nv-scan", "--preset", "P2"]
+
+# (subcommand argv, flags, the same input as config keys)
+FLAG_KEY_CASES = {
+    "alpha": (["binary-stats"], ["--alpha", "0.3"], {"alpha": 0.3}),
+    "phi": (["binary-stats"], ["--phi", "1.2"], {"phi": 1.2}),
+    "p_plus/p_minus": (
+        ["fidelity", "--n", "30"],
+        ["--p-plus", "0.95", "--p-minus", "0.9"],
+        {"p_plus": 0.95, "p_minus": 0.9},
+    ),
+    "n_plus/n_minus": (
+        ["distribution", "--n", "30"],
+        ["--n-plus", "0.1", "--n-minus", "0.07"],
+        {"n_plus": 0.1, "n_minus": 0.07},
+    ),
+    "preset": (["qnd-solve"], ["--preset", "P1"], {"preset": "P1"}),
+    "tau_ns": (["qnd-solve", "--preset", "P1"], ["--tau-ns", "1100"], {"tau_ns": 1100.0}),
+    "seed": (
+        ["trajectories", "--alpha", "0.2", "--n", "20", "--n-traj", "8"],
+        ["--seed", "5"],
+        {"seed": 5},
+    ),
+    "n_tdd": (NV_SCAN + ["--n-tr", "4", "--n-max", "200"], ["--n-tdd", "3"], {"n_tdd": 3}),
+    "n_tr": (NV_SCAN + ["--n-tdd", "2", "--n-max", "200"], ["--n-tr", "5"], {"n_tr": 5}),
+    "n_max": (NV_SCAN + ["--n-tdd", "2", "--n-tr", "4"], ["--n-max", "300"], {"n_max": 300}),
+}
+
+
+@pytest.mark.parametrize("argv, flags, keys", FLAG_KEY_CASES.values(), ids=FLAG_KEY_CASES)
+def test_a_flag_and_the_config_key_of_its_name_agree(tmp_path, monkeypatch, argv, flags, keys):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "nv-scan":  # nv-scan's counts are keys of the file's scan block
+        keys = {"scan": keys}
+    (tmp_path / "run.json").write_text(json.dumps(keys))
+    assert _run(argv + flags, "flag") == _run(argv + ["--config", "run.json"], "key")
+
+
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [
+        (["qnd-solve", "--preset", "P1", "--tau-ns", "1100"], {"t_DD_ns": 8000.0}),
+        (["binary-stats", "--p-plus", "0.9", "--p-minus", "0.8"], {"n_bar": 0.1, "contrast": 0.2}),
+    ],
+    ids=["tau_ns over t_DD_ns", "p_plus/p_minus over n_bar/contrast"],
+)
+def test_a_flag_beats_the_file(tmp_path, monkeypatch, argv, cfg):
+    """``--tau-ns`` replaces the file's ``t_DD_ns``, a readout flag the file's readout."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps(cfg))
+    assert _run(argv + ["--config", "run.json"], "both") == _run(argv, "flag")
 
 
 @pytest.mark.parametrize(
