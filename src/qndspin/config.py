@@ -104,21 +104,21 @@ def load_config(path: str) -> dict:
 def nv_params_from_config(cfg: dict) -> NvParams:
     if "preset" in cfg:
         name = cfg["preset"]
-        if name not in PRESETS:
+        if not isinstance(name, str) or name not in PRESETS:
             raise ConfigError(f"unknown preset {name!r} (have {sorted(PRESETS)})")
         base = PRESETS[name]
         b_gauss = cfg.get("B_gauss", base.b_gauss)
         n_dd = cfg.get("N_DD", base.n_dd)
         gamma = cfg.get("gamma_n_MHz_per_T", base.gamma_n_mhz_per_t)
-        a_mhz = tuple(cfg.get("A_MHz", base.a_mhz))
+        a_mhz = cfg.get("A_MHz", base.a_mhz)
     else:
         if "B_gauss" not in cfg or "N_DD" not in cfg:
             raise ConfigError("need either 'preset' or both 'B_gauss' and 'N_DD'")
         b_gauss = cfg["B_gauss"]
         n_dd = cfg["N_DD"]
         gamma = cfg.get("gamma_n_MHz_per_T", -10.71)
-        a_mhz = tuple(cfg.get("A_MHz", NvParams(b_gauss=1.0, n_dd=1).a_mhz))
-    if len(a_mhz) != 3:
+        a_mhz = cfg.get("A_MHz", NvParams(b_gauss=1.0, n_dd=1).a_mhz)
+    if not isinstance(a_mhz, (list, tuple)) or len(a_mhz) != 3:
         raise ConfigError("A_MHz must be a 3-vector")
     try:
         return NvParams(
@@ -135,12 +135,15 @@ def sequence_from_config(cfg: dict, params: NvParams):
     """CPMG sequence from ``tau_ns`` or ``t_DD_ns`` (default: resonant period)."""
     if "tau_ns" in cfg and "t_DD_ns" in cfg:
         raise ConfigError("give only one of 'tau_ns' and 't_DD_ns'")
-    if "tau_ns" in cfg:
-        tau = float(cfg["tau_ns"]) * 1e-9
-    elif "t_DD_ns" in cfg:
-        tau = float(cfg["t_DD_ns"]) * 1e-9 / params.n_dd
-    else:
-        tau = params.larmor_period_dd
+    try:
+        if "tau_ns" in cfg:
+            tau = float(cfg["tau_ns"]) * 1e-9
+        elif "t_DD_ns" in cfg:
+            tau = float(cfg["t_DD_ns"]) * 1e-9 / params.n_dd
+        else:
+            tau = params.larmor_period_dd
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid sequence duration: {exc}") from exc
     if not (math.isfinite(tau) and tau > 0.0):
         raise ConfigError(f"sequence duration must be positive and finite, got {tau}")
     return cpmg(params.n_dd, tau)

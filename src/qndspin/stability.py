@@ -29,15 +29,18 @@ which translates into a waiting-time tolerance ``dphi / |omega + A/2|``.
 Whenever the per-cycle map ``G`` is the same every cycle (a systematic error,
 or a point of an NV scan), every lifetime comes from one kernel,
 ``first_crossing``, which returns the first ``N`` with ``a . G^N a <= 1/e``
-for a batch of points at once.  It takes ``DENSE_STEPS`` single steps first;
-most points cross there and drop out.  The survivors then advance ``K``
-steps per iteration: the rows ``c_k = a^T G^k`` (``k = 1..K``) are built by
-doubling, ``c[m:2m] = c[:m] G^m``, so ``S(N0 + k) = c_k . G^N0 a`` for the
-whole chunk is one product, and ``G^K`` from repeated squaring moves the
-state on.  ``K`` is ``MAX_CHUNK`` for every point, and every step is
-elementwise per point, so a point's lifetime does not depend on which other
-points share the call.  The systematic branch of ``survival_curve`` uses the
-same rows to emit the whole curve ``S(0..N)``.
+for a batch of points at once.  It walks the steps in chunks of ``k``: with
+the rows ``c_j = a^T G^j`` (``j = 1..k``) and the state ``G^N0 a``,
+``S(N0 + j) = c_j . G^N0 a`` for the whole chunk is one product, and ``G^k``
+moves the state on.  The walk starts at ``k = 1`` from ``c_1 = a^T G``;
+after each chunk below ``MAX_CHUNK`` the rows and the power double,
+``c[m:2m] = c[:m] G^m`` and ``G^2m = G^m G^m``, so the chunks are steps
+1 | 2-3 | 4-7 | ... | 256-511, and every later chunk has ``MAX_CHUNK``
+steps.  Most points cross in the short early chunks and leave the walk.
+Every point gets the same schedule, and every step is elementwise per
+point, so a point's lifetime does not depend on which other points share
+the call.  The systematic branch of ``survival_curve`` doubles the same
+rows up to ``MAX_CHUNK`` to emit the whole curve ``S(0..N)``.
 
 Random errors ``delta_phi_i = g_i e`` about a fixed axis ``e`` change the map
 every cycle, but only by a turn about ``e``.  Their kernel works in the frame
@@ -78,10 +81,7 @@ __all__ = [
     "tolerance_time",
 ]
 
-# Single steps before the chunked phase.  Most scan points cross within them,
-# and their lifetimes do not depend on the chunk arithmetic.
-DENSE_STEPS = 64
-# Chunk length K (a power of two) of every point's coefficient rows.
+# Chunk length K (a power of two) that the doubling chunks grow to.
 MAX_CHUNK = 256
 
 
@@ -273,24 +273,14 @@ def _fixed_axis_survivals(alpha_vec, axis: np.ndarray, angles: np.ndarray) -> np
     return survivals
 
 
-def _chunk_rows(maps: np.ndarray, axes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``a^T G^j`` for ``j = 1..k`` (shape ``(P, k, 3)``) and ``G^k``.
+def _double(rows: np.ndarray, power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``a^T G^j`` for ``j = 1..2m`` and ``G^2m`` from those for ``1..m`` and ``G^m``.
 
-    Built by doubling, ``rows[m:2m] = rows[:m] G^m`` with ``G^m`` squared in
-    turn, so ``k`` must be a power of two.  The powers are squared in
-    extended precision where the platform has it: ``G^k`` is applied once
-    per chunk, so its rounding error would otherwise grow coherently along
-    the curve.
+    ``rows`` has shape ``(P, m, 3)``.  The power is squared in extended
+    precision where the platform has it: it moves the state once per chunk,
+    so its rounding error would otherwise grow coherently along the curve.
     """
-    rows = np.empty((maps.shape[0], k, 3))
-    rows[:, 0] = np.einsum("pi,pij->pj", axes, maps)
-    power = maps.astype(np.longdouble)
-    m = 1
-    while m < k:
-        np.matmul(rows[:, :m], power.astype(float), out=rows[:, m : 2 * m])
-        power = power @ power
-        m *= 2
-    return rows, power.astype(float)
+    return np.concatenate((rows, rows @ power.astype(float)), axis=1), power @ power
 
 
 def first_crossing(maps, axes, horizon) -> np.ndarray:
@@ -301,61 +291,53 @@ def first_crossing(maps, axes, horizon) -> np.ndarray:
     or one integer per point.  Points that do not cross within their horizon
     get ``inf``.
 
-    The first ``DENSE_STEPS`` steps apply each map once per step; later steps
-    are evaluated ``K = MAX_CHUNK`` at a time from the rows ``a^T G^k`` (see
-    the module docstring), which reorders the floating-point operations: a
-    point whose ``S(N)`` lies within rounding error of ``1/e`` can move by
-    one step against a step-by-step loop.  ``K`` is the same for every
-    point, so each lifetime depends only on its own map, axis and horizon,
-    not on the batch it shares a call with.
+    Steps are evaluated a chunk of ``k`` at a time from the rows ``a^T G^j``
+    (see the module docstring), with ``k = 1, 2, 4, ...`` doubling up to
+    ``MAX_CHUNK`` and fixed after that, so the chunks are steps 1 | 2-3 |
+    4-7 | ... | 256-511 | 512-767 | ...  This orders the floating-point
+    operations differently from a step-by-step loop: a point whose ``S(N)``
+    lies within rounding error of ``1/e`` can move by one step against it.
+    Every point gets the same schedule, so each lifetime depends only on its
+    own map, axis and horizon, not on the batch it shares a call with.
     """
     maps = np.asarray(maps, dtype=float)
     axes = np.asarray(axes, dtype=float)
     horizon = np.broadcast_to(np.asarray(horizon, dtype=np.int64), axes.shape[:1])
     threshold = 1.0 / math.e
     lifetimes = np.full(axes.shape[0], math.inf)
-    index = np.arange(axes.shape[0])
-    states = axes
-    step = 0
     keep = horizon >= 1
-    while True:
-        # points leave when they cross or reach their horizon
-        if not keep.all():
-            index, states, maps, axes, horizon = (
-                a[keep] for a in (index, states, maps, axes, horizon)
-            )
-        if index.size == 0 or step == DENSE_STEPS:
-            break
-        step += 1
-        states = np.einsum("pij,pj->pi", maps, states)
-        crossed = np.einsum("pi,pi->p", axes, states) <= threshold
-        lifetimes[index[crossed]] = step
-        keep = ~crossed & (horizon > step)
-
-    k = MAX_CHUNK
-    rows, power = _chunk_rows(maps, axes, k)
+    index, states, horizon, maps = (a[keep] for a in (np.arange(keep.size), axes, horizon, maps))
+    rows, power = np.einsum("pi,pij->pj", states, maps)[:, None], maps.astype(np.longdouble)
+    step, k = 0, 1
     while index.size:
         # S(step + 1 .. step + k), masked beyond each point's horizon
         below = np.einsum("pkj,pj->pk", rows, states) <= threshold
         if step + k > horizon.min():
             below &= np.arange(1, k + 1) <= horizon[:, None] - step
         crossed = below.any(axis=1)
-        states = np.einsum("pij,pj->pi", power, states)
+        states = np.einsum("pij,pj->pi", power.astype(float), states)
         keep = ~crossed & (horizon > step + k)
         if not keep.all():
+            # points leave when they cross or reach their horizon
             lifetimes[index[crossed]] = step + 1 + below[crossed].argmax(axis=1)
             index, states, horizon, rows, power = (
                 a[keep] for a in (index, states, horizon, rows, power)
             )
         step += k
+        if k < MAX_CHUNK:
+            rows, power = _double(rows, power)
+            k *= 2
     return lifetimes
 
 
 def _survival_values(step_map: np.ndarray, axis: np.ndarray, n_max: int) -> np.ndarray:
     """``S(0..n_max) = a . G^N a`` for one fixed map, ``K`` values per product."""
     k = MAX_CHUNK
-    rows, power = _chunk_rows(step_map[None], axis[None], k)
-    rows, power = rows[0], power[0]
+    rows = np.einsum("pi,pij->pj", axis[None], step_map[None])[:, None]
+    power = step_map[None].astype(np.longdouble)
+    while rows.shape[1] < k:
+        rows, power = _double(rows, power)
+    rows, power = rows[0], power[0].astype(float)
     values = np.empty(n_max + 1)
     values[0] = 1.0
     state = axis

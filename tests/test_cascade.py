@@ -186,6 +186,20 @@ def test_report_mean_consistency():
     assert report.strength_dn == pytest.approx(math.sqrt(60) * binary_stats(s).strength_d)
 
 
+@pytest.mark.parametrize("alpha, phi, n", [(0.3, 1.2, 50), (0.3, 1.2, 51), (0.1, 1.4, 1000)])
+def test_negating_phi_swaps_the_two_laws(alpha, phi, n):
+    # at -phi the + law sits below the - law, so the fidelities read the
+    # opposite tails and trade places
+    reports = []
+    for sign in (1, -1):
+        s = setting(alpha, sign * phi)
+        dist = exact_distribution(s, n)
+        reports.append(readout_fidelity(dist, optimal_threshold(dist), binary_stats(s).strength_d))
+    pos, neg = reports
+    assert neg.f_plus == pos.f_minus and neg.f_minus == pos.f_plus
+    assert neg.f_bar == pos.f_bar and neg.u_threshold == pos.u_threshold
+
+
 # ------------------------------------------------------------ critical n
 
 

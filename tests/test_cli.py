@@ -238,6 +238,13 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv):
         ({"scan": {"n_tr": 1}}, "n_tr must be >= 2"),
         ({"phi": 1.0}, "'phi'"),
         ({"p_plus": [0.9], "p_minus": 0.9}, "invalid readout model"),
+        ({"preset": ["P1"]}, "unknown preset ['P1']"),
+        ({"preset": {"a": 1}}, "unknown preset {'a': 1}"),
+        ({"preset": "P9"}, "unknown preset 'P9'"),
+        ({"A_MHz": 1.0}, "A_MHz must be a 3-vector"),
+        ({"A_MHz": None}, "A_MHz must be a 3-vector"),
+        ({"A_MHz": [0.2, 0.3]}, "A_MHz must be a 3-vector"),
+        ({"scan": {"n_typo": 3}}, "unknown scan keys: ['n_typo']"),
     ],
     ids=[
         "min nan",
@@ -256,6 +263,13 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv):
         "n_tr one",
         "phi key",
         "p_plus a list",
+        "preset a list",
+        "preset an object",
+        "preset unknown",
+        "A_MHz a number",
+        "A_MHz null",
+        "A_MHz two entries",
+        "unknown scan key",
     ],
 )
 def test_nv_scan_bad_tau_span_is_config_error(tmp_path, capsys, cfg, message):
@@ -270,6 +284,44 @@ def test_nv_scan_bad_tau_span_is_config_error(tmp_path, capsys, cfg, message):
 
 
 @pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({"preset": ["P1"]}, "unknown preset ['P1']"),
+        ({"preset": {"a": 1}}, "unknown preset {'a': 1}"),
+        ({"preset": "P2", "A_MHz": 1.0}, "A_MHz must be a 3-vector"),
+        ({"preset": "P2", "A_MHz": None}, "A_MHz must be a 3-vector"),
+        ({"preset": "P2", "tau_ns": "abc"}, "invalid sequence duration"),
+        ({"preset": "P2", "t_DD_ns": [1]}, "invalid sequence duration"),
+        ([1, 2], "config must be a JSON object"),
+        ({"preset": "P2", "scan": 3}, "'scan' must be an object"),
+        ({"B_gauss": 500.0}, "need either 'preset' or both 'B_gauss' and 'N_DD'"),
+        ({"B_gauss": 500.0, "N_DD": 8, "A_MHz": [1, 2, 3, 4]}, "A_MHz must be a 3-vector"),
+        ({"preset": "P2", "tau_ns": 1000.0, "t_DD_ns": 8000.0}, "give only one of 'tau_ns' and 't_DD_ns'"),
+    ],
+    ids=[
+        "preset a list",
+        "preset an object",
+        "A_MHz a number",
+        "A_MHz null",
+        "tau_ns a string",
+        "t_DD_ns a list",
+        "not an object",
+        "scan not an object",
+        "no preset, no N_DD",
+        "A_MHz four entries",
+        "tau_ns and t_DD_ns",
+    ],
+)
+def test_qnd_solve_bad_config_is_config_error(tmp_path, capsys, cfg, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["qnd-solve", "--config", str(path), "--out", str(tmp_path / "q")]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
+    assert os.listdir(tmp_path) == ["run.json"]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["stability", "--alpha-vec", "0,0,0.5", "--error", "random", "--delta-phi", "-0.1", "--seed", "1"],
@@ -280,6 +332,7 @@ def test_nv_scan_bad_tau_span_is_config_error(tmp_path, capsys, cfg, message):
          "--error-axis", "1e-170,0,0"],
         ["stability", "--alpha-vec", "0,0,0.5", "--delta-phi", "0.1", "--error-axis", "1e-170,0,0"],
         ["stability", "--alpha-vec", "0,0,0", "--delta-phi", "0.1"],
+        ["stability", "--alpha-vec", "0,0,0.5", "--error", "random", "--delta-phi", "0.1"],
         ["stability", "--alpha-vec", "7,0,0", "--delta-phi", "0.1"],
         ["trajectories", "--n", "5", "--alpha", "0.1", "--seed", "-1"],
         ["trajectories", "--n", "5", "--alpha", "0.1", "--p-plus", "0.9", "--p-minus", "0.9"],

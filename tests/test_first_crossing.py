@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qndspin.rotations import rotor_exp, so3_from_rotor
 from qndspin.stability import (
-    DENSE_STEPS,
     MAX_CHUNK,
     RotationErrorModel,
     dephasing_map,
@@ -96,9 +95,7 @@ def test_kernel_equals_naive_loop_on_random_contractive_maps(points):
     st.lists(point, max_size=6),
     # late crossings, some within rounding of 1/e, with their own horizons
     st.lists(
-        st.tuples(
-            st.integers(DENSE_STEPS + 2 * MAX_CHUNK + 1, 3000), st.booleans(), st.integers(0, 4000)
-        ),
+        st.tuples(st.integers(2 * MAX_CHUNK + 1, 3000), st.booleans(), st.integers(0, 4000)),
         min_size=1,
         max_size=12,
     ),
@@ -115,9 +112,9 @@ def test_batch_equals_per_point_calls(points, late):
 
 
 def test_razor_crossings_do_not_depend_on_the_batch():
-    # 343 points whose S(n) sits on 1/e: with a chunk length that depended on
+    # 356 points whose S(n) sits on 1/e: with a chunk length that depended on
     # the batch size, several of them moved by one step
-    targets = np.arange(DENSE_STEPS + 2 * MAX_CHUNK + 24, 3000, 7)
+    targets = np.arange(2 * MAX_CHUNK + 1, 3000, 7)
     maps = np.array([razor_at(n) for n in targets])
     axes = np.tile(EZ, (targets.size, 1))
     horizons = np.full(targets.size, 4000)
@@ -127,10 +124,10 @@ def test_razor_crossings_do_not_depend_on_the_batch():
 
 
 def test_crossings_on_the_phase_and_chunk_boundaries():
-    # four points outlive the dense phase and share chunks of length k
+    # the first and last step of chunks 1 | 2-3 | 4-7 | ... | 256-511 while
+    # the chunk length doubles, then of the fixed chunks of length k
     k = MAX_CHUNK
-    targets = [1, 2, DENSE_STEPS - 1, DENSE_STEPS, DENSE_STEPS + 1]
-    targets += [DENSE_STEPS + k, DENSE_STEPS + k + 1, DENSE_STEPS + 3 * k + 7]
+    targets = [1, 2, 3, 4, 7, 8, k - 1, k, 2 * k - 1, 2 * k, 3 * k - 1, 3 * k, 5 * k + 7]
     maps = np.array([crossing_at(n) for n in targets])
     axes = np.tile(EZ, (len(targets), 1))
     horizon = 10 * k
