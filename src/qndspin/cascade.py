@@ -7,9 +7,11 @@ nuclear eigenstate ``|+-alpha>`` the counts are binomial, so
 
     P(u_bar | a) = C(n, N_plus) P(+|a)^N_plus P(-|a)^N_minus,
 
-evaluated through log-gamma so that ``n`` up to 1e6 stays finite.  For large
-``n`` the law is Gaussian with the single-shot mean and a fluctuation shrunk
-by ``sqrt(n)``, hence the combined strength grows as ``sqrt(n) D``.
+evaluated through log-gamma so that ``n`` up to 1e6 stays finite.  One
+log-gamma array ``g_k = log k!`` per ``n`` gives ``log C(n, k) = log n! -
+g_k - g_(n-k)``, and both conditional laws share it.  For large ``n`` the
+law is Gaussian with the single-shot mean and a fluctuation shrunk by
+``sqrt(n)``, hence the combined strength grows as ``sqrt(n) D``.
 
 State discrimination thresholds ``u_bar`` at the crossing of the two
 conditional laws; the average fidelity then follows the universal error
@@ -21,9 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import erf, gammaln, xlogy
 
 from .measurement import MeasurementSetting, binary_stats, outcome_prob
 
@@ -44,37 +46,55 @@ DN_THRESHOLD = math.sqrt(2.0)
 FBAR_THRESHOLD = 0.92
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @dataclass
 class OutcomeDistribution:
-    """Conditional laws of ``u_bar`` for the two nuclear eigenstates."""
+    """Conditional laws of ``u_bar`` for the two nuclear eigenstates.
+
+    The laws are stored read-only, so the cached grid and moments stay
+    valid; a writable input array is copied first.
+    """
 
     n: int
     probs_plus: np.ndarray
     probs_minus: np.ndarray
 
     def __post_init__(self):
-        self.probs_plus = np.asarray(self.probs_plus, dtype=float)
-        self.probs_minus = np.asarray(self.probs_minus, dtype=float)
-        for name, probs in (("probs_plus", self.probs_plus), ("probs_minus", self.probs_minus)):
+        for name in ("probs_plus", "probs_minus"):
+            probs = np.asarray(getattr(self, name), dtype=float)
             if probs.shape != (self.n + 1,):
                 raise ValueError(f"{name} must have length n + 1")
+            if not np.isfinite(probs).all():
+                raise ValueError(f"{name} has non-finite entries")
             if np.any(probs < 0.0):
                 raise ValueError(f"{name} has negative entries")
             if abs(float(probs.sum()) - 1.0) > 1e-10:
                 raise ValueError(f"{name} does not sum to 1")
+            if probs.flags.writeable or not probs.flags.owndata:
+                probs = _read_only(probs.copy())
+            setattr(self, name, probs)
 
-    @property
+    @cached_property
     def u_grid(self) -> np.ndarray:
         """Outcome values ``(2k - n) / n`` for ``k = 0 .. n``."""
-        return (2.0 * np.arange(self.n + 1) - self.n) / self.n
+        return _read_only((2.0 * np.arange(self.n + 1) - self.n) / self.n)
+
+    @cached_property
+    def _moments(self) -> dict[int, tuple[float, float]]:
+        grid, moments = self.u_grid, {}
+        for branch, probs in ((1, self.probs_plus), (-1, self.probs_minus)):
+            mean = float(probs @ grid)
+            var = float(probs @ (grid - mean) ** 2)
+            moments[branch] = mean, math.sqrt(max(var, 0.0))
+        return moments
 
     def moments(self, branch: int) -> tuple[float, float]:
         """Mean and standard deviation of ``u_bar`` for branch ``+-1``."""
-        probs = self.probs_plus if branch == 1 else self.probs_minus
-        grid = self.u_grid
-        mean = float(probs @ grid)
-        var = float(probs @ (grid - mean) ** 2)
-        return mean, math.sqrt(max(var, 0.0))
+        return self._moments[1 if branch == 1 else -1]
 
 
 @dataclass(frozen=True)
@@ -89,28 +109,30 @@ class FidelityReport:
     n_critical: int | float
 
 
-def _binomial_law(n: int, p: float) -> np.ndarray:
-    k = np.arange(n + 1)
-    log_probs = (
-        gammaln(n + 1.0)
-        - gammaln(k + 1.0)
-        - gammaln(n - k + 1.0)
-        + xlogy(k, p)
-        + xlogy(n - k, 1.0 - p)
-    )
-    probs = np.exp(log_probs)
-    return probs / probs.sum()
-
-
 def exact_distribution(setting: MeasurementSetting, n: int) -> OutcomeDistribution:
-    """Binomial conditional laws of ``u_bar`` after ``n`` binary measurements."""
+    """Binomial conditional laws of ``u_bar`` after ``n`` binary measurements.
+
+    Each law is ``exp(log C(n, k) + k log p + (n - k) log(1 - p))``,
+    normalized, with ``p = P(+|a)``; ``gammaln(n - k + 1)`` is the reversed
+    ``gammaln(k + 1)`` array, so one log-gamma array serves both branches.
+    """
+    from scipy.special import gammaln, xlogy
+
     if n < 1:
         raise ValueError("n must be >= 1")
-    return OutcomeDistribution(
-        n,
-        _binomial_law(n, outcome_prob(setting, 1, 1)),
-        _binomial_law(n, outcome_prob(setting, -1, 1)),
-    )
+    k = np.arange(n + 1)
+    g = gammaln(k + 1.0)
+    log_c = gammaln(n + 1.0) - g - g[::-1]
+    del g
+    laws = []
+    for p in (outcome_prob(setting, 1, 1), outcome_prob(setting, -1, 1)):
+        law = log_c if laws else log_c.copy()  # the last law is built in log_c
+        law += xlogy(k, p)
+        law += xlogy(k[::-1], 1.0 - p)
+        np.exp(law, out=law)
+        law /= law.sum()
+        laws.append(_read_only(law))
+    return OutcomeDistribution(n, *laws)
 
 
 def _gaussian_law(n: int, mean: float, sigma: float) -> np.ndarray:
@@ -118,10 +140,10 @@ def _gaussian_law(n: int, mean: float, sigma: float) -> np.ndarray:
     if sigma == 0.0:
         probs = np.zeros(n + 1)
         probs[int(np.argmin(np.abs(grid - mean)))] = 1.0
-        return probs
+        return _read_only(probs)
     scaled = sigma / math.sqrt(n)
     probs = np.exp(-((grid - mean) ** 2) / (2.0 * scaled**2))
-    return probs / probs.sum()
+    return _read_only(probs / probs.sum())
 
 
 def gaussian_distribution(setting: MeasurementSetting, n: int) -> OutcomeDistribution:
@@ -208,21 +230,27 @@ def readout_fidelity(
     universal curve ``1/2 + erf(sqrt(n) D / sqrt(2)) / 2`` reported for
     comparison, never substituted for the tail sums.
     """
+    from scipy.special import erf
+
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be nan")
     grid = dist.u_grid
-    at = np.isclose(grid, threshold, rtol=0.0, atol=1e-12)
-    above = (grid > threshold) & ~at
-    below = (grid < threshold) & ~at
-    weights_above = above.astype(float) + 0.5 * at
-    weights_below = below.astype(float) + 0.5 * at
+    # tail weights 0, 1/2 or 1: above the threshold, then below it in place
+    weights = np.subtract(grid, threshold, out=np.empty(grid.size))
+    at = np.abs(weights, out=weights) <= 1e-12
+    np.greater(grid, threshold, out=weights)
+    weights[at] = 0.5
 
     mean_plus, _ = dist.moments(1)
     mean_minus, _ = dist.moments(-1)
     if mean_plus >= mean_minus:
-        f_plus = float(dist.probs_plus @ weights_above)
-        f_minus = float(dist.probs_minus @ weights_below)
+        f_plus = float(dist.probs_plus @ weights)
+        np.subtract(1.0, weights, out=weights)
+        f_minus = float(dist.probs_minus @ weights)
     else:
-        f_plus = float(dist.probs_plus @ weights_below)
-        f_minus = float(dist.probs_minus @ weights_above)
+        f_minus = float(dist.probs_minus @ weights)
+        np.subtract(1.0, weights, out=weights)
+        f_plus = float(dist.probs_plus @ weights)
 
     strength_dn = math.sqrt(dist.n) * strength_d
     f_erf = 0.5 + 0.5 * float(erf(strength_dn / math.sqrt(2.0)))

@@ -236,10 +236,13 @@ def _cmd_distribution(args) -> None:
     setting = _setting(_inputs(args))
     paths = _outputs(args)
     law = gaussian_distribution if args.law == "gaussian" else exact_distribution
+    started = time.perf_counter()
     dist = law(setting, args.n)
+    diagnostics = {"law_s": time.perf_counter() - started}
     params = dict(_setting_params(setting), n=args.n, law=args.law)
     header = ["u_bar", "p_plus_alpha", "p_minus_alpha"]
-    _emit(args, paths, params, [(header, zip(dist.u_grid, dist.probs_plus, dist.probs_minus))])
+    table = (header, zip(dist.u_grid, dist.probs_plus, dist.probs_minus))
+    _emit(args, paths, params, [table], diagnostics)
     print(f"wrote {paths[0]} ({args.n + 1} outcomes, law={args.law})")
 
 
@@ -251,9 +254,12 @@ def _cmd_fidelity(args) -> None:
     except ValueError as exc:
         raise ConfigError(f"invalid measurement setting: {exc}") from exc
     paths = _outputs(args)
+    started = time.perf_counter()
     dist = exact_distribution(setting, args.n)
+    law_s, started = time.perf_counter() - started, time.perf_counter()
     threshold = optimal_threshold(dist, mode=args.threshold_mode)
     report = readout_fidelity(dist, threshold, strength_d)
+    diagnostics = {"law_s": law_s, "threshold_s": time.perf_counter() - started}
     print(
         f"n={args.n}  D={strength_d:.6g}  "
         f"u_th={threshold:.6g}  F_bar={report.f_bar:.4f}  (erf: {report.f_erf:.4f})"
@@ -270,7 +276,7 @@ def _cmd_fidelity(args) -> None:
     )
     params = dict(_setting_params(setting), n=args.n, threshold_mode=args.threshold_mode)
     header = ["n", "D", "DN", "u_th", "F_plus", "F_minus", "F_bar", "F_erf"]
-    _emit(args, paths, params, [(header, [row])])
+    _emit(args, paths, params, [(header, [row])], diagnostics)
 
 
 def _cmd_qnd_solve(args) -> None:

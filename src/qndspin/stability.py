@@ -53,7 +53,10 @@ per-row arithmetic is elementwise, so a row's bits do not depend on how many
 rows share the call: ``survival_ensemble`` runs every seed as one row, and
 the random branch of ``survival_curve`` is a one-row call, so a curve drawn
 from ``SeedSequence(m).spawn(n)[i]`` is row ``i`` of the ensemble bit for
-bit.  Only explicit error lists are still iterated one 3x3 step at a time.
+bit.  The kernel hands out ``S(N)`` one 64-cycle slice at a time, and
+``survival_ensemble`` reduces each slice over the seeds as it comes, so the
+full survival matrix is never held.  Only explicit error lists are still
+iterated one 3x3 step at a time.
 """
 
 from __future__ import annotations
@@ -167,7 +170,7 @@ def survival_curve(alpha_vec, error: RotationErrorModel, n_max: int) -> Survival
     alpha_vec = np.asarray(alpha_vec, dtype=float)
     if error.kind == "random":
         angles = np.random.default_rng(error.seed).normal(0.0, error.std, size=(1, n_max))
-        values = _fixed_axis_survivals(alpha_vec, error.axis, angles)[:, 0]
+        values = np.concatenate(list(_fixed_axis_survivals(alpha_vec, error.axis, angles)))[:, 0]
         return SurvivalCurve(values, lifetime(values))
     alpha_hat = _measurement_axis(alpha_vec)
     deph = dephasing_map(alpha_vec)
@@ -203,8 +206,9 @@ def survival_ensemble(
     ``(i,)``, so its stream comes from ``trajectory._child_generators``
     (batched seed-sequence hashes and one re-seeded ``PCG64``) with no
     ``SeedSequence`` object per instance; the contract is unchanged.
-    The ``(n_seeds, n_max)`` angle matrix is freed before the reduction over
-    the ``(n_max + 1, n_seeds)`` survivals.
+    Each slice of the kernel's survivals is reduced as it comes, row by row
+    as one whole-matrix reduction would, so the ``(n_max + 1, n_seeds)``
+    matrix is never built and only the ``(n_seeds, n_max)`` angles are.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -216,10 +220,13 @@ def survival_ensemble(
     angles = np.empty((n_seeds, n_max))
     for i, gen in enumerate(_child_generators(master_seed, 0, n_seeds)):
         angles[i] = gen.normal(0.0, std, n_max)
-    survivals = _fixed_axis_survivals(alpha_vec, axis, angles)
-    del angles
-    mean = survivals.mean(axis=1)
-    stderr = survivals.std(axis=1, ddof=1) / math.sqrt(n_seeds)
+    mean, stderr = np.empty(n_max + 1), np.empty(n_max + 1)
+    first = 0
+    for block in _fixed_axis_survivals(alpha_vec, axis, angles):
+        stop = first + len(block)
+        mean[first:stop] = block.mean(axis=1)
+        stderr[first:stop] = block.std(axis=1, ddof=1) / math.sqrt(n_seeds)
+        first = stop
     return mean, stderr
 
 
@@ -230,15 +237,17 @@ def _measurement_axis(alpha_vec: np.ndarray) -> np.ndarray:
     return np.where(mag > 0.0, alpha_vec / np.where(mag > 0.0, mag, 1.0), [0.0, 0.0, 1.0])
 
 
-def _fixed_axis_survivals(alpha_vec, axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
+def _fixed_axis_survivals(alpha_vec, axis: np.ndarray, angles: np.ndarray):
     """The fixed-axis random-error kernel: one row per error sequence.
 
     ``axis`` is the unit error axis and row ``i`` of ``angles`` holds
-    sequence ``i``'s angles in cycle order.  Returns ``S(0..n_max)`` with
-    shape ``(n_max + 1, rows)``.  The cos and sin of 64 cycles at a time are
-    taken from a transposed scratch copy of the angles, so each cycle reads
-    contiguous rows; the work arrays are allocated once and updated in
-    place, with no matrix product (module docstring).
+    sequence ``i``'s angles in cycle order.  Yields ``S(0..n_max)`` in
+    blocks of shape ``(width, rows)``: ``S(0)`` alone, then one block per
+    slice of 64 cycles, so concatenating them gives the ``(n_max + 1, rows)``
+    matrix.  The cos and sin of a slice are taken from a transposed scratch
+    copy of its angles, so each cycle reads contiguous rows; the work arrays
+    are allocated once and updated in place, with no matrix product (module
+    docstring).
     """
     alpha_vec = np.asarray(alpha_vec, dtype=float)
     frame = _axis_frame(axis)
@@ -247,8 +256,7 @@ def _fixed_axis_survivals(alpha_vec, axis: np.ndarray, angles: np.ndarray) -> np
     terms, (readout,) = _frame_terms(deph), _frame_terms(start[None])
 
     rows, n_max = angles.shape
-    survivals = np.empty((n_max + 1, rows))
-    survivals[0] = 1.0
+    yield np.ones((1, rows))
     x, y, z, nx, ny, nz, tmp = np.empty((7, rows))
     for coord, value in zip((x, y, z), start):
         coord.fill(value)
@@ -259,7 +267,8 @@ def _fixed_axis_survivals(alpha_vec, axis: np.ndarray, angles: np.ndarray) -> np
         np.copyto(theta, angles[:, first : first + width].T)
         np.cos(theta, out=cos)
         np.sin(theta, out=sin)
-        for c, s, out in zip(cos, sin, survivals[first + 1 : first + 1 + width]):
+        block = np.empty((width, rows))
+        for c, s, out in zip(cos, sin, block):
             for dst, row_terms in zip((nx, ny, nz), terms):
                 _combine(dst, row_terms, (x, y, z), tmp)
             np.multiply(c, nx, out=x)
@@ -270,7 +279,7 @@ def _fixed_axis_survivals(alpha_vec, axis: np.ndarray, angles: np.ndarray) -> np
             np.add(y, tmp, out=y)
             z, nz = nz, z
             _combine(out, readout, (x, y, z), tmp)
-    return survivals
+        yield block
 
 
 def _double(rows: np.ndarray, power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

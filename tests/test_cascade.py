@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, xlogy
 
 from qndspin.cascade import (
     DN_THRESHOLD,
@@ -14,6 +16,7 @@ from qndspin.cascade import (
     readout_fidelity,
 )
 from qndspin.measurement import MeasurementSetting, binary_stats, outcome_prob
+from qndspin.nv import room_temp_readout
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -102,6 +105,73 @@ def test_distribution_validation():
         OutcomeDistribution(1, np.array([0.5, 0.5, 0.0]), np.array([0.5, 0.5, 0.0]))
 
 
+def test_distribution_refuses_non_finite_entries():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            OutcomeDistribution(1, [bad, 1.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="non-finite"):
+            OutcomeDistribution(1, [0.5, 0.5], [1.0, bad])
+
+
+def test_distribution_arrays_are_read_only_copies():
+    given = np.array([0.25, 0.75])
+    dist = OutcomeDistribution(1, given, np.array([0.75, 0.25]))
+    assert given.flags.writeable  # the caller's array is neither frozen nor shared
+    mean = dist.moments(1)[0]
+    for stored in (dist.probs_plus, dist.probs_minus, dist.u_grid):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 0.5
+    given[:] = [0.75, 0.25]
+    assert dist.moments(1)[0] == mean == 0.5
+    law = exact_distribution(setting(0.1, 1.4), 30)
+    assert not law.probs_plus.flags.writeable and not law.probs_minus.flags.writeable
+
+
+def direct_binomial_law(n, p):
+    """The law as four log-gamma arrays and two xlogy terms, summed left to right."""
+    k = np.arange(n + 1)
+    log_probs = (
+        gammaln(n + 1.0)
+        - gammaln(k + 1.0)
+        - gammaln(n - k + 1.0)
+        + xlogy(k, p)
+        + xlogy(n - k, 1.0 - p)
+    )
+    probs = np.exp(log_probs)
+    return probs / probs.sum()
+
+
+@pytest.mark.parametrize("n", [1, 2, 999, 1000, 1_000_000])
+@pytest.mark.parametrize(
+    "s",
+    [
+        setting(0.1, math.pi / 2),
+        MeasurementSetting(0.1 * EZ, 1.1, room_temp_readout(0.1, 0.07)),
+        setting(math.pi / 2, math.pi / 2),  # projective: P(+|a) is 1 and 0
+    ],
+    ids=["weak", "room-temperature", "projective"],
+)
+def test_exact_distribution_equals_the_direct_formula_bit_for_bit(s, n):
+    dist = exact_distribution(s, n)
+    for probs, branch in ((dist.probs_plus, 1), (dist.probs_minus, -1)):
+        np.testing.assert_array_equal(probs, direct_binomial_law(n, outcome_prob(s, branch, 1)))
+
+
+def test_readout_at_large_n_holds_few_law_sized_arrays():
+    # four log-gamma arrays per call held ~7.4 law-sized (8 (n + 1) byte) arrays at once
+    s = MeasurementSetting(0.1 * EZ, math.pi / 2, room_temp_readout(0.1, 0.07))
+    strength, n = binary_stats(s).strength_d, 1_000_000
+    readout_fidelity(exact_distribution(s, 2), 0.0, strength)  # imports outside the trace
+    tracemalloc.start()
+    try:
+        dist = exact_distribution(s, n)
+        readout_fidelity(dist, optimal_threshold(dist), strength)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 8 * (n + 1)
+
+
 # ------------------------------------------------------------ threshold
 
 
@@ -152,6 +222,13 @@ def test_fidelity_perfectly_distinguishable():
     report = readout_fidelity(dist, optimal_threshold(dist), math.inf)
     assert report.f_bar == pytest.approx(1.0)
     assert report.n_critical == 1
+
+
+def test_fidelity_refuses_a_nan_threshold():
+    s = setting(0.1, math.pi / 2)
+    dist = exact_distribution(s, 20)
+    with pytest.raises(ValueError, match="threshold"):
+        readout_fidelity(dist, math.nan, binary_stats(s).strength_d)
 
 
 def test_universal_curve_agreement():

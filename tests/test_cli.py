@@ -46,6 +46,19 @@ def test_fidelity_anchor(tmp_path):
     assert float(rows[0][6]) == pytest.approx(0.92, abs=0.01)
 
 
+def test_readout_manifests_time_their_stages(tmp_path):
+    common = ["--alpha", "0.1", "--phi", "1.4", "--n", "50"]
+    for command, stages in (
+        ("distribution", {"law_s", "write_s"}),
+        ("fidelity", {"law_s", "threshold_s", "write_s"}),
+    ):
+        out = str(tmp_path / command)
+        assert main([command, *common, "--out", out]) == 0
+        timings = json.load(open(out + ".manifest.json"))["diagnostics"]
+        assert set(timings) == stages
+        assert all(seconds >= 0.0 for seconds in timings.values())
+
+
 def test_distribution_normalized(tmp_path):
     out = str(tmp_path / "dist")
     assert main(["distribution", "--alpha", "0.1", "--phi", "1.4", "--n", "50", "--out", out]) == 0
@@ -668,6 +681,17 @@ def test_python_dash_m_entry_point():
     )
     assert done.returncode == 0, done.stderr
     assert "stability" in done.stdout
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    src = os.path.dirname(os.path.dirname(qndspin.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, qndspin.cli, qndspin.nv; print('scipy.special' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_output_collision_refused(tmp_path):

@@ -4,6 +4,7 @@ against one call per point."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -162,6 +163,21 @@ def test_points_that_never_cross():
     result = first_crossing(maps, axes, horizons)
     np.testing.assert_array_equal(result, naive_first_crossing(maps, axes, horizons))
     assert math.isinf(result[0]) and result[1] == 500 and math.isinf(result[2])
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(float).eps,
+    reason="the platform's long double is float64",
+)
+def test_extended_precision_squaring_keeps_a_late_razor_crossing():
+    # S(N) = sin^2(t) 0.9999985^N + cos^2(t) 0.9999987^N.  A 50-digit oracle
+    # gives S(717948) - 1/e = +5.1e-7 and S(717949) - 1/e = -3.9e-13, so the
+    # crossing is 717949.  Squaring the chunk powers in float64 instead lets
+    # their rounding drift over ~2800 chunks and reports 717950.
+    theta = 0.7675524999680687
+    maps = np.diag([0.9999985, 0.5, 0.9999987])[None]
+    axes = np.array([[math.sin(theta), 0.0, math.cos(theta)]])
+    assert first_crossing(maps, axes, 2_000_000)[0] == 717_949
 
 
 def test_many_points_agree_with_the_naive_loop():

@@ -244,7 +244,7 @@ def test_survival_ensemble_equals_spawned_rows():
     axis, std, n_max, n_seeds, master = _unit([0.6, 0.2, -0.7]), 0.05, 100, 40, 2**64 + 9
     children = np.random.SeedSequence(master).spawn(n_seeds)
     angles = np.array([np.random.default_rng(seq).normal(0.0, std, n_max) for seq in children])
-    rows = _fixed_axis_survivals(alpha_vec, axis, angles)
+    rows = np.concatenate(list(_fixed_axis_survivals(alpha_vec, axis, angles)))
     mean, stderr = survival_ensemble(alpha_vec, std, axis, n_max, n_seeds, master)
     np.testing.assert_array_equal(mean, rows.mean(axis=1))
     np.testing.assert_array_equal(stderr, rows.std(axis=1, ddof=1) / math.sqrt(n_seeds))
