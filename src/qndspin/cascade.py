@@ -200,24 +200,16 @@ def optimal_threshold(dist: OutcomeDistribution, mode: str = "exact") -> float:
         return float(grid[inside[0]])
     if inside.size == 0:
         return snap(midpoint)
-    diff = dist.probs_plus[inside] - dist.probs_minus[inside]
-    candidates = []
-    for j in range(inside.size - 1):
-        a, b = diff[j], diff[j + 1]
-        if a == 0.0:
-            candidates.append(float(grid[inside[j]]))
-        elif a * b < 0.0:
-            if abs(abs(a) - abs(b)) < 1e-15:
-                candidates.append(0.5 * float(grid[inside[j]] + grid[inside[j + 1]]))
-            elif abs(a) < abs(b):
-                candidates.append(float(grid[inside[j]]))
-            else:
-                candidates.append(float(grid[inside[j + 1]]))
-    if diff[-1] == 0.0:
-        candidates.append(float(grid[inside[-1]]))
-    if not candidates:
+    # per adjacent pair (a, b): a's point if a = 0, else the nearer point, the midpoint on a tie
+    diff, points = dist.probs_plus[inside] - dist.probs_minus[inside], grid[inside]
+    a, b, left, right = diff[:-1], diff[1:], points[:-1], points[1:]
+    nearer = np.where((a == 0.0) | (np.abs(a) < np.abs(b)), left, right)
+    tie = (a != 0.0) & (np.abs(np.abs(a) - np.abs(b)) < 1e-15)
+    nearer = np.where(tie, 0.5 * (left + right), nearer)
+    candidates = np.append(nearer[(a == 0.0) | (a * b < 0.0)], points[-1:][diff[-1:] == 0.0])
+    if candidates.size == 0:
         return snap(midpoint)
-    return min(candidates, key=lambda t: abs(t - midpoint))
+    return float(candidates[np.argmin(np.abs(candidates - midpoint))])
 
 
 def readout_fidelity(
@@ -273,6 +265,6 @@ def critical_n(strength_d: float) -> int:
     """
     if strength_d == 0.0:
         raise ValueError("no information per shot: D = 0")
-    if math.isinf(strength_d):
-        return 1
+    if not strength_d > 0.0:
+        raise ValueError(f"strength_d must be positive, got {strength_d}")
     return max(1, math.ceil(2.0 / strength_d**2))

@@ -5,9 +5,10 @@ the interface (seconds internally).  Each subcommand reads its inputs as
 config keys from ``_inputs`` (the ``--config`` file, each given flag laid
 over the key of its name), validates them, claims its paths with
 ``_outputs`` (refusing existing ones before any work), computes, and hands
-``(header, rows)`` tables to ``_emit``, the one writer: the CSVs, then a
-JSON manifest of the resolved inputs, seed, version, wall time and any
-diagnostics, from which a re-run reproduces the CSV bytes.
+``(header, columns)`` tables to ``_emit``, the one writer: the CSVs, then a
+JSON manifest of the resolved inputs, seed, version, wall time, diagnostics
+and the digest of the bytes as written.  Only the ``binary-stats`` and
+``qnd-solve`` manifests replay as a ``--config`` today (ROADMAP item 15).
 Exit codes: 0 success, 2 configuration error, 1 runtime error.
 """
 
@@ -62,6 +63,10 @@ from .stability import RotationErrorModel, analytic_survival, survival_curve
 from .trajectory import NuclearState, run_ensemble
 
 
+# rows formatted, written and hashed at a time; bounds the writer's memory
+_ROWS = 4096
+
+
 def _fmt(value) -> str:
     """One CSV cell: floats to 12 significant digits (``inf``, ``-inf``, ``nan`` kept)."""
     return f"{value:.12g}" if isinstance(value, float) else str(value)
@@ -90,22 +95,30 @@ def _outputs(args, *names: str) -> list[str]:
     return paths
 
 
-def _emit(args, paths: list[str], params: dict, tables, diagnostics: dict | None = None) -> None:
-    """Write each ``(header, rows)`` table to its path, then the manifest.
+def _csv_blocks(header, columns):
+    """The CSV text of ``header`` and equal-length ``columns``, ``_ROWS`` rows at a time."""
+    columns = [np.asarray(column) for column in columns]
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError(f"columns of unequal lengths under {header}")
+    yield ",".join(header) + "\n"
+    for start in range(0, len(columns[0]), _ROWS):
+        block = zip(*(column[start : start + _ROWS].tolist() for column in columns))
+        yield "".join(",".join(map(_fmt, row)) + "\n" for row in block)
 
-    The manifest's ``sha256`` maps each CSV path to the digest of its bytes.
+
+def _emit(args, paths: list[str], params: dict, tables, diagnostics: dict | None = None) -> None:
+    """Write each ``(header, columns)`` table to its path, then the manifest.
+
+    The manifest's ``sha256`` maps each CSV path to the digest of the bytes as written.
     ``diagnostics``, when given, gain ``write_s`` (CSV seconds); ``*_s`` keep 3 decimals.
     """
     written, digests = time.perf_counter(), {}
-    for path, (header, rows) in zip(paths, tables):
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(",".join(header) + "\n")
-            for row in rows:
-                handle.write(",".join(_fmt(v) for v in row) + "\n")
+    for path, (header, columns) in zip(paths, tables):
         digest = hashlib.sha256()
-        with open(path, "rb") as handle:
-            for chunk in iter(lambda: handle.read(1 << 16), b""):
-                digest.update(chunk)
+        with open(path, "wb") as handle:
+            for text in _csv_blocks(header, columns):
+                handle.write(data := text.encode())
+                digest.update(data)
         digests[path] = digest.hexdigest()
     manifest = {
         "subcommand": args.command,
@@ -208,14 +221,14 @@ def _nv_params(params) -> dict:
 
 def _cmd_table1(args) -> None:
     paths = _outputs(args)
-    rows = []
-    for name in [args.preset] if args.preset else sorted(PRESETS):
-        params = PRESETS[name]
-        t_r, t = params.larmor_period_wait * 1e9, params.larmor_period_dd * 1e9
-        rows.append((name, params.n_dd, params.b_gauss, t_r, t))
-        print(f"{name}: N_DD={params.n_dd} B={params.b_gauss:g} G  T_R={t_r:.0f} ns  T={t:.0f} ns")
+    names = [args.preset] if args.preset else sorted(PRESETS)
+    presets = [PRESETS[name] for name in names]
+    periods = [(p.larmor_period_wait * 1e9, p.larmor_period_dd * 1e9) for p in presets]
+    columns = [names, [p.n_dd for p in presets], [p.b_gauss for p in presets], *zip(*periods)]
+    for row in zip(*columns):
+        print("{}: N_DD={} B={:g} G  T_R={:.0f} ns  T={:.0f} ns".format(*row))
     header = ["preset", "N_DD", "B_gauss", "T_R_ns", "T_ns"]
-    _emit(args, paths, {"preset": args.preset}, [(header, rows)])
+    _emit(args, paths, {"preset": args.preset}, [(header, columns)])
 
 
 def _cmd_binary_stats(args) -> None:
@@ -229,7 +242,7 @@ def _cmd_binary_stats(args) -> None:
     )
     params = _setting_params(setting)
     header = [*params, "mean_plus", "mean_minus", "sigma_plus", "sigma_minus", "D"]
-    _emit(args, paths, params, [(header, [(*params.values(), *astuple(stats))])])
+    _emit(args, paths, params, [(header, [[v] for v in (*params.values(), *astuple(stats))])])
 
 
 def _cmd_distribution(args) -> None:
@@ -241,7 +254,7 @@ def _cmd_distribution(args) -> None:
     diagnostics = {"law_s": time.perf_counter() - started}
     params = dict(_setting_params(setting), n=args.n, law=args.law)
     header = ["u_bar", "p_plus_alpha", "p_minus_alpha"]
-    table = (header, zip(dist.u_grid, dist.probs_plus, dist.probs_minus))
+    table = (header, [dist.u_grid, dist.probs_plus, dist.probs_minus])
     _emit(args, paths, params, [table], diagnostics)
     print(f"wrote {paths[0]} ({args.n + 1} outcomes, law={args.law})")
 
@@ -264,19 +277,11 @@ def _cmd_fidelity(args) -> None:
         f"n={args.n}  D={strength_d:.6g}  "
         f"u_th={threshold:.6g}  F_bar={report.f_bar:.4f}  (erf: {report.f_erf:.4f})"
     )
-    row = (
-        report.n,
-        strength_d,
-        report.strength_dn,
-        report.u_threshold,
-        report.f_plus,
-        report.f_minus,
-        report.f_bar,
-        report.f_erf,
-    )
+    cells = {"n": report.n, "D": strength_d, "DN": report.strength_dn, "u_th": report.u_threshold}
+    cells.update(F_plus=report.f_plus, F_minus=report.f_minus)
+    cells.update(F_bar=report.f_bar, F_erf=report.f_erf)
     params = dict(_setting_params(setting), n=args.n, threshold_mode=args.threshold_mode)
-    header = ["n", "D", "DN", "u_th", "F_plus", "F_minus", "F_bar", "F_erf"]
-    _emit(args, paths, params, [(header, [row])], diagnostics)
+    _emit(args, paths, params, [(list(cells), [[v] for v in cells.values()])], diagnostics)
 
 
 def _cmd_qnd_solve(args) -> None:
@@ -291,8 +296,8 @@ def _cmd_qnd_solve(args) -> None:
         raise RuntimeError("measurement vector vanishes for this sequence")
     roots = solve_waiting_time(sys_, phi_dd, alpha_vec / mag, (0.0, sys_.wait_period))
     manifest_params = dict(_nv_params(params), tau_ns=seq.duration / params.n_dd * 1e9)
-    rows = [(t * 1e9, r) for t, r in roots]
-    _emit(args, paths, manifest_params, [(["t_R_ns", "residual_rad"], rows)])
+    times, residuals = np.array(roots).T
+    _emit(args, paths, manifest_params, [(["t_R_ns", "residual_rad"], [times * 1e9, residuals])])
     best = min(roots, key=lambda r: r[1])
     print(
         f"{len(roots)} root(s) of the QND condition in [0, T_R]; best residual {best[1]:.3e} rad "
@@ -333,7 +338,7 @@ def _cmd_stability(args) -> None:
         "n_max": args.n_max,
         "seed": args.seed,
     }
-    _emit(args, paths, params, [(["N", "S_sim", "S_analytic"], zip(steps, curve.values, analytic))])
+    _emit(args, paths, params, [(["N", "S_sim", "S_analytic"], [steps, curve.values, analytic])])
     print(f"lifetime N_L = {curve.lifetime}")
 
 
@@ -363,8 +368,7 @@ def _cmd_trajectories(args) -> None:
         "cycle_rot": list(map(float, args.cycle_rot)),
     }
     header = ["seed", "u_bar", "final_bx", "final_by", "final_bz"]
-    rows = ((i, u_bars[i], finals[i, 0], finals[i, 1], finals[i, 2]) for i in range(args.n_traj))
-    _emit(args, paths, params, [(header, rows)], timings)
+    _emit(args, paths, params, [(header, [np.arange(args.n_traj), u_bars, *finals.T])], timings)
     print(f"wrote {paths[0]} ({args.n_traj} trajectories, <u_bar> = {u_bars.mean():.4f})")
 
 
@@ -393,13 +397,16 @@ def _cmd_nv_scan(args) -> None:
     started = time.perf_counter()
     profile = tolerance_profile(scan, diagnostics)
     diagnostics["tolerance_s"] = time.perf_counter() - started
-    scan_rows = ((t_dd * 1e9, t_r * 1e9, *rest) for t_dd, t_r, *rest in scan.rows())
-    tol_rows = ((row[0] * 1e9, row[1] * 1e9, row[2] * 1e9, row[3]) for row in profile)
+    per_row = (scan.t_dd_grid * 1e9, scan.alpha_mags, scan.strengths, scan.n_crit)
+    t_dd, mag, strength, n_c = (np.repeat(column, n_tr) for column in per_row)
+    t_r = np.tile(scan.tr_grid * 1e9, n_tdd)
+    scan_columns = [t_dd, t_r, mag, scan.residuals.ravel(), strength, n_c, scan.lifetimes.ravel()]
+    tolerance_columns = [*(profile[:, :3] * 1e9).T, profile[:, 3]]
     manifest_params = dict(_nv_params(params), p_plus=readout.p_plus, p_minus=readout.p_minus)
     manifest_params.update(phi=SCAN_PHI, n_tdd=n_tdd, n_tr=n_tr, tau_rel=list(rel), n_max=n_max)
     tables = [
-        (["t_DD_ns", "t_R_ns", "alpha_mag", "qnd_residual", "D", "N_c", "N_L"], scan_rows),
-        (["t_DD_ns", "dtR_measured_ns", "dtR_worst_case_ns", "Nc"], tol_rows),
+        (["t_DD_ns", "t_R_ns", "alpha_mag", "qnd_residual", "D", "N_c", "N_L"], scan_columns),
+        (["t_DD_ns", "dtR_measured_ns", "dtR_worst_case_ns", "Nc"], tolerance_columns),
     ]
     _emit(args, paths, manifest_params, tables, diagnostics)
     finite = scan.lifetimes[np.isfinite(scan.lifetimes)]

@@ -173,13 +173,6 @@ class ScanResult:
     def alpha_mags(self) -> np.ndarray:
         return np.linalg.norm(self.alpha_vecs, axis=1)
 
-    def rows(self):
-        """(t_dd, t_r, alpha_mag, residual, strength, n_c, n_l) per point in grid order."""
-        per_row = (self.t_dd_grid, self.alpha_mags, self.strengths, self.n_crit)
-        t_dd, mag, strength, n_c = (c[:, None] for c in per_row)
-        cols = (t_dd, self.tr_grid, mag, self.residuals, strength, n_c, self.lifetimes)
-        return zip(*(np.broadcast_to(c, self.residuals.shape).ravel().tolist() for c in cols))
-
 
 def _cycle_maps(omega_n: float, times, r_dds: np.ndarray, dephs: np.ndarray):
     """Per point ``T = R_z(omega_n t_R) R(phi_dd)`` and the cycle map ``T M``.
@@ -236,6 +229,8 @@ def scan_2d(
     tr_grid = np.asarray(tr_grid, dtype=float)
     if tau_grid.size == 0 or tr_grid.size == 0:
         raise ValueError("scan grids must be non-empty")
+    if n_max < 1:  # a horizon of no steps would read as the QND ridge everywhere
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     n_tau, n_tr = tau_grid.size, tr_grid.size
 
     started = time.perf_counter()

@@ -387,8 +387,8 @@ def analytic_survival(kind: str, alpha_mag: float, delta_phi: float, n) -> np.nd
 
 def tolerance(strength_d: float, alpha_mag: float, kind: str) -> float:
     """Largest per-cycle error keeping ``N_L`` above the critical count."""
-    if strength_d <= 0.0:
-        raise ValueError("strength must be positive")
+    if not strength_d > 0.0:
+        raise ValueError(f"strength_d must be positive, got {strength_d}")
     if kind == "systematic":
         return strength_d * abs(math.tan(alpha_mag / 2.0))
     if kind == "random":

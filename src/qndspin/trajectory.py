@@ -51,6 +51,9 @@ _SLICE = 64
 # Children whose seeding words are hashed, then listed as Python ints, at a time.
 _SEED_ROWS = 256
 
+# Trajectories whose uniforms share one (_BLOCK, n) draw buffer and one kernel call.
+_BLOCK = 2048
+
 # numpy's SeedSequence: pool size, hash constants, mixing shift, word mask
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -70,8 +73,8 @@ class NuclearState:
 
     def __post_init__(self):
         self.bloch = np.asarray(self.bloch, dtype=float)
-        if float(np.linalg.norm(self.bloch)) > 1.0 + 1e-12:
-            raise ValueError("polarization must satisfy |bloch| <= 1")
+        if not float(np.linalg.norm(self.bloch)) <= 1.0 + 1e-12:  # nan fails too
+            raise ValueError(f"polarization must satisfy |bloch| <= 1, got {self.bloch}")
 
     @classmethod
     def eigenstate(cls, alpha_hat, branch: int = 1) -> "NuclearState":
@@ -339,7 +342,6 @@ def run_ensemble(
     n: int,
     n_traj: int,
     master_seed: int,
-    block: int = 2048,
     diagnostics: Counter | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized batch of independent trajectories.
@@ -348,12 +350,12 @@ def run_ensemble(
     Trajectory ``i`` consumes the stream ``SeedSequence(master_seed,
     spawn_key=(i,))`` exactly as ``run`` would, so the ensemble is a
     bit-for-bit parallelization of repeated single runs.  ``master_seed``
-    must be an integer >= 0.  Up to ``block`` trajectories draw their
-    uniforms into one ``(block, n)`` buffer, which dominates the memory
-    (``8 block n`` bytes), and go through the kernel together.  The streams
-    come from batched seed-sequence hashes and one re-seeded ``PCG64`` per
-    block (``_child_generators``), not from a ``SeedSequence`` object per
-    trajectory; the contract above is unchanged.
+    must be an integer >= 0 and ``n`` >= 1.  Up to ``_BLOCK`` trajectories
+    draw their uniforms into one ``(_BLOCK, n)`` buffer, which dominates the
+    memory (``8 _BLOCK n`` bytes), and go through the kernel together.  The
+    streams come from batched seed-sequence hashes and one re-seeded
+    ``PCG64`` per block (``_child_generators``), not from a ``SeedSequence``
+    object per trajectory; the contract above is unchanged.
 
     ``diagnostics``, when given, is a counter that receives the seconds
     spent building the streams and drawing (``stream_s``) and in the kernel
@@ -361,11 +363,13 @@ def run_ensemble(
     """
     if not setting.readout.is_ideal:
         raise ValueError("trajectory updates are defined for ideal readout only")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     master_seed = _checked_seed(master_seed)
     u_bars, finals = np.empty(n_traj), np.empty((n_traj, 3))
-    uniforms = np.empty((min(block, n_traj), n))
+    uniforms = np.empty((min(_BLOCK, n_traj), n))
     stream_s = kernel_s = 0.0
-    for start in range(0, n_traj, block):
+    for start in range(0, n_traj, _BLOCK):
         draws = uniforms[: n_traj - start]
         began = time.perf_counter()
         for row, gen in zip(draws, _child_generators(master_seed, start, len(draws))):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln, xlogy
 
 from qndspin.cascade import (
@@ -197,6 +199,84 @@ def test_gaussian_threshold_equal_sigmas():
     assert th == pytest.approx(0.5 * (mean_plus + mean_minus), abs=1e-9)
 
 
+def loop_threshold(dist: OutcomeDistribution) -> float:
+    """The exact-mode threshold as a loop over adjacent pairs: the oracle."""
+    mean_plus, _ = dist.moments(1)
+    mean_minus, _ = dist.moments(-1)
+    if abs(mean_plus - mean_minus) < 1e-15 and np.max(
+        np.abs(dist.probs_plus - dist.probs_minus)
+    ) < 1e-15:
+        raise ValueError("states indistinguishable: identical conditional laws")
+    grid = dist.u_grid
+
+    def snap(value: float) -> float:
+        nearest = float(grid[int(np.argmin(np.abs(grid - value)))])
+        return nearest if abs(nearest - value) < 1e-12 else value
+
+    lo, hi = sorted((mean_plus, mean_minus))
+    inside = np.nonzero((grid >= lo) & (grid <= hi))[0]
+    midpoint = 0.5 * (mean_plus + mean_minus)
+    if inside.size == 1:
+        return float(grid[inside[0]])
+    if inside.size == 0:
+        return snap(midpoint)
+    diff = dist.probs_plus[inside] - dist.probs_minus[inside]
+    candidates = []
+    for j in range(inside.size - 1):
+        a, b = diff[j], diff[j + 1]
+        if a == 0.0:
+            candidates.append(float(grid[inside[j]]))
+        elif a * b < 0.0:
+            if abs(abs(a) - abs(b)) < 1e-15:
+                candidates.append(0.5 * float(grid[inside[j]] + grid[inside[j + 1]]))
+            elif abs(a) < abs(b):
+                candidates.append(float(grid[inside[j]]))
+            else:
+                candidates.append(float(grid[inside[j + 1]]))
+    if diff[-1] == 0.0:
+        candidates.append(float(grid[inside[-1]]))
+    if not candidates:
+        return snap(midpoint)
+    return min(candidates, key=lambda t: abs(t - midpoint))
+
+
+def _outcome(threshold, dist):
+    try:
+        return threshold(dist)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _weights(size):
+    """Two lists of ``size`` weights in 0..3, each with a nonzero entry.
+
+    Equal neighbours give the law difference exact zeros and ``|a| = |b|`` ties.
+    """
+    weights = st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any)
+    return st.tuples(weights, weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(laws=st.integers(2, 12).flatmap(_weights), mirror=st.booleans())
+@example(laws=([1, 0, 0, 1], [0, 1, 1, 0]), mirror=False)  # a = 0 beside b = 0
+@example(laws=([2, 1, 1, 0], [0, 1, 1, 2]), mirror=False)  # zeros between the means
+@example(laws=([1, 2], [2, 1]), mirror=False)  # a tie at the one sign change
+def test_threshold_equals_the_loop_oracle(laws, mirror):
+    plus, minus = laws
+    if mirror:
+        minus = plus[::-1]
+    probs = [np.array(w, dtype=float) / sum(w) for w in (plus, minus)]
+    dist = OutcomeDistribution(len(plus) - 1, *probs)
+    assert _outcome(optimal_threshold, dist) == _outcome(loop_threshold, dist)
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 51, 200])
+@pytest.mark.parametrize("alpha, phi", [(0.1, math.pi / 2), (0.1, 4 * math.pi / 9), (0.3, 1.0)])
+def test_threshold_equals_the_loop_oracle_on_binomial_laws(alpha, phi, n):
+    dist = exact_distribution(setting(alpha, phi), n)
+    assert optimal_threshold(dist) == loop_threshold(dist)
+
+
 def test_threshold_identical_laws_rejected():
     dist = exact_distribution(setting(0.4, 0.0), 20)  # phi = 0 is uninformative
     with pytest.raises(ValueError):
@@ -288,8 +368,14 @@ def test_critical_n_values():
 
 
 def test_critical_n_zero_strength_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="D = 0"):
         critical_n(0.0)
+
+
+@pytest.mark.parametrize("strength", [-0.1, -math.inf, math.nan])
+def test_critical_n_refuses_negative_and_nan_strengths(strength):
+    with pytest.raises(ValueError, match="strength_d must be positive"):
+        critical_n(strength)
 
 
 def test_threshold_constants():

@@ -5,9 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 import qndspin
@@ -671,6 +674,45 @@ def test_benchmark_grid_bytes(tmp_path):
 def test_fmt_keeps_the_sign_of_infinities():
     values = (math.inf, -math.inf, 0.1 + 0.2, np.float64(-2.5e-7), 3)
     assert [cli._fmt(v) for v in values] == ["inf", "-inf", "0.3", "-2.5e-07", "3"]
+
+
+CELLS = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -1e-310]),
+    st.integers(-(2**63), 2**63 - 1),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=CELLS, as_array=st.booleans())
+def test_a_written_cell_is_fmt_of_the_python_scalar(value, as_array):
+    column = np.array([value]) if as_array else [value]
+    assert "".join(cli._csv_blocks(["v"], [column])) == f"v\n{cli._fmt(value)}\n"
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_emit_writes_the_row_by_row_text_and_its_digest(tmp_path, offset):
+    rows = cli._ROWS + offset
+    rng = np.random.default_rng(rows)
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows)
+    floats[:5] = [math.inf, -math.inf, math.nan, -0.0, 5e-324]
+    labels = [f"r{i}" for i in range(rows)]
+    paths = [str(tmp_path / "t.csv"), str(tmp_path / "t.manifest.json")]
+    args = argparse.Namespace(command="test", started=time.time())
+    cli._emit(args, paths, {}, [(["i", "x", "label"], [np.arange(rows), floats, labels])])
+    body = zip(range(rows), floats.tolist(), labels)
+    expected = "i,x,label\n" + "".join(",".join(map(cli._fmt, row)) + "\n" for row in body)
+    written = (tmp_path / "t.csv").read_bytes()
+    assert written == expected.encode()
+    with open(paths[1], encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    assert manifest["sha256"] == {paths[0]: hashlib.sha256(written).hexdigest()}
+
+
+def test_emit_refuses_columns_of_unequal_lengths():
+    with pytest.raises(ValueError, match="unequal lengths"):
+        list(cli._csv_blocks(["a", "b"], [[1.0, 2.0], [3.0]]))
 
 
 def test_python_dash_m_entry_point():

@@ -7,6 +7,7 @@ import pytest
 
 import qndspin.nv as nv
 from qndspin.cascade import critical_n
+from qndspin.cli import main
 from qndspin.control import solve_waiting_time
 from qndspin.measurement import MeasurementSetting, ReadoutModel, binary_stats
 from qndspin.nv import (
@@ -126,14 +127,26 @@ def test_low_temperature_strength():
 # ---------------------------------------------------------------- scans
 
 
-def test_scan_shapes_and_grid_order():
+def test_scan_shapes_and_grid_order(tmp_path):
     scan = small_scan()
     assert scan.residuals.shape == (24, 32)
     assert scan.lifetimes.shape == (24, 32)
-    rows = list(scan.rows())
-    assert len(rows) == 24 * 32
-    t_dds = [r[0] for r in rows]
-    assert t_dds == sorted(t_dds)
+    argv = ["nv-scan", "--preset", "P2", "--n-tdd", "24", "--n-tr", "32", "--n-max", "20000"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    table = np.loadtxt(tmp_path / "scan.csv", delimiter=",", skiprows=1)
+    assert table.shape == (24 * 32, 7)
+    t_dds, t_rs = table[:, 0].reshape(24, 32), table[:, 1].reshape(24, 32)
+    assert (np.diff(t_dds, axis=0) > 0).all() and (np.diff(t_dds, axis=1) == 0).all()
+    assert (np.diff(t_rs, axis=1) > 0).all() and (np.diff(t_rs, axis=0) == 0).all()
+    np.testing.assert_allclose(t_dds[:, 0], scan.t_dd_grid * 1e9, rtol=1e-11)
+    np.testing.assert_allclose(t_rs[0], scan.tr_grid * 1e9, rtol=1e-11)
+    np.testing.assert_array_equal(table[:, 6].reshape(24, 32), scan.lifetimes)
+
+
+@pytest.mark.parametrize("n_max", [0, -5])
+def test_scan_refuses_a_horizon_below_one_step(n_max):
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        small_scan(n_tau=2, n_tr=3, n_max=n_max)
 
 
 def test_scan_contains_high_fidelity_region():

@@ -373,6 +373,13 @@ def test_tolerance_formulas():
     assert tolerance(0.37, 1.0, "random") == 0.37
 
 
+@pytest.mark.parametrize("strength", [0.0, -0.1, math.nan])
+@pytest.mark.parametrize("kind", ["systematic", "random"])
+def test_tolerance_refuses_a_strength_that_is_not_positive(strength, kind):
+    with pytest.raises(ValueError, match="strength_d must be positive"):
+        tolerance(strength, 1.0, kind)
+
+
 def test_tolerance_echo_limit():
     # alpha -> pi with weak readout: D ~ p_bar sin(alpha), so the systematic
     # tolerance approaches 2 p_bar

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qndspin.cascade import exact_distribution
 from qndspin.measurement import MeasurementSetting, ReadoutModel, outcome_prob
 from qndspin.rotations import identity_rotor, rotor_exp, so3_from_rotor
+import qndspin.trajectory as trajectory
 from qndspin.stability import _fixed_axis_survivals, dephasing_map, survival_ensemble
 from qndspin.trajectory import (
     NuclearState,
@@ -39,6 +40,12 @@ def total_variation(p, q):
 def test_state_validation():
     with pytest.raises(ValueError):
         NuclearState(np.array([1.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bloch", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0]])
+def test_state_refuses_non_finite_polarizations(bloch):
+    with pytest.raises(ValueError, match="polarization"):
+        NuclearState(np.array(bloch))
 
 
 def test_eigenstate_invariant_under_qnd_cycle():
@@ -119,12 +126,11 @@ def test_single_shot_frequencies_match_law():
     assert abs(freq - p_plus) < 3.0 * sigma
 
 
-def test_ensemble_rows_match_single_runs():
+def test_ensemble_rows_match_single_runs(monkeypatch):
+    monkeypatch.setattr(trajectory, "_BLOCK", 4)
     s = setting()
     cycle = rotor_exp(0.7 * EZ)
-    u_bars, finals = run_ensemble(
-        s, cycle, NuclearState.eigenstate(EZ), 40, 6, 999, block=4
-    )
+    u_bars, finals = run_ensemble(s, cycle, NuclearState.eigenstate(EZ), 40, 6, 999)
     for i in range(6):
         rec = run(
             s,
@@ -171,13 +177,14 @@ def test_run_matches_step_oracle(axis, alpha, phi, cycle, start, length, n, seed
 
 
 @pytest.mark.parametrize("block", [1, 3, 7, 50])
-def test_ensemble_rows_are_runs_bit_for_bit(block):
+def test_ensemble_rows_are_runs_bit_for_bit(monkeypatch, block):
+    monkeypatch.setattr(trajectory, "_BLOCK", block)
     axis = _unit([0.3, -0.5, -0.8])  # tilted, below the equator
     s = MeasurementSetting(0.6 * axis, 1.1)
     cycle = rotor_exp(np.array([0.2, 0.1, -0.3]))  # not about the axis
     initial = NuclearState(np.array([0.5, 0.3, -0.2]))
     n, n_traj = 150, 7
-    u_bars, finals = run_ensemble(s, cycle, initial, n, n_traj, 31, block=block)
+    u_bars, finals = run_ensemble(s, cycle, initial, n, n_traj, 31)
     for i in range(n_traj):
         rec = run(s, cycle, initial, n, np.random.SeedSequence(31, spawn_key=(i,)))
         np.testing.assert_array_equal(u_bars[i], rec.u_bar)
@@ -232,8 +239,9 @@ def _single_runs(master):
 
 @pytest.mark.parametrize("block", [1, 3, 2048])
 @pytest.mark.parametrize("master", [12345, 2**128 + 1], ids=["one-word master", "five-word master"])
-def test_ensemble_streams_are_seed_sequence_children(block, master):
-    u_bars, finals = run_ensemble(*STREAM_CASE, master, block=block)
+def test_ensemble_streams_are_seed_sequence_children(monkeypatch, block, master):
+    monkeypatch.setattr(trajectory, "_BLOCK", block)
+    u_bars, finals = run_ensemble(*STREAM_CASE, master)
     expected_u_bars, expected_finals = _single_runs(master)
     np.testing.assert_array_equal(u_bars, expected_u_bars)
     np.testing.assert_array_equal(finals, expected_finals)
@@ -256,6 +264,12 @@ def test_master_seed_must_be_a_non_negative_integer(seed):
         run_ensemble(setting(), identity_rotor(), NuclearState.mixed(), 5, 4, seed)
     with pytest.raises(ValueError, match="master seed"):
         survival_ensemble(0.7 * EZ, 0.1, [1.0, 0.0, 0.0], 5, 4, seed)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_ensemble_refuses_fewer_than_one_cycle(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        run_ensemble(setting(), identity_rotor(), NuclearState.mixed(), n, 4, 0)
 
 
 def test_qnd_ensemble_reproduces_exact_distribution():
