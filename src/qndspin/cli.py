@@ -1,15 +1,21 @@
 """Command-line front end: subcommand dispatch, CSV emission, run manifests.
 
 Conventions: angles in radians, frequencies in MHz, times in nanoseconds at
-the interface (seconds internally).  Each subcommand reads its inputs as
-config keys from ``_inputs`` (the ``--config`` file, each given flag laid
-over the key of its name), validates them, claims its paths with
-``_outputs`` (refusing existing ones before any work), computes, and hands
-``(header, columns)`` tables to ``_emit``, the one writer: the CSVs, then a
-JSON manifest of the resolved inputs, seed, version, wall time, diagnostics
-and the digest of the bytes as written.  Only the ``binary-stats`` and
-``qnd-solve`` manifests replay as a ``--config`` today (ROADMAP item 15).
-Exit codes: 0 success, 2 configuration error, 1 runtime error.
+the interface (seconds internally).  Every input is a config key of its
+subcommand (``config.KEYS``), and every flag but ``--config``, ``--out``,
+``--out-dir`` and ``--force`` sets the key of its name (``_FLAGS``:
+``--n-traj`` is ``n_traj``, nv-scan's ``--n-tdd`` is ``scan.n_tdd``).  The
+keys with no flag are ``n_bar`` and ``contrast`` (readout), ``B_gauss``,
+``gamma_n_MHz_per_T``, ``A_MHz`` and ``N_DD`` (system), qnd-solve's
+``t_DD_ns`` and nv-scan's ``scan.tau_rel_min`` and ``scan.tau_rel_max``.
+``_inputs`` lays each given flag, parsed to a JSON value only, over the
+``--config`` file's key; one resolver in ``config`` checks the key.  Each
+subcommand resolves its keys, claims its paths with ``_outputs`` (refusing
+existing ones before any work), computes, and hands ``(header, columns)``
+tables to ``_emit``, the one writer: the CSVs, then a JSON manifest of the
+resolved keys (``parameters``, which replay as a ``--config``), the given
+keys not read, version, wall time, diagnostics and the digest of the bytes
+as written.  Exit codes: 0 success, 2 configuration error, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -36,10 +42,15 @@ from .cascade import (
 )
 from .config import (
     _READOUT_KEYS,
-    _SCAN_KEYS,
-    _TOP_KEYS,
+    KEYS,
     ConfigError,
-    config_count,
+    Inputs,
+    as_choice,
+    as_count,
+    as_number,
+    as_positive,
+    as_seed,
+    as_vector,
     load_config,
     nv_params_from_config,
     readout_from_config,
@@ -50,7 +61,6 @@ from .hyperfine import exact_dd_evolution, extract_alpha_phi
 from .measurement import MeasurementSetting, binary_stats
 from .nv import (
     PRESETS,
-    SCAN_PHI,
     default_tau_grid,
     default_tr_grid,
     nv_system,
@@ -106,10 +116,12 @@ def _csv_blocks(header, columns):
         yield "".join(",".join(map(_fmt, row)) + "\n" for row in block)
 
 
-def _emit(args, paths: list[str], params: dict, tables, diagnostics: dict | None = None) -> None:
+def _emit(args, paths: list[str], inputs: Inputs, tables, diagnostics: dict | None = None) -> None:
     """Write each ``(header, columns)`` table to its path, then the manifest.
 
-    The manifest's ``sha256`` maps each CSV path to the digest of the bytes as written.
+    The manifest's ``parameters`` are the resolved inputs, ``ignored_keys``
+    the given keys the subcommand does not read, and ``sha256`` maps each
+    CSV path to the digest of the bytes as written.
     ``diagnostics``, when given, gain ``write_s`` (CSV seconds); ``*_s`` keep 3 decimals.
     """
     written, digests = time.perf_counter(), {}
@@ -123,7 +135,8 @@ def _emit(args, paths: list[str], params: dict, tables, diagnostics: dict | None
     manifest = {
         "subcommand": args.command,
         "version": __version__,
-        "parameters": params,
+        "parameters": inputs.params,
+        "ignored_keys": inputs.ignored,
         "outputs": paths[:-1],
         "sha256": digests,
         "wall_time_s": round(time.time() - args.started, 3),
@@ -137,102 +150,55 @@ def _emit(args, paths: list[str], params: dict, tables, diagnostics: dict | None
         handle.write("\n")
 
 
-def _positive_finite(name: str, value) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
-    if not (math.isfinite(value) and value > 0.0):
-        raise ConfigError(f"{name} must be positive and finite, got {value}")
-    return value
-
-
-def _count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
-
-
-def _vector(text: str) -> np.ndarray:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3 or not all(map(math.isfinite, parts)):
-        raise argparse.ArgumentTypeError("expected three comma-separated finite numbers")
-    return np.array(parts)
-
-
-def _inputs(args) -> dict:
+def _inputs(args) -> Inputs:
     """The ``--config`` file's keys, each given flag laid over the key of its name.
 
-    A readout flag replaces every readout key of the file, ``--tau-ns`` also
-    its ``t_DD_ns``, and nv-scan's ``--n-tdd``, ``--n-tr`` and ``--n-max`` go
-    into its ``scan`` block.
+    A flag's dest is its key.  A readout flag replaces every readout key of
+    the file, and ``--tau-ns`` also its ``t_DD_ns``.
     """
+    keys = KEYS[args.command]
     cfg = load_config(args.config) if args.config else {}
-    flags = {key: value for key, value in vars(args).items() if value is not None}
-    if flags.keys() & _READOUT_KEYS:
+    flags = {key: value for key, value in vars(args).items() if key in keys and value is not None}
+    if flags.keys() & set(_READOUT_KEYS):
         cfg = {key: value for key, value in cfg.items() if key not in _READOUT_KEYS}
     if "tau_ns" in flags:
         cfg.pop("t_DD_ns", None)
-    scan = {key: flags[key] for key in flags.keys() & _SCAN_KEYS}
-    cfg["scan"] = dict(cfg.get("scan", {}), **scan)
-    cfg.update((key, flags[key]) for key in flags.keys() & _TOP_KEYS)
-    return cfg
+    return Inputs({**cfg, **flags}, keys)
 
 
-def _setting(cfg: dict) -> MeasurementSetting:
+def _setting(inputs: Inputs) -> MeasurementSetting:
     """The measurement setting of ``alpha``, ``phi`` and the readout keys."""
-    readout = readout_from_config(cfg)
+    readout = readout_from_config(inputs)
+    alpha = inputs.resolve("alpha", as_number, 0.1)
+    phi = inputs.resolve("phi", as_number, math.pi / 2)
     try:
         with np.errstate(invalid="ignore"):  # 0 * inf; the setting rejects the nan
-            alpha_vec = float(cfg.get("alpha", 0.1)) * np.array([0.0, 0.0, 1.0])
-        return MeasurementSetting(alpha_vec, float(cfg.get("phi", math.pi / 2)), readout)
-    except (TypeError, ValueError) as exc:
+            return MeasurementSetting(alpha * np.array([0.0, 0.0, 1.0]), phi, readout)
+    except ValueError as exc:
         raise ConfigError(f"invalid measurement setting: {exc}") from exc
-
-
-def _setting_params(setting: MeasurementSetting) -> dict:
-    return {
-        "alpha": setting.alpha_mag,
-        "phi": setting.phi,
-        "p_plus": setting.readout.p_plus,
-        "p_minus": setting.readout.p_minus,
-    }
-
-
-def _nv_params(params) -> dict:
-    return {
-        "B_gauss": params.b_gauss,
-        "N_DD": params.n_dd,
-        "gamma_n_MHz_per_T": params.gamma_n_mhz_per_t,
-        "A_MHz": list(params.a_mhz),
-    }
 
 
 # ----------------------------------------------------------------- commands
 
+# the names of law and threshold_mode
+_MODES = ("exact", "gaussian")
 
-def _cmd_table1(args) -> None:
+
+def _cmd_table1(args, inputs: Inputs) -> None:
+    preset = inputs.resolve("preset", as_choice, None, PRESETS)
     paths = _outputs(args)
-    names = [args.preset] if args.preset else sorted(PRESETS)
+    names = [preset] if preset else sorted(PRESETS)
     presets = [PRESETS[name] for name in names]
     periods = [(p.larmor_period_wait * 1e9, p.larmor_period_dd * 1e9) for p in presets]
     columns = [names, [p.n_dd for p in presets], [p.b_gauss for p in presets], *zip(*periods)]
     for row in zip(*columns):
         print("{}: N_DD={} B={:g} G  T_R={:.0f} ns  T={:.0f} ns".format(*row))
     header = ["preset", "N_DD", "B_gauss", "T_R_ns", "T_ns"]
-    _emit(args, paths, {"preset": args.preset}, [(header, columns)])
+    _emit(args, paths, inputs, [(header, columns)])
 
 
-def _cmd_binary_stats(args) -> None:
-    setting = _setting(_inputs(args))
+def _cmd_binary_stats(args, inputs: Inputs) -> None:
+    setting = _setting(inputs)
     paths = _outputs(args)
     stats = binary_stats(setting)
     print(
@@ -240,27 +206,30 @@ def _cmd_binary_stats(args) -> None:
         f"<u>_+ = {stats.mean_plus:.6f}  <u>_- = {stats.mean_minus:.6f}  "
         f"D = {stats.strength_d:.6g}"
     )
-    params = _setting_params(setting)
-    header = [*params, "mean_plus", "mean_minus", "sigma_plus", "sigma_minus", "D"]
-    _emit(args, paths, params, [(header, [[v] for v in (*params.values(), *astuple(stats))])])
+    header = ["alpha", "phi", "p_plus", "p_minus"]
+    header += ["mean_plus", "mean_minus", "sigma_plus", "sigma_minus", "D"]
+    cells = (setting.alpha_mag, setting.phi, *astuple(setting.readout), *astuple(stats))
+    _emit(args, paths, inputs, [(header, [[v] for v in cells])])
 
 
-def _cmd_distribution(args) -> None:
-    setting = _setting(_inputs(args))
+def _cmd_distribution(args, inputs: Inputs) -> None:
+    setting = _setting(inputs)
+    n = inputs.resolve("n", as_count)
+    law = inputs.resolve("law", as_choice, "exact", _MODES)
     paths = _outputs(args)
-    law = gaussian_distribution if args.law == "gaussian" else exact_distribution
     started = time.perf_counter()
-    dist = law(setting, args.n)
+    dist = (gaussian_distribution if law == "gaussian" else exact_distribution)(setting, n)
     diagnostics = {"law_s": time.perf_counter() - started}
-    params = dict(_setting_params(setting), n=args.n, law=args.law)
     header = ["u_bar", "p_plus_alpha", "p_minus_alpha"]
     table = (header, [dist.u_grid, dist.probs_plus, dist.probs_minus])
-    _emit(args, paths, params, [table], diagnostics)
-    print(f"wrote {paths[0]} ({args.n + 1} outcomes, law={args.law})")
+    _emit(args, paths, inputs, [table], diagnostics)
+    print(f"wrote {paths[0]} ({n + 1} outcomes, law={law})")
 
 
-def _cmd_fidelity(args) -> None:
-    setting = _setting(_inputs(args))
+def _cmd_fidelity(args, inputs: Inputs) -> None:
+    setting = _setting(inputs)
+    n = inputs.resolve("n", as_count)
+    mode = inputs.resolve("threshold_mode", as_choice, "exact", _MODES)
     strength_d = binary_stats(setting).strength_d
     try:
         critical_n(strength_d)  # the cascade's own test for an informative shot
@@ -268,26 +237,24 @@ def _cmd_fidelity(args) -> None:
         raise ConfigError(f"invalid measurement setting: {exc}") from exc
     paths = _outputs(args)
     started = time.perf_counter()
-    dist = exact_distribution(setting, args.n)
+    dist = exact_distribution(setting, n)
     law_s, started = time.perf_counter() - started, time.perf_counter()
-    threshold = optimal_threshold(dist, mode=args.threshold_mode)
+    threshold = optimal_threshold(dist, mode=mode)
     report = readout_fidelity(dist, threshold, strength_d)
     diagnostics = {"law_s": law_s, "threshold_s": time.perf_counter() - started}
     print(
-        f"n={args.n}  D={strength_d:.6g}  "
+        f"n={n}  D={strength_d:.6g}  "
         f"u_th={threshold:.6g}  F_bar={report.f_bar:.4f}  (erf: {report.f_erf:.4f})"
     )
     cells = {"n": report.n, "D": strength_d, "DN": report.strength_dn, "u_th": report.u_threshold}
     cells.update(F_plus=report.f_plus, F_minus=report.f_minus)
     cells.update(F_bar=report.f_bar, F_erf=report.f_erf)
-    params = dict(_setting_params(setting), n=args.n, threshold_mode=args.threshold_mode)
-    _emit(args, paths, params, [(list(cells), [[v] for v in cells.values()])], diagnostics)
+    _emit(args, paths, inputs, [(list(cells), [[v] for v in cells.values()])], diagnostics)
 
 
-def _cmd_qnd_solve(args) -> None:
-    cfg = _inputs(args)
-    params = nv_params_from_config(cfg)
-    seq = sequence_from_config(cfg, params)
+def _cmd_qnd_solve(args, inputs: Inputs) -> None:
+    params = nv_params_from_config(inputs)
+    seq = sequence_from_config(inputs, params)
     paths = _outputs(args)
     sys_ = nv_system(params)
     alpha_vec, phi_dd = extract_alpha_phi(*exact_dd_evolution(sys_, seq))
@@ -295,9 +262,8 @@ def _cmd_qnd_solve(args) -> None:
     if mag == 0.0:
         raise RuntimeError("measurement vector vanishes for this sequence")
     roots = solve_waiting_time(sys_, phi_dd, alpha_vec / mag, (0.0, sys_.wait_period))
-    manifest_params = dict(_nv_params(params), tau_ns=seq.duration / params.n_dd * 1e9)
     times, residuals = np.array(roots).T
-    _emit(args, paths, manifest_params, [(["t_R_ns", "residual_rad"], [times * 1e9, residuals])])
+    _emit(args, paths, inputs, [(["t_R_ns", "residual_rad"], [times * 1e9, residuals])])
     best = min(roots, key=lambda r: r[1])
     print(
         f"{len(roots)} root(s) of the QND condition in [0, T_R]; best residual {best[1]:.3e} rad "
@@ -305,91 +271,64 @@ def _cmd_qnd_solve(args) -> None:
     )
 
 
-def _cmd_stability(args) -> None:
-    if not math.isfinite(args.delta_phi):
-        raise ConfigError(f"--delta-phi must be finite, got {args.delta_phi}")
-    alpha_mag = float(np.linalg.norm(args.alpha_vec))
+def _cmd_stability(args, inputs: Inputs) -> None:
+    alpha_vec = inputs.resolve("alpha_vec", as_vector)
+    kind = inputs.resolve("error", as_choice, "systematic", ("systematic", "random"))
+    delta_phi = inputs.resolve("delta_phi", as_number)
+    error_axis = inputs.resolve("error_axis", as_vector, [0.0, 0.0, 1.0])
+    n_max = inputs.resolve("n_max", as_count, 10_000)
+    seed = inputs.resolve("seed", as_seed, None)
+    alpha_mag = float(np.linalg.norm(alpha_vec))
     # the measurement axis must exist, and |alpha| is canonical as in MeasurementSetting
     if not 0.0 < alpha_mag <= math.pi + 1e-9:
-        raise ConfigError(f"|--alpha-vec| must lie in (0, pi], got {alpha_mag}")
-    try:  # a norm that underflows to 0 is refused too
-        axis = _unit_axis(args.error_axis, "--error-axis")
+        raise ConfigError(f"|alpha_vec| must lie in (0, pi], got {alpha_mag}")
+    try:  # the random model normalizes its axis itself
+        if kind == "systematic":
+            axis = _unit_axis(error_axis, "error_axis")
+            error = RotationErrorModel(kind, delta_phi=delta_phi * axis)
+        else:
+            error = RotationErrorModel("random", std=delta_phi, axis=error_axis, seed=seed)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if args.error == "systematic":  # the random model normalizes its axis itself
-        error = RotationErrorModel("systematic", delta_phi=args.delta_phi * axis)
-    else:
-        if args.seed is None:
-            raise ConfigError("--seed is required for random errors")
-        if args.delta_phi < 0.0:
-            raise ConfigError(f"--delta-phi is a standard deviation here, got {args.delta_phi}")
-        error = RotationErrorModel(
-            "random", std=args.delta_phi, axis=args.error_axis, seed=args.seed
-        )
+        raise ConfigError(f"invalid rotation error: {exc}") from exc
     paths = _outputs(args)
-    curve = survival_curve(args.alpha_vec, error, args.n_max)
-    steps = np.arange(args.n_max + 1)
-    analytic = analytic_survival(args.error, alpha_mag, args.delta_phi, steps)
-    params = {
-        "alpha_vec": list(map(float, args.alpha_vec)),
-        "error": args.error,
-        "delta_phi": args.delta_phi,
-        "error_axis": list(map(float, args.error_axis)),
-        "n_max": args.n_max,
-        "seed": args.seed,
-    }
-    _emit(args, paths, params, [(["N", "S_sim", "S_analytic"], [steps, curve.values, analytic])])
+    curve = survival_curve(alpha_vec, error, n_max)
+    steps = np.arange(n_max + 1)
+    analytic = analytic_survival(kind, alpha_mag, delta_phi, steps)
+    _emit(args, paths, inputs, [(["N", "S_sim", "S_analytic"], [steps, curve.values, analytic])])
     print(f"lifetime N_L = {curve.lifetime}")
 
 
-def _cmd_trajectories(args) -> None:
-    cfg = _inputs(args)
-    setting = _setting(cfg)
+def _cmd_trajectories(args, inputs: Inputs) -> None:
+    setting = _setting(inputs)
     if not setting.readout.is_ideal:
         raise ConfigError("trajectories need ideal readout (p_plus = p_minus = 1)")
-    seed = config_count(cfg.get("seed", 0), "seed", 0)
-    initial = {
-        "plus": NuclearState.eigenstate(setting.alpha_hat, 1),
-        "minus": NuclearState.eigenstate(setting.alpha_hat, -1),
-        "mixed": NuclearState.mixed(),
-    }[args.initial]
+    n = inputs.resolve("n", as_count)
+    n_traj = inputs.resolve("n_traj", as_count, 1000)
+    seed = inputs.resolve("seed", as_seed, 0)
+    initial = inputs.resolve("initial", as_choice, "plus", ("plus", "minus", "mixed"))
+    branch = {"plus": 1, "minus": -1}.get(initial)
+    state = NuclearState.eigenstate(setting.alpha_hat, branch) if branch else NuclearState.mixed()
+    cycle_rot = rotor_exp(inputs.resolve("cycle_rot", as_vector, [0.0, 0.0, 0.0]))
     paths = _outputs(args)
     timings = Counter()
-    u_bars, finals = run_ensemble(
-        setting, rotor_exp(args.cycle_rot), initial, args.n, args.n_traj, seed, diagnostics=timings
-    )
-    params = {
-        "alpha": setting.alpha_mag,
-        "phi": setting.phi,
-        "n": args.n,
-        "n_traj": args.n_traj,
-        "master_seed": seed,
-        "initial": args.initial,
-        "cycle_rot": list(map(float, args.cycle_rot)),
-    }
+    u_bars, finals = run_ensemble(setting, cycle_rot, state, n, n_traj, seed, diagnostics=timings)
     header = ["seed", "u_bar", "final_bx", "final_by", "final_bz"]
-    _emit(args, paths, params, [(header, [np.arange(args.n_traj), u_bars, *finals.T])], timings)
-    print(f"wrote {paths[0]} ({args.n_traj} trajectories, <u_bar> = {u_bars.mean():.4f})")
+    _emit(args, paths, inputs, [(header, [np.arange(n_traj), u_bars, *finals.T])], timings)
+    print(f"wrote {paths[0]} ({n_traj} trajectories, <u_bar> = {u_bars.mean():.4f})")
 
 
-def _cmd_nv_scan(args) -> None:
-    cfg = _inputs(args)
-    if "phi" in cfg:
+def _cmd_nv_scan(args, inputs: Inputs) -> None:
+    if "phi" in inputs.cfg:
         raise ConfigError("nv-scan reads out at phi = pi/2; remove 'phi' from the config")
-    params = nv_params_from_config(cfg)
-    readout = readout_from_config(cfg)
-    if readout.is_ideal:
-        readout = room_temp_readout(0.1, 0.07)
-    scan_cfg = cfg["scan"]
-    n_tdd = config_count(scan_cfg.get("n_tdd", 256), "scan.n_tdd")
-    n_tr = config_count(scan_cfg.get("n_tr", 256), "scan.n_tr")
+    params = nv_params_from_config(inputs)
+    readout = readout_from_config(inputs, ideal=room_temp_readout(0.1, 0.07))
+    n_tdd = inputs.resolve("scan.n_tdd", as_count, 256)
+    n_tr = inputs.resolve("scan.n_tr", as_count, 256)
     if n_tr < 2:
-        raise ConfigError(f"n_tr must be >= 2 to span a search window, got {n_tr}")
-    rel = (
-        _positive_finite("scan.tau_rel_min", scan_cfg.get("tau_rel_min", 0.95)),
-        _positive_finite("scan.tau_rel_max", scan_cfg.get("tau_rel_max", 1.05)),
-    )
-    n_max = config_count(scan_cfg.get("n_max", 1_000_000), "scan.n_max")
+        raise ConfigError(f"scan.n_tr must be >= 2 to span a search window, got {n_tr}")
+    low = inputs.resolve("scan.tau_rel_min", as_positive, 0.95)
+    rel = (low, inputs.resolve("scan.tau_rel_max", as_positive, 1.05))
+    n_max = inputs.resolve("scan.n_max", as_count, 1_000_000)
     paths = _outputs(args, "scan.csv", "tolerance.csv")
     diagnostics = Counter(no_crossing_points=0, bisection_probes=0, kernel_calls=0)
     tau_grid, tr_grid = default_tau_grid(params, n_tdd, rel), default_tr_grid(params, n_tr)
@@ -402,13 +341,11 @@ def _cmd_nv_scan(args) -> None:
     t_r = np.tile(scan.tr_grid * 1e9, n_tdd)
     scan_columns = [t_dd, t_r, mag, scan.residuals.ravel(), strength, n_c, scan.lifetimes.ravel()]
     tolerance_columns = [*(profile[:, :3] * 1e9).T, profile[:, 3]]
-    manifest_params = dict(_nv_params(params), p_plus=readout.p_plus, p_minus=readout.p_minus)
-    manifest_params.update(phi=SCAN_PHI, n_tdd=n_tdd, n_tr=n_tr, tau_rel=list(rel), n_max=n_max)
     tables = [
         (["t_DD_ns", "t_R_ns", "alpha_mag", "qnd_residual", "D", "N_c", "N_L"], scan_columns),
         (["t_DD_ns", "dtR_measured_ns", "dtR_worst_case_ns", "Nc"], tolerance_columns),
     ]
-    _emit(args, paths, manifest_params, tables, diagnostics)
+    _emit(args, paths, inputs, tables, diagnostics)
     finite = scan.lifetimes[np.isfinite(scan.lifetimes)]
     print(
         f"wrote {paths[0]} and {paths[1]}; "
@@ -420,102 +357,72 @@ def _cmd_nv_scan(args) -> None:
 # ----------------------------------------------------------------- parser
 
 
-_CONFIG_HELP = "JSON configuration file; a flag overrides the key of its name"
+def _floats(text: str) -> list[float]:
+    """``x,y,z`` as a list of floats; the key's resolver checks it."""
+    return [float(part) for part in text.split(",")]
 
 
-def _add_readout_args(parser) -> None:
-    parser.add_argument("--p-plus", type=float, help="readout fidelity for |+phi>")
-    parser.add_argument("--p-minus", type=float, help="readout fidelity for |-phi>")
-    parser.add_argument("--n-plus", type=float, help="mean photon number, bright state")
-    parser.add_argument("--n-minus", type=float, help="mean photon number, dark state")
+# each config key with a flag (named after its last part): the flag's parser and help
+_FLAGS = {
+    "preset": (str, "|".join(sorted(PRESETS))),
+    "alpha": (float, "measurement rotation magnitude (rad)"),
+    "phi": (float, "electron readout azimuth (rad)"),
+    "p_plus": (float, "readout fidelity for |+phi>"),
+    "p_minus": (float, "readout fidelity for |-phi>"),
+    "n_plus": (float, "mean photon number, bright state"),
+    "n_minus": (float, "mean photon number, dark state"),
+    "n": (int, "binary measurements (cycles) per record"),
+    "law": (str, "exact|gaussian (default exact)"),
+    "threshold_mode": (str, "exact|gaussian (default exact)"),
+    "tau_ns": (float, "CPMG period (ns)"),
+    "alpha_vec": (_floats, "measurement rotation vector x,y,z (rad)"),
+    "error": (str, "systematic|random (default systematic)"),
+    "delta_phi": (float, "error angle or std (rad)"),
+    "error_axis": (_floats, "error axis x,y,z (default 0,0,1)"),
+    "n_max": (int, "survival-curve horizon (default 10000)"),
+    "seed": (int, "master seed (trajectories: default 0)"),
+    "n_traj": (int, "trajectories (default 1000)"),
+    "initial": (str, "plus|minus|mixed (default plus)"),
+    "cycle_rot": (_floats, "per-cycle rotation vector x,y,z (rad)"),
+    "scan.n_tdd": (int, "sequence-duration grid points (default 256)"),
+    "scan.n_tr": (int, "waiting-time grid points (default 256)"),
+    "scan.n_max": (int, "lifetime iteration cap (default 1000000)"),
+}
 
-
-def _add_setting_args(parser) -> None:
-    parser.add_argument("--alpha", type=float, help="measurement rotation magnitude (rad)")
-    parser.add_argument("--phi", type=float, help="electron readout azimuth (rad)")
-    _add_readout_args(parser)
+_COMMANDS = {
+    "table1": (_cmd_table1, "Larmor periods of the built-in parameter sets"),
+    "binary-stats": (_cmd_binary_stats, "single-measurement moments and strength"),
+    "distribution": (_cmd_distribution, "conditional laws of the averaged outcome"),
+    "fidelity": (_cmd_fidelity, "threshold readout fidelity of the cascade"),
+    "qnd-solve": (_cmd_qnd_solve, "waiting times satisfying the QND condition"),
+    "stability": (_cmd_stability, "survival curve under rotation errors"),
+    "trajectories": (_cmd_trajectories, "stochastic measurement records"),
+    "nv-scan": (_cmd_nv_scan, "2D (t_DD, t_R) lifetime and tolerance scan"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per subcommand: the paths, and a flag per key of ``_FLAGS``."""
     parser = argparse.ArgumentParser(
         prog="qndspin",
         description="Cascaded electron-mediated weak measurements on a nuclear spin",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, default_out, config=True):
-        if config:
-            p.add_argument("--config", help=_CONFIG_HELP)
-        p.add_argument("--out", default=default_out, help="output path prefix")
+    for name, (func, text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", help="JSON configuration file; a flag overrides its key")
+        if name == "nv-scan":
+            p.add_argument("--out-dir", default="nv_scan_out", help="output directory")
+        else:
+            p.add_argument("--out", default=name.replace("-", "_"), help="output path prefix")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
-
-    p = sub.add_parser("table1", help="Larmor periods of the built-in parameter sets")
-    p.add_argument("--preset", choices=sorted(PRESETS))
-    common(p, "table1", config=False)
-    p.set_defaults(func=_cmd_table1)
-
-    p = sub.add_parser("binary-stats", help="single-measurement moments and strength")
-    common(p, "binary_stats")
-    _add_setting_args(p)
-    p.set_defaults(func=_cmd_binary_stats)
-
-    p = sub.add_parser("distribution", help="conditional laws of the averaged outcome")
-    common(p, "distribution")
-    _add_setting_args(p)
-    p.add_argument("--n", type=_count, required=True, help="number of binary measurements")
-    p.add_argument("--law", choices=("exact", "gaussian"), default="exact")
-    p.set_defaults(func=_cmd_distribution)
-
-    p = sub.add_parser("fidelity", help="threshold readout fidelity of the cascade")
-    common(p, "fidelity")
-    _add_setting_args(p)
-    p.add_argument("--n", type=_count, required=True)
-    p.add_argument("--threshold-mode", choices=("exact", "gaussian"), default="exact")
-    p.set_defaults(func=_cmd_fidelity)
-
-    p = sub.add_parser("qnd-solve", help="waiting times satisfying the QND condition")
-    common(p, "qnd_solve")
-    p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--tau-ns", type=float, help="CPMG period (ns)")
-    p.set_defaults(func=_cmd_qnd_solve)
-
-    p = sub.add_parser("stability", help="survival curve under rotation errors")
-    common(p, "stability", config=False)
-    p.add_argument("--alpha-vec", type=_vector, required=True, help="x,y,z (rad)")
-    p.add_argument("--error", choices=("systematic", "random"), default="systematic")
-    p.add_argument("--delta-phi", type=float, required=True, help="error angle or std (rad)")
-    p.add_argument("--error-axis", type=_vector, default=np.array([0.0, 0.0, 1.0]))
-    p.add_argument("--n-max", type=_count, default=10_000)
-    p.add_argument("--seed", type=_seed)
-    p.set_defaults(func=_cmd_stability)
-
-    p = sub.add_parser("trajectories", help="stochastic measurement records")
-    common(p, "trajectories")
-    _add_setting_args(p)
-    p.add_argument("--n", type=_count, required=True, help="cycles per trajectory")
-    p.add_argument("--n-traj", type=_count, default=1000)
-    p.add_argument("--seed", type=_seed)
-    p.add_argument("--initial", choices=("plus", "minus", "mixed"), default="plus")
-    p.add_argument(
-        "--cycle-rot",
-        type=_vector,
-        default=np.zeros(3),
-        help="per-cycle rotation vector x,y,z (rad)",
-    )
-    p.set_defaults(func=_cmd_trajectories)
-
-    p = sub.add_parser("nv-scan", help="2D (t_DD, t_R) lifetime and tolerance scan")
-    p.add_argument("--config", help=_CONFIG_HELP)
-    p.add_argument("--preset", choices=sorted(PRESETS))
-    _add_readout_args(p)
-    p.add_argument("--out-dir", default="nv_scan_out")
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--n-tdd", type=_count, help="sequence-duration grid points")
-    p.add_argument("--n-tr", type=_count, help="waiting-time grid points")
-    p.add_argument("--n-max", type=_count, help="lifetime iteration cap")
-    p.set_defaults(func=_cmd_nv_scan)
-
+        for key in KEYS[name]:
+            if key in _FLAGS:
+                leaf = key.rpartition(".")[2]
+                kind, text = _FLAGS[key]
+                p.add_argument("--" + leaf.replace("_", "-"), type=kind, dest=key, help=text)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -527,8 +434,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     args.started = time.time()
     try:
-        args.func(args)
-    except (ConfigError, argparse.ArgumentTypeError) as exc:
+        args.func(args, _inputs(args))
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

@@ -1,25 +1,28 @@
-"""Run-configuration files: JSON with a fixed key schema.
+"""Run configuration: each subcommand's keys and one resolver per kind of value.
 
-Top-level keys (all optional unless a subcommand needs them):
+Every input of a subcommand is a config key (``KEYS``).  A ``--config``
+JSON file gives some, a flag overrides the key of its name, and the
+manifest's ``parameters`` record each resolved key under the same name and
+nesting, so a manifest replays as a config.  With readout = ``p_plus``,
+``p_minus`` | ``n_plus``, ``n_minus`` | ``n_bar``, ``contrast`` and system =
+``preset``, ``B_gauss``, ``gamma_n_MHz_per_T``, ``A_MHz``, ``N_DD``:
 
-    preset              "P1" | "P2" | "P3"
-    B_gauss             magnetic field in gauss
-    gamma_n_MHz_per_T   nuclear gyromagnetic ratio (default -10.71)
-    A_MHz               hyperfine 3-vector in MHz (1 MHz = 2*pi*1e6 rad/s)
-    N_DD                number of CPMG periods
-    tau_ns | t_DD_ns    CPMG period or total sequence duration (ns)
-    p_plus, p_minus     electron readout fidelities, or
-    n_plus, n_minus     mean photon numbers (room-temperature mapping), or
-    n_bar, contrast     equivalent photon statistics
-    phi                 electron readout azimuth (rad)
-    alpha               measurement rotation magnitude (rad)
-    seed                master seed for stochastic subcommands
-    scan                {"n_tdd", "n_tr", "tau_rel_min", "tau_rel_max", "n_max"}
+    table1          preset ("P1" | "P2" | "P3")
+    binary-stats    alpha, phi, readout
+    distribution    alpha, phi, readout, n, law ("exact" | "gaussian")
+    fidelity        alpha, phi, readout, n, threshold_mode ("exact" | "gaussian")
+    qnd-solve       system, tau_ns | t_DD_ns
+    stability       alpha_vec, error ("systematic" | "random"), delta_phi, error_axis,
+                    n_max, seed
+    trajectories    alpha, phi, readout, n, n_traj, seed, initial, cycle_rot
+    nv-scan         system, readout, scan.{n_tdd, n_tr, tau_rel_min, tau_rel_max, n_max}
 
-Unknown keys are rejected before any computation runs.  On the command line
-a flag overrides the key of its name (``--tau-ns`` is ``tau_ns`` and also
-drops ``t_DD_ns``; nv-scan's ``--n-max`` is ``scan.n_max``), and a readout
-flag replaces every readout key of the file.
+Angles are in radians, ``B_gauss`` in gauss, ``A_MHz`` a 3-vector in MHz
+(1 MHz = 2*pi*1e6 rad/s), ``tau_ns`` the CPMG period and ``t_DD_ns`` the
+sequence duration in ns; ``p_*`` are readout fidelities, ``n_plus`` and
+``n_minus`` mean photon numbers.  A key no subcommand reads is refused
+before anything runs; one that only other subcommands read is listed in the
+manifest's ``ignored_keys``, so one file can serve several subcommands.
 """
 
 from __future__ import annotations
@@ -33,55 +36,128 @@ from .nv import PRESETS, NvParams, room_temp_readout
 
 __all__ = [
     "ConfigError",
-    "config_count",
+    "KEYS",
+    "Inputs",
+    "as_choice",
+    "as_count",
+    "as_number",
+    "as_positive",
+    "as_seed",
+    "as_vector",
     "load_config",
     "nv_params_from_config",
     "sequence_from_config",
     "readout_from_config",
 ]
 
-_TOP_KEYS = {
-    "preset",
-    "B_gauss",
-    "gamma_n_MHz_per_T",
-    "A_MHz",
-    "N_DD",
-    "tau_ns",
-    "t_DD_ns",
-    "p_plus",
-    "p_minus",
-    "n_plus",
-    "n_minus",
-    "n_bar",
-    "contrast",
-    "phi",
-    "alpha",
-    "seed",
-    "scan",
+_READOUT_KEYS = ("p_plus", "p_minus", "n_plus", "n_minus", "n_bar", "contrast")
+_SETTING_KEYS = ("alpha", "phi", *_READOUT_KEYS)
+_SYSTEM_KEYS = ("preset", "B_gauss", "gamma_n_MHz_per_T", "A_MHz", "N_DD")
+_SCAN_KEYS = ("n_tdd", "n_tr", "tau_rel_min", "tau_rel_max", "n_max")
+
+KEYS = {
+    "table1": ("preset",),
+    "binary-stats": _SETTING_KEYS,
+    "distribution": (*_SETTING_KEYS, "n", "law"),
+    "fidelity": (*_SETTING_KEYS, "n", "threshold_mode"),
+    "qnd-solve": (*_SYSTEM_KEYS, "tau_ns", "t_DD_ns"),
+    "stability": ("alpha_vec", "error", "delta_phi", "error_axis", "n_max", "seed"),
+    "trajectories": (*_SETTING_KEYS, "n", "n_traj", "seed", "initial", "cycle_rot"),
+    "nv-scan": (*_SYSTEM_KEYS, *_READOUT_KEYS, *(f"scan.{key}" for key in _SCAN_KEYS)),
 }
 
-_READOUT_KEYS = {"p_plus", "p_minus", "n_plus", "n_minus", "n_bar", "contrast"}
+_KNOWN = {key for keys in KEYS.values() for key in keys}
 
-_SCAN_KEYS = {"n_tdd", "n_tr", "tau_rel_min", "tau_rel_max", "n_max"}
+# the default of a key that must be given
+_REQUIRED = object()
 
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
 
-def config_count(value, name: str, least: int = 1) -> int:
-    """A count (or, with ``least=0``, a seed) from a config file: an integer
-    >= ``least`` (``1e6`` passes, ``2.5`` and ``true`` do not)."""
+def as_count(value, key: str, least: int = 1) -> int:
+    """An integer >= ``least`` (``1e6`` passes, ``2.5`` and ``true`` do not)."""
     if isinstance(value, bool) or not (
         isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     ):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     if value < least:
-        raise ConfigError(f"{name} must be >= {least}, got {value}")
+        raise ConfigError(f"{key} must be >= {least}, got {value}")
     return int(value)
 
 
+def as_seed(value, key: str) -> int:
+    """A master seed: an integer >= 0."""
+    return as_count(value, key, 0)
+
+
+def as_number(value, key: str) -> float:
+    """A JSON number (not a boolean); its range is the library's to check."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range reads as json's 1e400 does
+        return math.copysign(math.inf, value)
+
+
+def as_positive(value, key: str) -> float:
+    """A positive finite number."""
+    value = as_number(value, key)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{key} must be positive and finite, got {value}")
+    return value
+
+
+def as_choice(value, key: str, options) -> str:
+    """One of the names in ``options``."""
+    if not isinstance(value, str) or value not in options:
+        raise ConfigError(f"unknown {key} {value!r} (have {sorted(options)})")
+    return value
+
+
+def as_vector(value, key: str) -> list[float]:
+    """Three finite numbers."""
+    message = f"{key} must be a 3-vector of finite numbers, got {value!r}"
+    if not (isinstance(value, (list, tuple)) and len(value) == 3):
+        raise ConfigError(message)
+    vector = [as_number(v, key) for v in value]
+    if not all(map(math.isfinite, vector)):
+        raise ConfigError(message)
+    return vector
+
+
+class Inputs:
+    """One run's config keys and the values resolved from them.
+
+    ``cfg`` maps each given key (a block's as ``scan.n_tdd``) to its value.
+    ``resolve`` checks one key and records the result in ``params`` under
+    the same name and nesting: the manifest's ``parameters``.  ``ignored``
+    lists the given keys that the subcommand (declaring ``keys``) does not read.
+    """
+
+    def __init__(self, cfg: dict, keys):
+        self.cfg, self.params = cfg, {}
+        self.ignored = sorted(set(cfg) - set(keys))
+
+    def resolve(self, key: str, check, default=_REQUIRED, *extra):
+        """``check(value, key, *extra)`` of ``key`` (``default`` when not given), recorded.
+
+        With ``default=None`` the key is optional, and ``None`` passes unchecked.
+        """
+        value = self.cfg.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{key} is required")
+        if value is not None or default is not None:
+            value = check(value, key, *extra)
+        block, _, leaf = key.rpartition(".")
+        (self.params.setdefault(block, {}) if block else self.params)[leaf] = value
+        return value
+
+
 def load_config(path: str) -> dict:
+    """The file's keys, those of its ``scan`` block as ``scan.<key>``; unknown ones are refused."""
     try:
         with open(path, encoding="utf-8") as handle:
             cfg = json.load(handle)
@@ -89,84 +165,80 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(cfg) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    scan = cfg.get("scan", {})
+    scan = cfg.pop("scan", {})
     if not isinstance(scan, dict):
         raise ConfigError("'scan' must be an object")
-    unknown = set(scan) - _SCAN_KEYS
+    cfg.update((f"scan.{key}", value) for key, value in scan.items())
+    unknown = set(cfg) - _KNOWN
     if unknown:
-        raise ConfigError(f"unknown scan keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return cfg
 
 
-def nv_params_from_config(cfg: dict) -> NvParams:
+def nv_params_from_config(inputs: Inputs) -> NvParams:
+    """``preset`` with any of ``B_gauss``, ``N_DD``, ``gamma_n_MHz_per_T`` and
+    ``A_MHz`` laid over, or those keys alone; records the four, not the preset."""
+    cfg = inputs.cfg
     if "preset" in cfg:
-        name = cfg["preset"]
-        if not isinstance(name, str) or name not in PRESETS:
-            raise ConfigError(f"unknown preset {name!r} (have {sorted(PRESETS)})")
-        base = PRESETS[name]
-        b_gauss = cfg.get("B_gauss", base.b_gauss)
-        n_dd = cfg.get("N_DD", base.n_dd)
-        gamma = cfg.get("gamma_n_MHz_per_T", base.gamma_n_mhz_per_t)
-        a_mhz = cfg.get("A_MHz", base.a_mhz)
+        base = PRESETS[as_choice(cfg["preset"], "preset", PRESETS)]
+    elif "B_gauss" not in cfg or "N_DD" not in cfg:
+        raise ConfigError("need either 'preset' or both 'B_gauss' and 'N_DD'")
     else:
-        if "B_gauss" not in cfg or "N_DD" not in cfg:
-            raise ConfigError("need either 'preset' or both 'B_gauss' and 'N_DD'")
-        b_gauss = cfg["B_gauss"]
-        n_dd = cfg["N_DD"]
-        gamma = cfg.get("gamma_n_MHz_per_T", -10.71)
-        a_mhz = cfg.get("A_MHz", NvParams(b_gauss=1.0, n_dd=1).a_mhz)
-    if not isinstance(a_mhz, (list, tuple)) or len(a_mhz) != 3:
-        raise ConfigError("A_MHz must be a 3-vector")
+        base = NvParams(b_gauss=1.0, n_dd=1)
+    values = (
+        inputs.resolve("B_gauss", as_number, base.b_gauss),
+        inputs.resolve("N_DD", as_count, base.n_dd),
+        inputs.resolve("gamma_n_MHz_per_T", as_number, base.gamma_n_mhz_per_t),
+        tuple(inputs.resolve("A_MHz", as_vector, list(base.a_mhz))),
+    )
     try:
-        return NvParams(
-            b_gauss=float(b_gauss),
-            n_dd=config_count(n_dd, "N_DD"),
-            gamma_n_mhz_per_t=float(gamma),
-            a_mhz=tuple(float(a) for a in a_mhz),
-        )
-    except (TypeError, ValueError) as exc:
+        return NvParams(*values)
+    except ValueError as exc:
         raise ConfigError(f"invalid system parameters: {exc}") from exc
 
 
-def sequence_from_config(cfg: dict, params: NvParams):
-    """CPMG sequence from ``tau_ns`` or ``t_DD_ns`` (default: resonant period)."""
+def sequence_from_config(inputs: Inputs, params: NvParams):
+    """CPMG sequence of ``tau_ns`` or ``t_DD_ns`` (default resonant); records ``tau_ns``."""
+    cfg = inputs.cfg
     if "tau_ns" in cfg and "t_DD_ns" in cfg:
         raise ConfigError("give only one of 'tau_ns' and 't_DD_ns'")
-    try:
-        if "tau_ns" in cfg:
-            tau = float(cfg["tau_ns"]) * 1e-9
-        elif "t_DD_ns" in cfg:
-            tau = float(cfg["t_DD_ns"]) * 1e-9 / params.n_dd
-        else:
-            tau = params.larmor_period_dd
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid sequence duration: {exc}") from exc
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ConfigError(f"sequence duration must be positive and finite, got {tau}")
-    return cpmg(params.n_dd, tau)
+    if "tau_ns" in cfg:
+        tau = as_positive(cfg["tau_ns"], "tau_ns") * 1e-9
+    elif "t_DD_ns" in cfg:
+        tau = as_positive(cfg["t_DD_ns"], "t_DD_ns") * 1e-9 / params.n_dd
+    else:
+        tau = params.larmor_period_dd
+    seq = cpmg(params.n_dd, tau)
+    inputs.params["tau_ns"] = seq.duration / params.n_dd * 1e9
+    return seq
 
 
-def readout_from_config(cfg: dict) -> ReadoutModel:
-    """Readout model from fidelities or photon statistics (default ideal)."""
+def readout_from_config(inputs: Inputs, ideal: ReadoutModel = ReadoutModel()) -> ReadoutModel:
+    """Readout model from fidelities or photon statistics, ``ideal`` where none
+    is given or it is ideal; records it as ``p_plus`` and ``p_minus``."""
+    cfg = inputs.cfg
     has_p = "p_plus" in cfg or "p_minus" in cfg
     has_n = "n_plus" in cfg or "n_minus" in cfg
     has_bar = "n_bar" in cfg or "contrast" in cfg
     if sum((has_p, has_n, has_bar)) > 1:
         raise ConfigError("give readout as p_+/p_-, n_+/n_-, or n_bar/contrast")
+
+    def number(key):
+        return as_number(cfg[key], key)
+
+    readout = ReadoutModel()
     try:
         if has_p:
-            return ReadoutModel(float(cfg["p_plus"]), float(cfg["p_minus"]))
-        if has_n:
-            return room_temp_readout(float(cfg["n_plus"]), float(cfg["n_minus"]))
-        if has_bar:
-            n_bar = float(cfg["n_bar"])
-            contrast = float(cfg["contrast"])
-            return room_temp_readout(n_bar * (1 + contrast), n_bar * (1 - contrast))
+            readout = ReadoutModel(number("p_plus"), number("p_minus"))
+        elif has_n:
+            readout = room_temp_readout(number("n_plus"), number("n_minus"))
+        elif has_bar:
+            n_bar, contrast = number("n_bar"), number("contrast")
+            readout = room_temp_readout(n_bar * (1 + contrast), n_bar * (1 - contrast))
     except KeyError as exc:
         raise ConfigError(f"incomplete readout model: missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid readout model: {exc}") from exc
-    return ReadoutModel()
+    readout = ideal if readout.is_ideal else readout
+    inputs.params.update(p_plus=readout.p_plus, p_minus=readout.p_minus)
+    return readout

@@ -39,7 +39,7 @@ from .cascade import critical_n
 from .control import _chord_angle, solve_waiting_time
 from .hyperfine import MHZ, SpinSystem, cpmg, exact_dd_evolution, extract_alpha_phi
 from .measurement import MeasurementSetting, ReadoutModel, binary_stats
-from .rotations import rotor_exp, so3_from_rotor
+from .rotations import _finite, rotor_exp, so3_from_rotor
 from .stability import _measurement_axis, dephasing_map, first_crossing
 
 __all__ = [
@@ -225,8 +225,8 @@ def scan_2d(
     the kernel (``geometry_s``) and in it (``lifetimes_s``), and the
     ``worst_alpha_phi_error`` of ``extract_alpha_phi``.
     """
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    tr_grid = np.asarray(tr_grid, dtype=float)
+    tau_grid = _finite(tau_grid, "tau_grid")
+    tr_grid = _finite(tr_grid, "tr_grid")  # a nan column would read as the QND ridge
     if tau_grid.size == 0 or tr_grid.size == 0:
         raise ValueError("scan grids must be non-empty")
     if n_max < 1:  # a horizon of no steps would read as the QND ridge everywhere

@@ -87,6 +87,14 @@ def _unit_axis(axis, what: str = "fixed axis") -> np.ndarray:
     return axis / norm
 
 
+def _finite(array, name: str) -> np.ndarray:
+    """``array`` as floats; a non-finite entry is a ``ValueError`` naming ``name``."""
+    array = np.asarray(array, dtype=float)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite")
+    return array
+
+
 def identity_rotor() -> Rotor:
     return Rotor(1.0, np.zeros(3))
 

@@ -11,7 +11,8 @@ error ``delta_phi_i`` then iterates
 and the survival of the measured eigenstate is ``S(N) = alpha_hat . a(N)``.
 The lifetime ``N_L`` is the first ``N`` where ``S(N)`` reaches ``1/e``
 (``inf`` if it never does within the horizon; oscillatory cases such as the
-``alpha = pi`` echo may never cross).
+``alpha = pi`` echo may never cross).  ``inf`` means that and nothing else:
+the public functions refuse non-finite inputs and zero axes at entry.
 
 Small-error closed forms, for the worst case of a fixed error axis
 perpendicular to the measurement axis:
@@ -67,7 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hyperfine import SpinSystem
-from .rotations import _unit_axis, rotor_exp, so3_from_rotor
+from .rotations import _finite, _unit_axis, rotor_exp, so3_from_rotor
 from .trajectory import _SLICE, _axis_frame, _checked_seed, _child_generators, _combine
 from .trajectory import _frame_terms
 
@@ -131,7 +132,7 @@ class RotationErrorModel:
         if self.kind == "systematic":
             if self.delta_phi is None:
                 raise ValueError("systematic errors need delta_phi")
-            self.delta_phi = np.asarray(self.delta_phi, dtype=float)
+            self.delta_phi = _finite(self.delta_phi, "delta_phi")
         elif self.kind == "random":
             if self.seed is None:
                 raise ValueError("random errors need an explicit seed")
@@ -140,7 +141,7 @@ class RotationErrorModel:
         else:
             if self.rotations is None:
                 raise ValueError("explicit errors need the rotations array")
-            self.rotations = np.atleast_2d(np.asarray(self.rotations, dtype=float))
+            self.rotations = np.atleast_2d(_finite(self.rotations, "rotations"))
             if self.rotations.shape[1:] != (3,) or not self.rotations.size:
                 shape = self.rotations.shape
                 raise ValueError(f"explicit rotations need shape (p, 3), got {shape}")
@@ -167,7 +168,7 @@ def survival_curve(alpha_vec, error: RotationErrorModel, n_max: int) -> Survival
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    alpha_vec = np.asarray(alpha_vec, dtype=float)
+    alpha_vec = _finite(alpha_vec, "alpha_vec")
     if error.kind == "random":
         angles = np.random.default_rng(error.seed).normal(0.0, error.std, size=(1, n_max))
         values = np.concatenate(list(_fixed_axis_survivals(alpha_vec, error.axis, angles)))[:, 0]
@@ -214,6 +215,7 @@ def survival_ensemble(
         raise ValueError("n_max must be >= 1")
     if n_seeds < 2:
         raise ValueError("n_seeds must be >= 2 for a standard error")
+    alpha_vec = _finite(alpha_vec, "alpha_vec")
     std = _checked_std(std)
     axis = _unit_axis(axis)
     master_seed = _checked_seed(master_seed)
@@ -298,7 +300,7 @@ def first_crossing(maps, axes, horizon) -> np.ndarray:
     ``maps`` has shape ``(P, 3, 3)`` (the per-cycle maps ``G``), ``axes``
     shape ``(P, 3)`` (the measured axes ``a``) and ``horizon`` is an integer
     or one integer per point.  Points that do not cross within their horizon
-    get ``inf``.
+    get ``inf``; non-finite maps and zero or non-finite axes are refused.
 
     Steps are evaluated a chunk of ``k`` at a time from the rows ``a^T G^j``
     (see the module docstring), with ``k = 1, 2, 4, ...`` doubling up to
@@ -309,8 +311,10 @@ def first_crossing(maps, axes, horizon) -> np.ndarray:
     Every point gets the same schedule, so each lifetime depends only on its
     own map, axis and horizon, not on the batch it shares a call with.
     """
-    maps = np.asarray(maps, dtype=float)
-    axes = np.asarray(axes, dtype=float)
+    maps = _finite(maps, "maps")
+    axes = _finite(axes, "axes")
+    if not axes.any(axis=-1).all():
+        raise ValueError("axes must be nonzero")
     horizon = np.broadcast_to(np.asarray(horizon, dtype=np.int64), axes.shape[:1])
     threshold = 1.0 / math.e
     lifetimes = np.full(axes.shape[0], math.inf)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurement import MeasurementSetting
-from .rotations import Rotor, so3_from_rotor
+from .rotations import Rotor, _finite, so3_from_rotor
 
 __all__ = [
     "NuclearState",
@@ -314,6 +314,16 @@ def _evolve(setting, cycle_rotation, initial, uniforms, outcomes=None):
     return (2.0 * counts - n) / n, finals
 
 
+def _check_entry(setting, cycle_rotation: Rotor, initial: NuclearState, n: int) -> None:
+    """What ``run`` and ``run_ensemble`` refuse before any draw."""
+    if not setting.readout.is_ideal:
+        raise ValueError("trajectory updates are defined for ideal readout only")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    _finite(np.append(cycle_rotation.scalar, cycle_rotation.vector), "cycle_rotation")
+    _finite(initial.bloch, "initial")
+
+
 def run(
     setting: MeasurementSetting,
     cycle_rotation: Rotor,
@@ -326,8 +336,7 @@ def run(
     The uniforms come from one ``random(n)`` call, the same stream as ``n``
     scalar draws, and go through the batched kernel as a single row.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_entry(setting, cycle_rotation, initial, n)
     uniforms = np.random.default_rng(seed).random(n)
     plus = np.empty((n, 1), dtype=bool)
     u_bars, finals = _evolve(setting, cycle_rotation, initial, uniforms[None, :], plus)
@@ -361,10 +370,7 @@ def run_ensemble(
     spent building the streams and drawing (``stream_s``) and in the kernel
     (``kernel_s``).
     """
-    if not setting.readout.is_ideal:
-        raise ValueError("trajectory updates are defined for ideal readout only")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_entry(setting, cycle_rotation, initial, n)
     master_seed = _checked_seed(master_seed)
     u_bars, finals = np.empty(n_traj), np.empty((n_traj, 3))
     uniforms = np.empty((min(_BLOCK, n_traj), n))

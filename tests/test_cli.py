@@ -16,6 +16,7 @@ from scipy.spatial.transform import Rotation
 import qndspin
 from qndspin import cli
 from qndspin.cli import main
+from qndspin.config import KEYS, Inputs, load_config
 from qndspin.hyperfine import cpmg, exact_dd_evolution, extract_alpha_phi
 from qndspin.nv import PRESETS, nv_system
 
@@ -243,7 +244,7 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv):
         ({"scan": {"tau_rel_min": 0.0}}, "scan.tau_rel_"),
         ({"scan": {"tau_rel_max": -1.05}}, "scan.tau_rel_"),
         ({"scan": {"tau_rel_min": "wide"}}, "scan.tau_rel_"),
-        ({"A_MHz": [0.2, math.nan, 0.3]}, "a_mhz must be finite"),
+        ({"A_MHz": [0.2, math.nan, 0.3]}, "A_MHz must be a 3-vector of finite numbers"),
         ({"B_gauss": math.nan}, "b_gauss must be finite"),
         ({"gamma_n_MHz_per_T": math.inf}, "gamma_n_mhz_per_t must be finite"),
         ({"N_DD": 2.5}, "N_DD must be an integer"),
@@ -260,7 +261,7 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv):
         ({"A_MHz": 1.0}, "A_MHz must be a 3-vector"),
         ({"A_MHz": None}, "A_MHz must be a 3-vector"),
         ({"A_MHz": [0.2, 0.3]}, "A_MHz must be a 3-vector"),
-        ({"scan": {"n_typo": 3}}, "unknown scan keys: ['n_typo']"),
+        ({"scan": {"n_typo": 3}}, "unknown config keys: ['scan.n_typo']"),
     ],
     ids=[
         "min nan",
@@ -306,8 +307,8 @@ def test_nv_scan_bad_tau_span_is_config_error(tmp_path, capsys, cfg, message):
         ({"preset": {"a": 1}}, "unknown preset {'a': 1}"),
         ({"preset": "P2", "A_MHz": 1.0}, "A_MHz must be a 3-vector"),
         ({"preset": "P2", "A_MHz": None}, "A_MHz must be a 3-vector"),
-        ({"preset": "P2", "tau_ns": "abc"}, "invalid sequence duration"),
-        ({"preset": "P2", "t_DD_ns": [1]}, "invalid sequence duration"),
+        ({"preset": "P2", "tau_ns": "abc"}, "tau_ns must be a number"),
+        ({"preset": "P2", "t_DD_ns": [1]}, "t_DD_ns must be a number"),
         ([1, 2], "config must be a JSON object"),
         ({"preset": "P2", "scan": 3}, "'scan' must be an object"),
         ({"B_gauss": 500.0}, "need either 'preset' or both 'B_gauss' and 'N_DD'"),
@@ -400,18 +401,9 @@ def test_unusable_output_paths_are_config_errors(tmp_path, monkeypatch, capsys, 
     assert os.listdir(tmp_path) == ["blocker"] and blocker.read_text() == "keep"
 
 
-def _commands_taking_config():
-    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {name for name, p in sub.choices.items() if "--config" in p._option_string_actions}
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [argv for argv in UNUSABLE_OUTPUT_CASES if argv[0] in _commands_taking_config()],
-    ids=lambda argv: argv[0],
-)
+@pytest.mark.parametrize("argv", UNUSABLE_OUTPUT_CASES, ids=lambda argv: argv[0])
 def test_a_missing_config_file_is_a_config_error(tmp_path, monkeypatch, capsys, argv):
-    """Every subcommand that takes --config reads it, so a missing file exits 2."""
+    """Every subcommand reads --config, so a missing file exits 2."""
     for name in ("scan_2d", "run_ensemble", "survival_curve", "exact_distribution"):
         monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("work started"))
     out = str(tmp_path / "out")
@@ -442,20 +434,30 @@ def test_half_a_readout_pair_names_the_missing_key(tmp_path, capsys, flags, cfg,
     assert os.listdir(tmp_path) == (["run.json"] if cfg else [])
 
 
-def _run(argv, name):
-    """Run in the current directory; the manifest's parameters and each output's bytes."""
-    scan = argv[0] == "nv-scan"
-    assert main(argv + (["--out-dir", name] if scan else ["--out", name])) == 0
-    with open(os.path.join(name, "manifest.json") if scan else name + ".manifest.json") as handle:
+def _outputs_of(manifest_path):
+    """The manifest and the bytes of each output it names."""
+    with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
     outputs = []
     for path in manifest["outputs"]:
         with open(path, "rb") as handle:
             outputs.append(handle.read())
+    return manifest, outputs
+
+
+def _run(argv, name):
+    """Run in the current directory; the manifest's parameters and each output's bytes."""
+    scan = argv[0] == "nv-scan"
+    assert main(argv + (["--out-dir", name] if scan else ["--out", name])) == 0
+    path = os.path.join(name, "manifest.json") if scan else name + ".manifest.json"
+    manifest, outputs = _outputs_of(path)
     return manifest["parameters"], outputs
 
 
 NV_SCAN = ["nv-scan", "--preset", "P2"]
+TRAJECTORIES = ["trajectories", "--alpha", "0.2", "--n", "20", "--seed", "3"]
+STABILITY = ["stability", "--alpha-vec", "0.3,0.2,1.1", "--delta-phi", "0.05"]
+STABILITY_Z = ["stability", "--alpha-vec", "0,0,2.5", "--delta-phi", "0.05", "--n-max", "50"]
 
 # (subcommand argv, flags, the same input as config keys)
 FLAG_KEY_CASES = {
@@ -478,19 +480,67 @@ FLAG_KEY_CASES = {
         ["--seed", "5"],
         {"seed": 5},
     ),
-    "n_tdd": (NV_SCAN + ["--n-tr", "4", "--n-max", "200"], ["--n-tdd", "3"], {"n_tdd": 3}),
-    "n_tr": (NV_SCAN + ["--n-tdd", "2", "--n-max", "200"], ["--n-tr", "5"], {"n_tr": 5}),
-    "n_max": (NV_SCAN + ["--n-tdd", "2", "--n-tr", "4"], ["--n-max", "300"], {"n_max": 300}),
+    "n_tdd": (
+        NV_SCAN + ["--n-tr", "4", "--n-max", "200"], ["--n-tdd", "3"], {"scan": {"n_tdd": 3}}
+    ),
+    "n_tr": (NV_SCAN + ["--n-tdd", "2", "--n-max", "200"], ["--n-tr", "5"], {"scan": {"n_tr": 5}}),
+    "n_max": (
+        NV_SCAN + ["--n-tdd", "2", "--n-tr", "4"], ["--n-max", "300"], {"scan": {"n_max": 300}}
+    ),
+    "table1 preset": (["table1"], ["--preset", "P3"], {"preset": "P3"}),
+    "n": (["distribution", "--alpha", "0.2"], ["--n", "25"], {"n": 25}),
+    "law": (["distribution", "--n", "30"], ["--law", "gaussian"], {"law": "gaussian"}),
+    "threshold_mode": (
+        ["fidelity", "--n", "30"], ["--threshold-mode", "gaussian"], {"threshold_mode": "gaussian"}
+    ),
+    "n_traj": (TRAJECTORIES, ["--n-traj", "6"], {"n_traj": 6}),
+    "initial": (TRAJECTORIES, ["--initial", "mixed"], {"initial": "mixed"}),
+    "cycle_rot": (TRAJECTORIES, ["--cycle-rot", "0.1,-0.2,0.3"], {"cycle_rot": [0.1, -0.2, 0.3]}),
+    "alpha_vec": (
+        ["stability", "--delta-phi", "0.05", "--n-max", "50"],
+        ["--alpha-vec", "0,0,2.5"],
+        {"alpha_vec": [0.0, 0.0, 2.5]},
+    ),
+    "delta_phi": (
+        ["stability", "--alpha-vec", "0,0,2.5", "--n-max", "50"],
+        ["--delta-phi", "0.1"],
+        {"delta_phi": 0.1},
+    ),
+    "error": (STABILITY_Z + ["--seed", "4"], ["--error", "random"], {"error": "random"}),
+    "error_axis": (
+        STABILITY + ["--n-max", "50"],
+        ["--error-axis", "0.3,-0.5,0.8"],
+        {"error_axis": [0.3, -0.5, 0.8]},
+    ),
+    "stability n_max": (STABILITY, ["--n-max", "70"], {"n_max": 70}),
+    "stability seed": (STABILITY_Z + ["--error", "random"], ["--seed", "4"], {"seed": 4}),
 }
 
 
 @pytest.mark.parametrize("argv, flags, keys", FLAG_KEY_CASES.values(), ids=FLAG_KEY_CASES)
 def test_a_flag_and_the_config_key_of_its_name_agree(tmp_path, monkeypatch, argv, flags, keys):
     monkeypatch.chdir(tmp_path)
-    if argv[0] == "nv-scan":  # nv-scan's counts are keys of the file's scan block
-        keys = {"scan": keys}
     (tmp_path / "run.json").write_text(json.dumps(keys))
     assert _run(argv + flags, "flag") == _run(argv + ["--config", "run.json"], "key")
+
+
+_PATHS = {"help", "config", "out", "out_dir", "force"}
+
+
+def test_every_flag_sets_a_config_key_of_its_subcommand(tmp_path):
+    """Each non-path flag's dest is a declared key, and load_config accepts every declared key."""
+    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(KEYS)
+    for name, parser in sub.choices.items():
+        dests = {action.dest for action in parser._actions} - _PATHS
+        assert dests <= set(KEYS[name]), name
+        assert "--config" in parser._option_string_actions, name
+        cfg = {}
+        for key in KEYS[name]:
+            block, _, leaf = key.rpartition(".")
+            (cfg.setdefault(block, {}) if block else cfg)[leaf] = 1
+        (tmp_path / "all.json").write_text(json.dumps(cfg))
+        assert set(load_config(str(tmp_path / "all.json"))) == set(KEYS[name])
 
 
 @pytest.mark.parametrize(
@@ -627,6 +677,33 @@ GOLDEN_CASES = [
 
 
 @pytest.mark.parametrize("name, argv, cfg", GOLDEN_CASES, ids=[case[0] for case in GOLDEN_CASES])
+def test_golden_manifests_replay_as_configs(tmp_path, monkeypatch, name, argv, cfg):
+    """A manifest's parameters, fed back as --config, give the same CSV bytes."""
+    monkeypatch.chdir(tmp_path)
+    if cfg is not None:
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+    assert main(argv) == 0
+    scan = argv[0] == "nv-scan"
+    manifest, outputs = _outputs_of("scan/manifest.json" if scan else argv[-1] + ".manifest.json")
+    assert manifest["ignored_keys"] == []
+    (tmp_path / "replay.json").write_text(json.dumps(manifest["parameters"]))
+    assert _run([argv[0], "--config", "replay.json"], "replay") == (manifest["parameters"], outputs)
+
+
+def test_keys_a_subcommand_does_not_read_are_listed(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = NV_SCAN[:1] + ["--n-tdd", "2", "--n-tr", "3", "--n-max", "50", "--config", "run.json"]
+    runs = []
+    for cfg in ({"preset": "P2", "seed": 3}, {"preset": "P2"}):
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        assert main(argv + ["--out-dir", f"run{len(runs)}"]) == 0
+        runs.append(_outputs_of(f"run{len(runs)}/manifest.json"))
+    (seeded, seeded_outputs), (plain, plain_outputs) = runs
+    assert seeded["ignored_keys"] == ["seed"] and plain["ignored_keys"] == []
+    assert seeded["parameters"] == plain["parameters"] and seeded_outputs == plain_outputs
+
+
+@pytest.mark.parametrize("name, argv, cfg", GOLDEN_CASES, ids=[case[0] for case in GOLDEN_CASES])
 def test_outputs_match_golden_bytes(tmp_path, monkeypatch, capsys, name, argv, cfg):
     golden_path = os.path.join(os.path.dirname(__file__), "cli_golden.json")
     with open(golden_path, encoding="utf-8") as handle:
@@ -700,7 +777,8 @@ def test_emit_writes_the_row_by_row_text_and_its_digest(tmp_path, offset):
     labels = [f"r{i}" for i in range(rows)]
     paths = [str(tmp_path / "t.csv"), str(tmp_path / "t.manifest.json")]
     args = argparse.Namespace(command="test", started=time.time())
-    cli._emit(args, paths, {}, [(["i", "x", "label"], [np.arange(rows), floats, labels])])
+    table = (["i", "x", "label"], [np.arange(rows), floats, labels])
+    cli._emit(args, paths, Inputs({}, ()), [table])
     body = zip(range(rows), floats.tolist(), labels)
     expected = "i,x,label\n" + "".join(",".join(map(cli._fmt, row)) + "\n" for row in body)
     written = (tmp_path / "t.csv").read_bytes()

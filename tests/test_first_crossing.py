@@ -219,3 +219,25 @@ def test_systematic_curve_matches_naive_loop(alpha_mag, dphi, axis):
     assert curve.values.shape == (n_max + 1,)
     np.testing.assert_allclose(curve.values, expected, rtol=0.0, atol=1e-12)
     assert curve.lifetime == lifetime(curve.values)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"maps": math.nan}, "maps must be finite"),
+        ({"maps": math.inf}, "maps must be finite"),
+        ({"axes": [0.0, 0.0, 0.0]}, "axes must be nonzero"),
+        ({"axes": [math.nan, 0.0, 1.0]}, "axes must be finite"),
+    ],
+    ids=["nan map", "inf map", "zero axis", "nan axis"],
+)
+def test_non_finite_maps_and_zero_axes_are_refused(bad, message):
+    """They gave lifetime inf (the QND ridge) or 1; the second point is well formed."""
+    maps = np.stack([dephasing_map(0.5 * EZ)] * 2)
+    axes = np.tile(EZ, (2, 1))
+    if "maps" in bad:
+        maps[0, 1, 1] = bad["maps"]
+    else:
+        axes[0] = bad["axes"]
+    with pytest.raises(ValueError, match=message):
+        first_crossing(maps, axes, 100)

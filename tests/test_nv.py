@@ -260,6 +260,23 @@ def test_tolerance_profile_refuses_a_bad_tr_grid_before_any_solve(tr_grid, monke
         tolerance_profile(scan)
 
 
+@pytest.mark.parametrize(
+    "grids, name",
+    [
+        ({"tr_grid": [0.0, math.nan, 1e-7]}, "tr_grid"),
+        ({"tr_grid": [0.0, math.inf]}, "tr_grid"),
+        ({"tau_grid": [1.9e-6, math.nan]}, "tau_grid"),
+    ],
+    ids=["nan t_R", "inf t_R", "nan tau"],
+)
+def test_scan_refuses_non_finite_grids(grids, name):
+    """A NaN waiting time made its whole column inf, which reads as the QND ridge."""
+    params = PRESETS["P2"]
+    args = {"tau_grid": default_tau_grid(params, 2), "tr_grid": default_tr_grid(params, 3), **grids}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        scan_2d(params, args["tau_grid"], args["tr_grid"], room_temp_readout(0.1, 0.07), n_max=50)
+
+
 # ----------------------------------------------- edge sweep, synthetic regions
 
 

@@ -256,6 +256,34 @@ def test_random_error_model_rejects_bad_arguments(change):
         RotationErrorModel("random", **{"std": 0.1, "axis": EZ, "seed": 1, **change})
 
 
+@pytest.mark.parametrize(
+    "kind, values, name",
+    [
+        ("systematic", {"delta_phi": [math.nan, 0.0, 0.0]}, "delta_phi"),
+        ("systematic", {"delta_phi": [0.0, math.inf, 0.0]}, "delta_phi"),
+        ("explicit", {"rotations": [[math.nan, 0.0, 0.0]]}, "rotations"),
+        ("explicit", {"rotations": [[0.1, 0.0, 0.0], [0.0, 0.0, -math.inf]]}, "rotations"),
+    ],
+    ids=["systematic nan", "systematic inf", "explicit nan", "explicit inf"],
+)
+def test_error_models_refuse_non_finite_angles(kind, values, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        RotationErrorModel(kind, **values)
+
+
+@pytest.mark.parametrize(
+    "alpha_vec", [[math.nan, 0.0, 0.5], [0.0, 0.0, math.inf]], ids=["nan", "inf"]
+)
+def test_survival_functions_refuse_a_non_finite_alpha_vec(alpha_vec):
+    """A NaN measurement vector gave lifetime inf (curve) or a nan mean (ensemble)."""
+    with pytest.raises(ValueError, match="alpha_vec must be finite"):
+        survival_curve(alpha_vec, RotationErrorModel("systematic", delta_phi=0.01 * EX), 50)
+    with pytest.raises(ValueError, match="alpha_vec must be finite"):
+        survival_curve(alpha_vec, RotationErrorModel("random", std=0.01, seed=1), 50)
+    with pytest.raises(ValueError, match="alpha_vec must be finite"):
+        survival_ensemble(alpha_vec, 0.01, EX, 50, 4, 1)
+
+
 def test_explicit_full_rotation_mode():
     # under the exact QND condition the full-rotation map keeps S(N) = 1
     alpha_vec = 0.4 * EX

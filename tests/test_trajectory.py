@@ -48,6 +48,28 @@ def test_state_refuses_non_finite_polarizations(bloch):
         NuclearState(np.array(bloch))
 
 
+def _nan_state():
+    state = NuclearState.mixed()
+    state.bloch = np.array([math.nan, 0.0, 0.0])  # past the constructor's check
+    return state
+
+
+@pytest.mark.parametrize(
+    "rotation, initial, name",
+    [
+        (lambda: rotor_exp([math.nan, 0.0, 0.0]), NuclearState.mixed, "cycle_rotation"),
+        (identity_rotor, _nan_state, "initial"),
+    ],
+    ids=["nan rotation", "nan initial state"],
+)
+def test_run_and_run_ensemble_refuse_non_finite_inputs_alike(rotation, initial, name):
+    """run_ensemble returned finite u-bars for a NaN rotation, where run raised."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        run(setting(), rotation(), initial(), 10, 1)
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        run_ensemble(setting(), rotation(), initial(), 10, 4, 1)
+
+
 def test_eigenstate_invariant_under_qnd_cycle():
     s = setting()
     cycle = rotor_exp(0.7 * EZ)  # parallel to the measurement axis
