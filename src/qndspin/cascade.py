@@ -116,7 +116,7 @@ def exact_distribution(setting: MeasurementSetting, n: int) -> OutcomeDistributi
     normalized, with ``p = P(+|a)``; ``gammaln(n - k + 1)`` is the reversed
     ``gammaln(k + 1)`` array, so one log-gamma array serves both branches.
     """
-    from scipy.special import gammaln, xlogy
+    from scipy.special import gammaln
 
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -127,12 +127,24 @@ def exact_distribution(setting: MeasurementSetting, n: int) -> OutcomeDistributi
     laws = []
     for p in (outcome_prob(setting, 1, 1), outcome_prob(setting, -1, 1)):
         law = log_c if laws else log_c.copy()  # the last law is built in log_c
-        law += xlogy(k, p)
-        law += xlogy(k[::-1], 1.0 - p)
+        law += _k_log(k, p)
+        law += _k_log(k, 1.0 - p)[::-1]
         np.exp(law, out=law)
         law /= law.sum()
         laws.append(_read_only(law))
     return OutcomeDistribution(n, *laws)
+
+
+def _k_log(k: np.ndarray, q: float) -> np.ndarray:
+    """``xlogy(k, q)``, with ``log q`` taken once: ``k log q``, and +0.0 at
+    ``k = 0`` (``k`` starts at 0).  ``xlogy`` itself only where ``q <= 0``."""
+    if not q > 0.0:
+        from scipy.special import xlogy
+
+        return xlogy(k, q)
+    terms = k * math.log(q)
+    terms[0] = 0.0
+    return terms
 
 
 def _gaussian_law(n: int, mean: float, sigma: float) -> np.ndarray:

@@ -291,10 +291,13 @@ def _cmd_stability(args, inputs: Inputs) -> None:
     except ValueError as exc:
         raise ConfigError(f"invalid rotation error: {exc}") from exc
     paths = _outputs(args)
+    started = time.perf_counter()
     curve = survival_curve(alpha_vec, error, n_max)
+    diagnostics = {"curve_s": time.perf_counter() - started}
     steps = np.arange(n_max + 1)
     analytic = analytic_survival(kind, alpha_mag, delta_phi, steps)
-    _emit(args, paths, inputs, [(["N", "S_sim", "S_analytic"], [steps, curve.values, analytic])])
+    table = (["N", "S_sim", "S_analytic"], [steps, curve.values, analytic])
+    _emit(args, paths, inputs, [table], diagnostics)
     print(f"lifetime N_L = {curve.lifetime}")
 
 
@@ -321,7 +324,7 @@ def _cmd_nv_scan(args, inputs: Inputs) -> None:
     if "phi" in inputs.cfg:
         raise ConfigError("nv-scan reads out at phi = pi/2; remove 'phi' from the config")
     params = nv_params_from_config(inputs)
-    readout = readout_from_config(inputs, ideal=room_temp_readout(0.1, 0.07))
+    readout = readout_from_config(inputs, default=room_temp_readout(0.1, 0.07))
     n_tdd = inputs.resolve("scan.n_tdd", as_count, 256)
     n_tr = inputs.resolve("scan.n_tr", as_count, 256)
     if n_tr < 2:

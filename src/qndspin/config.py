@@ -213,9 +213,9 @@ def sequence_from_config(inputs: Inputs, params: NvParams):
     return seq
 
 
-def readout_from_config(inputs: Inputs, ideal: ReadoutModel = ReadoutModel()) -> ReadoutModel:
-    """Readout model from fidelities or photon statistics, ``ideal`` where none
-    is given or it is ideal; records it as ``p_plus`` and ``p_minus``."""
+def readout_from_config(inputs: Inputs, default: ReadoutModel = ReadoutModel()) -> ReadoutModel:
+    """Readout model from fidelities or photon statistics, ``default`` where no
+    readout key is given; records it as ``p_plus`` and ``p_minus``."""
     cfg = inputs.cfg
     has_p = "p_plus" in cfg or "p_minus" in cfg
     has_n = "n_plus" in cfg or "n_minus" in cfg
@@ -226,7 +226,7 @@ def readout_from_config(inputs: Inputs, ideal: ReadoutModel = ReadoutModel()) ->
     def number(key):
         return as_number(cfg[key], key)
 
-    readout = ReadoutModel()
+    readout = default
     try:
         if has_p:
             readout = ReadoutModel(number("p_plus"), number("p_minus"))
@@ -239,6 +239,5 @@ def readout_from_config(inputs: Inputs, ideal: ReadoutModel = ReadoutModel()) ->
         raise ConfigError(f"incomplete readout model: missing {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"invalid readout model: {exc}") from exc
-    readout = ideal if readout.is_ideal else readout
     inputs.params.update(p_plus=readout.p_plus, p_minus=readout.p_minus)
     return readout

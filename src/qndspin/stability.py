@@ -45,19 +45,19 @@ rows up to ``MAX_CHUNK`` to emit the whole curve ``S(0..N)``.
 
 Random errors ``delta_phi_i = g_i e`` about a fixed axis ``e`` change the map
 every cycle, but only by a turn about ``e``.  Their kernel works in the frame
-``F = (e1, e2, e)`` of ``trajectory._axis_frame``, where the state is three
-coordinate arrays ``x, y, z`` with one entry per error sequence: per cycle
-``M' = F M F^T`` is applied as scalar x array products that skip its exact
-zeros, the error is the 2-D turn ``x' = c x - s y``, ``y' = s x + c y`` by
-the drawn angle (``z`` untouched), and ``S`` is read off along ``F a``.  All
-per-row arithmetic is elementwise, so a row's bits do not depend on how many
-rows share the call: ``survival_ensemble`` runs every seed as one row, and
-the random branch of ``survival_curve`` is a one-row call, so a curve drawn
-from ``SeedSequence(m).spawn(n)[i]`` is row ``i`` of the ensemble bit for
-bit.  The kernel hands out ``S(N)`` one 64-cycle slice at a time, and
-``survival_ensemble`` reduces each slice over the seeds as it comes, so the
-full survival matrix is never held.  Only explicit error lists are still
-iterated one 3x3 step at a time.
+``F = (e1, e2, e)`` of ``trajectory._axis_frame``, with the state as three
+coordinates ``x, y, z``.  Its cycle body, written once in ``+ - *``, applies
+``M' = F M F^T`` as scalar products that skip its exact zeros, then the 2-D
+turn ``x' = c x - s y``, ``y' = s x + c y`` by the drawn angle (``z``
+untouched), and reads ``S`` off along ``F a``.  ``trajectory._slices`` runs
+that body 64 cycles at a time, with the cos and sin of each slice taken by
+numpy: on Python floats for one row (the random branch of
+``survival_curve``) and on arrays for many (``survival_ensemble``, one row
+per seed).  Each float operation rounds as the array element's does, so a
+curve drawn from ``SeedSequence(m).spawn(n)[i]`` is row ``i`` of the
+ensemble bit for bit.  ``survival_ensemble`` reduces each slice over the
+seeds as it comes, so the full survival matrix is never held.  Only
+explicit error lists are still iterated one 3x3 step at a time.
 """
 
 from __future__ import annotations
@@ -69,8 +69,7 @@ import numpy as np
 
 from .hyperfine import SpinSystem
 from .rotations import _finite, _unit_axis, rotor_exp, so3_from_rotor
-from .trajectory import _SLICE, _axis_frame, _checked_seed, _child_generators, _combine
-from .trajectory import _frame_terms
+from .trajectory import _apply, _axis_frame, _checked_seed, _child_generators, _frame_terms, _slices
 
 __all__ = [
     "RotationErrorModel",
@@ -246,42 +245,29 @@ def _fixed_axis_survivals(alpha_vec, axis: np.ndarray, angles: np.ndarray):
     sequence ``i``'s angles in cycle order.  Yields ``S(0..n_max)`` in
     blocks of shape ``(width, rows)``: ``S(0)`` alone, then one block per
     slice of 64 cycles, so concatenating them gives the ``(n_max + 1, rows)``
-    matrix.  The cos and sin of a slice are taken from a transposed scratch
-    copy of its angles, so each cycle reads contiguous rows; the work arrays
-    are allocated once and updated in place, with no matrix product (module
+    matrix.  The cos and sin of a slice are numpy calls on its transposed
+    copy, and the cycle body runs through ``trajectory._slices`` (module
     docstring).
     """
     alpha_vec = np.asarray(alpha_vec, dtype=float)
     frame = _axis_frame(axis)
     start = frame @ _measurement_axis(alpha_vec)
-    deph = frame @ dephasing_map(alpha_vec) @ frame.T
-    terms, (readout,) = _frame_terms(deph), _frame_terms(start[None])
+    terms = _frame_terms(frame @ dephasing_map(alpha_vec) @ frame.T)
+    readout = _frame_terms(start[None])
 
-    rows, n_max = angles.shape
+    def cycle(state, c, s, pick):
+        nx, ny, nz = _apply(terms, state)
+        x, y = c * nx - s * ny, s * nx + c * ny
+        return (x, y, nz), _apply(readout, (x, y, nz))[0]
+
+    rows = len(angles)
     yield np.ones((1, rows))
-    x, y, z, nx, ny, nz, tmp = np.empty((7, rows))
-    for coord, value in zip((x, y, z), start):
-        coord.fill(value)
-    scratch = np.empty((3, _SLICE, rows))
-    for first in range(0, n_max, _SLICE):
-        width = min(_SLICE, n_max - first)
-        theta, cos, sin = scratch[:, :width]
-        np.copyto(theta, angles[:, first : first + width].T)
-        np.cos(theta, out=cos)
-        np.sin(theta, out=sin)
-        block = np.empty((width, rows))
-        for c, s, out in zip(cos, sin, block):
-            for dst, row_terms in zip((nx, ny, nz), terms):
-                _combine(dst, row_terms, (x, y, z), tmp)
-            np.multiply(c, nx, out=x)
-            np.multiply(s, ny, out=tmp)
-            np.subtract(x, tmp, out=x)
-            np.multiply(s, nx, out=y)
-            np.multiply(c, ny, out=tmp)
-            np.add(y, tmp, out=y)
-            z, nz = nz, z
-            _combine(out, readout, (x, y, z), tmp)
-        yield block
+    state = [np.full(rows, value) for value in start]
+
+    def cos_sin(theta):
+        return np.cos(theta), np.sin(theta, out=theta)  # sin overwrites the copy after cos
+
+    yield from _slices(angles, state, cos_sin, cycle)
 
 
 def _double(rows: np.ndarray, power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

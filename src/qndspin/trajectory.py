@@ -9,9 +9,12 @@ closed Bloch form: populations reweight by the conditional probabilities,
 the transverse component rescales by ``|l_+ l_-| / p`` and rotates about the
 axis by ``-arg(l_+ l_-^*)``, with ``l_pm`` the Kraus eigenvalues.
 
-``step`` applies that form literally and is the tests' oracle;
-``run_ensemble`` applies it to blocks of trajectories in the frame of the
-measurement axis (``_evolve``), and ``run`` is one row of the same kernel.
+The kernel ``_evolve`` writes that update once, as a cycle body of ``+ - *
+/``, ``<`` and an outcome ``pick``, in the frame of the measurement axis.
+``_slices``, which the random-error kernel of ``stability`` shares, feeds
+it 64 cycles at a time: ``run`` (one row) on Python floats, ``run_ensemble``
+on arrays of up to ``_BLOCK`` rows.  Each float operation rounds as the
+array element's does, so the two paths give the same bits.
 
 Randomness comes from numpy's PCG64 ``default_rng``.  Trajectory ``i`` of an
 ensemble draws from ``SeedSequence(master_seed, spawn_key=(i,))``; a single
@@ -40,13 +43,15 @@ __all__ = [
     "NuclearState",
     "TrajectoryRecord",
     "kraus_eigenvalues",
-    "step",
     "run",
     "run_ensemble",
 ]
 
-# Cycles whose uniforms are transposed into the scratch buffer at a time.
+# Cycles whose inputs are transposed into the scratch buffer at a time.
 _SLICE = 64
+
+# Rows whose slice is copied transposed at a time.
+_TILE = 256
 
 # Children whose seeding words are hashed, then listed as Python ints, at a time.
 _SEED_ROWS = 256
@@ -108,39 +113,6 @@ def kraus_eigenvalues(setting: MeasurementSetting, u: int) -> tuple[complex, com
         1j * math.sin((alpha - phi) / 2.0),
         -1j * math.sin((alpha + phi) / 2.0),
     )
-
-
-def step(
-    state: NuclearState,
-    setting: MeasurementSetting,
-    cycle_rotation: Rotor,
-    rng: np.random.Generator,
-) -> tuple[int, NuclearState]:
-    """Sample one outcome and return it with the post-cycle state."""
-    alpha_hat = setting.alpha_hat
-    n = state.bloch
-    par = float(n @ alpha_hat)
-    perp = n - par * alpha_hat
-
-    lam = {u: kraus_eigenvalues(setting, u) for u in (1, -1)}
-    weight = {
-        u: 0.5 * (abs(lam[u][0]) ** 2 * (1.0 + par) + abs(lam[u][1]) ** 2 * (1.0 - par))
-        for u in (1, -1)
-    }
-    p_plus = weight[1]
-    if p_plus < -1e-12 or p_plus > 1.0 + 1e-12:
-        raise ValueError(f"invalid outcome probability {p_plus}")
-    u = 1 if rng.random() < p_plus else -1
-
-    l_plus, l_minus = lam[u]
-    p = weight[u]
-    new_par = 0.5 * (
-        abs(l_plus) ** 2 * (1.0 + par) - abs(l_minus) ** 2 * (1.0 - par)
-    ) / p
-    cross = l_plus * l_minus.conjugate() / p
-    new_perp = cross.real * perp - cross.imag * np.cross(alpha_hat, perp)
-    bloch = so3_from_rotor(cycle_rotation) @ (new_par * alpha_hat + new_perp)
-    return u, NuclearState(bloch)
 
 
 def _checked_seed(master_seed) -> int:
@@ -235,82 +207,110 @@ def _axis_frame(alpha_hat: np.ndarray) -> np.ndarray:
 
 
 def _frame_terms(matrix: np.ndarray) -> list:
-    """Per row of ``matrix``, its nonzero entries as ``_combine`` terms ``(coef, j)``."""
-    # 0-d array coefficients: numpy converts a Python float on every call
-    return [[(np.array(m), j) for j, m in enumerate(row) if m != 0.0] for row in matrix.tolist()]
+    """Per row of ``matrix``, its nonzero entries as ``_apply`` terms ``(coef, j)``;
+    an all-zero row keeps one zero term."""
+    rows = matrix.tolist()
+    return [[(m, j) for j, m in enumerate(row) if m != 0.0] or [(0.0, 0)] for row in rows]
 
 
-def _combine(dst, terms, sources, tmp) -> None:
-    """``dst = sum(coef * sources[j] for coef, j in terms)``, left to right."""
-    (coef, j), *rest = terms
-    np.multiply(coef, sources[j], out=dst)
-    for coef, j in rest:
-        np.multiply(coef, sources[j], out=tmp)
-        np.add(dst, tmp, out=dst)
+def _apply(rows: list, vector) -> list:
+    """``sum(coef * vector[j] for coef, j in terms)`` per row, left to right."""
+    out = []
+    for terms in rows:
+        total = None
+        for coef, j in terms:
+            total = coef * vector[j] if total is None else total + coef * vector[j]
+        out.append(total)
+    return out
+
+
+def _pick(plus: bool, a, b):
+    """``np.where`` for one row of Python floats."""
+    return a if plus else b
+
+
+def _slices(inputs: np.ndarray, state: list, columns, body):
+    """Run a kernel's cycle ``body`` over ``inputs``, one row per sequence.
+
+    Row ``i`` of ``inputs`` holds sequence ``i``'s per-cycle inputs in cycle
+    order, and ``state`` is a list of coordinate arrays with one entry per
+    row.  Each slice of 64 cycles is copied transposed into a scratch buffer,
+    ``_TILE`` rows at a time so that the strided reads stay in cache, and
+    ``columns`` turns the copy into the body's per-cycle arguments.
+    ``body(state, *arguments, pick)`` returns the next state and one output
+    per row, using only ``+ - * /``, ``<`` and ``pick(plus, a, b)``.  With
+    one row it runs on the Python floats of ``tolist()`` and ``pick`` is
+    ``_pick``; otherwise on whole-row arrays with ``np.where``.  IEEE
+    operations round a float as they round an array element, so a row's bits
+    do not depend on the path or on the rows sharing the call.  Yields each
+    slice's outputs as a ``(width, rows)`` array; ``state`` holds the final
+    state after the last slice.
+    """
+    rows, n = inputs.shape
+    scratch = np.empty((_SLICE, rows))
+    for first in range(0, n, _SLICE):
+        width = min(_SLICE, n - first)
+        copy = scratch[:width]
+        for top in range(0, rows, _TILE):
+            tile = slice(top, top + _TILE)
+            np.copyto(copy[:, tile], inputs[tile, first : first + width].T)
+        if rows == 1:
+            now, pick = [coord.item() for coord in state], _pick
+            cycles = zip(*(column.ravel().tolist() for column in columns(copy)))
+        else:
+            now, pick, cycles = state, np.where, zip(*columns(copy))
+        outs = []
+        for arguments in cycles:
+            now, out = body(now, *arguments, pick)
+            outs.append(out)
+        for coord, value in zip(state, now):
+            coord[...] = value
+        outs = np.array(outs).reshape(width, rows)  # drops the list before the caller's reduction
+        yield outs
 
 
 def _evolve(setting, cycle_rotation, initial, uniforms, outcomes=None):
-    """The batched trajectory kernel: one row per trajectory.
+    """The trajectory kernel: one row per trajectory.
 
     Row ``i`` of ``uniforms`` holds trajectory ``i``'s draws in cycle order.
-    In the frame ``F`` of ``_axis_frame`` the state is three coordinate
-    arrays ``x, y, z`` with ``z`` along the measurement axis.  Per cycle,
-    ``p_+`` is computed from ``z`` alone and compared with one contiguous
-    row of uniforms (64 cycles at a time are transposed into a scratch
-    buffer); ``z`` takes the population reweighting of the drawn outcome;
-    ``(x, y)`` rescale by ``s = l_+ l_-^* / p``, which is real for both
-    outcomes (``cos cos`` and ``-sin sin``), so the turn about the axis by
-    ``-arg(l_+ l_-^*)`` is the sign of ``s``; then ``R' = F R F^T`` is
-    applied as scalar x array products, skipping its exact zeros.  All
-    per-row arithmetic is elementwise into arrays allocated once per call,
-    with no matrix product, so a row's bits do not depend on how many rows
-    share the call.  ``outcomes``, an ``(n, rows)`` bool array when given,
-    receives ``u == +1`` per cycle.  Returns ``(u_bars, final_blochs)``.
+    In the frame ``F`` of ``_axis_frame`` the state is three coordinates
+    ``x, y, z`` with ``z`` along the measurement axis.  Per cycle, ``p_+``
+    is computed from ``z`` alone and compared with the draw; ``z`` takes
+    the population reweighting of the drawn outcome; ``(x, y)`` rescale by
+    ``s = l_+ l_-^* / p``, which is real for both outcomes (``cos cos`` and
+    ``-sin sin``), so the turn about the axis by ``-arg(l_+ l_-^*)`` is the
+    sign of ``s``; then ``R' = F R F^T`` is applied as scalar products that
+    skip its exact zeros.  That cycle body runs through ``_slices``, on
+    Python floats for one row and on arrays for many, with the same bits.
+    ``outcomes``, a list when given, receives ``u == +1`` as one ``(width,
+    rows)`` bool block per slice.  Returns ``(u_bars, final_blochs)``.
     """
     frame = _axis_frame(setting.alpha_hat)
-    rotation = frame @ so3_from_rotor(cycle_rotation) @ frame.T
-    terms = _frame_terms(rotation)
-    # |l_+|^2 / 2, |l_-|^2 / 2 and l_+ l_-^* per outcome, as np.where columns
-    coeffs = {}
-    for u in (1, -1):
-        l_plus, l_minus = kraus_eigenvalues(setting, u)
-        cross = (l_plus * l_minus.conjugate()).real
-        coeffs[u] = np.array([[0.5 * abs(l_plus) ** 2], [0.5 * abs(l_minus) ** 2], [cross]])
-    one, ha, hb = map(np.array, (1.0, *coeffs[1][:2, 0]))
+    terms = _frame_terms(frame @ so3_from_rotor(cycle_rotation) @ frame.T)
+    # |l_+|^2 / 2, |l_-|^2 / 2 and l_+ l_-^* of the outcomes +1 and -1
+    (a_plus, b_plus, c_plus), (a_minus, b_minus, c_minus) = [
+        (0.5 * abs(l_plus) ** 2, 0.5 * abs(l_minus) ** 2, (l_plus * l_minus.conjugate()).real)
+        for l_plus, l_minus in (kraus_eigenvalues(setting, 1), kraus_eigenvalues(setting, -1))
+    ]
+
+    def cycle(state, draw, pick):
+        x, y, z = state
+        pp, pm = 1.0 + z, 1.0 - z
+        plus = draw < a_plus * pp + b_plus * pm
+        pp, pm = pick(plus, a_plus, a_minus) * pp, pick(plus, b_plus, b_minus) * pm
+        p = pp + pm
+        s = pick(plus, c_plus, c_minus) / p
+        return _apply(terms, (s * x, s * y, (pp - pm) / p)), plus
 
     rows, n = uniforms.shape
-    x, y, z, nx, ny, nz, pp, pm, p, tmp = np.empty((10, rows))
-    plus, counts = np.empty(rows, dtype=bool), np.zeros(rows, dtype=np.int64)
-    scratch = np.empty((_SLICE, rows))
-    for coord, value in zip((x, y, z), frame @ initial.bloch):
-        coord.fill(value)
-    for first in range(0, n, _SLICE):
-        width = min(_SLICE, n - first)
-        np.copyto(scratch[:width], uniforms[:, first : first + width].T)
-        for j, draws in enumerate(scratch[:width]):
-            np.add(one, z, out=pp)
-            np.subtract(one, z, out=pm)
-            np.multiply(ha, pp, out=nx)
-            np.multiply(hb, pm, out=ny)
-            np.add(nx, ny, out=p)
-            np.less(draws, p, out=plus)
-            np.add(counts, plus, out=counts)
-            if outcomes is not None:
-                outcomes[first + j] = plus
-            a, b, c = np.where(plus, coeffs[1], coeffs[-1])
-            np.multiply(a, pp, out=pp)
-            np.multiply(b, pm, out=pm)
-            np.add(pp, pm, out=p)
-            np.subtract(pp, pm, out=nz)
-            np.divide(nz, p, out=nz)
-            np.divide(c, p, out=p)  # p now holds s
-            np.multiply(p, x, out=nx)
-            np.multiply(p, y, out=ny)
-            for dst, row_terms in zip((x, y, z), terms):
-                _combine(dst, row_terms, (nx, ny, nz), tmp)
-    finals = np.empty((rows, 3))
-    for i, column in enumerate(frame.T.tolist()):
-        _combine(finals[:, i], list(zip(column, range(3))), (x, y, z), tmp)
+    state = [np.full(rows, value) for value in frame @ initial.bloch]
+    counts = 0
+    for block in _slices(uniforms, state, lambda draws: (draws,), cycle):
+        counts = counts + block.sum(axis=0)
+        if outcomes is not None:
+            outcomes.append(block)
+    back = [list(zip(column, range(3))) for column in frame.T.tolist()]  # zeros kept: -0.0 + 0.0
+    finals = np.stack(_apply(back, state), axis=1)
     return (2.0 * counts - n) / n, finals
 
 
@@ -338,9 +338,9 @@ def run(
     """
     _check_entry(setting, cycle_rotation, initial, n)
     uniforms = np.random.default_rng(seed).random(n)
-    plus = np.empty((n, 1), dtype=bool)
+    plus = []
     u_bars, finals = _evolve(setting, cycle_rotation, initial, uniforms[None, :], plus)
-    outcomes = np.where(plus[:, 0], 1, -1).astype(np.int8)
+    outcomes = np.where(np.concatenate(plus)[:, 0], 1, -1).astype(np.int8)
     return TrajectoryRecord(outcomes, float(u_bars[0]), NuclearState(finals[0]), seed)
 
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, xlogy
 
+import qndspin.cascade as cascade
 from qndspin.cascade import (
     DN_THRESHOLD,
     FBAR_THRESHOLD,
@@ -157,6 +158,17 @@ def test_exact_distribution_equals_the_direct_formula_bit_for_bit(s, n):
     dist = exact_distribution(s, n)
     for probs, branch in ((dist.probs_plus, 1), (dist.probs_minus, -1)):
         np.testing.assert_array_equal(probs, direct_binomial_law(n, outcome_prob(s, branch, 1)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 1_000_000])
+@pytest.mark.parametrize("p", [0.0, 1.0, 5e-324, 0.5])
+def test_laws_take_each_log_once_and_equal_the_xlogy_form(monkeypatch, p, n):
+    """``k log p`` from one ``math.log`` per law is ``xlogy(k, p)`` bit for bit,
+    including ``k = 0`` and ``p`` or ``1 - p`` equal to 0 or subnormal."""
+    monkeypatch.setattr(cascade, "outcome_prob", lambda s, branch, u: p if branch == 1 else 1.0 - p)
+    dist = exact_distribution(setting(0.1, 1.1), n)
+    np.testing.assert_array_equal(dist.probs_plus, direct_binomial_law(n, p))
+    np.testing.assert_array_equal(dist.probs_minus, direct_binomial_law(n, 1.0 - p))
 
 
 def test_readout_at_large_n_holds_few_law_sized_arrays():

@@ -63,6 +63,27 @@ def test_readout_manifests_time_their_stages(tmp_path):
         assert all(seconds >= 0.0 for seconds in timings.values())
 
 
+@pytest.mark.parametrize("kind, flags", [("systematic", []), ("random", ["--seed", "4"])])
+def test_stability_manifest_times_its_stages(tmp_path, kind, flags):
+    out = str(tmp_path / kind)
+    argv = [*STABILITY_Z, "--error", kind, *flags, "--out", out]
+    assert main(argv) == 0
+    timings = json.load(open(out + ".manifest.json"))["diagnostics"]
+    assert set(timings) == {"curve_s", "write_s"}
+    assert all(seconds >= 0.0 for seconds in timings.values())
+
+
+def test_nv_scan_keeps_an_explicit_ideal_readout(tmp_path, monkeypatch):
+    """The scan's room-temperature default replaced a given ideal readout."""
+    monkeypatch.chdir(tmp_path)
+    argv = [*NV_SCAN, "--n-tdd", "2", "--n-tr", "3", "--n-max", "10"]
+    ideal, ideal_outputs = _run(argv + ["--p-plus", "1", "--p-minus", "1"], "ideal")
+    default, default_outputs = _run(argv, "default")
+    assert (ideal["p_plus"], ideal["p_minus"]) == (1.0, 1.0)
+    assert (default["p_plus"], default["p_minus"]) != (1.0, 1.0)
+    assert ideal_outputs[0] != default_outputs[0]
+
+
 def test_distribution_normalized(tmp_path):
     out = str(tmp_path / "dist")
     assert main(["distribution", "--alpha", "0.1", "--phi", "1.4", "--n", "50", "--out", out]) == 0

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qndspin.hyperfine import SpinSystem
@@ -164,6 +164,12 @@ def unit(v):
     n_max=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
 )
+# at |alpha| = pi/2 across e_z the dephasing map has an all-zero row, which
+# the kernel refused with "not enough values to unpack"
+@example(
+    direction=(0.0, 0.9935731235057439, 0.25), alpha_mag=math.pi / 2, axis=(0.0, 0.0, -1.0),
+    std=0.1, n_max=70, seed=1,
+)
 def test_fixed_axis_kernel_matches_rodrigues_oracle(direction, alpha_mag, axis, std, n_max, seed):
     # tilted error axes below the equator, |alpha| up to pi
     alpha_vec = alpha_mag * unit(direction)
@@ -194,6 +200,38 @@ def test_ensemble_rows_are_random_curves_bit_for_bit(rows):
     if rows > 1:
         mean, _ = survival_ensemble(alpha_vec, std, axis, n_max, rows, 2024)
         np.testing.assert_array_equal(mean, np.stack([c.values for c in curves], axis=1).mean(axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    axis=st.one_of(
+        st.sampled_from([EZ, -EZ]),
+        st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1).map(unit),
+    ),
+    direction=st.one_of(
+        st.sampled_from(["along the axis", "across the axis"]),
+        st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
+    ),
+    alpha_mag=st.one_of(st.sampled_from([math.pi / 2, math.pi]), st.floats(0.01, math.pi)),
+    std=st.sampled_from([0.0, 0.05, 1.0]),
+    n_max=st.sampled_from([1, 63, 64, 65, 130]),
+    rows=st.sampled_from([2, 5, 257]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_row_on_floats_is_its_row_on_arrays(axis, direction, alpha_mag, std, n_max, rows, seed):
+    """One row of the fixed-axis kernel (Python floats) equals that row of a
+    many-row call (arrays); measurement along or across the error axis gives
+    dephasing maps with exact zeros in the frame, and ``std = 0`` zero angles."""
+    if direction == "along the axis":
+        direction = axis
+    elif direction == "across the axis":
+        direction = np.cross(axis, [1.0, 0.0, 0.0] if abs(axis[0]) < 0.9 else [0.0, 1.0, 0.0])
+    alpha_vec = alpha_mag * unit(direction)
+    angles = np.random.default_rng(seed).normal(0.0, std, size=(rows, n_max))
+    survivals = np.concatenate(list(_fixed_axis_survivals(alpha_vec, axis, angles)))
+    for i in (0, rows - 1):
+        row = np.concatenate(list(_fixed_axis_survivals(alpha_vec, axis, angles[i : i + 1])))
+        assert row.tobytes() == survivals[:, i : i + 1].tobytes()  # signed zeros too
 
 
 @pytest.mark.parametrize("n_max", [1, 63, 64, 65])

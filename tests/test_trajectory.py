@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scalar_trajectory import step
 from qndspin.cascade import exact_distribution
 from qndspin.measurement import MeasurementSetting, ReadoutModel, outcome_prob
 from qndspin.rotations import identity_rotor, rotor_exp, so3_from_rotor
@@ -17,7 +18,6 @@ from qndspin.trajectory import (
     kraus_eigenvalues,
     run,
     run_ensemble,
-    step,
 )
 
 EZ = np.array([0.0, 0.0, 1.0])
@@ -196,6 +196,55 @@ def test_run_matches_step_oracle(axis, alpha, phi, cycle, start, length, n, seed
         outcomes.append(u)
     np.testing.assert_array_equal(rec.outcomes, outcomes)
     np.testing.assert_allclose(rec.final_state.bloch, state.bloch, rtol=0, atol=1e-12)
+
+
+# axes: exactly +-e_z (the frame is the identity) or generic
+AXES = st.one_of(st.sampled_from([EZ, -EZ]), unit.map(_unit))
+# Bloch starts with signed zeros, the axis eigenstates, or generic
+STARTS = st.one_of(
+    st.sampled_from([[0.0, -0.0, 1.0], [-0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]]),
+    st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    axis=AXES,
+    alpha=st.floats(0.05, math.pi),
+    phi=st.one_of(st.sampled_from(["+alpha", "-alpha"]), st.floats(-math.pi, math.pi)),
+    cycle=st.one_of(
+        st.sampled_from(["identity", "about the axis"]), st.tuples(*[st.floats(-2.0, 2.0)] * 3)
+    ),
+    start=STARTS,
+    n=st.sampled_from([1, 63, 64, 65, 130]),
+    rows=st.sampled_from([2, 5, 257]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_row_on_floats_is_its_row_on_arrays(axis, alpha, phi, cycle, start, n, rows, seed):
+    """``_evolve`` on one row (Python floats) equals that row of a many-row call (arrays).
+
+    ``phi = +-alpha`` makes one outcome's probability vanish on an axis
+    eigenstate; the identity and turns about the measurement axis give
+    rotations with exact zeros and a unit z-row in the frame.
+    """
+    if isinstance(phi, str):
+        phi = (1.0 if phi == "+alpha" else -1.0) * MeasurementSetting(alpha * axis, 0.0).alpha_mag
+    s = MeasurementSetting(alpha * axis, phi)
+    if cycle == "identity":
+        rotation = identity_rotor()
+    else:
+        rotation = rotor_exp(0.7 * axis if cycle == "about the axis" else np.array(cycle))
+    initial = NuclearState(np.array(start, dtype=float))
+    uniforms = np.random.default_rng(seed).random((rows, n))
+    outcomes = []
+    u_bars, finals = trajectory._evolve(s, rotation, initial, uniforms, outcomes)
+    outcomes = np.concatenate(outcomes)
+    for i in (0, rows - 1):
+        row_outcomes = []
+        u_bar, final = trajectory._evolve(s, rotation, initial, uniforms[i : i + 1], row_outcomes)
+        np.testing.assert_array_equal(np.concatenate(row_outcomes)[:, 0], outcomes[:, i])
+        assert u_bar.tobytes() == u_bars[i : i + 1].tobytes()
+        assert final.tobytes() == finals[i : i + 1].tobytes()  # signed zeros too
 
 
 @pytest.mark.parametrize("block", [1, 3, 7, 50])
