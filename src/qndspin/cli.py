@@ -105,15 +105,37 @@ def _outputs(args, *names: str) -> list[str]:
     return paths
 
 
+def _cell_texts(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_fmt`` of each distinct value of ``column``, and each cell's index into them.
+
+    Floats are keyed by their bit pattern, so ``-0.0``, ``0.0`` and every
+    nan keep the text of their own bits, and integers by value; any other
+    column is formatted cell by cell.
+    """
+    if column.dtype == np.float64:
+        keys = column.view(np.uint64)
+    elif column.dtype.kind in "iu":
+        keys = column
+    else:
+        return np.array(list(map(_fmt, column.tolist())), dtype=object), np.arange(len(column))
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    return np.array(list(map(_fmt, column[first].tolist())), dtype=object), index
+
+
 def _csv_blocks(header, columns):
-    """The CSV text of ``header`` and equal-length ``columns``, ``_ROWS`` rows at a time."""
+    """The CSV text of ``header`` and equal-length ``columns``, ``_ROWS`` rows at a time.
+
+    Each column's distinct values are formatted once (``_cell_texts``), so
+    every cell reads as ``_fmt`` of its Python scalar.
+    """
     columns = [np.asarray(column) for column in columns]
     if len({len(column) for column in columns}) > 1:
         raise ValueError(f"columns of unequal lengths under {header}")
     yield ",".join(header) + "\n"
+    cells = [_cell_texts(column) for column in columns]
     for start in range(0, len(columns[0]), _ROWS):
-        block = zip(*(column[start : start + _ROWS].tolist() for column in columns))
-        yield "".join(",".join(map(_fmt, row)) + "\n" for row in block)
+        block = [texts[index[start : start + _ROWS]].tolist() for texts, index in cells]
+        yield "\n".join(map(",".join, zip(*block))) + "\n"
 
 
 def _emit(args, paths: list[str], inputs: Inputs, tables, diagnostics: dict | None = None) -> None:

@@ -40,7 +40,7 @@ from .control import _chord_angle, solve_waiting_time
 from .hyperfine import MHZ, SpinSystem, cpmg, exact_dd_evolution, extract_alpha_phi
 from .measurement import MeasurementSetting, ReadoutModel, binary_stats
 from .rotations import _finite, rotor_exp, so3_from_rotor
-from .stability import _measurement_axis, dephasing_map, first_crossing
+from .stability import _first_crossing, _measurement_axis, dephasing_map, tolerance, tolerance_time
 
 __all__ = [
     "C13_HYPERFINE_MHZ",
@@ -191,9 +191,13 @@ def _cycle_maps(omega_n: float, times, r_dds: np.ndarray, dephs: np.ndarray):
     return totals, np.einsum("...ij,...jk->...ik", totals, dephs)
 
 
-def _batched_lifetimes(maps: np.ndarray, axes: np.ndarray, n_max: int) -> np.ndarray:
-    """First ``1/e`` crossing of ``axis . G^N axis`` per point, ``inf`` if none."""
-    return first_crossing(maps, axes, n_max)
+def _batched_lifetimes(maps: np.ndarray, axes: np.ndarray, n_max: int):
+    """First ``1/e`` crossing of ``axis . G^N axis`` per point (``inf`` if none).
+
+    Also returns how many points the kernel's spectral certificate decided
+    and how many it left to the walk.
+    """
+    return _first_crossing(maps, axes, n_max)
 
 
 def _row_frames(alpha_vecs: np.ndarray, phi_dds: np.ndarray):
@@ -221,8 +225,10 @@ def scan_2d(
     ``n_max``.
 
     ``diagnostics``, when given, is a counter that receives ``kernel_calls``,
-    ``no_crossing_points`` (no crossing within ``n_max``), the seconds before
-    the kernel (``geometry_s``) and in it (``lifetimes_s``), and the
+    ``no_crossing_points`` (no crossing within ``n_max``), the points the
+    kernel's spectral certificate decided (``certified_points``) and left
+    to its walk (``fallback_points``), the seconds before the kernel
+    (``geometry_s``) and in it (``lifetimes_s``), and the
     ``worst_alpha_phi_error`` of ``extract_alpha_phi``.
     """
     tau_grid = _finite(tau_grid, "tau_grid")
@@ -248,11 +254,14 @@ def scan_2d(
     all_maps, all_axes = maps.reshape(-1, 3, 3), np.repeat(hats, n_tr, axis=0)
     geometry_s, started = time.perf_counter() - started, time.perf_counter()
 
-    lifetimes = _batched_lifetimes(all_maps, all_axes, n_max).reshape(n_tau, n_tr)
+    lifetimes, certified, fallback = _batched_lifetimes(all_maps, all_axes, n_max)
+    lifetimes = lifetimes.reshape(n_tau, n_tr)
     if diagnostics is not None:
         diagnostics["geometry_s"] += geometry_s
         diagnostics["lifetimes_s"] += time.perf_counter() - started
         diagnostics["kernel_calls"] += 1
+        diagnostics["certified_points"] += certified
+        diagnostics["fallback_points"] += fallback
         diagnostics["no_crossing_points"] += int(np.isinf(lifetimes).sum())
     return ScanResult(
         params=params,
@@ -328,9 +337,14 @@ def tolerance_profile(scan: ScanResult, diagnostics: Counter | None = None) -> n
     from the systematic-error tolerance and the room-temperature strength.
 
     ``diagnostics``, when given, is a counter that receives the number of
-    probes (``bisection_probes``) and kernel calls (``kernel_calls``), and
-    whose ``worst_row_qnd_residual`` is raised to the largest, over the rows
-    with finite ``N_c``, of the best QND residual at that row's roots.
+    probes (``bisection_probes``), kernel calls (``kernel_calls``) and the
+    kernel's ``certified_points`` and ``fallback_points``, and whose
+    ``worst_row_qnd_residual`` is raised to the largest, over the rows with
+    finite ``N_c``, of the best QND residual at that row's roots.  Its
+    ``closed_form_width_ratio`` is set to the smallest and largest, over
+    those rows, of the measured width over the closed form
+    ``2 tolerance_time(tolerance(D, alpha, "systematic"))``, that is
+    ``2 D |tan(alpha/2)| / |omega + A/2|`` (``None`` without such rows).
 
     Returns an array with columns ``(t_dd, dtr_measured, dtr_worst_case,
     n_c)``.
@@ -348,11 +362,13 @@ def tolerance_profile(scan: ScanResult, diagnostics: Counter | None = None) -> n
 
     def qualifies(rows, times):
         _, maps = _cycle_maps(scan.params.omega_n, times, scan.r_dds[rows], scan.dephs[rows])
-        reaches = np.isinf(first_crossing(maps, scan.hats[rows], horizons[rows]))
+        lifetimes, certified, fallback = _first_crossing(maps, scan.hats[rows], horizons[rows])
         if diagnostics is not None:
             diagnostics["kernel_calls"] += 1
             diagnostics["bisection_probes"] += rows.size
-        return reaches
+            diagnostics["certified_points"] += certified
+            diagnostics["fallback_points"] += fallback
+        return np.isinf(lifetimes)
 
     finite = np.isfinite(scan.n_crit)
     roots = [
@@ -401,5 +417,12 @@ def tolerance_profile(scan: ScanResult, diagnostics: Counter | None = None) -> n
         (t_r_period / math.pi) * math.sqrt(n_bar) * contrast * math.sin(mag / 2.0) ** 2
         for mag in scan.alpha_mags
     ]
+    if diagnostics is not None:
+        ratios = [
+            width / (2.0 * tolerance_time(tolerance(d, mag, "systematic"), sys))
+            for width, d, mag, is_finite in zip(measured, scan.strengths, scan.alpha_mags, finite)
+            if is_finite
+        ]
+        diagnostics["closed_form_width_ratio"] = [min(ratios), max(ratios)] if ratios else None
     return np.column_stack((scan.t_dd_grid, measured, worst, scan.n_crit))
 

@@ -43,6 +43,19 @@ point, so a point's lifetime does not depend on which other points share
 the call.  The systematic branch of ``survival_curve`` doubles the same
 rows up to ``MAX_CHUNK`` to emit the whole curve ``S(0..N)``.
 
+The walk need not run to the horizon: ``S(N) = sum_k c_k l_k^N`` is a
+linear recursion whose tail is set by the dominant eigenpair.  After step
+63 a point whose horizon reaches past the next chunk leaves the walk when
+bounds on ``S(N)`` from its spectrum clear ``1/e`` by ``DELTA = 1e-9``
+over its remaining steps: it never crosses, or it crosses at the closed
+form ``N* = ceil(log(1/(e c1)) / log l1)`` (``first_crossing`` states the
+conditions).  A complex or negative dominant eigenvalue, an ill-conditioned
+eigenvector pair, a margin inside ``DELTA`` or a slowly fading rest keep
+the point walking.  The walk's own rounding stays
+well inside ``DELTA / 2`` of the exact ``S(N)`` (about 1e-13 after 1e6
+steps), and so does the certificate's, so a certified lifetime is the step
+the walk would return, and no CSV byte can change.
+
 Random errors ``delta_phi_i = g_i e`` about a fixed axis ``e`` change the map
 every cycle, but only by a turn about ``e``.  Their kernel works in the frame
 ``F = (e1, e2, e)`` of ``trajectory._axis_frame``, with the state as three
@@ -86,6 +99,10 @@ __all__ = [
 
 # Chunk length K (a power of two) that the doubling chunks grow to.
 MAX_CHUNK = 256
+# Chunk length at which the points still walking are decided from their spectrum.
+CERTIFY_CHUNK = 64
+# Margin about 1/e inside which no certificate decides a step.
+DELTA = 1e-9
 
 
 def dephasing_map(alpha_vec) -> np.ndarray:
@@ -270,14 +287,15 @@ def _fixed_axis_survivals(alpha_vec, axis: np.ndarray, angles: np.ndarray):
     yield from _slices(angles, state, cos_sin, cycle)
 
 
-def _double(rows: np.ndarray, power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _double(rows: np.ndarray, power: np.ndarray, flat: np.ndarray):
     """Rows ``a^T G^j`` for ``j = 1..2m`` and ``G^2m`` from those for ``1..m`` and ``G^m``.
 
-    ``rows`` has shape ``(P, m, 3)``.  The power is squared in extended
-    precision where the platform has it: it moves the state once per chunk,
-    so its rounding error would otherwise grow coherently along the curve.
+    ``rows`` has shape ``(P, m, 3)`` and ``flat`` is ``power`` rounded to
+    float64.  The power is squared in extended precision where the platform
+    has it: it moves the state once per chunk, so its rounding error would
+    otherwise grow coherently along the curve.
     """
-    return np.concatenate((rows, rows @ power.astype(float)), axis=1), power @ power
+    return np.concatenate((rows, rows @ flat), axis=1), power @ power
 
 
 def first_crossing(maps, axes, horizon) -> np.ndarray:
@@ -294,9 +312,30 @@ def first_crossing(maps, axes, horizon) -> np.ndarray:
     4-7 | ... | 256-511 | 512-767 | ...  This orders the floating-point
     operations differently from a step-by-step loop: a point whose ``S(N)``
     lies within rounding error of ``1/e`` can move by one step against it.
-    Every point gets the same schedule, so each lifetime depends only on its
-    own map, axis and horizon, not on the batch it shares a call with.
+
+    After step 63, each point whose horizon reaches past the next chunk
+    (steps 64-127) is decided from its spectrum where that is sure
+    (``_spectral_lifetimes``).  With the dominant eigenvalue ``l1``,
+    ``S(N) = c1 l1^N + r(N)`` with ``|r(N)| <= T(N)``.  The point never
+    crosses if ``c1 l1^N - T(N)`` stays more than ``DELTA`` above ``1/e``
+    up to its horizon; it crosses at ``N* = ceil(log(1/(e c1)) / log l1)``
+    if that lower bound stays more than ``DELTA`` above ``1/e`` before
+    ``N*`` and the upper bound ``c1 l1^N* + T(N*)`` lies more than
+    ``DELTA`` below it.  Every other point keeps walking: a complex or
+    negative dominant eigenvalue, an ill-conditioned eigenvector pair, a
+    margin inside ``DELTA`` or a rest ``T(64)`` that is not far below it.
+    The walk and the bounds each stay within ``DELTA / 2`` of the exact
+    ``S(N)``, so where the certificate decides, the walk gives the same
+    step: no lifetime, and no CSV byte, depends on which of the two
+    decided it.  Every point gets the same schedule and the certificate
+    is per point, so each lifetime depends only on its own map, axis and
+    horizon, not on the batch it shares a call with.
     """
+    return _first_crossing(maps, axes, horizon)[0]
+
+
+def _first_crossing(maps, axes, horizon) -> tuple[np.ndarray, int, int]:
+    """``first_crossing``, and how many points the certificate decided and left to the walk."""
     maps = _finite(maps, "maps")
     axes = _finite(axes, "axes")
     if not axes.any(axis=-1).all():
@@ -304,29 +343,128 @@ def first_crossing(maps, axes, horizon) -> np.ndarray:
     horizon = np.broadcast_to(np.asarray(horizon, dtype=np.int64), axes.shape[:1])
     threshold = 1.0 / math.e
     lifetimes = np.full(axes.shape[0], math.inf)
-    keep = horizon >= 1
-    index, states, horizon, maps = (a[keep] for a in (np.arange(keep.size), axes, horizon, maps))
-    rows, power = np.einsum("pi,pij->pj", states, maps)[:, None], maps.astype(np.longdouble)
-    step, k = 0, 1
+    index = np.nonzero(horizon >= 1)[0]
+    states, horizon, power = axes[index], horizon[index], maps[index].astype(np.longdouble)
+    rows, flat = np.einsum("pi,pij->pj", states, maps[index])[:, None], power.astype(float)
+    step, k, certified, fallback = 0, 1, 0, 0
     while index.size:
+        decided = np.zeros(index.size, dtype=bool)
+        if k == CERTIFY_CHUNK:
+            asked = np.nonzero(horizon > step + k)[0]
+            picked = index[asked]
+            found = _spectral_lifetimes(
+                maps[picked], axes[picked], power[asked], step + 1, horizon[asked]
+            )
+            sure = ~np.isnan(found)
+            decided[asked[sure]] = True
+            lifetimes[picked[sure]] = found[sure]
+            certified, fallback = int(sure.sum()), int((~sure).sum())
         # S(step + 1 .. step + k), masked beyond each point's horizon
         below = np.einsum("pkj,pj->pk", rows, states) <= threshold
         if step + k > horizon.min():
             below &= np.arange(1, k + 1) <= horizon[:, None] - step
-        crossed = below.any(axis=1)
-        states = np.einsum("pij,pj->pi", power.astype(float), states)
-        keep = ~crossed & (horizon > step + k)
+        crossed = below.any(axis=1) & ~decided
+        keep = ~crossed & ~decided & (horizon > step + k)
         if not keep.all():
-            # points leave when they cross or reach their horizon
+            # points leave when they cross, reach their horizon or are decided
             lifetimes[index[crossed]] = step + 1 + below[crossed].argmax(axis=1)
-            index, states, horizon, rows, power = (
-                a[keep] for a in (index, states, horizon, rows, power)
+            index, states, horizon, rows, power, flat = (
+                a[keep] for a in (index, states, horizon, rows, power, flat)
             )
+        states = np.einsum("pij,pj->pi", flat, states)
         step += k
         if k < MAX_CHUNK:
-            rows, power = _double(rows, power)
+            rows, power = _double(rows, power, flat)
+            flat = power.astype(float)
             k *= 2
-    return lifetimes
+    return lifetimes, certified, fallback
+
+
+def _cofactors(b: np.ndarray) -> np.ndarray:
+    """Cofactor matrix of each 3x3 ``b``: row ``i`` is row ``i+1`` x row ``i+2``.
+
+    For a singular ``b`` of rank 2 every row is a right null vector and
+    every column a left null vector.
+    """
+    ahead, after = b[:, [1, 2, 0]], b[:, [2, 0, 1]]  # rows i+1 and i+2
+    turn, back = [1, 2, 0], [2, 0, 1]
+    return ahead[..., turn] * after[..., back] - ahead[..., back] * after[..., turn]
+
+
+def _spectral_lifetimes(maps, axes, power, first, horizon) -> np.ndarray:
+    """Lifetimes decided by the dominant eigenpair of each map, ``nan`` where not sure.
+
+    No step before ``first`` crosses, ``horizon`` is each point's last step
+    and ``power`` is the walk's ``G^first`` in extended precision.  With the
+    dominant eigenvalue ``l1`` and its right and left eigenvectors ``v``,
+    ``w``, ``S(N) = c1 l1^N + r(N)`` where ``c1 = (a.v)(w.a)/(w.v)``.  The
+    other two eigenvalues, a conjugate pair or two real ones, have the sum
+    ``s = tr G - l1`` and the product ``q`` (from ``tr G`` and ``tr G^2``),
+    so ``r(N + 2) = s r(N + 1) - q r(N)``; with ``p`` their larger modulus
+    and ``u = r(1) - s r(0) / 2``, ``|r(N)| <= T(N) = (|r(0)| p + N |u|)
+    p^(N - 1)``, which falls with ``N`` from ``first`` on when ``p <=
+    first / (first + 1)``.  The eigenpair starts from ``G^first`` applied to
+    ``a`` and is polished by one round of inverse iteration (the null
+    vectors of ``G - l1 I`` are its cofactors) and the two-sided Rayleigh
+    quotient, in extended precision.  A decision also needs the error budget
+    to stay below ``DELTA / 2``: the bounds' own error (``l1``'s from its
+    residual and condition ``cond = |v||w| / |w.v|``, ``c1``'s from the same
+    over the gap ``l1 - p``) plus the walk's, ``4 cond^2 eps`` relative per
+    chunk of ``MAX_CHUNK`` steps from the float64 chunk power and state.
+    """
+    ld = np.longdouble
+    g, a = maps.astype(ld), axes.astype(ld)
+    with np.errstate(all="ignore"):  # a failed eigenpair gives inf or nan, which no test passes
+        v, w = np.einsum("pij,pj->pi", power, a), np.einsum("pi,pij->pj", a, power)
+        lam = (w * np.einsum("pij,pj->pi", g, v)).sum(axis=1) / (w * v).sum(axis=1)
+        cof = _cofactors(g - lam[:, None, None] * np.eye(3, dtype=ld))
+        pick = np.arange(len(g))
+        v = cof[pick, np.abs(cof).sum(axis=2).argmax(axis=1)]
+        w = cof[pick, :, np.abs(cof).sum(axis=1).argmax(axis=1)]
+        gv, wv = np.einsum("pij,pj->pi", g, v), (w * v).sum(axis=1)
+        lam = (w * gv).sum(axis=1) / wv
+        v_norm, w_norm = np.sqrt((v * v).sum(axis=1)), np.sqrt((w * w).sum(axis=1))
+        cond = v_norm * w_norm / np.abs(wv)
+        residual = np.sqrt(((gv - lam[:, None] * v) ** 2).sum(axis=1)) / v_norm
+        lam_error = cond * (residual + 8 * np.finfo(ld).eps * np.abs(g).sum(axis=(1, 2)))
+        c1 = (a * v).sum(axis=1) * (w * a).sum(axis=1) / wv
+        trace = np.trace(g, axis1=1, axis2=2)
+        s = trace - lam
+        q = (trace * trace - (g * g.swapaxes(1, 2)).sum(axis=(1, 2))) / 2 - lam * s
+        h2 = s * s / 4 - q  # the pair is s/2 +- sqrt(h2)
+        p = np.where(h2 < 0, np.sqrt(np.abs(q)), np.abs(s) / 2 + np.sqrt(np.abs(h2)))
+        r0 = (a * a).sum(axis=1) - c1
+        u = np.abs((a * np.einsum("pij,pj->pi", g, a)).sum(axis=1) - c1 * lam - s * r0 / 2)
+        log_lam, log_p = np.log(lam), np.log(p)
+
+        def lead(n):
+            return c1 * np.exp(n * log_lam)
+
+        def rest(n):
+            return (np.abs(r0) * p + n * u) * np.exp((n - 1) * log_p)
+
+        threshold, rest_first = 1.0 / math.e, rest(first)
+        # never: the lower bound's minimum over first..horizon stays above 1/e
+        at_end = lead(horizon)
+        never = np.minimum(lead(first), at_end) - rest_first > threshold + DELTA
+        # or a crossing at N*: above 1/e before it, below it at N*
+        crossing = np.ceil(np.log(threshold / c1) / log_lam)
+        at = np.where(np.isfinite(crossing), np.clip(crossing, first, horizon), horizon)
+        at = at.astype(np.int64)
+        at_crossing = lead(at)
+        crosses = (
+            (crossing >= first)
+            & (crossing <= horizon)
+            & ((at == first) | (at_crossing / lam - rest_first > threshold + DELTA))
+            & (at_crossing + rest(at) < threshold - DELTA)
+        )
+        last = np.where(never, horizon, at)
+        walk = 4 * cond**2 * np.finfo(float).eps * (last // MAX_CHUNK + 8)
+        own = last * lam_error / lam + cond * lam_error / (lam - p)
+        peak = np.maximum(c1, np.where(never, at_end, at_crossing))  # c1 l1^N over 0..last
+        sure = (lam > 0) & (c1 > 0) & (p <= lam) & (p <= first / (first + 1))
+        sure &= (never | crosses) & (peak * (own + walk) < DELTA / 2)
+    return np.where(sure, np.where(never, math.inf, at), np.nan)
 
 
 def _survival_values(step_map: np.ndarray, axis: np.ndarray, n_max: int) -> np.ndarray:
@@ -335,7 +473,7 @@ def _survival_values(step_map: np.ndarray, axis: np.ndarray, n_max: int) -> np.n
     rows = np.einsum("pi,pij->pj", axis[None], step_map[None])[:, None]
     power = step_map[None].astype(np.longdouble)
     while rows.shape[1] < k:
-        rows, power = _double(rows, power)
+        rows, power = _double(rows, power, power.astype(float))
     rows, power = rows[0], power[0].astype(float)
     values = np.empty(n_max + 1)
     values[0] = 1.0

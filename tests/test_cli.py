@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -762,11 +763,58 @@ BENCHMARK_GRID_SHA256 = {
 }
 
 
+def scan_digests_and_diagnostics(out_dir, *flags):
+    """Run nv-scan for preset P2 with ``flags``; the CSV digests and the diagnostics."""
+    assert main(["nv-scan", "--preset", "P2", *flags, "--out-dir", str(out_dir)]) == 0
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in ("scan.csv", "tolerance.csv")
+    }
+    return digests, json.loads((out_dir / "manifest.json").read_text())["diagnostics"]
+
+
 def test_benchmark_grid_bytes(tmp_path):
-    argv = ["nv-scan", "--preset", "P2", "--n-tdd", "25", "--n-tr", "64", "--n-max", "100000"]
-    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
-    for name, digest in BENCHMARK_GRID_SHA256.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    flags = ["--n-tdd", "25", "--n-tr", "64", "--n-max", "100000"]
+    digests, diagnostics = scan_digests_and_diagnostics(tmp_path, *flags)
+    assert digests == BENCHMARK_GRID_SHA256
+    assert (diagnostics["kernel_calls"], diagnostics["bisection_probes"]) == (16, 750)
+
+
+# sha256 of nv-scan's outputs for preset P2 on three more grids, and the
+# tolerance probes each run asks
+RECORDED_GRIDS = {
+    "defaults": (
+        [],
+        "a8e4ab62d8f555a1b5fc72a6bae5cd8909138392bb53942d44e56a9ba4aeef91",
+        "f82b9cbe75aca0a7a2e6903352375c8bb53901e2ce5c4593fe14d2ba6e079256",
+        7680,
+    ),
+    "64x128, n_max 1e6": (
+        ["--n-tdd", "64", "--n-tr", "128", "--n-max", "1000000"],
+        "9aff92ccb1d47ee5f981448bc126ada393d76ec4081dfb9eb104464b4289c59e",
+        "47480145e628bbfead8694533fd55da8a84a30f76f56d456cb565a2a31d79f07",
+        1920,
+    ),
+    "101x200, n_max 3e5": (
+        ["--n-tdd", "101", "--n-tr", "200", "--n-max", "300000"],
+        "f9079498f7389ee75f11a1dfe7c617c7bd8f2be618a517d6376f27bcae9c5032",
+        "0a4c9f1d0b1d6ef5bea6d8618f00c318965a4f4687089e2eb29c89951f9633db",
+        3030,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "flags, scan, tolerance, probes", RECORDED_GRIDS.values(), ids=list(RECORDED_GRIDS)
+)
+def test_recorded_grid_bytes(tmp_path, flags, scan, tolerance, probes):
+    digests, diagnostics = scan_digests_and_diagnostics(tmp_path, *flags)
+    assert digests == {"scan.csv": scan, "tolerance.csv": tolerance}
+    assert (diagnostics["kernel_calls"], diagnostics["bisection_probes"]) == (16, probes)
+    assert diagnostics["certified_points"] > 0 <= diagnostics["fallback_points"]
+    # the bisected widths sit 5-8 % above 2 D |tan(alpha/2)| / |omega + A/2|
+    low, high = diagnostics["closed_form_width_ratio"]
+    assert 1.0 < low <= high < 1.1
 
 
 def test_fmt_keeps_the_sign_of_infinities():
@@ -807,6 +855,30 @@ def test_emit_writes_the_row_by_row_text_and_its_digest(tmp_path, offset):
     with open(paths[1], encoding="utf-8") as handle:
         manifest = json.load(handle)
     assert manifest["sha256"] == {paths[0]: hashlib.sha256(written).hexdigest()}
+
+
+# floats whose text is easy to get wrong, and a signalling nan with a payload
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -1e-310, 1.0]
+EDGE_FLOATS.append(np.array([0x7FF0000000000001], dtype=np.uint64).view(float)[0].item())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    floats=st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)), min_size=1, max_size=6),
+    ints=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=6),
+    picks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=40),
+    block=st.integers(1, 9),
+)
+def test_csv_blocks_equal_the_row_by_row_fmt_text(floats, ints, picks, block):
+    """Columns with repeats: each distinct value is formatted once, every cell
+    still reads as ``_fmt`` of its own Python scalar, across block ends."""
+    x = np.array([floats[i % len(floats)] for i, _ in picks], dtype=float)
+    n = np.array([ints[j % len(ints)] for _, j in picks], dtype=np.int64)
+    columns = [x, n, -x, np.abs(n) > 3]
+    rows = zip(*(column.tolist() for column in columns))
+    expected = "x,n,y,b\n" + "".join(",".join(map(cli._fmt, row)) + "\n" for row in rows)
+    with mock.patch.object(cli, "_ROWS", block):
+        assert "".join(cli._csv_blocks(["x", "n", "y", "b"], columns)) == expected
 
 
 def test_emit_refuses_columns_of_unequal_lengths():

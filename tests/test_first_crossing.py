@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 from qndspin.rotations import rotor_exp, so3_from_rotor
 from qndspin.stability import (
+    DELTA,
     MAX_CHUNK,
     RotationErrorModel,
+    _first_crossing,
+    _survival_values,
     dephasing_map,
     first_crossing,
     lifetime,
@@ -174,10 +177,14 @@ def test_extended_precision_squaring_keeps_a_late_razor_crossing():
     # gives S(717948) - 1/e = +5.1e-7 and S(717949) - 1/e = -3.9e-13, so the
     # crossing is 717949.  Squaring the chunk powers in float64 instead lets
     # their rounding drift over ~2800 chunks and reports 717950.
+    # S(717949) lies inside DELTA of 1/e (and the two leading eigenvalues
+    # nearly coincide), so the spectral certificate leaves it to the walk.
     theta = 0.7675524999680687
     maps = np.diag([0.9999985, 0.5, 0.9999987])[None]
     axes = np.array([[math.sin(theta), 0.0, math.cos(theta)]])
-    assert first_crossing(maps, axes, 2_000_000)[0] == 717_949
+    lifetimes, certified, fallback = _first_crossing(maps, axes, 2_000_000)
+    assert lifetimes[0] == 717_949
+    assert (certified, fallback) == (0, 1)
 
 
 def test_many_points_agree_with_the_naive_loop():
@@ -241,3 +248,145 @@ def test_non_finite_maps_and_zero_axes_are_refused(bad, message):
         axes[0] = bad["axes"]
     with pytest.raises(ValueError, match=message):
         first_crossing(maps, axes, 100)
+
+
+def step_loop(maps, axes, horizons):
+    """One float64 map application per step, every point at once."""
+    states, found = axes.copy(), np.full(len(axes), math.inf)
+    for n in range(1, int(max(horizons, default=0)) + 1):
+        states = np.einsum("pij,pj->pi", maps, states)
+        hit = np.einsum("pi,pi->p", axes, states) <= THRESHOLD
+        found[hit & np.isinf(found) & (n <= horizons)] = n
+    return found
+
+
+def long_lived(kind, decay, ratio, spread, basis, mix):
+    """A map whose ``S(N)`` from the returned axis decays slowly, and that axis.
+
+    ``G = B J B^-1`` with ``B = I + basis``; ``J`` holds the dominant part:
+    a real eigenvalue ``1 - decay`` (``real``), the same with a second one
+    ``spread`` below it and a coupling that makes the pair nearly defective
+    (``defective``), a slowly turning pair ``(1 - decay) e^(+-i spread)``
+    (``complex``), or ``-(1 - decay)`` beside a positive ``(1 - decay)(1 -
+    spread)`` that carries most of the axis (``negative``).  The axis is
+    ``B (1, mix, ...)`` in the eigenbasis, normalized.
+    """
+    top = 1.0 - decay
+    b = np.eye(3) + np.asarray(basis)
+    if kind == "real":
+        j = np.diag([top, ratio * top, -0.5 * ratio * top])
+        weights = [1.0, mix, mix]
+    elif kind == "defective":
+        j = np.array([[top, 0.05, 0.0], [0.0, top - spread, 0.0], [0.0, 0.0, ratio * top]])
+        weights = [1.0, mix, mix]
+    elif kind == "complex":
+        c, s = top * math.cos(spread), top * math.sin(spread)
+        j = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, ratio * top]])
+        weights = [1.0, 0.0, mix]
+    else:
+        j = np.diag([-top, top * (1.0 - spread), ratio * top])
+        weights = [0.02 + mix / 10, 1.0, mix]
+    g = b @ np.linalg.solve(b.T, j.T).T  # B J B^-1
+    axis = b @ np.array(weights)
+    return g, axis / np.linalg.norm(axis)
+
+
+LONG_LIVED = st.tuples(
+    st.sampled_from(["real", "defective", "complex", "negative"]),
+    st.floats(3e-4, 2e-2),  # decay of the dominant modulus per step
+    st.floats(-0.9, 0.9),  # the third eigenvalue relative to the first
+    st.sampled_from([1e-12, 1e-9, 1e-6, 1e-4, 3e-3]),  # gap, or turn per step
+    # basis - I; rows summing to at most 0.9 in size keep I + basis invertible
+    st.lists(st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3), min_size=3, max_size=3),
+    st.floats(0.0, 0.5),  # weight of the axis off the dominant eigenvector
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(LONG_LIVED, st.integers(128, 4000)), min_size=1, max_size=6))
+def test_certified_lifetimes_equal_the_step_loop_on_long_lived_maps(points):
+    """The certificate decides only what the walk would; it never decides a complex
+    or negative dominant eigenvalue."""
+    maps, axes = (np.array(c) for c in zip(*(long_lived(*spec) for spec, _ in points)))
+    horizons = np.array([horizon for _, horizon in points])
+    lifetimes, certified, fallback = _first_crossing(maps, axes, horizons)
+    np.testing.assert_array_equal(lifetimes, step_loop(maps, axes, horizons))
+    assert certified + fallback <= len(points)
+    oscillating = np.array([spec[0] in ("complex", "negative") for spec, _ in points])
+    if oscillating.any():
+        assert _first_crossing(maps[oscillating], axes[oscillating], horizons[oscillating])[1] == 0
+
+
+def test_the_certificate_decides_slowly_decaying_maps():
+    rng = np.random.default_rng(7)
+    specs = [
+        ("real", 10 ** rng.uniform(-3.4, -2), rng.uniform(-0.9, 0.9), 0.0,
+         rng.uniform(-0.3, 0.3, (3, 3)), rng.uniform(0, 0.5))
+        for _ in range(60)
+    ]
+    maps, axes = (np.array(c) for c in zip(*(long_lived(*spec) for spec in specs)))
+    horizons = rng.integers(128, 4000, size=len(specs))
+    lifetimes, certified, fallback = _first_crossing(maps, axes, horizons)
+    np.testing.assert_array_equal(lifetimes, step_loop(maps, axes, horizons))
+    assert certified >= 50 and certified + fallback <= len(specs)
+
+
+def test_razors_and_a_slow_rest_are_left_to_the_walk():
+    """On an orthonormal eigenbasis ``S(N) = a1^2 l^N + a2^2 m^N``.  Razors put
+    ``S(N*)`` on ``1/e`` (inside ``DELTA``); the slow rest ``m = 0.8`` lifts
+    ``S(70)`` back above ``1/e`` although ``a1^2 l^70`` lies ``1e-8`` below it."""
+    basis = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))[0]
+
+    def point(n_star, m, offset):
+        a1, a2 = math.sqrt(0.8), math.sqrt(0.2)
+        lam = ((THRESHOLD + offset) / a1**2) ** (1.0 / n_star)
+        return basis @ np.diag([lam, m, 0.1]) @ basis.T, basis @ np.array([a1, a2, 0.0])
+
+    razors = [point(n, 0.3, 0.0) for n in (64, 100, 1000, 30_000, 400_000)]
+    maps, axes = (np.array(c) for c in zip(*razors))
+    lifetimes, certified, fallback = _first_crossing(maps, axes, 1_000_000)
+    assert (certified, fallback) == (0, len(razors))
+    assert np.all(np.abs(lifetimes - [64, 100, 1000, 30_000, 400_000]) <= 1)
+
+    g, a = point(70, 0.8, -1e-8)
+    lifetimes, certified, fallback = _first_crossing(g[None], a[None], 1000)
+    assert (certified, fallback) == (0, 1)
+    assert lifetimes[0] == step_loop(g[None], a[None], np.array([1000]))[0] > 70
+
+
+def long_double_survival(step_map, axis, steps):
+    """``a . G^N a`` for each ``N`` in ``steps``, by squaring in extended precision."""
+    g, a = step_map.astype(np.longdouble), axis.astype(np.longdouble)
+    out = []
+    for n in steps:
+        power, result = g.copy(), np.eye(3, dtype=np.longdouble)
+        while n:
+            if n & 1:
+                result = result @ power
+            power, n = power @ power, n >> 1
+        out.append(a @ (result @ a))
+    return np.array(out)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(float).eps,
+    reason="the platform's long double is float64",
+)
+@pytest.mark.parametrize(
+    "step_map, axis",
+    [
+        (np.diag([0.9999985, 0.5, 0.9999987]), np.array([0.69, 0.0, 0.72])),
+        (contractive_map([1e-3, 0.0, 0.0], [0.0, 0.0, 1.2]), EZ),
+        long_lived("real", 1e-6, 0.6, 0.0, np.full((3, 3), 0.2) - 0.4 * np.eye(3), 0.3),
+    ],
+    ids=["diagonal", "contractive", "non-normal"],
+)
+def test_the_walk_stays_within_half_delta_at_a_million_steps(step_map, axis):
+    """The certificate's margin holds the walk's own rounding: chunk rows and a
+    float64 chunk power, as ``first_crossing`` steps them."""
+    n_max = 1_000_000
+    axis = axis / np.linalg.norm(axis)
+    walk = _survival_values(step_map, axis, n_max)
+    steps = [1, 63, 64, 1000, 65_537, 500_000, n_max]
+    error = np.abs(walk[steps] - long_double_survival(step_map, axis, steps)).max()
+    assert error < DELTA / 2
