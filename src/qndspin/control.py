@@ -4,18 +4,16 @@ Each measurement cycle leaves the nucleus with a net rotation
 ``exp(-i phi . I) = exp(-i phi_R . I) exp(-i phi_dd . I)``: the rotation
 ``phi_dd`` accumulated during the control sequence followed by the
 waiting-time rotation ``phi_R``, which is tunable through the waiting
-duration and optional electron flips.  The flips are a ``DDSequence``: its
-pulses flip the electron and its duration is the wait, so ``phi_R`` is the
-``|+z>`` branch of ``exact_dd_evolution``.  The measurement is QND when this net
-rotation preserves the measured eigenstates, i.e. when ``R(phi)`` fixes the
-measurement axis ``alpha_hat``.  Both textbook branches of the condition
-(``|phi| = 0 mod 2 pi`` or ``phi || alpha_hat``) collapse into one scalar
-objective, the angle between ``alpha_hat`` and its image under ``R(phi)``,
-taken from their chord by ``_chord_angle`` (which ``nv`` uses as well).
+duration.  The measurement is QND when this net rotation preserves the
+measured eigenstates, i.e. when ``R(phi)`` fixes the measurement axis
+``alpha_hat``.  Both textbook branches of the condition (``|phi| = 0 mod 2
+pi`` or ``phi || alpha_hat``) collapse into one scalar objective, the angle
+between ``alpha_hat`` and its image under ``R(phi)``, taken from their chord
+by ``_chord_angle`` (which ``nv`` uses as well).
 
-Without flips the wait is free precession about ``w = omega + A/2``, so the
-objective is a sinusoid in the precession angle: ``solve_waiting_time``
-returns its minima in closed form, one per period, with no numeric search.
+The wait is free precession about ``w = omega + A/2``, so the objective is
+a sinusoid in the precession angle: ``solve_waiting_time`` returns its
+minima in closed form, one per period, with no numeric search.
 
 For sequences built by repeating an even-order concatenation (CPMG is the
 order-2 case) the condition is reachable by tuning the waiting time alone;
@@ -30,44 +28,16 @@ import math
 
 import numpy as np
 
-from .hyperfine import DDSequence, SpinSystem, exact_dd_evolution, extract_alpha_phi
-from .rotations import (
-    Rotor,
-    _unit_axis,
-    rotor_compose,
-    rotor_exp,
-    rotor_log,
-    rotor_log_full,
-    so3_from_rotor,
-)
+from .hyperfine import DDSequence, SpinSystem, extract_alpha_phi
+from .rotations import Rotor, _unit_axis, rotor_compose, rotor_exp, rotor_log_full, so3_from_rotor
 
 __all__ = [
-    "waiting_rotation",
-    "total_cycle_rotation",
     "qnd_residual",
     "solve_waiting_time",
     "concatenated_dd",
     "decompose_joint",
     "split_conditional",
 ]
-
-
-def waiting_rotation(sys: SpinSystem, flips: DDSequence) -> np.ndarray:
-    """Canonical rotation vector generated during the wait ``flips.duration``.
-
-    The electron starts in ``|+z>`` (field ``omega + A/2``) and toggles to
-    ``omega - A/2`` at every pulse of ``flips``: the ``u_plus`` branch of
-    ``exact_dd_evolution``.  With no flips this is the single rotation
-    ``(omega + A/2) t_r``, exact as a vector while its angle stays below pi
-    (beyond that the canonical representative of the same rotation is
-    returned).
-    """
-    return rotor_log(exact_dd_evolution(sys, flips)[0])
-
-
-def total_cycle_rotation(phi_r, phi_dd) -> Rotor:
-    """Rotor of the per-cycle rotation ``exp(-i phi_R . I) exp(-i phi_dd . I)``."""
-    return rotor_compose(rotor_exp(phi_r), rotor_exp(phi_dd))
 
 
 def _chord_angle(moved, start) -> np.ndarray:

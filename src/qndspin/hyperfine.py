@@ -158,10 +158,6 @@ class DDSequence:
         n = self.n_pulses + 1
         return np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
 
-    def modulation_integral(self):
-        """``integral of s(t) dt`` per sequence (0 for balanced sequences)."""
-        return np.diff(self.interval_bounds()) @ self.interval_signs()
-
 
 def cpmg(n_periods: int, tau) -> DDSequence:
     """CPMG sequences of ``n_periods`` repetitions of (tau/4 - pi - tau/2 - pi - tau/4), per tau."""

@@ -338,7 +338,9 @@ def tolerance_profile(scan: ScanResult, diagnostics: Counter | None = None) -> n
 
     ``diagnostics``, when given, is a counter that receives the number of
     probes (``bisection_probes``), kernel calls (``kernel_calls``) and the
-    kernel's ``certified_points`` and ``fallback_points``, and whose
+    kernel's ``certified_points`` and ``fallback_points``, the number of
+    rows with finite ``N_c - 1 > n_max`` (``rows_capped_by_n_max``, whose
+    measured width is that of ``{t_r : N_L > n_max}``), and whose
     ``worst_row_qnd_residual`` is raised to the largest, over the rows with
     finite ``N_c``, of the best QND residual at that row's roots.  Its
     ``closed_form_width_ratio`` is set to the smallest and largest, over
@@ -378,6 +380,7 @@ def tolerance_profile(scan: ScanResult, diagnostics: Counter | None = None) -> n
     if diagnostics is not None:
         worst = max((min(r for _, r in row) for row in roots if row), default=0.0)
         diagnostics["worst_row_qnd_residual"] = max(worst, diagnostics["worst_row_qnd_residual"])
+        diagnostics["rows_capped_by_n_max"] += int((finite & (scan.n_crit - 1 > scan.n_max)).sum())
 
     seeds = [[] for _ in roots]
     qual = (scan.lifetimes >= scan.n_crit[:, None]) & finite[:, None]

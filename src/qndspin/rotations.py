@@ -42,7 +42,6 @@ import numpy as np
 
 __all__ = [
     "Rotor",
-    "identity_rotor",
     "rotor_exp",
     "rotor_log",
     "rotor_log_full",
@@ -93,10 +92,6 @@ def _finite(array, name: str) -> np.ndarray:
     if not np.isfinite(array).all():
         raise ValueError(f"{name} must be finite")
     return array
-
-
-def identity_rotor() -> Rotor:
-    return Rotor(1.0, np.zeros(3))
 
 
 def rotor_exp(theta) -> Rotor:

@@ -43,18 +43,9 @@ point, so a point's lifetime does not depend on which other points share
 the call.  The systematic branch of ``survival_curve`` doubles the same
 rows up to ``MAX_CHUNK`` to emit the whole curve ``S(0..N)``.
 
-The walk need not run to the horizon: ``S(N) = sum_k c_k l_k^N`` is a
-linear recursion whose tail is set by the dominant eigenpair.  After step
-63 a point whose horizon reaches past the next chunk leaves the walk when
-bounds on ``S(N)`` from its spectrum clear ``1/e`` by ``DELTA = 1e-9``
-over its remaining steps: it never crosses, or it crosses at the closed
-form ``N* = ceil(log(1/(e c1)) / log l1)`` (``first_crossing`` states the
-conditions).  A complex or negative dominant eigenvalue, an ill-conditioned
-eigenvector pair, a margin inside ``DELTA`` or a slowly fading rest keep
-the point walking.  The walk's own rounding stays
-well inside ``DELTA / 2`` of the exact ``S(N)`` (about 1e-13 after 1e6
-steps), and so does the certificate's, so a certified lifetime is the step
-the walk would return, and no CSV byte can change.
+The walk need not run to the horizon: after step 63 a point is decided
+from its dominant eigenpair where that is sure, at the step the walk would
+return (``first_crossing`` states when, and why no byte can change).
 
 Random errors ``delta_phi_i = g_i e`` about a fixed axis ``e`` change the map
 every cycle, but only by a turn about ``e``.  Their kernel works in the frame
@@ -69,8 +60,7 @@ numpy: on Python floats for one row (the random branch of
 per seed).  Each float operation rounds as the array element's does, so a
 curve drawn from ``SeedSequence(m).spawn(n)[i]`` is row ``i`` of the
 ensemble bit for bit.  ``survival_ensemble`` reduces each slice over the
-seeds as it comes, so the full survival matrix is never held.  Only
-explicit error lists are still iterated one 3x3 step at a time.
+seeds as it comes, so the full survival matrix is never held.
 """
 
 from __future__ import annotations
@@ -131,8 +121,6 @@ class RotationErrorModel:
       * ``random``: ``delta_phi_i = g_i * axis`` with iid Gaussian ``g_i`` of
         standard deviation ``std`` about a fixed ``axis``; ``seed`` (an int
         or a ``SeedSequence``) is mandatory.
-      * ``explicit``: a given array of per-cycle vectors, cycled when shorter
-        than the horizon.
     """
 
     kind: str
@@ -140,27 +128,19 @@ class RotationErrorModel:
     std: float = 0.0
     axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
     seed: int | np.random.SeedSequence | None = None
-    rotations: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("systematic", "random", "explicit"):
+        if self.kind not in ("systematic", "random"):
             raise ValueError(f"unknown error kind {self.kind!r}")
         if self.kind == "systematic":
             if self.delta_phi is None:
                 raise ValueError("systematic errors need delta_phi")
             self.delta_phi = _finite(self.delta_phi, "delta_phi")
-        elif self.kind == "random":
+        else:
             if self.seed is None:
                 raise ValueError("random errors need an explicit seed")
             self.std = _checked_std(self.std)
             self.axis = _unit_axis(self.axis)
-        else:
-            if self.rotations is None:
-                raise ValueError("explicit errors need the rotations array")
-            self.rotations = np.atleast_2d(_finite(self.rotations, "rotations"))
-            if self.rotations.shape[1:] != (3,) or not self.rotations.size:
-                shape = self.rotations.shape
-                raise ValueError(f"explicit rotations need shape (p, 3), got {shape}")
 
 
 @dataclass
@@ -179,8 +159,6 @@ def survival_curve(alpha_vec, error: RotationErrorModel, n_max: int) -> Survival
     the fixed-axis kernel (module docstring): with the seed
     ``SeedSequence(m).spawn(n)[i]`` the curve equals row ``i`` of
     ``survival_ensemble(..., n_seeds=n, master_seed=m)`` bit for bit.
-    Explicit errors are iterated one step at a time, with the rotation
-    matrices of the (at most ``n_max``) listed errors built in one call.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -189,19 +167,8 @@ def survival_curve(alpha_vec, error: RotationErrorModel, n_max: int) -> Survival
         angles = np.random.default_rng(error.seed).normal(0.0, error.std, size=(1, n_max))
         values = np.concatenate(list(_fixed_axis_survivals(alpha_vec, error.axis, angles)))[:, 0]
         return SurvivalCurve(values, lifetime(values))
-    alpha_hat = _measurement_axis(alpha_vec)
-    deph = dephasing_map(alpha_vec)
-    if error.kind == "systematic":
-        step = so3_from_rotor(rotor_exp(error.delta_phi)) @ deph
-        values = _survival_values(step, alpha_hat, n_max)
-    else:
-        errors = so3_from_rotor(rotor_exp(error.rotations[:n_max]))  # one per distinct step
-        values = np.empty(n_max + 1)
-        values[0] = 1.0
-        state = alpha_hat.copy()
-        for i in range(n_max):
-            state = errors[i % len(errors)] @ (deph @ state)
-            values[i + 1] = float(alpha_hat @ state)
+    step = so3_from_rotor(rotor_exp(error.delta_phi)) @ dephasing_map(alpha_vec)
+    values = _survival_values(step, _measurement_axis(alpha_vec), n_max)
     return SurvivalCurve(values, lifetime(values))
 
 
@@ -314,22 +281,23 @@ def first_crossing(maps, axes, horizon) -> np.ndarray:
     lies within rounding error of ``1/e`` can move by one step against it.
 
     After step 63, each point whose horizon reaches past the next chunk
-    (steps 64-127) is decided from its spectrum where that is sure
-    (``_spectral_lifetimes``).  With the dominant eigenvalue ``l1``,
-    ``S(N) = c1 l1^N + r(N)`` with ``|r(N)| <= T(N)``.  The point never
-    crosses if ``c1 l1^N - T(N)`` stays more than ``DELTA`` above ``1/e``
-    up to its horizon; it crosses at ``N* = ceil(log(1/(e c1)) / log l1)``
-    if that lower bound stays more than ``DELTA`` above ``1/e`` before
-    ``N*`` and the upper bound ``c1 l1^N* + T(N*)`` lies more than
-    ``DELTA`` below it.  Every other point keeps walking: a complex or
-    negative dominant eigenvalue, an ill-conditioned eigenvector pair, a
-    margin inside ``DELTA`` or a rest ``T(64)`` that is not far below it.
-    The walk and the bounds each stay within ``DELTA / 2`` of the exact
-    ``S(N)``, so where the certificate decides, the walk gives the same
-    step: no lifetime, and no CSV byte, depends on which of the two
-    decided it.  Every point gets the same schedule and the certificate
-    is per point, so each lifetime depends only on its own map, axis and
-    horizon, not on the batch it shares a call with.
+    (steps 64-127) is decided from its spectrum where that is sure.  With
+    the dominant eigenvalue ``l1``, ``S(N) = c1 l1^N + r(N)`` with ``|r(N)|
+    <= T(N)`` (``_spectral_lifetimes`` gives the bounds and their error
+    budget).  The point never crosses if ``c1 l1^N - T(N)`` stays more than
+    ``DELTA`` above ``1/e`` up to its horizon; it crosses at ``N* =
+    ceil(log(1/(e c1)) / log l1)`` if that lower bound stays more than
+    ``DELTA`` above ``1/e`` before ``N*`` and the upper bound ``c1 l1^N* +
+    T(N*)`` lies more than ``DELTA`` below it.  Every other point keeps
+    walking: a complex or negative dominant eigenvalue, an ill-conditioned
+    eigenvector pair (an error budget of ``DELTA / 2`` or more), a margin
+    inside ``DELTA`` or a rest ``T(64)`` that is not far below it.  The
+    walk's rounding (about 1e-13 after 1e6 steps) and the bounds' error
+    each stay within ``DELTA / 2`` of the exact ``S(N)``, so where the
+    certificate decides, the walk gives the same step: no lifetime, and no
+    CSV byte, depends on which of the two decided it.  Every point gets the
+    same schedule and the certificate is per point, so each lifetime
+    depends only on its own map, axis and horizon, not on the batch.
     """
     return _first_crossing(maps, axes, horizon)[0]
 
@@ -392,25 +360,25 @@ def _cofactors(b: np.ndarray) -> np.ndarray:
 
 
 def _spectral_lifetimes(maps, axes, power, first, horizon) -> np.ndarray:
-    """Lifetimes decided by the dominant eigenpair of each map, ``nan`` where not sure.
+    """Lifetimes by ``first_crossing``'s certificate, ``nan`` where it does not decide.
 
     No step before ``first`` crosses, ``horizon`` is each point's last step
-    and ``power`` is the walk's ``G^first`` in extended precision.  With the
-    dominant eigenvalue ``l1`` and its right and left eigenvectors ``v``,
-    ``w``, ``S(N) = c1 l1^N + r(N)`` where ``c1 = (a.v)(w.a)/(w.v)``.  The
-    other two eigenvalues, a conjugate pair or two real ones, have the sum
-    ``s = tr G - l1`` and the product ``q`` (from ``tr G`` and ``tr G^2``),
-    so ``r(N + 2) = s r(N + 1) - q r(N)``; with ``p`` their larger modulus
-    and ``u = r(1) - s r(0) / 2``, ``|r(N)| <= T(N) = (|r(0)| p + N |u|)
-    p^(N - 1)``, which falls with ``N`` from ``first`` on when ``p <=
-    first / (first + 1)``.  The eigenpair starts from ``G^first`` applied to
-    ``a`` and is polished by one round of inverse iteration (the null
-    vectors of ``G - l1 I`` are its cofactors) and the two-sided Rayleigh
-    quotient, in extended precision.  A decision also needs the error budget
-    to stay below ``DELTA / 2``: the bounds' own error (``l1``'s from its
-    residual and condition ``cond = |v||w| / |w.v|``, ``c1``'s from the same
-    over the gap ``l1 - p``) plus the walk's, ``4 cond^2 eps`` relative per
-    chunk of ``MAX_CHUNK`` steps from the float64 chunk power and state.
+    and ``power`` is the walk's ``G^first`` in extended precision.  The
+    bounds: with the dominant eigenvalue ``l1`` and its right and left
+    eigenvectors ``v``, ``w``, ``c1 = (a.v)(w.a)/(w.v)``.  The other two
+    eigenvalues, a conjugate pair or two real ones, have the sum ``s = tr G
+    - l1`` and the product ``q`` (from ``tr G`` and ``tr G^2``), so ``r(N +
+    2) = s r(N + 1) - q r(N)``; with ``p`` their larger modulus and ``u =
+    r(1) - s r(0) / 2``, ``|r(N)| <= T(N) = (|r(0)| p + N |u|) p^(N - 1)``,
+    which falls with ``N`` from ``first`` on when ``p <= first / (first +
+    1)``.  The eigenpair starts from ``G^first`` applied to ``a`` and is
+    polished by one round of inverse iteration (the null vectors of ``G -
+    l1 I`` are its cofactors) and the two-sided Rayleigh quotient, in
+    extended precision.  The error budget: the bounds' own error (``l1``'s
+    from its residual and condition ``cond = |v||w| / |w.v|``, ``c1``'s from
+    the same over the gap ``l1 - p``) plus the walk's, ``4 cond^2 eps``
+    relative per chunk of ``MAX_CHUNK`` steps from the float64 chunk power
+    and state.
     """
     ld = np.longdouble
     g, a = maps.astype(ld), axes.astype(ld)

@@ -763,9 +763,9 @@ BENCHMARK_GRID_SHA256 = {
 }
 
 
-def scan_digests_and_diagnostics(out_dir, *flags):
-    """Run nv-scan for preset P2 with ``flags``; the CSV digests and the diagnostics."""
-    assert main(["nv-scan", "--preset", "P2", *flags, "--out-dir", str(out_dir)]) == 0
+def scan_digests_and_diagnostics(out_dir, *flags, preset="P2"):
+    """Run nv-scan for ``preset`` with ``flags``; the CSV digests and the diagnostics."""
+    assert main(["nv-scan", "--preset", preset, *flags, "--out-dir", str(out_dir)]) == 0
     digests = {
         name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
         for name in ("scan.csv", "tolerance.csv")
@@ -812,9 +812,56 @@ def test_recorded_grid_bytes(tmp_path, flags, scan, tolerance, probes):
     assert digests == {"scan.csv": scan, "tolerance.csv": tolerance}
     assert (diagnostics["kernel_calls"], diagnostics["bisection_probes"]) == (16, probes)
     assert diagnostics["certified_points"] > 0 <= diagnostics["fallback_points"]
+    assert diagnostics["rows_capped_by_n_max"] == 0
     # the bisected widths sit 5-8 % above 2 D |tan(alpha/2)| / |omega + A/2|
     low, high = diagnostics["closed_form_width_ratio"]
     assert 1.0 < low <= high < 1.1
+
+
+# sha256 of nv-scan's outputs for presets P1 and P3 at the defaults, the
+# kernel calls and tolerance probes each run makes, and its rows with
+# N_c - 1 > n_max.  The step walk decides most of these points, so the bytes
+# check the certificate rather than trust it.
+RECORDED_PRESETS = {
+    "P1": (
+        "7e728c5159f75485200b836b60806dd5f948fc6a1ce9c0380edcb1bbb089bc82",
+        "dca23204f05512acf9c99b653a9cd09392c8ec7c4d4c696efcbc6416b77361a1",
+        16,
+        7680,
+        0,
+    ),
+    "P3": (
+        "08da02978fdb0c18cea4fa011f18a4c930250df3c37cd36e734ac4b6fee23d76",
+        "771d0c970ecd2d8d9c97da2f7a482b2688f3e79323d75996441494bc8d1aae57",
+        17,
+        7893,
+        8,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "preset, scan, tolerance, calls, probes, capped",
+    [(preset, *pins) for preset, pins in RECORDED_PRESETS.items()],
+    ids=list(RECORDED_PRESETS),
+)
+def test_recorded_preset_bytes(tmp_path, preset, scan, tolerance, calls, probes, capped):
+    digests, diagnostics = scan_digests_and_diagnostics(tmp_path, preset=preset)
+    assert digests == {"scan.csv": scan, "tolerance.csv": tolerance}
+    assert (diagnostics["kernel_calls"], diagnostics["bisection_probes"]) == (calls, probes)
+    assert diagnostics["certified_points"] > 0 < diagnostics["fallback_points"]
+    assert diagnostics["rows_capped_by_n_max"] == capped
+
+
+def test_capped_rows_are_the_tolerance_rows_with_n_c_beyond_n_max(tmp_path):
+    # N_c runs 685-841 and one row has N_c - 1 == n_max, which is not capped
+    flags = ["--n-tdd", "25", "--n-tr", "64", "--n-max", "725"]
+    _, diagnostics = scan_digests_and_diagnostics(tmp_path, *flags)
+    n_c = np.loadtxt(tmp_path / "tolerance.csv", delimiter=",", skiprows=1, usecols=3)
+    assert (n_c == 726).sum() == 1
+    capped = int((np.isfinite(n_c) & (n_c - 1 > 725)).sum())
+    assert 0 < capped < np.isfinite(n_c).sum()
+    assert diagnostics["rows_capped_by_n_max"] == capped
 
 
 def test_fmt_keeps_the_sign_of_infinities():

@@ -12,8 +12,6 @@ from qndspin.control import (
     qnd_residual,
     solve_waiting_time,
     split_conditional,
-    total_cycle_rotation,
-    waiting_rotation,
 )
 from qndspin.hyperfine import (
     MHZ,
@@ -25,12 +23,10 @@ from qndspin.hyperfine import (
 )
 from qndspin.rotations import (
     Rotor,
-    identity_rotor,
     rotor_compose,
     rotor_exp,
     rotor_log,
     so3_from_rotor,
-    su2_matrix,
 )
 
 
@@ -59,21 +55,25 @@ vec3 = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: sum(x * x for x i
 
 
 def flips(t_r, flip_times=()) -> DDSequence:
-    """A wait of ``t_r`` with electron flips at ``flip_times``."""
+    """A wait of ``t_r`` with electron flips at ``flip_times``.
+
+    The electron starts in ``|+z>``, so the waiting rotation is the ``u_plus``
+    branch of ``exact_dd_evolution`` on this sequence.
+    """
     return DDSequence(np.asarray(flip_times, dtype=float), t_r)
 
 
 def test_waiting_rotation_free_precession():
     sys = SpinSystem.from_vectors([0.1, 0.0, 0.9], [0.2, -0.1, 0.05])
     t_r = 1.3
-    out = waiting_rotation(sys, flips(t_r))
+    out = rotor_log(exact_dd_evolution(sys, flips(t_r))[0])
     np.testing.assert_allclose(out, sys.wait_field * t_r, atol=1e-12)
 
 
 def test_waiting_rotation_single_flip():
     sys = SpinSystem.from_vectors([0.1, 0.0, 0.9], [0.2, -0.1, 0.05])
     t_r, t_1 = 1.1, 0.4
-    out = waiting_rotation(sys, flips(t_r, [t_1]))
+    out = rotor_log(exact_dd_evolution(sys, flips(t_r, [t_1]))[0])
     expected = rotor_compose(
         rotor_exp((sys.omega - sys.hyperfine / 2) * (t_r - t_1)),
         rotor_exp((sys.omega + sys.hyperfine / 2) * t_1),
@@ -84,8 +84,8 @@ def test_waiting_rotation_single_flip():
 def test_waiting_rotation_no_hyperfine_ignores_flips():
     sys = SpinSystem.from_vectors([0.0, 0.2, 1.1], [0.0, 0.0, 0.0])
     t_r = 0.9
-    free = waiting_rotation(sys, flips(t_r))
-    flipped = waiting_rotation(sys, flips(t_r, [0.2, 0.5, 0.7]))
+    free = rotor_log(exact_dd_evolution(sys, flips(t_r))[0])
+    flipped = rotor_log(exact_dd_evolution(sys, flips(t_r, [0.2, 0.5, 0.7]))[0])
     np.testing.assert_allclose(free, sys.omega * t_r, atol=1e-12)
     np.testing.assert_allclose(flipped, free, atol=1e-12)
 
@@ -130,39 +130,16 @@ def test_waiting_rotation_equals_interval_loop_bit_for_bit(
     """Flips at 0, at t_r and repeated flip times give zero-width intervals."""
     sys = SpinSystem.from_vectors(omega, hyperfine)
     flip_times = np.sort(np.array(fractions + fractions[:1] * repeat) * t_r)
-    out = waiting_rotation(sys, flips(t_r, flip_times))
+    out = rotor_log(exact_dd_evolution(sys, flips(t_r, flip_times))[0])
     ref = interval_loop_waiting_rotation(sys, t_r, flip_times)
     assert out.tobytes() == ref.tobytes()
-
-
-# -------------------------------------------------------------- cycle rotation
-
-
-def test_total_cycle_trivial_wait():
-    phi_dd = np.array([0.3, -0.2, 0.4])
-    total = total_cycle_rotation(np.zeros(3), phi_dd)
-    assert rotor_diff(total, rotor_exp(phi_dd)) < 1e-14
-
-
-def test_total_cycle_collinear_magnitudes_add():
-    total = total_cycle_rotation([0.0, 0.0, 0.5], [0.0, 0.0, 0.8])
-    assert rotor_diff(total, rotor_exp([0.0, 0.0, 1.3])) < 1e-14
-
-
-def test_total_cycle_matches_matrix_oracle():
-    rng = np.random.default_rng(77)
-    for _ in range(50):
-        phi_r, phi_dd = rng.normal(size=3), rng.normal(size=3)
-        lhs = su2_matrix(total_cycle_rotation(phi_r, phi_dd))
-        rhs = su2_matrix(rotor_exp(phi_r)) @ su2_matrix(rotor_exp(phi_dd))
-        assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
 # -------------------------------------------------------------- residual
 
 
 def test_residual_identity_rotation():
-    assert qnd_residual(identity_rotor(), [1.0, 0.0, 0.0]) == 0.0
+    assert qnd_residual(Rotor(1.0, np.zeros(3)), [1.0, 0.0, 0.0]) == 0.0
 
 
 def test_residual_parallel_rotation():
@@ -380,7 +357,7 @@ def test_concatenated_order_one_is_periodic_dd():
     seq = concatenated_dd(1, 1.0, 2)
     np.testing.assert_allclose(seq.pulse_times, [0.25, 0.5, 0.75, 1.0])
     assert seq.duration == pytest.approx(1.0)
-    assert seq.modulation_integral() == pytest.approx(0.0, abs=1e-12)
+    assert np.diff(seq.interval_bounds()) @ seq.interval_signs() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_concatenated_order_two_is_cpmg():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import scalar_rotors as ref
 from qndspin.rotations import (
     Rotor,
-    identity_rotor,
     rotor_compose,
     rotor_conj,
     rotor_exp,
@@ -64,7 +63,7 @@ def test_exp_matches_taylor_series():
 
 
 def test_log_identity():
-    np.testing.assert_allclose(rotor_log(identity_rotor()), np.zeros(3))
+    np.testing.assert_allclose(rotor_log(Rotor(1.0, np.zeros(3))), np.zeros(3))
 
 
 def test_log_round_trip():
@@ -103,7 +102,7 @@ def test_log_full_branch_is_sign_exact():
 
 def test_compose_identity():
     r = rotor_exp([0.4, -0.2, 0.9])
-    out = rotor_compose(identity_rotor(), r)
+    out = rotor_compose(Rotor(1.0, np.zeros(3)), r)
     assert out.scalar == pytest.approx(r.scalar)
     np.testing.assert_allclose(out.vector, r.vector, atol=1e-15)
 
@@ -132,7 +131,7 @@ def test_conj_is_inverse():
 
 
 def test_so3_identity():
-    np.testing.assert_allclose(so3_from_rotor(identity_rotor()), np.eye(3))
+    np.testing.assert_allclose(so3_from_rotor(Rotor(1.0, np.zeros(3))), np.eye(3))
 
 
 def test_so3_quarter_turn():
@@ -195,7 +194,7 @@ def test_double_cover():
 
 def test_unit_norm_preserved_over_many_compositions():
     rng = np.random.default_rng(29)
-    r = identity_rotor()
+    r = Rotor(1.0, np.zeros(3))
     for _ in range(5000):
         r = rotor_compose(rotor_exp(rng.normal(size=3) * 0.5), r)
     assert r.scalar**2 + float(r.vector @ r.vector) == pytest.approx(1.0, abs=1e-12)

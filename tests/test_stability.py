@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qndspin.hyperfine import SpinSystem
-from qndspin.rotations import rotor_exp, so3_from_rotor
+from qndspin.rotations import rotor_compose, rotor_exp, rotor_log, so3_from_rotor
 from qndspin.stability import (
     RotationErrorModel,
     _fixed_axis_survivals,
@@ -299,13 +300,25 @@ def test_random_error_model_rejects_bad_arguments(change):
     [
         ("systematic", {"delta_phi": [math.nan, 0.0, 0.0]}, "delta_phi"),
         ("systematic", {"delta_phi": [0.0, math.inf, 0.0]}, "delta_phi"),
-        ("explicit", {"rotations": [[math.nan, 0.0, 0.0]]}, "rotations"),
-        ("explicit", {"rotations": [[0.1, 0.0, 0.0], [0.0, 0.0, -math.inf]]}, "rotations"),
     ],
-    ids=["systematic nan", "systematic inf", "explicit nan", "explicit inf"],
+    ids=["systematic nan", "systematic inf"],
 )
 def test_error_models_refuse_non_finite_angles(kind, values, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
+        RotationErrorModel(kind, **values)
+
+
+@pytest.mark.parametrize(
+    "kind, values, message",
+    [
+        ("explicit", {"delta_phi": 0.1 * EX}, "unknown error kind 'explicit'"),
+        ("bogus", {}, "unknown error kind 'bogus'"),
+        ("systematic", {}, "systematic errors need delta_phi"),
+    ],
+    ids=["explicit", "bogus", "systematic without delta_phi"],
+)
+def test_error_model_takes_only_the_two_kinds_it_runs(kind, values, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         RotationErrorModel(kind, **values)
 
 
@@ -326,21 +339,20 @@ def test_explicit_full_rotation_mode():
     # under the exact QND condition the full-rotation map keeps S(N) = 1
     alpha_vec = 0.4 * EX
     qnd_rotation = 1.3 * EX  # parallel to the measurement axis
-    err = RotationErrorModel("explicit", rotations=qnd_rotation)
+    err = RotationErrorModel("systematic", delta_phi=qnd_rotation)
     curve = survival_curve(alpha_vec, err, 100)
     np.testing.assert_allclose(curve.values, 1.0, atol=1e-12)
 
 
-def test_explicit_equals_systematic_when_ideal_part_trivial():
-    # a full 2*pi ideal rotation is the identity map, so the full-rotation
-    # iteration must reproduce the plain error iteration
-    alpha_vec = 0.9 * EX
-    dphi = 0.07 * EZ
-    err_full = RotationErrorModel("explicit", rotations=dphi)
-    err_sys = RotationErrorModel("systematic", delta_phi=dphi)
-    a = survival_curve(alpha_vec, err_full, 300)
-    b = survival_curve(alpha_vec, err_sys, 300)
-    np.testing.assert_allclose(a.values, b.values, atol=1e-12)
+def per_step_survival(alpha_vec, rotations) -> np.ndarray:
+    """``S(0..n)`` one 3x3 step at a time: dephasing, then error ``rotations[i]`` in cycle ``i``."""
+    alpha_hat = alpha_vec / np.linalg.norm(alpha_vec)
+    deph = dephasing_map(alpha_vec)
+    values, state = [1.0], alpha_hat.copy()
+    for rotation in rotations:
+        state = so3_from_rotor(rotor_exp(rotation)) @ (deph @ state)
+        values.append(float(alpha_hat @ state))
+    return np.array(values)
 
 
 def test_explicit_full_rotation_conjugation_equivalence():
@@ -352,44 +364,16 @@ def test_explicit_full_rotation_conjugation_equivalence():
     n_max = 40
     dphis = rng.normal(scale=0.05, size=(n_max, 3))
     r_ideal = so3_from_rotor(rotor_exp(ideal))
-    fulls = []
-    for k in range(n_max):
-        from qndspin.rotations import rotor_compose, rotor_log
-
-        fulls.append(rotor_log(rotor_compose(rotor_exp(dphis[k]), rotor_exp(ideal))))
-    err_full = RotationErrorModel("explicit", rotations=np.array(fulls))
+    fulls = [rotor_log(rotor_compose(rotor_exp(dphi), rotor_exp(ideal))) for dphi in dphis]
     inv = np.linalg.inv(r_ideal)
     conjugated = []
     acc = np.eye(3)
     for k in range(n_max):
         acc = inv @ acc  # R(ideal)^{-(k+1)}
         conjugated.append(acc @ dphis[k])
-    err_conj = RotationErrorModel("explicit", rotations=np.array(conjugated))
-    a = survival_curve(alpha_vec, err_full, n_max)
-    b = survival_curve(alpha_vec, err_conj, n_max)
-    np.testing.assert_allclose(a.values, b.values, atol=1e-10)
-
-
-@pytest.mark.parametrize("n_max", [1, 2, 3, 7, 50])
-def test_explicit_curve_equals_per_step_reference_bit_for_bit(n_max):
-    """The step matrices of a period-3 list, built in one call, keep every bit."""
-    alpha_vec = np.array([0.3, -0.5, 1.1])
-    rotations = np.array([[0.02, -0.01, 0.03], [0.0, 0.0, 0.0], [-0.4, 0.2, 0.1]])
-    curve = survival_curve(alpha_vec, RotationErrorModel("explicit", rotations=rotations), n_max)
-    alpha_hat = alpha_vec / np.linalg.norm(alpha_vec)
-    deph = dephasing_map(alpha_vec)
-    values, state = [1.0], alpha_hat.copy()
-    for i in range(n_max):
-        state = so3_from_rotor(rotor_exp(rotations[i % 3])) @ (deph @ state)
-        values.append(float(alpha_hat @ state))
-    assert curve.values.tobytes() == np.array(values).tobytes()
-    assert curve.lifetime == lifetime(values)
-
-
-@pytest.mark.parametrize("rotations", [np.zeros((0, 3)), np.zeros(6), np.zeros((2, 2, 3))])
-def test_explicit_rotations_must_be_rows_of_three(rotations):
-    with pytest.raises(ValueError, match="shape"):
-        RotationErrorModel("explicit", rotations=rotations)
+    a = per_step_survival(alpha_vec, fulls)
+    b = per_step_survival(alpha_vec, conjugated)
+    np.testing.assert_allclose(a, b, atol=1e-10)
 
 
 # ---------------------------------------------------------------- lifetime

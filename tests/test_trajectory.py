@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scalar_trajectory import step
 from qndspin.cascade import exact_distribution
 from qndspin.measurement import MeasurementSetting, ReadoutModel, outcome_prob
-from qndspin.rotations import identity_rotor, rotor_exp, so3_from_rotor
+from qndspin.rotations import Rotor, rotor_exp, so3_from_rotor
 import qndspin.trajectory as trajectory
 from qndspin.stability import _fixed_axis_survivals, dephasing_map, survival_ensemble
 from qndspin.trajectory import (
@@ -58,7 +58,7 @@ def _nan_state():
     "rotation, initial, name",
     [
         (lambda: rotor_exp([math.nan, 0.0, 0.0]), NuclearState.mixed, "cycle_rotation"),
-        (identity_rotor, _nan_state, "initial"),
+        (lambda: Rotor(1.0, np.zeros(3)), _nan_state, "initial"),
     ],
     ids=["nan rotation", "nan initial state"],
 )
@@ -86,7 +86,7 @@ def test_projective_setting_deterministic_outcome():
     state = NuclearState.eigenstate(EZ, 1)
     rng = np.random.default_rng(3)
     for _ in range(50):
-        u, state = step(state, s, identity_rotor(), rng)
+        u, state = step(state, s, Rotor(1.0, np.zeros(3)), rng)
         assert u == 1
 
 
@@ -95,7 +95,7 @@ def test_mixed_state_outcome_frequencies():
     rng = np.random.default_rng(7)
     trials = 40000
     hits = sum(
-        step(NuclearState.mixed(), s, identity_rotor(), rng)[0] == 1
+        step(NuclearState.mixed(), s, Rotor(1.0, np.zeros(3)), rng)[0] == 1
         for _ in range(trials)
     )
     expected = 0.5 * (outcome_prob(s, 1, 1) + outcome_prob(s, -1, 1))
@@ -129,8 +129,8 @@ def test_unconditional_average_is_dephasing_map():
 
 def test_seed_determinism():
     s = setting()
-    a = run(s, identity_rotor(), NuclearState.eigenstate(EZ), 100, 321)
-    b = run(s, identity_rotor(), NuclearState.eigenstate(EZ), 100, 321)
+    a = run(s, Rotor(1.0, np.zeros(3)), NuclearState.eigenstate(EZ), 100, 321)
+    b = run(s, Rotor(1.0, np.zeros(3)), NuclearState.eigenstate(EZ), 100, 321)
     np.testing.assert_array_equal(a.outcomes, b.outcomes)
     np.testing.assert_array_equal(a.final_state.bloch, b.final_state.bloch)
     assert a.u_bar == b.u_bar == float(a.outcomes.mean())
@@ -141,7 +141,7 @@ def test_single_shot_frequencies_match_law():
     p_plus = outcome_prob(s, 1, 1)
     trials = 100_000
     u_bars, _ = run_ensemble(
-        s, identity_rotor(), NuclearState.eigenstate(EZ, 1), 1, trials, 13
+        s, Rotor(1.0, np.zeros(3)), NuclearState.eigenstate(EZ, 1), 1, trials, 13
     )
     freq = float(np.mean(u_bars == 1.0))
     sigma = math.sqrt(p_plus * (1 - p_plus) / trials)
@@ -231,7 +231,7 @@ def test_one_row_on_floats_is_its_row_on_arrays(axis, alpha, phi, cycle, start, 
         phi = (1.0 if phi == "+alpha" else -1.0) * MeasurementSetting(alpha * axis, 0.0).alpha_mag
     s = MeasurementSetting(alpha * axis, phi)
     if cycle == "identity":
-        rotation = identity_rotor()
+        rotation = Rotor(1.0, np.zeros(3))
     else:
         rotation = rotor_exp(0.7 * axis if cycle == "about the axis" else np.array(cycle))
     initial = NuclearState(np.array(start, dtype=float))
@@ -332,7 +332,7 @@ def test_survival_ensemble_equals_spawned_rows():
 @pytest.mark.parametrize("seed", [-1, 2.5, 3.0, True, "7", None], ids=repr)
 def test_master_seed_must_be_a_non_negative_integer(seed):
     with pytest.raises(ValueError, match="master seed"):
-        run_ensemble(setting(), identity_rotor(), NuclearState.mixed(), 5, 4, seed)
+        run_ensemble(setting(), Rotor(1.0, np.zeros(3)), NuclearState.mixed(), 5, 4, seed)
     with pytest.raises(ValueError, match="master seed"):
         survival_ensemble(0.7 * EZ, 0.1, [1.0, 0.0, 0.0], 5, 4, seed)
 
@@ -340,7 +340,7 @@ def test_master_seed_must_be_a_non_negative_integer(seed):
 @pytest.mark.parametrize("n", [0, -3])
 def test_ensemble_refuses_fewer_than_one_cycle(n):
     with pytest.raises(ValueError, match="n must be >= 1"):
-        run_ensemble(setting(), identity_rotor(), NuclearState.mixed(), n, 4, 0)
+        run_ensemble(setting(), Rotor(1.0, np.zeros(3)), NuclearState.mixed(), n, 4, 0)
 
 
 def test_qnd_ensemble_reproduces_exact_distribution():
@@ -361,7 +361,7 @@ def test_rejects_imperfect_readout():
     with pytest.raises(ValueError):
         kraus_eigenvalues(s, 1)
     with pytest.raises(ValueError):
-        run_ensemble(s, identity_rotor(), NuclearState.mixed(), 1, 1, 0)
+        run_ensemble(s, Rotor(1.0, np.zeros(3)), NuclearState.mixed(), 1, 1, 0)
 
 
 def test_kraus_eigenvalue_moduli_are_probabilities():
