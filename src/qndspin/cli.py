@@ -144,7 +144,8 @@ def _emit(args, paths: list[str], inputs: Inputs, tables, diagnostics: dict | No
     The manifest's ``parameters`` are the resolved inputs, ``ignored_keys``
     the given keys the subcommand does not read, and ``sha256`` maps each
     CSV path to the digest of the bytes as written.
-    ``diagnostics``, when given, gain ``write_s`` (CSV seconds); ``*_s`` keep 3 decimals.
+    The manifest's ``diagnostics`` are the given ones (if any) and ``write_s``
+    (CSV seconds); ``*_s`` keep 3 decimals.
     """
     written, digests = time.perf_counter(), {}
     for path, (header, columns) in zip(paths, tables):
@@ -163,10 +164,9 @@ def _emit(args, paths: list[str], inputs: Inputs, tables, diagnostics: dict | No
         "sha256": digests,
         "wall_time_s": round(time.time() - args.started, 3),
     }
-    if diagnostics is not None:
-        timed = dict(diagnostics, write_s=time.perf_counter() - written)
-        seconds = {key: round(value, 3) for key, value in timed.items() if key.endswith("_s")}
-        manifest["diagnostics"] = dict(timed, **seconds)
+    timed = dict(diagnostics or {}, write_s=time.perf_counter() - written)
+    seconds = {key: round(value, 3) for key, value in timed.items() if key.endswith("_s")}
+    manifest["diagnostics"] = dict(timed, **seconds)
     with open(paths[-1], "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -426,15 +426,22 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per subcommand: the paths, and a flag per key of ``_FLAGS``."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """One subparser per subcommand: the paths, and a flag per key of ``_FLAGS``.
+
+    With ``command``, only its subparser is built; the usage still names
+    every subcommand, so its help and error texts are those of the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="qndspin",
         description="Cascaded electron-mediated weak measurements on a nuclear spin",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (func, text) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON configuration file; a flag overrides its key")
         if name == "nv-scan":
@@ -452,7 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named subcommand needs only its own parser; anything else gets the full one
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -13,7 +13,10 @@ by ``_chord_angle`` (which ``nv`` uses as well).
 
 The wait is free precession about ``w = omega + A/2``, so the objective is
 a sinusoid in the precession angle: ``solve_waiting_time`` returns its
-minima in closed form, one per period, with no numeric search.
+minima in closed form, one per period, with no numeric search.  It takes
+``phi_dd`` and ``alpha_hat`` rows of any batch shape ``(..., 3)`` and
+solves them all in the same array operations; each row gets the bits of
+its one-row call, by the rules of the ``rotations`` docstring.
 
 For sequences built by repeating an even-order concatenation (CPMG is the
 order-2 case) the condition is reachable by tuning the waiting time alone;
@@ -29,7 +32,8 @@ import math
 import numpy as np
 
 from .hyperfine import DDSequence, SpinSystem, extract_alpha_phi
-from .rotations import Rotor, _unit_axis, rotor_compose, rotor_exp, rotor_log_full, so3_from_rotor
+from .rotations import _ATAN2, _NEXT, _PREV, Rotor, _dot, _finite, _unit_axis, rotor_compose
+from .rotations import rotor_exp, rotor_log_full, so3_from_rotor
 
 __all__ = [
     "qnd_residual",
@@ -60,9 +64,7 @@ def qnd_residual(total: Rotor, alpha_hat) -> float:
     return float(_chord_angle(so3_from_rotor(total) @ alpha_hat, alpha_hat))
 
 
-def solve_waiting_time(
-    sys: SpinSystem, phi_dd, alpha_hat, window: tuple[float, float]
-) -> list[tuple[float, float]]:
+def solve_waiting_time(sys: SpinSystem, phi_dd, alpha_hat, window: tuple[float, float]) -> list:
     """Waiting times in ``window`` that solve the QND condition, in closed form.
 
     The wait is free precession about ``w = omega + A/2``, so with ``m =
@@ -73,48 +75,70 @@ def solve_waiting_time(
     The residual is smallest at ``theta* = atan2(s1, c1) mod 2 pi``, i.e. at
     ``t_k = (theta* + 2 pi k) / |w|``, and is evaluated with the chord formula
     (``_chord_angle``) and Rodrigues' form of ``R(theta) m``.  It need not
-    reach zero: odd-order sequences have a nonzero infimum.  A zero or
-    non-finite ``alpha_hat`` and a non-finite window are ``ValueError``s.
+    reach zero: odd-order sequences have a nonzero infimum.
 
-    Returns ``(t, residual)`` pairs in increasing ``t``: every ``t_k`` in
-    ``(lo, hi) = window`` (any span, negative times allowed), one period
+    ``phi_dd`` and ``alpha_hat`` share one shape ``(..., 3)``; row ``i`` of a
+    batch equals the one-row call bit for bit (the rules of the ``rotations``
+    docstring).  A shape mismatch, a non-finite ``phi_dd``, a zero or
+    non-finite ``alpha_hat`` row and a non-finite or empty window refuse the
+    whole call with a ``ValueError``.
+
+    Returns per row ``(t, residual)`` pairs in increasing ``t``: every ``t_k``
+    in ``(lo, hi) = window`` (any span, negative times allowed), one period
     ``2 pi / |w|`` apart; a ``t_k`` within ``1e-9 (hi - lo)`` outside an end
     is kept and clamped onto it.  If no ``t_k`` lies in the window, or in the
     flat case (``alpha_hat`` or ``m`` parallel to ``w`` to within 1e-12, so
     the residual varies by ~1e-12 rad at most), the result is the single
     endpoint with the smaller residual.  No other endpoint is ever returned.
+    One row (shape ``(3,)``) gives its list of pairs, a batch nested lists of
+    the batch shape.
     """
     lo, hi = float(window[0]), float(window[1])
     if not math.isfinite(hi - lo):  # an infinite end, or a span that overflows
         raise ValueError(f"search window must be finite, got {window}")
     if not hi > lo:
         raise ValueError("search window must be non-empty")
-    alpha_hat = _unit_axis(alpha_hat, "alpha_hat")
+    phi_dd, alpha_hat = _finite(phi_dd, "phi_dd"), np.asarray(alpha_hat, dtype=float)
+    if phi_dd.shape != alpha_hat.shape or alpha_hat.shape[-1:] != (3,):
+        shapes = f"{phi_dd.shape} and {alpha_hat.shape}"
+        raise ValueError(f"phi_dd and alpha_hat must share one shape (..., 3), got {shapes}")
+    batch = alpha_hat.shape[:-1]
+    alpha_hat = _unit_axis(alpha_hat.reshape(-1, 3), "alpha_hat")
     rate = float(np.linalg.norm(sys.wait_field))
     w_hat = sys.wait_field / rate
-    m = so3_from_rotor(rotor_exp(phi_dd)) @ alpha_hat
+    m = (so3_from_rotor(rotor_exp(phi_dd.reshape(-1, 3))) @ alpha_hat[..., None])[..., 0]
     # R(theta) turns the part of m across w and keeps the part along it
-    m_perp = m - float(m @ w_hat) * w_hat
-    a_perp = alpha_hat - float(alpha_hat @ w_hat) * w_hat
-    m_turn = np.cross(w_hat, m_perp)
+    m_perp = m - _dot(m, w_hat)[:, None] * w_hat
+    a_perp = alpha_hat - _dot(alpha_hat, w_hat)[:, None] * w_hat
+    m_turn = w_hat[_NEXT] * m_perp[:, _PREV] - w_hat[_PREV] * m_perp[:, _NEXT]  # np.cross bits
 
-    def residuals(times: np.ndarray) -> np.ndarray:
-        c, s = np.cos(rate * times)[:, None], np.sin(rate * times)[:, None]
-        return _chord_angle(m + (c - 1.0) * m_perp + s * m_turn, alpha_hat)
+    two_pi = 2.0 * math.pi
+    theta_star = (_ATAN2(_dot(a_perp, m_turn), _dot(a_perp, m_perp)) % two_pi).astype(float)
+    slack = 1e-9 * (hi - lo)
+    k_first = np.ceil(((lo - slack) * rate - theta_star) / two_pi)
+    k_last = np.floor(((hi + slack) * rate - theta_star) / two_pi)
+    steep = np.minimum(np.sqrt(_dot(a_perp, a_perp)), np.sqrt(_dot(m_perp, m_perp))) > 1e-12
+    counts = np.where(steep, np.maximum(k_last - k_first + 1.0, 0.0), 0.0).astype(np.int64)
+    # a row without a t_k in the window tries both ends, and keeps the better one
+    ends = counts == 0
+    sizes = np.where(ends, 2, counts)
+    firsts = np.cumsum(sizes) - sizes
+    row = np.repeat(np.arange(sizes.size), sizes)
+    nth = np.arange(row.size) - firsts[row]
+    roots = np.clip((theta_star[row] + two_pi * (k_first[row] + nth)) / rate, lo, hi)
+    times = np.where(ends[row], np.where(nth == 0, lo, hi), roots)
+    c, s = np.cos(rate * times)[:, None], np.sin(rate * times)[:, None]
+    values = _chord_angle(m[row] + (c - 1.0) * m_perp[row] + s * m_turn[row], alpha_hat[row])
+    pairs = firsts[ends][:, None] + [0, 1]
+    keep = ~ends[row]
+    keep[pairs[:, 0] + np.argmin(values[pairs], axis=1)] = True
 
-    times = np.zeros(0)
-    if min(np.linalg.norm(a_perp), np.linalg.norm(m_perp)) > 1e-12:
-        theta_star = math.atan2(float(a_perp @ m_turn), float(a_perp @ m_perp)) % (2.0 * math.pi)
-        slack = 1e-9 * (hi - lo)
-        k_first = math.ceil(((lo - slack) * rate - theta_star) / (2.0 * math.pi))
-        k_last = math.floor(((hi + slack) * rate - theta_star) / (2.0 * math.pi))
-        ks = np.arange(k_first, k_last + 1)
-        times = np.clip((theta_star + 2.0 * math.pi * ks) / rate, lo, hi)
-    if times.size == 0:
-        times = np.array([lo, hi])
-        values = residuals(times)
-        return [(float(times[np.argmin(values)]), float(values.min()))]
-    return list(zip(times.tolist(), residuals(times).tolist()))
+    found = list(zip(times[keep].tolist(), values[keep].tolist()))
+    bounds = np.cumsum(np.where(ends, 1, counts)).tolist()
+    rows = np.empty(len(bounds), dtype=object)
+    for i, (a, b) in enumerate(zip([0, *bounds], bounds)):
+        rows[i] = found[a:b]
+    return rows.reshape(batch).tolist()
 
 
 def _sign_pattern(order: int) -> np.ndarray:

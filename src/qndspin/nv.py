@@ -328,7 +328,8 @@ def tolerance_profile(scan: ScanResult, diagnostics: Counter | None = None) -> n
     the batch, so every probe gets the answer a row-by-row search would get:
 
     * seeds: the maximal runs of qualifying grid points, then the QND-root
-      waiting times (for sub-grid-width regions) in rounds by root index,
+      waiting times (for sub-grid-width regions; one ``solve_waiting_time``
+      call over the rows with finite ``N_c``) in rounds by root index,
       each skipped if within one grid spacing of a seed;
     * edges: both ends of every seed grow outward and bisect to ``1e-4`` grid
       spacings side by side (``_sweep_edges``); each row's intervals merge.
@@ -373,10 +374,8 @@ def tolerance_profile(scan: ScanResult, diagnostics: Counter | None = None) -> n
         return np.isinf(lifetimes)
 
     finite = np.isfinite(scan.n_crit)
-    roots = [
-        solve_waiting_time(sys, phi_dd, alpha_vec, window) if is_finite else []
-        for phi_dd, alpha_vec, is_finite in zip(scan.phi_dds, scan.alpha_vecs, finite)
-    ]
+    solved = iter(solve_waiting_time(sys, scan.phi_dds[finite], scan.alpha_vecs[finite], window))
+    roots = [next(solved) if is_finite else [] for is_finite in finite]
     if diagnostics is not None:
         worst = max((min(r for _, r in row) for row in roots if row), default=0.0)
         diagnostics["worst_row_qnd_residual"] = max(worst, diagnostics["worst_row_qnd_residual"])

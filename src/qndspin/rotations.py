@@ -78,12 +78,12 @@ def _axis_angle(s, v, vnorm, small, fallback):
 
 
 def _unit_axis(axis, what: str = "fixed axis") -> np.ndarray:
-    """``axis / |axis|``; a zero, underflowing or non-finite ``axis`` is a ``ValueError``."""
+    """``axis / |axis|`` per row; a zero, underflowing or non-finite row is a ``ValueError``."""
     axis = np.asarray(axis, dtype=float)
-    norm = float(np.linalg.norm(axis))
-    if not (math.isfinite(norm) and norm > 0.0):
+    norm = np.sqrt(_dot(axis, axis))  # the bits of np.linalg.norm on each row
+    if not np.all(np.isfinite(norm) & (norm > 0.0)):
         raise ValueError(f"{what} must be nonzero and finite")
-    return axis / norm
+    return axis / norm[..., None]
 
 
 def _finite(array, name: str) -> np.ndarray:

@@ -117,10 +117,11 @@ class RotationErrorModel:
     """Per-cycle rotation error.
 
     kinds:
-      * ``systematic``: the same ``delta_phi`` vector every cycle.
+      * ``systematic``: the same ``delta_phi`` vector (one finite 3-vector)
+        every cycle; ``std`` stays 0 and ``seed`` unset.
       * ``random``: ``delta_phi_i = g_i * axis`` with iid Gaussian ``g_i`` of
         standard deviation ``std`` about a fixed ``axis``; ``seed`` (an int
-        or a ``SeedSequence``) is mandatory.
+        or a ``SeedSequence``) is mandatory and ``delta_phi`` unset.
     """
 
     kind: str
@@ -136,7 +137,14 @@ class RotationErrorModel:
             if self.delta_phi is None:
                 raise ValueError("systematic errors need delta_phi")
             self.delta_phi = _finite(self.delta_phi, "delta_phi")
+            if self.delta_phi.shape != (3,):
+                shape = self.delta_phi.shape
+                raise ValueError(f"delta_phi must be one 3-vector, got shape {shape}")
+            if self.std != 0.0 or self.seed is not None:
+                raise ValueError("systematic errors take no std or seed")
         else:
+            if self.delta_phi is not None:
+                raise ValueError("random errors take no delta_phi")
             if self.seed is None:
                 raise ValueError("random errors need an explicit seed")
             self.std = _checked_std(self.std)

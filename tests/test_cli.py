@@ -64,6 +64,18 @@ def test_readout_manifests_time_their_stages(tmp_path):
         assert all(seconds >= 0.0 for seconds in timings.values())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["table1"], ["binary-stats", "--alpha", "0.1"], ["qnd-solve", "--preset", "P2"]],
+    ids=["table1", "binary-stats", "qnd-solve"],
+)
+def test_short_manifests_time_their_write(tmp_path, argv):
+    out = str(tmp_path / argv[0])
+    assert main([*argv, "--out", out]) == 0
+    timings = json.load(open(out + ".manifest.json"))["diagnostics"]
+    assert set(timings) == {"write_s"} and timings["write_s"] >= 0.0
+
+
 @pytest.mark.parametrize("kind, flags", [("systematic", []), ("random", ["--seed", "4"])])
 def test_stability_manifest_times_its_stages(tmp_path, kind, flags):
     out = str(tmp_path / kind)
@@ -931,6 +943,52 @@ def test_csv_blocks_equal_the_row_by_row_fmt_text(floats, ints, picks, block):
 def test_emit_refuses_columns_of_unequal_lengths():
     with pytest.raises(ValueError, match="unequal lengths"):
         list(cli._csv_blocks(["a", "b"], [[1.0, 2.0], [3.0]]))
+
+
+@pytest.fixture
+def built_parsers(monkeypatch):
+    """The ``command`` of each ``build_parser`` call that ``main`` makes."""
+    built, build = [], cli.build_parser
+
+    def recorded(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    return built
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_a_subcommand_is_parsed_by_its_own_parser_alone(name, capsys, built_parsers):
+    """``main`` builds only the named subparser; its help and errors read as the full parser's."""
+    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    full_help = sub.choices[name].format_help()
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([name, "--bogus"])
+    full_error = capsys.readouterr().err
+    built_parsers.clear()
+    assert main([name, "--help"]) == 0
+    assert capsys.readouterr().out == full_help
+    assert main([name, "--bogus"]) == 2
+    assert capsys.readouterr().err == full_error
+    assert built_parsers == [name, name]
+
+
+@pytest.mark.parametrize(
+    "argv, code, text",
+    [
+        ([], 2, "the following arguments are required: command"),
+        (["bogus"], 2, "argument command: invalid choice: 'bogus'"),
+        (["--help"], 0, "2D (t_DD, t_R) lifetime and tolerance scan"),
+        (["--version"], 0, qndspin.__version__),
+    ],
+    ids=["empty", "unknown command", "help", "version"],
+)
+def test_anything_but_a_subcommand_gets_the_full_parser(argv, code, text, capsys, built_parsers):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert text in captured.out + captured.err
+    assert built_parsers == [None]
 
 
 def test_python_dash_m_entry_point():

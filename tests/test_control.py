@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -348,6 +349,107 @@ def test_solve_keeps_roots_on_both_window_ends():
         assert ts[0] == window[0] and ts[-1] == window[1]
         assert ts[1] == pytest.approx(t_root + (shift + 1.0) * period, rel=1e-12)
         assert_roots_contract(sys, phi_dd, alpha_hat, window, roots)
+
+
+def row_bits(rows) -> list[bytes]:
+    """The bits of each row's ``(t, residual)`` pairs."""
+    return [np.array(row).tobytes() for row in rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    omega=vec3,
+    hyperfine=vec3,
+    rows=st.lists(
+        st.tuples(vec3, st.floats(0.0, 3.0), vec3, st.sampled_from(["free", "a || w", "m || w"])),
+        min_size=1,
+        max_size=6,
+    ),
+    start=st.floats(-3.0, 1.0),
+    span=st.one_of(st.floats(0.02, 0.9), st.floats(0.3, 3.0)),
+)
+def test_batched_solve_rows_equal_one_row_calls(omega, hyperfine, rows, start, span):
+    """Row ``i`` of one call is the one-row call, bit for bit: flat rows
+    (``alpha_hat`` or ``m`` along ``w``) and windows without a ``t_k`` too."""
+    sys = SpinSystem.from_vectors(omega, 0.5 * np.array(hyperfine))
+    rate = np.linalg.norm(sys.wait_field)
+    assume(rate > 0.1)
+    w_hat = sys.wait_field / rate
+    phi_dds, alpha_hats = [], []
+    for phi_dd, scale, alpha, case in rows:
+        phi_dd = scale * np.array(phi_dd)
+        if case == "a || w":
+            alpha = 2.0 * w_hat
+        elif case == "m || w":  # R(phi_dd) alpha_hat = w_hat up to rounding
+            alpha = so3_from_rotor(rotor_exp(-phi_dd)) @ w_hat
+        phi_dds.append(phi_dd)
+        alpha_hats.append(alpha)
+    phi_dds, alpha_hats = np.array(phi_dds), np.array(alpha_hats)
+    window = (start * sys.wait_period, (start + span) * sys.wait_period)
+    batched = solve_waiting_time(sys, phi_dds, alpha_hats, window)
+    one_by_one = [solve_waiting_time(sys, p, a, window) for p, a in zip(phi_dds, alpha_hats)]
+    assert row_bits(batched) == row_bits(one_by_one)
+    nested = solve_waiting_time(sys, phi_dds[None], alpha_hats[None], window)
+    assert len(nested) == 1 and row_bits(nested[0]) == row_bits(batched)
+
+
+_PHI3, _ALPHA3 = np.tile([0.2, 0.5, -0.1], (3, 1)), np.tile([0.6, 0.0, 0.8], (3, 1))
+_BAD_AXIS = "alpha_hat must be nonzero and finite"
+
+
+def _with_row(array, row, value):
+    array = array.copy()
+    array[row] = value
+    return array
+
+
+@pytest.mark.parametrize(
+    "phi_dd, alpha_hat, message",
+    [
+        (_PHI3, _with_row(_ALPHA3, 1, 0.0), _BAD_AXIS),
+        (_PHI3, _with_row(_ALPHA3, 2, [1e-170, 0.0, 0.0]), _BAD_AXIS),
+        (_PHI3, _with_row(_ALPHA3, 1, [0.6, math.nan, 0.8]), _BAD_AXIS),
+        (_PHI3, _with_row(_ALPHA3, 0, [math.inf, 0.0, 0.8]), _BAD_AXIS),
+        (_with_row(_PHI3, 1, [0.2, math.nan, 0.1]), _ALPHA3, "phi_dd must be finite"),
+        (_with_row(_PHI3, 2, [0.2, 0.0, -math.inf]), _ALPHA3, "phi_dd must be finite"),
+        (
+            _PHI3[:2],
+            _ALPHA3,
+            "phi_dd and alpha_hat must share one shape (..., 3), got (2, 3) and (3, 3)",
+        ),
+        (
+            _PHI3[:, :2],
+            _ALPHA3[:, :2],
+            "phi_dd and alpha_hat must share one shape (..., 3), got (3, 2) and (3, 2)",
+        ),
+        (
+            _PHI3[0],
+            _ALPHA3,
+            "phi_dd and alpha_hat must share one shape (..., 3), got (3,) and (3, 3)",
+        ),
+    ],
+    ids=[
+        "zero row",
+        "underflowing row",
+        "nan axis row",
+        "inf axis row",
+        "nan phi_dd row",
+        "inf phi_dd row",
+        "fewer phi_dd rows",
+        "rows of two",
+        "one phi_dd for three axes",
+    ],
+)
+def test_batched_solve_refuses_the_whole_call(phi_dd, alpha_hat, message):
+    """One bad row refuses every row, with the message of its one-row call."""
+    window = (0.0, p2_system().wait_period)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve_waiting_time(p2_system(), phi_dd, alpha_hat, window)
+    if phi_dd.shape == alpha_hat.shape == (3, 3):
+        bad = [i for i in range(3) if not (phi_dd[i] == _PHI3[i]).all()]
+        bad += [i for i in range(3) if not (alpha_hat[i] == _ALPHA3[i]).all()]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_waiting_time(p2_system(), phi_dd[bad[0]], alpha_hat[bad[0]], window)
 
 
 # -------------------------------------------------------------- concatenation

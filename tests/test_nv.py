@@ -243,6 +243,21 @@ def test_worst_case_width_vanishes_with_alpha():
     assert widths[2] < 1e-3 * widths[0]  # quadratic vanishing in alpha
 
 
+def test_tolerance_profile_solves_its_rows_in_one_call(monkeypatch):
+    """Every row with finite N_c goes into one solve, so per-row calls cannot return."""
+    scan = small_scan(n_tau=12, n_tr=48, n_max=20_000)
+    calls = []
+
+    def counted(sys, phi_dd, alpha_hat, window):
+        calls.append(np.shape(phi_dd))
+        return solve_waiting_time(sys, phi_dd, alpha_hat, window)
+
+    monkeypatch.setattr(nv, "solve_waiting_time", counted)
+    tolerance_profile(scan)
+    assert calls == [(int(np.isfinite(scan.n_crit).sum()), 3)]
+    assert calls[0][0] > 1
+
+
 @pytest.mark.parametrize(
     "tr_grid",
     [[0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 2.0, 1.0], [0.0, math.nan]],

@@ -322,6 +322,35 @@ def test_error_model_takes_only_the_two_kinds_it_runs(kind, values, message):
         RotationErrorModel(kind, **values)
 
 
+_FOREIGN = "systematic errors take no std or seed"
+
+
+@pytest.mark.parametrize(
+    "kind, values, message",
+    [
+        ("systematic", {"delta_phi": [0.1, 0.2]}, "delta_phi must be one 3-vector, got shape (2,)"),
+        ("systematic", {"delta_phi": 0.1}, "delta_phi must be one 3-vector, got shape ()"),
+        (
+            "systematic",
+            {"delta_phi": np.zeros((2, 3))},
+            "delta_phi must be one 3-vector, got shape (2, 3)",
+        ),
+        ("systematic", {"delta_phi": 0.1 * EX, "std": 0.1}, _FOREIGN),
+        ("systematic", {"delta_phi": 0.1 * EX, "seed": 1}, _FOREIGN),
+        (
+            "random",
+            {"delta_phi": 0.1 * EX, "std": 0.1, "seed": 1},
+            "random errors take no delta_phi",
+        ),
+    ],
+    ids=["two entries", "scalar", "rows", "std", "seed", "random with delta_phi"],
+)
+def test_error_model_refuses_a_malformed_or_foreign_field(kind, values, message):
+    """A wrong shape failed deep in survival_curve; the other kind's field was ignored."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RotationErrorModel(kind, **values)
+
+
 @pytest.mark.parametrize(
     "alpha_vec", [[math.nan, 0.0, 0.5], [0.0, 0.0, math.inf]], ids=["nan", "inf"]
 )
