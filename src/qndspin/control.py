@@ -57,8 +57,8 @@ def qnd_residual(total: Rotor, alpha_hat) -> float:
     """Angle between ``alpha_hat`` and its image under the cycle rotation.
 
     Zero exactly when the cycle rotation commutes with the measured
-    observable.  ``alpha_hat`` is normalized first; a zero or non-finite
-    axis is a ``ValueError``.
+    observable.  ``alpha_hat`` is normalized first; an axis that is not one
+    nonzero, finite 3-vector is a ``ValueError``.
     """
     alpha_hat = _unit_axis(alpha_hat, "alpha_hat")
     return float(_chord_angle(so3_from_rotor(total) @ alpha_hat, alpha_hat))
@@ -103,7 +103,7 @@ def solve_waiting_time(sys: SpinSystem, phi_dd, alpha_hat, window: tuple[float, 
         shapes = f"{phi_dd.shape} and {alpha_hat.shape}"
         raise ValueError(f"phi_dd and alpha_hat must share one shape (..., 3), got {shapes}")
     batch = alpha_hat.shape[:-1]
-    alpha_hat = _unit_axis(alpha_hat.reshape(-1, 3), "alpha_hat")
+    alpha_hat = _unit_axis(alpha_hat.reshape(-1, 3), "alpha_hat", stacked=True)
     rate = float(np.linalg.norm(sys.wait_field))
     w_hat = sys.wait_field / rate
     m = (so3_from_rotor(rotor_exp(phi_dd.reshape(-1, 3))) @ alpha_hat[..., None])[..., 0]

@@ -77,9 +77,13 @@ def _axis_angle(s, v, vnorm, small, fallback):
     return np.where(small[..., None], fallback, out)
 
 
-def _unit_axis(axis, what: str = "fixed axis") -> np.ndarray:
-    """``axis / |axis|`` per row; a zero, underflowing or non-finite row is a ``ValueError``."""
+def _unit_axis(axis, what: str, stacked: bool = False) -> np.ndarray:
+    """``axis / |axis|`` for one 3-vector, or per row of a ``(..., 3)`` stack when
+    ``stacked``; another shape, or a zero, underflowing or non-finite row, is a
+    ``ValueError`` naming ``what``."""
     axis = np.asarray(axis, dtype=float)
+    if not stacked and axis.shape != (3,):
+        raise ValueError(f"{what} must be one 3-vector, got shape {axis.shape}")
     norm = np.sqrt(_dot(axis, axis))  # the bits of np.linalg.norm on each row
     if not np.all(np.isfinite(norm) & (norm > 0.0)):
         raise ValueError(f"{what} must be nonzero and finite")

@@ -148,7 +148,7 @@ class RotationErrorModel:
             if self.seed is None:
                 raise ValueError("random errors need an explicit seed")
             self.std = _checked_std(self.std)
-            self.axis = _unit_axis(self.axis)
+            self.axis = _unit_axis(self.axis, "axis")
 
 
 @dataclass
@@ -208,7 +208,7 @@ def survival_ensemble(
         raise ValueError("n_seeds must be >= 2 for a standard error")
     alpha_vec = _finite(alpha_vec, "alpha_vec")
     std = _checked_std(std)
-    axis = _unit_axis(axis)
+    axis = _unit_axis(axis, "axis")
     master_seed = _checked_seed(master_seed)
     angles = np.empty((n_seeds, n_max))
     for i, gen in enumerate(_child_generators(master_seed, 0, n_seeds)):

@@ -13,8 +13,11 @@ The kernel ``_evolve`` writes that update once, as a cycle body of ``+ - *
 /``, ``<`` and an outcome ``pick``, in the frame of the measurement axis.
 ``_slices``, which the random-error kernel of ``stability`` shares, feeds
 it 64 cycles at a time: ``run`` (one row) on Python floats, ``run_ensemble``
-on arrays of up to ``_BLOCK`` rows.  Each float operation rounds as the
-array element's does, so the two paths give the same bits.
+on arrays of up to ``_BLOCK`` rows.  On arrays the pick is one gather from
+a coefficient table indexed by the outcome bits, not a branch per row, and
+each slice's outcomes are counted as bytes.  Each float operation
+rounds as the array element's does, and a gather copies the stored value,
+so the two paths give the same bits.
 
 Randomness comes from numpy's PCG64 ``default_rng``.  Trajectory ``i`` of an
 ensemble draws from ``SeedSequence(master_seed, spawn_key=(i,))``; a single
@@ -78,13 +81,20 @@ class NuclearState:
 
     def __post_init__(self):
         self.bloch = np.asarray(self.bloch, dtype=float)
+        if self.bloch.shape != (3,):
+            raise ValueError(f"bloch must be one 3-vector, got shape {self.bloch.shape}")
         if not float(np.linalg.norm(self.bloch)) <= 1.0 + 1e-12:  # nan fails too
             raise ValueError(f"polarization must satisfy |bloch| <= 1, got {self.bloch}")
 
     @classmethod
     def eigenstate(cls, alpha_hat, branch: int = 1) -> "NuclearState":
         alpha_hat = np.asarray(alpha_hat, dtype=float)
-        return cls(branch * alpha_hat / np.linalg.norm(alpha_hat))
+        if alpha_hat.shape != (3,):
+            raise ValueError(f"alpha_hat must be one 3-vector, got shape {alpha_hat.shape}")
+        norm = np.linalg.norm(alpha_hat)
+        if not (math.isfinite(norm) and norm > 0.0):
+            raise ValueError("alpha_hat must be nonzero and finite")
+        return cls(branch * alpha_hat / norm)
 
     @classmethod
     def mixed(cls) -> "NuclearState":
@@ -115,13 +125,18 @@ def kraus_eigenvalues(setting: MeasurementSetting, u: int) -> tuple[complex, com
     )
 
 
+def _checked_int(value, name: str, least: int) -> int:
+    """An integer >= ``least`` (``bool`` is refused); a ``ValueError`` names ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def _checked_seed(master_seed) -> int:
-    """A master seed: an integer >= 0 (``bool`` is refused)."""
-    if isinstance(master_seed, bool) or not isinstance(master_seed, numbers.Integral):
-        raise ValueError(f"master seed must be an integer, got {master_seed!r}")
-    if master_seed < 0:
-        raise ValueError(f"master seed must be >= 0, got {master_seed}")
-    return int(master_seed)
+    """A master seed: an integer >= 0."""
+    return _checked_int(master_seed, "master seed", 0)
 
 
 def _child_seed_words(master_seed: int, first: int, count: int) -> np.ndarray:
@@ -224,12 +239,7 @@ def _apply(rows: list, vector) -> list:
     return out
 
 
-def _pick(plus: bool, a, b):
-    """``np.where`` for one row of Python floats."""
-    return a if plus else b
-
-
-def _slices(inputs: np.ndarray, state: list, columns, body):
+def _slices(inputs: np.ndarray, state: list, columns, body, pairs=()):
     """Run a kernel's cycle ``body`` over ``inputs``, one row per sequence.
 
     Row ``i`` of ``inputs`` holds sequence ``i``'s per-cycle inputs in cycle
@@ -238,15 +248,31 @@ def _slices(inputs: np.ndarray, state: list, columns, body):
     ``_TILE`` rows at a time so that the strided reads stay in cache, and
     ``columns`` turns the copy into the body's per-cycle arguments.
     ``body(state, *arguments, pick)`` returns the next state and one output
-    per row, using only ``+ - * /``, ``<`` and ``pick(plus, a, b)``.  With
-    one row it runs on the Python floats of ``tolist()`` and ``pick`` is
-    ``_pick``; otherwise on whole-row arrays with ``np.where``.  IEEE
-    operations round a float as they round an array element, so a row's bits
-    do not depend on the path or on the rows sharing the call.  Yields each
-    slice's outputs as a ``(width, rows)`` array; ``state`` holds the final
-    state after the last slice.
+    per row, using only ``+ - * /``, ``<`` and ``pick(plus)``, which gives,
+    for each of the kernel's outcome ``pairs`` ``(a, b)``, ``a`` where
+    ``plus`` and ``b`` elsewhere.  With one row the body runs on the Python
+    floats of ``tolist()`` and ``pick`` returns the tuple of ``a``'s or of
+    ``b``'s; otherwise on whole-row arrays, and ``pick`` gathers all pairs
+    in one ``take`` from a table with one row ``(b, a)`` per pair, indexed by
+    the outcome bits, which copies the stored values, ``-0.0`` included, with
+    no branch per row.  IEEE operations round a float as they round an array
+    element, so a row's bits do not depend on the path or on the rows sharing
+    the call.  Yields each slice's outputs as a ``(width, rows)`` array;
+    ``state`` holds the final state after the last slice.
     """
     rows, n = inputs.shape
+    if rows == 1:
+        on_plus, on_minus = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+
+        def pick(plus):
+            return on_plus if plus else on_minus
+
+    else:
+        table = np.array([(b, a) for a, b in pairs])  # column 1 where plus, 0 elsewhere
+
+        def pick(plus):
+            return table.take(plus, axis=1)
+
     scratch = np.empty((_SLICE, rows))
     for first in range(0, n, _SLICE):
         width = min(_SLICE, n - first)
@@ -255,10 +281,10 @@ def _slices(inputs: np.ndarray, state: list, columns, body):
             tile = slice(top, top + _TILE)
             np.copyto(copy[:, tile], inputs[tile, first : first + width].T)
         if rows == 1:
-            now, pick = [coord.item() for coord in state], _pick
+            now = [coord.item() for coord in state]
             cycles = zip(*(column.ravel().tolist() for column in columns(copy)))
         else:
-            now, pick, cycles = state, np.where, zip(*columns(copy))
+            now, cycles = state, zip(*columns(copy))
         outs = []
         for arguments in cycles:
             now, out = body(now, *arguments, pick)
@@ -293,20 +319,23 @@ def _evolve(setting, cycle_rotation, initial, uniforms, outcomes=None):
         for l_plus, l_minus in (kraus_eigenvalues(setting, 1), kraus_eigenvalues(setting, -1))
     ]
 
+    pairs = [(a_plus, a_minus), (b_plus, b_minus), (c_plus, c_minus)]
+
     def cycle(state, draw, pick):
         x, y, z = state
         pp, pm = 1.0 + z, 1.0 - z
         plus = draw < a_plus * pp + b_plus * pm
-        pp, pm = pick(plus, a_plus, a_minus) * pp, pick(plus, b_plus, b_minus) * pm
+        a, b, c = pick(plus)
+        pp, pm = a * pp, b * pm
         p = pp + pm
-        s = pick(plus, c_plus, c_minus) / p
+        s = c / p
         return _apply(terms, (s * x, s * y, (pp - pm) / p)), plus
 
     rows, n = uniforms.shape
     state = [np.full(rows, value) for value in frame @ initial.bloch]
-    counts = 0
-    for block in _slices(uniforms, state, lambda draws: (draws,), cycle):
-        counts = counts + block.sum(axis=0)
+    counts = np.zeros(rows, dtype=np.int64)
+    for block in _slices(uniforms, state, lambda draws: (draws,), cycle, pairs):
+        counts += block.view(np.uint8).sum(axis=0, dtype=np.uint8)  # at most 64 per slice
         if outcomes is not None:
             outcomes.append(block)
     back = [list(zip(column, range(3))) for column in frame.T.tolist()]  # zeros kept: -0.0 + 0.0
@@ -318,8 +347,7 @@ def _check_entry(setting, cycle_rotation: Rotor, initial: NuclearState, n: int) 
     """What ``run`` and ``run_ensemble`` refuse before any draw."""
     if not setting.readout.is_ideal:
         raise ValueError("trajectory updates are defined for ideal readout only")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _checked_int(n, "n", 1)
     _finite(np.append(cycle_rotation.scalar, cycle_rotation.vector), "cycle_rotation")
     _finite(initial.bloch, "initial")
 
@@ -333,8 +361,9 @@ def run(
 ) -> TrajectoryRecord:
     """Simulate ``n`` cycles; deterministic for a given seed.
 
-    The uniforms come from one ``random(n)`` call, the same stream as ``n``
-    scalar draws, and go through the batched kernel as a single row.
+    ``n`` must be an integer >= 1.  The uniforms come from one ``random(n)``
+    call, the same stream as ``n`` scalar draws, and go through the batched
+    kernel as a single row.
     """
     _check_entry(setting, cycle_rotation, initial, n)
     uniforms = np.random.default_rng(seed).random(n)
@@ -359,18 +388,19 @@ def run_ensemble(
     Trajectory ``i`` consumes the stream ``SeedSequence(master_seed,
     spawn_key=(i,))`` exactly as ``run`` would, so the ensemble is a
     bit-for-bit parallelization of repeated single runs.  ``master_seed``
-    must be an integer >= 0 and ``n`` >= 1.  Up to ``_BLOCK`` trajectories
-    draw their uniforms into one ``(_BLOCK, n)`` buffer, which dominates the
-    memory (``8 _BLOCK n`` bytes), and go through the kernel together.  The
-    streams come from batched seed-sequence hashes and one re-seeded
-    ``PCG64`` per block (``_child_generators``), not from a ``SeedSequence``
-    object per trajectory; the contract above is unchanged.
+    must be an integer >= 0, and ``n`` and ``n_traj`` integers >= 1.  Up to
+    ``_BLOCK`` trajectories draw their uniforms into one ``(_BLOCK, n)``
+    buffer, which dominates the memory (``8 _BLOCK n`` bytes), and go through
+    the kernel together.  The streams come from batched seed-sequence hashes
+    and one re-seeded ``PCG64`` per block (``_child_generators``), not from a
+    ``SeedSequence`` object per trajectory; the contract above is unchanged.
 
     ``diagnostics``, when given, is a counter that receives the seconds
     spent building the streams and drawing (``stream_s``) and in the kernel
     (``kernel_s``).
     """
     _check_entry(setting, cycle_rotation, initial, n)
+    _checked_int(n_traj, "n_traj", 1)
     master_seed = _checked_seed(master_seed)
     u_bars, finals = np.empty(n_traj), np.empty((n_traj, 3))
     uniforms = np.empty((min(_BLOCK, n_traj), n))

@@ -11,7 +11,14 @@ from qndspin.cascade import exact_distribution
 from qndspin.measurement import MeasurementSetting, ReadoutModel, outcome_prob
 from qndspin.rotations import Rotor, rotor_exp, so3_from_rotor
 import qndspin.trajectory as trajectory
-from qndspin.stability import _fixed_axis_survivals, dephasing_map, survival_ensemble
+from qndspin.control import qnd_residual
+from qndspin.stability import (
+    RotationErrorModel,
+    _fixed_axis_survivals,
+    dephasing_map,
+    survival_ensemble,
+)
+import qndspin.stability as stability
 from qndspin.trajectory import (
     NuclearState,
     _child_seed_words,
@@ -220,6 +227,10 @@ STARTS = st.one_of(
     rows=st.sampled_from([2, 5, 257]),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(  # the ensemble's block size; the -1 outcome's |l_+|^2 and l_+ l_-^* are zero
+    axis=EZ, alpha=0.5, phi="+alpha", cycle=(0.3, -0.2, 0.1), start=(0.2, -0.3, 0.4),
+    n=130, rows=2048, seed=7,
+)
 def test_one_row_on_floats_is_its_row_on_arrays(axis, alpha, phi, cycle, start, n, rows, seed):
     """``_evolve`` on one row (Python floats) equals that row of a many-row call (arrays).
 
@@ -335,6 +346,65 @@ def test_master_seed_must_be_a_non_negative_integer(seed):
         run_ensemble(setting(), Rotor(1.0, np.zeros(3)), NuclearState.mixed(), 5, 4, seed)
     with pytest.raises(ValueError, match="master seed"):
         survival_ensemble(0.7 * EZ, 0.1, [1.0, 0.0, 0.0], 5, 4, seed)
+
+
+def _random_errors(axis):
+    return RotationErrorModel("random", std=0.1, axis=axis, seed=1)
+
+
+def _run(n):
+    return run(setting(), Rotor(1.0, np.zeros(3)), NuclearState.mixed(), n, 0)
+
+
+def _ensemble(n=5, n_traj=4):
+    return run_ensemble(setting(), Rotor(1.0, np.zeros(3)), NuclearState.mixed(), n, n_traj, 0)
+
+
+_ROW = [1.0, 0.0]
+_TWO_AXES = np.eye(3)[:2]
+_REFUSED = [
+    ("model axis scalar", lambda: _random_errors(1.0), "axis"),
+    ("model axis of two", lambda: _random_errors(_ROW), "axis"),
+    ("model two axes", lambda: _random_errors(_TWO_AXES), "axis"),
+    ("ensemble axis scalar", lambda: survival_ensemble(0.7 * EZ, 0.1, 1.0, 5, 4, 0), "axis"),
+    ("ensemble axis of two", lambda: survival_ensemble(0.7 * EZ, 0.1, _ROW, 5, 4, 0), "axis"),
+    ("ensemble two axes", lambda: survival_ensemble(0.7 * EZ, 0.1, _TWO_AXES, 5, 4, 0), "axis"),
+    ("residual axis scalar", lambda: qnd_residual(rotor_exp(0.3 * EZ), 1.0), "alpha_hat"),
+    ("residual axis of two", lambda: qnd_residual(rotor_exp(0.3 * EZ), _ROW), "alpha_hat"),
+    ("residual two axes", lambda: qnd_residual(rotor_exp(0.3 * EZ), _TWO_AXES), "alpha_hat"),
+    ("bloch of two", lambda: NuclearState(np.array([0.1, 0.2])), "bloch"),
+    ("bloch scalar", lambda: NuclearState(0.1), "bloch"),
+    ("two blochs", lambda: NuclearState(np.zeros((2, 3))), "bloch"),
+    ("eigenstate zero axis", lambda: NuclearState.eigenstate(np.zeros(3)), "alpha_hat"),
+    ("eigenstate nan axis", lambda: NuclearState.eigenstate([math.nan, 0.0, 1.0]), "alpha_hat"),
+    ("eigenstate inf axis", lambda: NuclearState.eigenstate([math.inf, 0.0, 0.0]), "alpha_hat"),
+    ("eigenstate axis of two", lambda: NuclearState.eigenstate(_ROW), "alpha_hat"),
+    ("run n 2.5", lambda: _run(2.5), "n"),
+    ("run n True", lambda: _run(True), "n"),
+    ("ensemble n 2.5", lambda: _ensemble(n=2.5), "n"),
+    ("ensemble n True", lambda: _ensemble(n=True), "n"),
+    ("n_traj 0", lambda: _ensemble(n_traj=0), "n_traj"),
+    ("n_traj -2", lambda: _ensemble(n_traj=-2), "n_traj"),
+    ("n_traj 2.5", lambda: _ensemble(n_traj=2.5), "n_traj"),
+    ("n_traj 4.0", lambda: _ensemble(n_traj=4.0), "n_traj"),
+    ("n_traj True", lambda: _ensemble(n_traj=True), "n_traj"),
+]
+
+
+@pytest.mark.parametrize("call, name", [c[1:] for c in _REFUSED], ids=[c[0] for c in _REFUSED])
+def test_bad_shapes_and_counts_are_refused_before_any_draw(monkeypatch, call, name):
+    """An axis or polarization that is not one 3-vector, an unusable eigenstate
+    axis and a count that is not an integer >= 1 raise a ``ValueError`` that
+    starts with the argument's name, before any stream is built."""
+
+    def draw(*args, **kwargs):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(np.random, "default_rng", draw)
+    monkeypatch.setattr(trajectory, "_child_generators", draw)
+    monkeypatch.setattr(stability, "_child_generators", draw)
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()
 
 
 @pytest.mark.parametrize("n", [0, -3])
