@@ -28,6 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .measurement import MeasurementSetting, binary_stats, outcome_prob
+from .rotations import _checked_int
 
 __all__ = [
     "DN_THRESHOLD",
@@ -64,6 +65,7 @@ class OutcomeDistribution:
     probs_minus: np.ndarray
 
     def __post_init__(self):
+        self.n = _checked_int(self.n, "n", 1)
         for name in ("probs_plus", "probs_minus"):
             probs = np.asarray(getattr(self, name), dtype=float)
             if probs.shape != (self.n + 1,):
@@ -118,8 +120,7 @@ def exact_distribution(setting: MeasurementSetting, n: int) -> OutcomeDistributi
     """
     from scipy.special import gammaln
 
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _checked_int(n, "n", 1)
     k = np.arange(n + 1)
     g = gammaln(k + 1.0)
     log_c = gammaln(n + 1.0) - g - g[::-1]
@@ -164,8 +165,7 @@ def gaussian_distribution(setting: MeasurementSetting, n: int) -> OutcomeDistrib
     Density times grid spacing, renormalized on the discrete grid so the law
     stays a probability distribution at any ``n``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _checked_int(n, "n", 1)
     stats = binary_stats(setting)
     return OutcomeDistribution(
         n,

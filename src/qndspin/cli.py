@@ -49,7 +49,6 @@ from .config import (
     as_count,
     as_number,
     as_positive,
-    as_seed,
     as_vector,
     load_config,
     nv_params_from_config,
@@ -299,7 +298,7 @@ def _cmd_stability(args, inputs: Inputs) -> None:
     delta_phi = inputs.resolve("delta_phi", as_number)
     error_axis = inputs.resolve("error_axis", as_vector, [0.0, 0.0, 1.0])
     n_max = inputs.resolve("n_max", as_count, 10_000)
-    seed = inputs.resolve("seed", as_seed, None)
+    seed = inputs.resolve("seed", as_count, None, 0)
     alpha_mag = float(np.linalg.norm(alpha_vec))
     # the measurement axis must exist, and |alpha| is canonical as in MeasurementSetting
     if not 0.0 < alpha_mag <= math.pi + 1e-9:
@@ -329,7 +328,7 @@ def _cmd_trajectories(args, inputs: Inputs) -> None:
         raise ConfigError("trajectories need ideal readout (p_plus = p_minus = 1)")
     n = inputs.resolve("n", as_count)
     n_traj = inputs.resolve("n_traj", as_count, 1000)
-    seed = inputs.resolve("seed", as_seed, 0)
+    seed = inputs.resolve("seed", as_count, 0, 0)
     initial = inputs.resolve("initial", as_choice, "plus", ("plus", "minus", "mixed"))
     branch = {"plus": 1, "minus": -1}.get(initial)
     state = NuclearState.eigenstate(setting.alpha_hat, branch) if branch else NuclearState.mixed()

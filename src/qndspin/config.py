@@ -42,7 +42,6 @@ __all__ = [
     "as_count",
     "as_number",
     "as_positive",
-    "as_seed",
     "as_vector",
     "load_config",
     "nv_params_from_config",
@@ -85,11 +84,6 @@ def as_count(value, key: str, least: int = 1) -> int:
     if value < least:
         raise ConfigError(f"{key} must be >= {least}, got {value}")
     return int(value)
-
-
-def as_seed(value, key: str) -> int:
-    """A master seed: an integer >= 0."""
-    return as_count(value, key, 0)
 
 
 def as_number(value, key: str) -> float:

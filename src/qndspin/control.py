@@ -32,8 +32,8 @@ import math
 import numpy as np
 
 from .hyperfine import DDSequence, SpinSystem, extract_alpha_phi
-from .rotations import _ATAN2, _NEXT, _PREV, Rotor, _dot, _finite, _unit_axis, rotor_compose
-from .rotations import rotor_exp, rotor_log_full, so3_from_rotor
+from .rotations import _ATAN2, _NEXT, _PREV, Rotor, _checked_int, _dot, _finite, _unit_axis
+from .rotations import rotor_compose, rotor_exp, rotor_log_full, so3_from_rotor
 
 __all__ = [
     "qnd_residual",
@@ -157,10 +157,7 @@ def concatenated_dd(order: int, base_tau: float, n_repeats: int = 1) -> DDSequen
     CPMG pulse pattern.  Odd orders end inverted, so a trailing pi pulse at
     the period boundary restores the modulation for the next repetition.
     """
-    if order < 1:
-        raise ValueError("concatenation order must be >= 1")
-    if n_repeats < 1:
-        raise ValueError("n_repeats must be >= 1")
+    order, n_repeats = _checked_int(order, "order", 1), _checked_int(n_repeats, "n_repeats", 1)
     pattern = np.tile(_sign_pattern(order), n_repeats)
     dt = base_tau / 4.0
     duration = pattern.size * dt

@@ -33,6 +33,9 @@ import numpy as np
 
 from .rotations import (
     Rotor,
+    _checked_int,
+    _finite,
+    _vector,
     rotor_compose,
     rotor_conj,
     rotor_exp,
@@ -73,16 +76,15 @@ class SpinSystem:
     a_minus: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        self.a_plus = np.asarray(self.a_plus, dtype=float)
-        self.a_minus = np.asarray(self.a_minus, dtype=float)
+        _finite(self.omega_n, "omega_n")
+        self.a_plus, self.a_minus = _vector(self.a_plus, "a_plus"), _vector(self.a_minus, "a_minus")
         if self.omega_mag == 0.0:
             raise ValueError("effective Larmor frequency omega must be nonzero")
 
     @classmethod
     def from_vectors(cls, omega, hyperfine) -> "SpinSystem":
         """Build a system with given effective ``omega`` and ``A`` vectors."""
-        omega = np.asarray(omega, dtype=float)
-        hyperfine = np.asarray(hyperfine, dtype=float)
+        omega, hyperfine = _vector(omega, "omega"), _vector(hyperfine, "hyperfine")
         transverse = omega - omega[2] * _EZ
         return cls(
             omega_n=float(omega[2]),
@@ -161,8 +163,7 @@ class DDSequence:
 
 def cpmg(n_periods: int, tau) -> DDSequence:
     """CPMG sequences of ``n_periods`` repetitions of (tau/4 - pi - tau/2 - pi - tau/4), per tau."""
-    if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
+    n_periods = _checked_int(n_periods, "n_periods", 1)
     tau = np.asarray(tau, dtype=float)[..., None]
     if not np.all(tau > 0.0):  # a nan period would pass a "<= 0" test
         raise ValueError("tau must be positive")
@@ -243,6 +244,7 @@ def cpmg_filter_closed_form(n_periods: int, tau: float, omega_mag: float) -> com
     * sin(w t_dd / 2) / cos(w tau / 4)``.  Near the removable points
     ``cos(w tau / 4) = 0`` the interval-sum evaluation is used instead.
     """
+    n_periods = _checked_int(n_periods, "n_periods", 1)
     t_dd = n_periods * tau
     denom = math.cos(omega_mag * tau / 4.0)
     if abs(denom) < 1e-8:
@@ -266,7 +268,7 @@ def match_alpha_branch(alpha_vec, reference) -> np.ndarray:
     candidate generates the identical SO(3) action of ``2 alpha`` (odd
     windings flip the rotor sign, relabeling the two outcomes).
     """
-    alpha_vec = np.asarray(alpha_vec, dtype=float)
+    alpha_vec = _vector(alpha_vec, "alpha_vec")
     reference = np.asarray(reference, dtype=float)
     mag = float(np.linalg.norm(alpha_vec))
     if mag == 0.0:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rotations import rotor_exp, su2_matrix
+from .rotations import _finite, _vector, rotor_exp, su2_matrix
 
 __all__ = [
     "ReadoutModel",
@@ -76,9 +76,8 @@ class MeasurementSetting:
     readout: ReadoutModel = field(default_factory=ReadoutModel)
 
     def __post_init__(self):
-        self.alpha_vec = np.asarray(self.alpha_vec, dtype=float)
-        if not (np.all(np.isfinite(self.alpha_vec)) and math.isfinite(self.phi)):
-            raise ValueError("alpha_vec and phi must be finite")
+        self.alpha_vec = _vector(self.alpha_vec, "alpha_vec")
+        _finite(self.phi, "phi")
         if self.alpha_mag > math.pi + 1e-9:
             raise ValueError("canonical |alpha_vec| must not exceed pi")
         # normalize phi into (-pi, pi]

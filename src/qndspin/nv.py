@@ -39,7 +39,7 @@ from .cascade import critical_n
 from .control import _chord_angle, solve_waiting_time
 from .hyperfine import MHZ, SpinSystem, cpmg, exact_dd_evolution, extract_alpha_phi
 from .measurement import MeasurementSetting, ReadoutModel, binary_stats
-from .rotations import _finite, rotor_exp, so3_from_rotor
+from .rotations import _checked_int, _finite, _vector, rotor_exp, so3_from_rotor
 from .stability import _first_crossing, _measurement_axis, dephasing_map, tolerance, tolerance_time
 
 __all__ = [
@@ -73,13 +73,12 @@ class NvParams:
     a_mhz: tuple = C13_HYPERFINE_MHZ
 
     def __post_init__(self):
-        for name in ("b_gauss", "gamma_n_mhz_per_t", "a_mhz"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _finite(self.b_gauss, "b_gauss")
+        _finite(self.gamma_n_mhz_per_t, "gamma_n_mhz_per_t")
+        _vector(self.a_mhz, "a_mhz")
+        _checked_int(self.n_dd, "n_dd", 1)
         if self.b_gauss <= 0.0:
             raise ValueError("magnetic field must be positive")
-        if self.n_dd < 1:
-            raise ValueError("n_dd must be >= 1")
 
     @property
     def omega_n(self) -> float:
@@ -235,8 +234,7 @@ def scan_2d(
     tr_grid = _finite(tr_grid, "tr_grid")  # a nan column would read as the QND ridge
     if tau_grid.size == 0 or tr_grid.size == 0:
         raise ValueError("scan grids must be non-empty")
-    if n_max < 1:  # a horizon of no steps would read as the QND ridge everywhere
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = _checked_int(n_max, "n_max", 1)  # no steps would read as the QND ridge everywhere
     n_tau, n_tr = tau_grid.size, tr_grid.size
 
     started = time.perf_counter()

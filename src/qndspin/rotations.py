@@ -35,6 +35,7 @@ Logarithm branches:
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -77,17 +78,13 @@ def _axis_angle(s, v, vnorm, small, fallback):
     return np.where(small[..., None], fallback, out)
 
 
-def _unit_axis(axis, what: str, stacked: bool = False) -> np.ndarray:
-    """``axis / |axis|`` for one 3-vector, or per row of a ``(..., 3)`` stack when
-    ``stacked``; another shape, or a zero, underflowing or non-finite row, is a
-    ``ValueError`` naming ``what``."""
-    axis = np.asarray(axis, dtype=float)
-    if not stacked and axis.shape != (3,):
-        raise ValueError(f"{what} must be one 3-vector, got shape {axis.shape}")
-    norm = np.sqrt(_dot(axis, axis))  # the bits of np.linalg.norm on each row
-    if not np.all(np.isfinite(norm) & (norm > 0.0)):
-        raise ValueError(f"{what} must be nonzero and finite")
-    return axis / norm[..., None]
+def _checked_int(value, name: str, least: int) -> int:
+    """An integer >= ``least`` (``bool`` is refused); a ``ValueError`` names ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 def _finite(array, name: str) -> np.ndarray:
@@ -96,6 +93,28 @@ def _finite(array, name: str) -> np.ndarray:
     if not np.isfinite(array).all():
         raise ValueError(f"{name} must be finite")
     return array
+
+
+def _vector(value, name: str, stacked: bool = False, finite: bool = True) -> np.ndarray:
+    """``value`` as floats: one 3-vector, or a ``(..., 3)`` stack of them when
+    ``stacked``.  Another shape, or a non-finite entry when ``finite``, is a
+    ``ValueError`` naming ``name``."""
+    value = np.asarray(value, dtype=float)
+    if (value.shape[-1:] if stacked else value.shape) != (3,):
+        kind = "3-vectors along its last axis" if stacked else "one 3-vector"
+        raise ValueError(f"{name} must be {kind}, got shape {value.shape}")
+    return _finite(value, name) if finite else value
+
+
+def _unit_axis(axis, what: str, stacked: bool = False) -> np.ndarray:
+    """``axis / |axis|`` for one 3-vector, or per row of a ``(..., 3)`` stack when
+    ``stacked``; another shape, or a zero, underflowing or non-finite row, is a
+    ``ValueError`` naming ``what``."""
+    axis = _vector(axis, what, stacked, finite=False)
+    norm = np.sqrt(_dot(axis, axis))  # the bits of np.linalg.norm on each row
+    if not np.all(np.isfinite(norm) & (norm > 0.0)):
+        raise ValueError(f"{what} must be nonzero and finite")
+    return axis / norm[..., None]
 
 
 def rotor_exp(theta) -> Rotor:

@@ -12,7 +12,8 @@ and the survival of the measured eigenstate is ``S(N) = alpha_hat . a(N)``.
 The lifetime ``N_L`` is the first ``N`` where ``S(N)`` reaches ``1/e``
 (``inf`` if it never does within the horizon; oscillatory cases such as the
 ``alpha = pi`` echo may never cross).  ``inf`` means that and nothing else:
-the public functions refuse non-finite inputs and zero axes at entry.
+the public functions refuse non-finite inputs and zero axes at entry (a
+projective ``D = inf`` and its infinite tolerance aside).
 
 Small-error closed forms, for the worst case of a fixed error axis
 perpendicular to the measurement axis:
@@ -71,8 +72,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hyperfine import SpinSystem
-from .rotations import _finite, _unit_axis, rotor_exp, so3_from_rotor
-from .trajectory import _apply, _axis_frame, _checked_seed, _child_generators, _frame_terms, _slices
+from .rotations import _checked_int, _finite, _unit_axis, _vector, rotor_exp, so3_from_rotor
+from .trajectory import _apply, _axis_frame, _child_generators, _frame_terms, _slices
 
 __all__ = [
     "RotationErrorModel",
@@ -101,7 +102,7 @@ def dephasing_map(alpha_vec) -> np.ndarray:
     Fixes the measurement axis and scales perpendicular components by
     ``cos(|alpha_vec|)``.
     """
-    alpha_vec = np.asarray(alpha_vec, dtype=float)
+    alpha_vec = _vector(alpha_vec, "alpha_vec", stacked=True)
     return 0.5 * (so3_from_rotor(rotor_exp(alpha_vec)) + so3_from_rotor(rotor_exp(-alpha_vec)))
 
 
@@ -136,10 +137,7 @@ class RotationErrorModel:
         if self.kind == "systematic":
             if self.delta_phi is None:
                 raise ValueError("systematic errors need delta_phi")
-            self.delta_phi = _finite(self.delta_phi, "delta_phi")
-            if self.delta_phi.shape != (3,):
-                shape = self.delta_phi.shape
-                raise ValueError(f"delta_phi must be one 3-vector, got shape {shape}")
+            self.delta_phi = _vector(self.delta_phi, "delta_phi")
             if self.std != 0.0 or self.seed is not None:
                 raise ValueError("systematic errors take no std or seed")
         else:
@@ -168,9 +166,8 @@ def survival_curve(alpha_vec, error: RotationErrorModel, n_max: int) -> Survival
     ``SeedSequence(m).spawn(n)[i]`` the curve equals row ``i`` of
     ``survival_ensemble(..., n_seeds=n, master_seed=m)`` bit for bit.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    alpha_vec = _finite(alpha_vec, "alpha_vec")
+    n_max = _checked_int(n_max, "n_max", 1)
+    alpha_vec = _vector(alpha_vec, "alpha_vec")
     if error.kind == "random":
         angles = np.random.default_rng(error.seed).normal(0.0, error.std, size=(1, n_max))
         values = np.concatenate(list(_fixed_axis_survivals(alpha_vec, error.axis, angles)))[:, 0]
@@ -202,14 +199,12 @@ def survival_ensemble(
     as one whole-matrix reduction would, so the ``(n_max + 1, n_seeds)``
     matrix is never built and only the ``(n_seeds, n_max)`` angles are.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if n_seeds < 2:
-        raise ValueError("n_seeds must be >= 2 for a standard error")
-    alpha_vec = _finite(alpha_vec, "alpha_vec")
+    n_max = _checked_int(n_max, "n_max", 1)
+    n_seeds = _checked_int(n_seeds, "n_seeds", 2)  # two at least, for a standard error
+    alpha_vec = _vector(alpha_vec, "alpha_vec")
     std = _checked_std(std)
     axis = _unit_axis(axis, "axis")
-    master_seed = _checked_seed(master_seed)
+    master_seed = _checked_int(master_seed, "master seed", 0)
     angles = np.empty((n_seeds, n_max))
     for i, gen in enumerate(_child_generators(master_seed, 0, n_seeds)):
         angles[i] = gen.normal(0.0, std, n_max)
@@ -279,7 +274,8 @@ def first_crossing(maps, axes, horizon) -> np.ndarray:
     ``maps`` has shape ``(P, 3, 3)`` (the per-cycle maps ``G``), ``axes``
     shape ``(P, 3)`` (the measured axes ``a``) and ``horizon`` is an integer
     or one integer per point.  Points that do not cross within their horizon
-    get ``inf``; non-finite maps and zero or non-finite axes are refused.
+    get ``inf``; non-finite maps, zero or non-finite axes, other shapes and
+    a horizon that is not of an integer dtype are refused.
 
     Steps are evaluated a chunk of ``k`` at a time from the rows ``a^T G^j``
     (see the module docstring), with ``k = 1, 2, 4, ...`` doubling up to
@@ -312,11 +308,17 @@ def first_crossing(maps, axes, horizon) -> np.ndarray:
 
 def _first_crossing(maps, axes, horizon) -> tuple[np.ndarray, int, int]:
     """``first_crossing``, and how many points the certificate decided and left to the walk."""
-    maps = _finite(maps, "maps")
-    axes = _finite(axes, "axes")
+    maps, axes = _finite(maps, "maps"), _finite(axes, "axes")
+    if axes.ndim != 2 or axes.shape[1] != 3:
+        raise ValueError(f"axes must have shape (P, 3), got {axes.shape}")
+    if maps.shape != (len(axes), 3, 3):
+        raise ValueError(f"maps must have shape (P, 3, 3) for P = {len(axes)}, got {maps.shape}")
     if not axes.any(axis=-1).all():
         raise ValueError("axes must be nonzero")
-    horizon = np.broadcast_to(np.asarray(horizon, dtype=np.int64), axes.shape[:1])
+    horizon = np.asarray(horizon)
+    if horizon.dtype.kind not in "iu":  # a float horizon would be truncated, a bool read as 1
+        raise ValueError(f"horizon must be an integer per point, got dtype {horizon.dtype}")
+    horizon = np.broadcast_to(horizon.astype(np.int64), axes.shape[:1])
     threshold = 1.0 / math.e
     lifetimes = np.full(axes.shape[0], math.inf)
     index = np.nonzero(horizon >= 1)[0]
@@ -463,7 +465,7 @@ def _survival_values(step_map: np.ndarray, axis: np.ndarray, n_max: int) -> np.n
 
 def lifetime(values) -> int | float:
     """Smallest ``N`` with ``S(N) <= 1/e``; ``inf`` when none in range."""
-    values = np.asarray(values, dtype=float)
+    values = _finite(values, "values")
     crossed = np.nonzero(values <= 1.0 / math.e)[0]
     return int(crossed[0]) if crossed.size else math.inf
 
@@ -476,7 +478,9 @@ def analytic_survival(kind: str, alpha_mag: float, delta_phi: float, n) -> np.nd
     ``echo_exact`` (``cos alpha = -1``) are the exact special cases for a
     constant error angle.
     """
-    n = np.asarray(n, dtype=float)
+    _finite(alpha_mag, "alpha_mag")
+    _finite(delta_phi, "delta_phi")
+    n = _finite(n, "n")
     if kind == "systematic":
         return np.exp(-n * delta_phi**2 / (2.0 * math.tan(alpha_mag / 2.0) ** 2))
     if kind == "random":
@@ -493,6 +497,7 @@ def tolerance(strength_d: float, alpha_mag: float, kind: str) -> float:
     """Largest per-cycle error keeping ``N_L`` above the critical count."""
     if not strength_d > 0.0:
         raise ValueError(f"strength_d must be positive, got {strength_d}")
+    _finite(alpha_mag, "alpha_mag")
     if kind == "systematic":
         return strength_d * abs(math.tan(alpha_mag / 2.0))
     if kind == "random":
@@ -502,4 +507,6 @@ def tolerance(strength_d: float, alpha_mag: float, kind: str) -> float:
 
 def tolerance_time(delta_phi_tol: float, sys: SpinSystem) -> float:
     """Waiting-time tolerance ``delta_phi / |omega + A/2|`` in seconds."""
+    if not delta_phi_tol >= 0.0:  # inf, the tolerance of a projective D, passes
+        raise ValueError(f"delta_phi_tol must be nonnegative, got {delta_phi_tol}")
     return delta_phi_tol / float(np.linalg.norm(sys.wait_field))

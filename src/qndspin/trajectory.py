@@ -32,7 +32,6 @@ recurrence.  The streams are the ``SeedSequence`` streams bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurement import MeasurementSetting
-from .rotations import Rotor, _finite, so3_from_rotor
+from .rotations import Rotor, _checked_int, _finite, _unit_axis, _vector, so3_from_rotor
 
 __all__ = [
     "NuclearState",
@@ -80,21 +79,13 @@ class NuclearState:
     bloch: np.ndarray
 
     def __post_init__(self):
-        self.bloch = np.asarray(self.bloch, dtype=float)
-        if self.bloch.shape != (3,):
-            raise ValueError(f"bloch must be one 3-vector, got shape {self.bloch.shape}")
+        self.bloch = _vector(self.bloch, "bloch", finite=False)  # a nan fails the norm below
         if not float(np.linalg.norm(self.bloch)) <= 1.0 + 1e-12:  # nan fails too
             raise ValueError(f"polarization must satisfy |bloch| <= 1, got {self.bloch}")
 
     @classmethod
     def eigenstate(cls, alpha_hat, branch: int = 1) -> "NuclearState":
-        alpha_hat = np.asarray(alpha_hat, dtype=float)
-        if alpha_hat.shape != (3,):
-            raise ValueError(f"alpha_hat must be one 3-vector, got shape {alpha_hat.shape}")
-        norm = np.linalg.norm(alpha_hat)
-        if not (math.isfinite(norm) and norm > 0.0):
-            raise ValueError("alpha_hat must be nonzero and finite")
-        return cls(branch * alpha_hat / norm)
+        return cls(branch * _unit_axis(alpha_hat, "alpha_hat"))
 
     @classmethod
     def mixed(cls) -> "NuclearState":
@@ -123,20 +114,6 @@ def kraus_eigenvalues(setting: MeasurementSetting, u: int) -> tuple[complex, com
         1j * math.sin((alpha - phi) / 2.0),
         -1j * math.sin((alpha + phi) / 2.0),
     )
-
-
-def _checked_int(value, name: str, least: int) -> int:
-    """An integer >= ``least`` (``bool`` is refused); a ``ValueError`` names ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return int(value)
-
-
-def _checked_seed(master_seed) -> int:
-    """A master seed: an integer >= 0."""
-    return _checked_int(master_seed, "master seed", 0)
 
 
 def _child_seed_words(master_seed: int, first: int, count: int) -> np.ndarray:
@@ -401,7 +378,7 @@ def run_ensemble(
     """
     _check_entry(setting, cycle_rotation, initial, n)
     _checked_int(n_traj, "n_traj", 1)
-    master_seed = _checked_seed(master_seed)
+    master_seed = _checked_int(master_seed, "master seed", 0)
     u_bars, finals = np.empty(n_traj), np.empty((n_traj, 3))
     uniforms = np.empty((min(_BLOCK, n_traj), n))
     stream_s = kernel_s = 0.0
