@@ -276,7 +276,7 @@ def critical_n(strength_d: float) -> int:
     A projective single shot (``D = inf``) needs one measurement.
     """
     if strength_d == 0.0:
-        raise ValueError("no information per shot: D = 0")
+        raise ValueError("strength_d must be positive: D = 0 carries no information per shot")
     if not strength_d > 0.0:
         raise ValueError(f"strength_d must be positive, got {strength_d}")
     return max(1, math.ceil(2.0 / strength_d**2))

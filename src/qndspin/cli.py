@@ -8,19 +8,21 @@ subcommand (``config.KEYS``), and every flag but ``--config``, ``--out``,
 keys with no flag are ``n_bar`` and ``contrast`` (readout), ``B_gauss``,
 ``gamma_n_MHz_per_T``, ``A_MHz`` and ``N_DD`` (system), qnd-solve's
 ``t_DD_ns`` and nv-scan's ``scan.tau_rel_min`` and ``scan.tau_rel_max``.
-``_inputs`` lays each given flag, parsed to a JSON value only, over the
-``--config`` file's key; one resolver in ``config`` checks the key.  Each
+``_inputs`` lays each given flag, parsed as a config value (``_value``),
+over the ``--config`` file's key; one resolver in ``config`` checks it.  Each
 subcommand resolves its keys, claims its paths with ``_outputs`` (refusing
 existing ones before any work), computes, and hands ``(header, columns)``
 tables to ``_emit``, the one writer: the CSVs, then a JSON manifest of the
 resolved keys (``parameters``, which replay as a ``--config``), the given
 keys not read, version, wall time, diagnostics and the digest of the bytes
-as written.  Exit codes: 0 success, 2 configuration error, 1 runtime error.
+as written.  Exit codes: 0 success, 2 refused input (any ``ValueError``,
+from a resolver or the library), 1 any other failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -43,8 +45,8 @@ from .cascade import (
 from .config import (
     _READOUT_KEYS,
     KEYS,
-    ConfigError,
     Inputs,
+    as_angle,
     as_choice,
     as_count,
     as_number,
@@ -92,15 +94,15 @@ def _outputs(args, *names: str) -> list[str]:
         try:
             os.makedirs(args.out_dir, exist_ok=True)  # a collision needs it to exist already
         except OSError as exc:  # a file in the way, or no permission
-            raise ConfigError(f"cannot create --out-dir {args.out_dir}: {exc.strerror}") from exc
+            raise ValueError(f"cannot create --out-dir {args.out_dir}: {exc.strerror}") from exc
         paths = [os.path.join(args.out_dir, name) for name in (*names, "manifest.json")]
     elif os.path.isdir(os.path.dirname(args.out) or "."):
         paths = [args.out + ".csv", args.out + ".manifest.json"]
     else:
-        raise ConfigError(f"--out {args.out}: its directory does not exist")
+        raise ValueError(f"--out {args.out}: its directory does not exist")
     for path in paths:
         if os.path.exists(path) and not args.force:
-            raise ConfigError(f"output {path} exists (use --force to overwrite)")
+            raise ValueError(f"output {path} exists (use --force to overwrite)")
     return paths
 
 
@@ -190,13 +192,9 @@ def _inputs(args) -> Inputs:
 def _setting(inputs: Inputs) -> MeasurementSetting:
     """The measurement setting of ``alpha``, ``phi`` and the readout keys."""
     readout = readout_from_config(inputs)
-    alpha = inputs.resolve("alpha", as_number, 0.1)
+    alpha = inputs.resolve("alpha", as_angle, 0.1)
     phi = inputs.resolve("phi", as_number, math.pi / 2)
-    try:
-        with np.errstate(invalid="ignore"):  # 0 * inf; the setting rejects the nan
-            return MeasurementSetting(alpha * np.array([0.0, 0.0, 1.0]), phi, readout)
-    except ValueError as exc:
-        raise ConfigError(f"invalid measurement setting: {exc}") from exc
+    return MeasurementSetting(alpha * np.array([0.0, 0.0, 1.0]), phi, readout)
 
 
 # ----------------------------------------------------------------- commands
@@ -252,10 +250,7 @@ def _cmd_fidelity(args, inputs: Inputs) -> None:
     n = inputs.resolve("n", as_count)
     mode = inputs.resolve("threshold_mode", as_choice, "exact", _MODES)
     strength_d = binary_stats(setting).strength_d
-    try:
-        critical_n(strength_d)  # the cascade's own test for an informative shot
-    except ValueError as exc:
-        raise ConfigError(f"invalid measurement setting: {exc}") from exc
+    critical_n(strength_d)  # the cascade's own test for an informative shot
     paths = _outputs(args)
     started = time.perf_counter()
     dist = exact_distribution(setting, n)
@@ -295,22 +290,18 @@ def _cmd_qnd_solve(args, inputs: Inputs) -> None:
 def _cmd_stability(args, inputs: Inputs) -> None:
     alpha_vec = inputs.resolve("alpha_vec", as_vector)
     kind = inputs.resolve("error", as_choice, "systematic", ("systematic", "random"))
-    delta_phi = inputs.resolve("delta_phi", as_number)
+    delta_phi = inputs.resolve("delta_phi", as_angle)
     error_axis = inputs.resolve("error_axis", as_vector, [0.0, 0.0, 1.0])
     n_max = inputs.resolve("n_max", as_count, 10_000)
     seed = inputs.resolve("seed", as_count, None, 0)
     alpha_mag = float(np.linalg.norm(alpha_vec))
     # the measurement axis must exist, and |alpha| is canonical as in MeasurementSetting
     if not 0.0 < alpha_mag <= math.pi + 1e-9:
-        raise ConfigError(f"|alpha_vec| must lie in (0, pi], got {alpha_mag}")
-    try:  # the random model normalizes its axis itself
-        if kind == "systematic":
-            axis = _unit_axis(error_axis, "error_axis")
-            error = RotationErrorModel(kind, delta_phi=delta_phi * axis)
-        else:
-            error = RotationErrorModel("random", std=delta_phi, axis=error_axis, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(f"invalid rotation error: {exc}") from exc
+        raise ValueError(f"alpha_vec must have a magnitude in (0, pi], got {alpha_mag}")
+    if kind == "systematic":
+        error = RotationErrorModel(kind, delta_phi=delta_phi * _unit_axis(error_axis, "error_axis"))
+    else:  # the random model normalizes its axis itself
+        error = RotationErrorModel("random", std=delta_phi, axis=error_axis, seed=seed)
     paths = _outputs(args)
     started = time.perf_counter()
     curve = survival_curve(alpha_vec, error, n_max)
@@ -323,9 +314,7 @@ def _cmd_stability(args, inputs: Inputs) -> None:
 
 
 def _cmd_trajectories(args, inputs: Inputs) -> None:
-    setting = _setting(inputs)
-    if not setting.readout.is_ideal:
-        raise ConfigError("trajectories need ideal readout (p_plus = p_minus = 1)")
+    setting = _setting(inputs)  # run_ensemble refuses a non-ideal readout before any draw
     n = inputs.resolve("n", as_count)
     n_traj = inputs.resolve("n_traj", as_count, 1000)
     seed = inputs.resolve("seed", as_count, 0, 0)
@@ -343,13 +332,13 @@ def _cmd_trajectories(args, inputs: Inputs) -> None:
 
 def _cmd_nv_scan(args, inputs: Inputs) -> None:
     if "phi" in inputs.cfg:
-        raise ConfigError("nv-scan reads out at phi = pi/2; remove 'phi' from the config")
+        raise ValueError("phi must not be given: nv-scan reads out at pi/2; remove 'phi'")
     params = nv_params_from_config(inputs)
     readout = readout_from_config(inputs, default=room_temp_readout(0.1, 0.07))
     n_tdd = inputs.resolve("scan.n_tdd", as_count, 256)
     n_tr = inputs.resolve("scan.n_tr", as_count, 256)
     if n_tr < 2:
-        raise ConfigError(f"scan.n_tr must be >= 2 to span a search window, got {n_tr}")
+        raise ValueError(f"scan.n_tr must be >= 2 to span a search window, got {n_tr}")
     low = inputs.resolve("scan.tau_rel_min", as_positive, 0.95)
     rel = (low, inputs.resolve("scan.tau_rel_max", as_positive, 1.05))
     n_max = inputs.resolve("scan.n_max", as_count, 1_000_000)
@@ -381,36 +370,40 @@ def _cmd_nv_scan(args, inputs: Inputs) -> None:
 # ----------------------------------------------------------------- parser
 
 
-def _floats(text: str) -> list[float]:
-    """``x,y,z`` as a list of floats; the key's resolver checks it."""
-    return [float(part) for part in text.split(",")]
+def _value(text: str):
+    """A flag's text as the config value it spells: an integer, a float,
+    comma-separated floats, or else the text.  The key's resolver checks it."""
+    for parse in (int, float, lambda given: [float(part) for part in given.split(",")]):
+        with contextlib.suppress(ValueError):
+            return parse(text)
+    return text
 
 
-# each config key with a flag (named after its last part): the flag's parser and help
+# each config key with a flag (named after its last part): the flag's help
 _FLAGS = {
-    "preset": (str, "|".join(sorted(PRESETS))),
-    "alpha": (float, "measurement rotation magnitude (rad)"),
-    "phi": (float, "electron readout azimuth (rad)"),
-    "p_plus": (float, "readout fidelity for |+phi>"),
-    "p_minus": (float, "readout fidelity for |-phi>"),
-    "n_plus": (float, "mean photon number, bright state"),
-    "n_minus": (float, "mean photon number, dark state"),
-    "n": (int, "binary measurements (cycles) per record"),
-    "law": (str, "exact|gaussian (default exact)"),
-    "threshold_mode": (str, "exact|gaussian (default exact)"),
-    "tau_ns": (float, "CPMG period (ns)"),
-    "alpha_vec": (_floats, "measurement rotation vector x,y,z (rad)"),
-    "error": (str, "systematic|random (default systematic)"),
-    "delta_phi": (float, "error angle or std (rad)"),
-    "error_axis": (_floats, "error axis x,y,z (default 0,0,1)"),
-    "n_max": (int, "survival-curve horizon (default 10000)"),
-    "seed": (int, "master seed (trajectories: default 0)"),
-    "n_traj": (int, "trajectories (default 1000)"),
-    "initial": (str, "plus|minus|mixed (default plus)"),
-    "cycle_rot": (_floats, "per-cycle rotation vector x,y,z (rad)"),
-    "scan.n_tdd": (int, "sequence-duration grid points (default 256)"),
-    "scan.n_tr": (int, "waiting-time grid points (default 256)"),
-    "scan.n_max": (int, "lifetime iteration cap (default 1000000)"),
+    "preset": "|".join(sorted(PRESETS)),
+    "alpha": "measurement rotation magnitude (rad)",
+    "phi": "electron readout azimuth (rad)",
+    "p_plus": "readout fidelity for |+phi>",
+    "p_minus": "readout fidelity for |-phi>",
+    "n_plus": "mean photon number, bright state",
+    "n_minus": "mean photon number, dark state",
+    "n": "binary measurements (cycles) per record",
+    "law": "exact|gaussian (default exact)",
+    "threshold_mode": "exact|gaussian (default exact)",
+    "tau_ns": "CPMG period (ns)",
+    "alpha_vec": "measurement rotation vector x,y,z (rad)",
+    "error": "systematic|random (default systematic)",
+    "delta_phi": "error angle or std (rad)",
+    "error_axis": "error axis x,y,z (default 0,0,1)",
+    "n_max": "survival-curve horizon (default 10000)",
+    "seed": "master seed (trajectories: default 0)",
+    "n_traj": "trajectories (default 1000)",
+    "initial": "plus|minus|mixed (default plus)",
+    "cycle_rot": "per-cycle rotation vector x,y,z (rad)",
+    "scan.n_tdd": "sequence-duration grid points (default 256)",
+    "scan.n_tr": "waiting-time grid points (default 256)",
+    "scan.n_max": "lifetime iteration cap (default 1000000)",
 }
 
 _COMMANDS = {
@@ -450,9 +443,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
         for key in KEYS[name]:
             if key in _FLAGS:
-                leaf = key.rpartition(".")[2]
-                kind, text = _FLAGS[key]
-                p.add_argument("--" + leaf.replace("_", "-"), type=kind, dest=key, help=text)
+                flag = "--" + key.rpartition(".")[2].replace("_", "-")
+                p.add_argument(flag, type=_value, dest=key, help=_FLAGS[key])
         p.set_defaults(func=func)
     return parser
 
@@ -468,10 +460,10 @@ def main(argv=None) -> int:
     args.started = time.time()
     try:
         args.func(args, _inputs(args))
-    except ConfigError as exc:
+    except ValueError as exc:  # refused input, wherever it was found
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # runtime failure
+    except Exception as exc:  # any other failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

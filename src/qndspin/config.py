@@ -23,6 +23,8 @@ sequence duration in ns; ``p_*`` are readout fidelities, ``n_plus`` and
 ``n_minus`` mean photon numbers.  A key no subcommand reads is refused
 before anything runs; one that only other subcommands read is listed in the
 manifest's ``ignored_keys``, so one file can serve several subcommands.
+A flag's text, parsed as the value it spells, meets the same resolver as
+the key's JSON value.  Every refusal is a ``ValueError`` naming the key.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from .measurement import ReadoutModel
 from .nv import PRESETS, NvParams, room_temp_readout
 
 __all__ = [
-    "ConfigError",
     "KEYS",
     "Inputs",
+    "as_angle",
     "as_choice",
     "as_count",
     "as_number",
@@ -71,54 +73,54 @@ _KNOWN = {key for keys in KEYS.values() for key in keys}
 _REQUIRED = object()
 
 
-class ConfigError(ValueError):
-    """Invalid or unknown configuration content."""
-
-
 def as_count(value, key: str, least: int = 1) -> int:
     """An integer >= ``least`` (``1e6`` passes, ``2.5`` and ``true`` do not)."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    ):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
     if value < least:
-        raise ConfigError(f"{key} must be >= {least}, got {value}")
+        raise ValueError(f"{key} must be >= {least}, got {value}")
     return int(value)
 
 
 def as_number(value, key: str) -> float:
     """A JSON number (not a boolean); its range is the library's to check."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if type(value) not in (int, float):
+        raise ValueError(f"{key} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:  # an integer beyond the float range reads as json's 1e400 does
-        return math.copysign(math.inf, value)
+        return math.inf if value > 0 else -math.inf
 
 
 def as_positive(value, key: str) -> float:
     """A positive finite number."""
-    value = as_number(value, key)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ConfigError(f"{key} must be positive and finite, got {value}")
+    if not 0.0 < (value := as_number(value, key)) < math.inf:
+        raise ValueError(f"{key} must be positive and finite, got {value}")
+    return value
+
+
+def as_angle(value, key: str) -> float:
+    """A number whose square is finite, as a rotation angle's must be."""
+    if not math.isfinite((value := as_number(value, key)) * value):
+        raise ValueError(f"{key} must be a number whose square is finite, got {value}")
     return value
 
 
 def as_choice(value, key: str, options) -> str:
     """One of the names in ``options``."""
     if not isinstance(value, str) or value not in options:
-        raise ConfigError(f"unknown {key} {value!r} (have {sorted(options)})")
+        raise ValueError(f"unknown {key} {value!r} (have {sorted(options)})")
     return value
 
 
 def as_vector(value, key: str) -> list[float]:
-    """Three finite numbers."""
-    message = f"{key} must be a 3-vector of finite numbers, got {value!r}"
+    """Three numbers whose squared norm is finite, as a rotation's must be."""
+    message = f"{key} must be a 3-vector of finite numbers with finite squared norm, got {value!r}"
     if not (isinstance(value, (list, tuple)) and len(value) == 3):
-        raise ConfigError(message)
+        raise ValueError(message)
     vector = [as_number(v, key) for v in value]
-    if not all(map(math.isfinite, vector)):
-        raise ConfigError(message)
+    if not math.isfinite(sum(v * v for v in vector)):  # nan and inf entries included
+        raise ValueError(message)
     return vector
 
 
@@ -142,7 +144,7 @@ class Inputs:
         """
         value = self.cfg.get(key, default)
         if value is _REQUIRED:
-            raise ConfigError(f"{key} is required")
+            raise ValueError(f"{key} is required")
         if value is not None or default is not None:
             value = check(value, key, *extra)
         block, _, leaf = key.rpartition(".")
@@ -156,16 +158,16 @@ def load_config(path: str) -> dict:
         with open(path, encoding="utf-8") as handle:
             cfg = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     scan = cfg.pop("scan", {})
     if not isinstance(scan, dict):
-        raise ConfigError("'scan' must be an object")
+        raise ValueError("'scan' must be an object")
     cfg.update((f"scan.{key}", value) for key, value in scan.items())
     unknown = set(cfg) - _KNOWN
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return cfg
 
 
@@ -176,26 +178,22 @@ def nv_params_from_config(inputs: Inputs) -> NvParams:
     if "preset" in cfg:
         base = PRESETS[as_choice(cfg["preset"], "preset", PRESETS)]
     elif "B_gauss" not in cfg or "N_DD" not in cfg:
-        raise ConfigError("need either 'preset' or both 'B_gauss' and 'N_DD'")
+        raise ValueError("need either 'preset' or both 'B_gauss' and 'N_DD'")
     else:
         base = NvParams(b_gauss=1.0, n_dd=1)
-    values = (
+    return NvParams(
         inputs.resolve("B_gauss", as_number, base.b_gauss),
         inputs.resolve("N_DD", as_count, base.n_dd),
         inputs.resolve("gamma_n_MHz_per_T", as_number, base.gamma_n_mhz_per_t),
         tuple(inputs.resolve("A_MHz", as_vector, list(base.a_mhz))),
     )
-    try:
-        return NvParams(*values)
-    except ValueError as exc:
-        raise ConfigError(f"invalid system parameters: {exc}") from exc
 
 
 def sequence_from_config(inputs: Inputs, params: NvParams):
     """CPMG sequence of ``tau_ns`` or ``t_DD_ns`` (default resonant); records ``tau_ns``."""
     cfg = inputs.cfg
     if "tau_ns" in cfg and "t_DD_ns" in cfg:
-        raise ConfigError("give only one of 'tau_ns' and 't_DD_ns'")
+        raise ValueError("give only one of 'tau_ns' and 't_DD_ns'")
     if "tau_ns" in cfg:
         tau = as_positive(cfg["tau_ns"], "tau_ns") * 1e-9
     elif "t_DD_ns" in cfg:
@@ -215,7 +213,7 @@ def readout_from_config(inputs: Inputs, default: ReadoutModel = ReadoutModel()) 
     has_n = "n_plus" in cfg or "n_minus" in cfg
     has_bar = "n_bar" in cfg or "contrast" in cfg
     if sum((has_p, has_n, has_bar)) > 1:
-        raise ConfigError("give readout as p_+/p_-, n_+/n_-, or n_bar/contrast")
+        raise ValueError("give readout as p_+/p_-, n_+/n_-, or n_bar/contrast")
 
     def number(key):
         return as_number(cfg[key], key)
@@ -230,8 +228,6 @@ def readout_from_config(inputs: Inputs, default: ReadoutModel = ReadoutModel()) 
             n_bar, contrast = number("n_bar"), number("contrast")
             readout = room_temp_readout(n_bar * (1 + contrast), n_bar * (1 - contrast))
     except KeyError as exc:
-        raise ConfigError(f"incomplete readout model: missing {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"invalid readout model: {exc}") from exc
+        raise ValueError(f"incomplete readout model: missing {exc}") from exc
     inputs.params.update(p_plus=readout.p_plus, p_minus=readout.p_minus)
     return readout

@@ -79,7 +79,7 @@ class SpinSystem:
         _finite(self.omega_n, "omega_n")
         self.a_plus, self.a_minus = _vector(self.a_plus, "a_plus"), _vector(self.a_minus, "a_minus")
         if self.omega_mag == 0.0:
-            raise ValueError("effective Larmor frequency omega must be nonzero")
+            raise ValueError("omega_n, a_plus and a_minus must give a nonzero omega")
 
     @classmethod
     def from_vectors(cls, omega, hyperfine) -> "SpinSystem":

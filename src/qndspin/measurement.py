@@ -79,7 +79,7 @@ class MeasurementSetting:
         self.alpha_vec = _vector(self.alpha_vec, "alpha_vec")
         _finite(self.phi, "phi")
         if self.alpha_mag > math.pi + 1e-9:
-            raise ValueError("canonical |alpha_vec| must not exceed pi")
+            raise ValueError(f"alpha_vec must have a canonical norm <= pi, got {self.alpha_mag}")
         # normalize phi into (-pi, pi]
         self.phi = math.remainder(self.phi, 2.0 * math.pi)
         if self.phi == -math.pi:

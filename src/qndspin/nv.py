@@ -78,7 +78,9 @@ class NvParams:
         _vector(self.a_mhz, "a_mhz")
         _checked_int(self.n_dd, "n_dd", 1)
         if self.b_gauss <= 0.0:
-            raise ValueError("magnetic field must be positive")
+            raise ValueError(f"b_gauss must be positive, got {self.b_gauss}")
+        if not 0.0 < (omega_n := self.omega_n) * omega_n < math.inf:  # periods divide by it
+            raise ValueError(f"gamma_n_mhz_per_t must give 0 < omega_n**2 < inf, got {omega_n}")
 
     @property
     def omega_n(self) -> float:
@@ -119,7 +121,7 @@ def room_temp_readout(n_plus: float, n_minus: float) -> ReadoutModel:
     n_minus`` (no photon when dark), for mean photon numbers well below one.
     """
     if not 0.0 <= n_minus <= n_plus <= 1.0:
-        raise ValueError("photon numbers must satisfy 0 <= n_minus <= n_plus <= 1")
+        raise ValueError("n_plus and n_minus must satisfy 0 <= n_minus <= n_plus <= 1")
     return ReadoutModel(p_plus=n_plus, p_minus=1.0 - n_minus)
 
 

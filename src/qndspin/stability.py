@@ -144,7 +144,7 @@ class RotationErrorModel:
             if self.delta_phi is not None:
                 raise ValueError("random errors take no delta_phi")
             if self.seed is None:
-                raise ValueError("random errors need an explicit seed")
+                raise ValueError("seed must be given for random errors")
             self.std = _checked_std(self.std)
             self.axis = _unit_axis(self.axis, "axis")
 
@@ -316,8 +316,10 @@ def _first_crossing(maps, axes, horizon) -> tuple[np.ndarray, int, int]:
     if not axes.any(axis=-1).all():
         raise ValueError("axes must be nonzero")
     horizon = np.asarray(horizon)
-    if horizon.dtype.kind not in "iu":  # a float horizon would be truncated, a bool read as 1
-        raise ValueError(f"horizon must be an integer per point, got dtype {horizon.dtype}")
+    # a float horizon would be truncated and a bool read as 1
+    if horizon.dtype.kind not in "iu" or horizon.shape not in ((), (1,), axes.shape[:1]):
+        got = f"dtype {horizon.dtype}, shape {horizon.shape}"
+        raise ValueError(f"horizon must be one integer or one per point ({len(axes)}), got {got}")
     horizon = np.broadcast_to(horizon.astype(np.int64), axes.shape[:1])
     threshold = 1.0 / math.e
     lifetimes = np.full(axes.shape[0], math.inf)
@@ -470,6 +472,13 @@ def lifetime(values) -> int | float:
     return int(crossed[0]) if crossed.size else math.inf
 
 
+def _half_tan(alpha_mag: float) -> float:
+    """``tan(alpha_mag / 2)``, whose square the systematic laws divide by; 0 is refused."""
+    if (half_tan := math.tan(alpha_mag / 2.0)) ** 2 == 0.0:
+        raise ValueError(f"alpha_mag must have a nonzero tan(alpha_mag / 2)**2, got {alpha_mag}")
+    return half_tan
+
+
 def analytic_survival(kind: str, alpha_mag: float, delta_phi: float, n) -> np.ndarray:
     """Closed-form survival laws for a perpendicular error axis.
 
@@ -482,7 +491,7 @@ def analytic_survival(kind: str, alpha_mag: float, delta_phi: float, n) -> np.nd
     _finite(delta_phi, "delta_phi")
     n = _finite(n, "n")
     if kind == "systematic":
-        return np.exp(-n * delta_phi**2 / (2.0 * math.tan(alpha_mag / 2.0) ** 2))
+        return np.exp(-n * delta_phi**2 / (2.0 * _half_tan(alpha_mag) ** 2))
     if kind == "random":
         return np.exp(-n * delta_phi**2 / 2.0)
     if kind == "dephasing_exact":
@@ -499,7 +508,7 @@ def tolerance(strength_d: float, alpha_mag: float, kind: str) -> float:
         raise ValueError(f"strength_d must be positive, got {strength_d}")
     _finite(alpha_mag, "alpha_mag")
     if kind == "systematic":
-        return strength_d * abs(math.tan(alpha_mag / 2.0))
+        return strength_d * abs(_half_tan(alpha_mag))
     if kind == "random":
         return strength_d
     raise ValueError(f"unknown tolerance kind {kind!r}")

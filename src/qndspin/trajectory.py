@@ -103,7 +103,7 @@ class TrajectoryRecord:
 def kraus_eigenvalues(setting: MeasurementSetting, u: int) -> tuple[complex, complex]:
     """Eigenvalues of ``M_u`` on the ``|+alpha>`` / ``|-alpha>`` eigenstates."""
     if not setting.readout.is_ideal:
-        raise ValueError("trajectory updates are defined for ideal readout only")
+        raise ValueError("setting must have ideal readout (p_plus = p_minus = 1) for trajectories")
     alpha, phi = setting.alpha_mag, setting.phi
     if u == 1:
         return (
@@ -323,7 +323,7 @@ def _evolve(setting, cycle_rotation, initial, uniforms, outcomes=None):
 def _check_entry(setting, cycle_rotation: Rotor, initial: NuclearState, n: int) -> None:
     """What ``run`` and ``run_ensemble`` refuse before any draw."""
     if not setting.readout.is_ideal:
-        raise ValueError("trajectory updates are defined for ideal readout only")
+        raise ValueError("setting must have ideal readout (p_plus = p_minus = 1) for trajectories")
     _checked_int(n, "n", 1)
     _finite(np.append(cycle_rotation.scalar, cycle_rotation.vector), "cycle_rotation")
     _finite(initial.bloch, "initial")

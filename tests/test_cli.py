@@ -288,7 +288,7 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv):
         ({"scan": {"n_max": False}}, "scan.n_max must be an integer"),
         ({"scan": {"n_tr": 1}}, "n_tr must be >= 2"),
         ({"phi": 1.0}, "'phi'"),
-        ({"p_plus": [0.9], "p_minus": 0.9}, "invalid readout model"),
+        ({"p_plus": [0.9], "p_minus": 0.9}, "p_plus must be a number, got [0.9]"),
         ({"preset": ["P1"]}, "unknown preset ['P1']"),
         ({"preset": {"a": 1}}, "unknown preset {'a': 1}"),
         ({"preset": "P9"}, "unknown preset 'P9'"),
@@ -296,6 +296,9 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv):
         ({"A_MHz": None}, "A_MHz must be a 3-vector"),
         ({"A_MHz": [0.2, 0.3]}, "A_MHz must be a 3-vector"),
         ({"scan": {"n_typo": 3}}, "unknown config keys: ['scan.n_typo']"),
+        ({"A_MHz": [1e200, 0.0, 0.0]}, "A_MHz must be a 3-vector of finite numbers with finite"),
+        ({"gamma_n_MHz_per_T": 1e300}, "gamma_n_mhz_per_t must give 0 < omega_n**2 < inf"),
+        ({"gamma_n_MHz_per_T": 0.0}, "gamma_n_mhz_per_t must give 0 < omega_n**2 < inf"),
     ],
     ids=[
         "min nan",
@@ -321,6 +324,9 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv):
         "A_MHz null",
         "A_MHz two entries",
         "unknown scan key",
+        "A_MHz overflowing",
+        "gamma overflowing",
+        "gamma zero",
     ],
 )
 def test_nv_scan_bad_tau_span_is_config_error(tmp_path, capsys, cfg, message):
@@ -468,6 +474,110 @@ def test_half_a_readout_pair_names_the_missing_key(tmp_path, capsys, flags, cfg,
     assert os.listdir(tmp_path) == (["run.json"] if cfg else [])
 
 
+# rotations whose squared norm overflows, each refused as its key is resolved
+OVERFLOWING_ROTATIONS = {
+    "cycle_rot": (
+        ["trajectories", "--n", "5", "--alpha", "0.1", "--cycle-rot", "1e200,0,0"],
+        "cycle_rot must be a 3-vector of finite numbers with finite squared norm",
+    ),
+    "delta_phi": (
+        ["stability", "--alpha-vec", "0,0,1", "--delta-phi", "1e200"],
+        "delta_phi must be a number whose square is finite",
+    ),
+    "random delta_phi": (
+        ["stability", "--alpha-vec", "0,0,1", "--error", "random", "--seed", "1"]
+        + ["--delta-phi", "1e200"],
+        "delta_phi must be a number whose square is finite",
+    ),
+    "alpha_vec": (
+        ["stability", "--alpha-vec", "1e200,0,0", "--delta-phi", "0.1"],
+        "alpha_vec must be a 3-vector of finite numbers with finite squared norm",
+    ),
+    "error_axis": (
+        ["stability", "--alpha-vec", "0,0,1", "--delta-phi", "0.1", "--error-axis", "0,1e200,0"],
+        "error_axis must be a 3-vector of finite numbers with finite squared norm",
+    ),
+    "alpha": (
+        ["binary-stats", "--alpha", "1e200"],
+        "alpha must be a number whose square is finite",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message", OVERFLOWING_ROTATIONS.values(), ids=list(OVERFLOWING_ROTATIONS)
+)
+def test_rotations_whose_squared_norm_overflows_are_refused_by_name(
+    tmp_path, capsys, argv, message
+):
+    """Refused before numpy squares them (a warning is an error in this suite)."""
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {message}") and not captured.out
+    assert not os.listdir(tmp_path)
+
+
+# refusals raised by the library, each reaching the user under its argument's name
+LIBRARY_REFUSALS = {
+    "canonical alpha": (["binary-stats", "--alpha", "4"], None, "alpha_vec must have a canonical"),
+    "field": (["qnd-solve"], {"B_gauss": -1.0, "N_DD": 4}, "b_gauss must be positive"),
+    "photon numbers": (
+        ["binary-stats", "--n-plus", "0.1", "--n-minus", "0.2"],
+        None,
+        "n_plus and n_minus must satisfy 0 <= n_minus <= n_plus <= 1",
+    ),
+    "no information": (
+        ["fidelity", "--n", "10", "--alpha", "0.1", "--p-plus", "0.5", "--p-minus", "0.5"],
+        None,
+        "strength_d must be positive: D = 0",
+    ),
+    "ideal readout": (
+        ["trajectories", "--n", "5", "--alpha", "0.1", "--p-plus", "0.9", "--p-minus", "0.9"],
+        None,
+        "setting must have ideal readout",
+    ),
+    "random seed": (
+        ["stability", "--alpha-vec", "0,0,0.5", "--error", "random", "--delta-phi", "0.1"],
+        None,
+        "seed must be given for random errors",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, cfg, message", LIBRARY_REFUSALS.values(), ids=list(LIBRARY_REFUSALS)
+)
+def test_library_refusals_reach_the_user_by_name(tmp_path, monkeypatch, capsys, argv, cfg, message):
+    monkeypatch.chdir(tmp_path)
+    if cfg is not None:
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        argv = argv + ["--config", "run.json"]
+    assert main(argv + ["--out", "out"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {message}") and not captured.out
+    assert os.listdir(tmp_path) == (["run.json"] if cfg else [])
+
+
+def test_a_value_error_from_deep_in_the_library_exits_2(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise ValueError("uniforms must be refused here")
+
+    monkeypatch.setattr(qndspin.trajectory, "_evolve", refuse)
+    assert main([*TRAJECTORIES, "--n-traj", "4", "--out", str(tmp_path / "tr")]) == 2
+    assert capsys.readouterr().err == "config error: uniforms must be refused here\n"
+    assert not os.listdir(tmp_path)
+
+
+def test_any_other_failure_exits_1(tmp_path, monkeypatch, capsys):
+    def fail(setting):
+        raise RuntimeError("moments diverged")
+
+    monkeypatch.setattr(cli, "binary_stats", fail)
+    assert main(["binary-stats", "--alpha", "0.1", "--out", str(tmp_path / "bs")]) == 1
+    assert capsys.readouterr().err == "error: moments diverged\n"
+    assert not os.listdir(tmp_path)
+
+
 def _outputs_of(manifest_path):
     """The manifest and the bytes of each output it names."""
     with open(manifest_path, encoding="utf-8") as handle:
@@ -486,6 +596,19 @@ def _run(argv, name):
     path = os.path.join(name, "manifest.json") if scan else name + ".manifest.json"
     manifest, outputs = _outputs_of(path)
     return manifest["parameters"], outputs
+
+
+def _outcome(argv, name, capsys):
+    """Run in the current directory; the exit code, stderr, and what ``_run`` returns
+    when the run succeeds (``None`` when it writes nothing)."""
+    scan = argv[0] == "nv-scan"
+    code = main(argv + (["--out-dir", name] if scan else ["--out", name]))
+    err = capsys.readouterr().err
+    if code:
+        return code, err, None if os.listdir() == ["run.json"] else os.listdir()
+    path = os.path.join(name, "manifest.json") if scan else name + ".manifest.json"
+    manifest, outputs = _outputs_of(path)
+    return code, err, (manifest["parameters"], outputs)
 
 
 NV_SCAN = ["nv-scan", "--preset", "P2"]
@@ -548,14 +671,45 @@ FLAG_KEY_CASES = {
     ),
     "stability n_max": (STABILITY, ["--n-max", "70"], {"n_max": 70}),
     "stability seed": (STABILITY_Z + ["--error", "random"], ["--seed", "4"], {"seed": 4}),
+    # a flag's text parses as the config value it spells; the key's resolver
+    # then accepts or refuses it alike
+    "n 1e3": (["distribution", "--alpha", "0.2"], ["--n", "1e3"], {"n": 1e3}),
+    "n 2.5": (["distribution", "--alpha", "0.2"], ["--n", "2.5"], {"n": 2.5}),
+    "n true": (["distribution", "--alpha", "0.2"], ["--n", "true"], {"n": "true"}),
+    "n abc": (["distribution", "--alpha", "0.2"], ["--n", "abc"], {"n": "abc"}),
+    "seed 1e1": (TRAJECTORIES[:-2] + ["--n-traj", "4"], ["--seed", "1e1"], {"seed": 10}),
+    "alpha 1e200": (["binary-stats"], ["--alpha", "1e200"], {"alpha": 1e200}),
+    "alpha_vec a number": (
+        ["stability", *STABILITY_Z[3:]], ["--alpha-vec", "0.5"], {"alpha_vec": 0.5}
+    ),
+    "cycle_rot two entries": (TRAJECTORIES, ["--cycle-rot", "0,1"], {"cycle_rot": [0.0, 1.0]}),
+    "preset 2": (["table1"], ["--preset", "2"], {"preset": 2}),
+    # an integer beyond the float range reads as inf, which the library refuses
+    "phi 1e400 as an integer": (["binary-stats"], ["--phi", "1" + "0" * 400], {"phi": 10**400}),
 }
 
+REFUSED_FLAG_KEY_CASES = {"n 2.5", "n true", "n abc", "alpha 1e200", "alpha_vec a number"}
+REFUSED_FLAG_KEY_CASES |= {"cycle_rot two entries", "preset 2", "phi 1e400 as an integer"}
 
-@pytest.mark.parametrize("argv, flags, keys", FLAG_KEY_CASES.values(), ids=FLAG_KEY_CASES)
-def test_a_flag_and_the_config_key_of_its_name_agree(tmp_path, monkeypatch, argv, flags, keys):
+
+@pytest.mark.parametrize(
+    "argv, flags, keys, refused",
+    [(*case, name in REFUSED_FLAG_KEY_CASES) for name, case in FLAG_KEY_CASES.items()],
+    ids=list(FLAG_KEY_CASES),
+)
+def test_a_flag_and_the_config_key_of_its_name_agree(
+    tmp_path, monkeypatch, capsys, argv, flags, keys, refused
+):
+    """Same exit code, stderr, parameters and bytes, refused or not; a refusal writes nothing."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.json").write_text(json.dumps(keys))
-    assert _run(argv + flags, "flag") == _run(argv + ["--config", "run.json"], "key")
+    flag = _outcome(argv + flags, "flag", capsys)
+    assert flag == _outcome(argv + ["--config", "run.json"], "key", capsys)
+    code, err, written = flag
+    if refused:
+        assert code == 2 and err.startswith("config error: ") and written is None
+    else:
+        assert code == 0 and not err
 
 
 _PATHS = {"help", "config", "out", "out_dir", "force"}

@@ -93,7 +93,25 @@ BAD = {
         "fewer maps": np.eye(3)[None],
     },
     "axes": {"nan": [[NAN, 0, 1], [0, 0, 1]], "zero": np.zeros((2, 3)), "one axis": [0, 0, 1]},
-    "horizon": {"2.5": 2.5, "True": True, "nan": NAN, "floats": [9.0, 9.5]},
+    "horizon": {
+        "2.5": 2.5,
+        "True": True,
+        "nan": NAN,
+        "floats": [9.0, 9.5],
+        "3 for 2 points": np.array([9, 9, 9]),
+    },
+    # the systematic laws divide by tan(alpha_mag / 2)**2
+    "half angle": {**_NON_FINITE, "0": 0.0, "-0": -0.0, "2e-200": 2e-200},
+    "field": {**_NON_FINITE, "0": 0.0, "-1": -1.0},
+    # omega_n = gamma B must be nonzero, and its square finite
+    "larmor": {**_NON_FINITE, "0": 0.0, "1e300": 1e300},
+    "setting vector": {**_NON_FINITE_ROWS, **_WRONG_SHAPES, "beyond pi": [0.0, 0.0, 4.0]},
+    "ideal setting": {
+        "p 0.9": measurement.MeasurementSetting(
+            [0.0, 0.0, 0.3], 1.0, measurement.ReadoutModel(0.9, 0.9)
+        ),
+    },
+    "given": {"None": None},
 }
 
 EZ = np.array([0.0, 0.0, 1.0])
@@ -168,12 +186,12 @@ ENTRIES = {
     "measurement.MeasurementSetting": (
         measurement.MeasurementSetting,
         {"alpha_vec": 0.3 * EZ, "phi": 1.0},
-        {"alpha_vec": "vector", "phi": "number"},
+        {"alpha_vec": "setting vector", "phi": "number"},
     ),
     "nv.NvParams": (
         nv.NvParams,
         {"b_gauss": 305.0, "n_dd": 6},
-        {"n_dd": "count", "b_gauss": "number", "gamma_n_mhz_per_t": "number", "a_mhz": "vector"},
+        {"n_dd": "count", "b_gauss": "field", "gamma_n_mhz_per_t": "larmor", "a_mhz": "vector"},
     ),
     "nv.scan_2d": (
         nv.scan_2d,
@@ -189,7 +207,7 @@ ENTRIES = {
     "stability.RotationErrorModel": (
         stability.RotationErrorModel,
         {"kind": "random", "std": 0.1, "axis": EZ, "seed": 1},
-        {"axis": "axis", "std": "std"},
+        {"axis": "axis", "std": "std", "seed": "given"},
     ),
     "stability.RotationErrorModel systematic": (
         stability.RotationErrorModel,
@@ -244,10 +262,15 @@ ENTRIES = {
         {"kind": "random", "alpha_mag": 0.5, "delta_phi": 0.1, "n": np.arange(4)},
         {"n": "number", "alpha_mag": "number", "delta_phi": "number"},
     ),
+    "stability.analytic_survival systematic": (
+        stability.analytic_survival,
+        {"kind": "systematic", "alpha_mag": 0.5, "delta_phi": 0.1, "n": np.arange(4)},
+        {"alpha_mag": "half angle"},
+    ),
     "stability.tolerance": (
         stability.tolerance,
         {"strength_d": 0.1, "alpha_mag": 0.5, "kind": "systematic"},
-        {"strength_d": "strength", "alpha_mag": "number"},
+        {"strength_d": "strength", "alpha_mag": "half angle"},
     ),
     "stability.tolerance_time": (
         stability.tolerance_time,
@@ -263,12 +286,13 @@ ENTRIES = {
     "trajectory.run": (
         trajectory.run,
         {**_TRAJECTORY, "seed": 0},
-        {"n": "count", "cycle_rotation": "rotor", "initial": "state"},
+        {"setting": "ideal setting", "n": "count", "cycle_rotation": "rotor", "initial": "state"},
     ),
     "trajectory.run_ensemble": (
         trajectory.run_ensemble,
         {**_TRAJECTORY, "n_traj": 4, "master_seed": 0},
         {
+            "setting": "ideal setting",
             "n": "count",
             "n_traj": "count",
             "master_seed": "seed",
