@@ -276,7 +276,10 @@ def _cmd_qnd_solve(args, inputs: Inputs) -> None:
     alpha_vec, phi_dd = extract_alpha_phi(*exact_dd_evolution(sys_, seq))
     mag = np.linalg.norm(alpha_vec)
     if mag == 0.0:
-        raise RuntimeError("measurement vector vanishes for this sequence")
+        raise ValueError(
+            "tau_ns, B_gauss, N_DD, gamma_n_MHz_per_T and A_MHz must give a nonzero measurement "
+            f"vector alpha_vec, got |alpha_vec| = 0 at tau_ns = {float(inputs.params['tau_ns'])!r}"
+        )
     roots = solve_waiting_time(sys_, phi_dd, alpha_vec / mag, (0.0, sys_.wait_period))
     times, residuals = np.array(roots).T
     _emit(args, paths, inputs, [(["t_R_ns", "residual_rad"], [times * 1e9, residuals])])

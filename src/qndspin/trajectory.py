@@ -19,12 +19,20 @@ each slice's outcomes are counted as bytes.  Each float operation
 rounds as the array element's does, and a gather copies the stored value,
 so the two paths give the same bits.
 
+A QND measurement leaves the eigenstates of its axis undisturbed, so a
+cascade started in one repeats one Bernoulli trial.  ``_evolve`` then skips
+the slice kernel: if every state reachable from the start has the start's
+threshold and final bits, then by induction over the cycles the outcomes
+are ``uniforms < threshold`` and every row ends in that vector.  Eigenstates
+of an axis along +-e_z pass under the identity and most turns about e_z;
+mixed starts, generic cycles and tilted axes run the kernel.
+
 Randomness comes from numpy's PCG64 ``default_rng``.  Trajectory ``i`` of an
 ensemble draws from ``SeedSequence(master_seed, spawn_key=(i,))``; a single
 ``run`` with that seed sequence reproduces the ensemble row bit for bit.
 The ensemble builds no ``SeedSequence`` per row: ``_child_seed_words``
 evaluates the seed sequence's pool hash and ``generate_state(4, uint64)`` for
-256 children at once in uint32 arithmetic, and ``_child_generators``
+``_BLOCK`` children at once in uint32 arithmetic, and ``_child_generators``
 seeds one reused ``PCG64`` from those words with PCG64's own seeding
 recurrence.  The streams are the ``SeedSequence`` streams bit for bit.
 """
@@ -55,11 +63,15 @@ _SLICE = 64
 # Rows whose slice is copied transposed at a time.
 _TILE = 256
 
-# Children whose seeding words are hashed, then listed as Python ints, at a time.
-_SEED_ROWS = 256
-
-# Trajectories whose uniforms share one (_BLOCK, n) draw buffer and one kernel call.
+# Trajectories whose seeding words are hashed together, and whose uniforms share
+# one (_BLOCK, n) draw buffer and one kernel call.
 _BLOCK = 2048
+
+# The extreme uniforms of ``Generator.random``: 0 and (2**53 - 1) / 2**53.
+_DRAWS = (0.0, 1.0 - 2.0**-53)
+
+# States a fixed-point start may reach: the sign patterns of two zero transverse coordinates.
+_REACHABLE = 4
 
 # numpy's SeedSequence: pool size, hash constants, mixing shift, word mask
 _POOL = 4
@@ -179,8 +191,8 @@ def _child_generators(master_seed: int, first: int, count: int):
     gen = np.random.Generator(bitgen)
     lcg = {}  # refilled per child: the setter copies it, and fresh dicts cost ≈ 2 µs
     seeded = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
-    for start in range(first, first + count, _SEED_ROWS):
-        words = _child_seed_words(master_seed, start, min(_SEED_ROWS, first + count - start))
+    for start in range(first, first + count, _BLOCK):
+        words = _child_seed_words(master_seed, start, min(_BLOCK, first + count - start))
         for w0, w1, w2, w3 in words.tolist():
             inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
             lcg["state"] = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
@@ -216,6 +228,48 @@ def _apply(rows: list, vector) -> list:
     return out
 
 
+def _pick_one(pairs):
+    """The one-row ``pick`` of ``_slices``: the tuple of the ``pairs``' ``a``'s
+    where ``plus``, else of their ``b``'s."""
+    on_plus, on_minus = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+
+    def pick(plus):
+        return on_plus if plus else on_minus
+
+    return pick
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def _fixed_point(start: list, step, signature):
+    """``signature(start)`` if every state reachable from ``start`` has its
+    bits, else ``None``.
+
+    ``step(state, draw)`` is one cycle on Python floats whose outcome is
+    ``draw < threshold``, so the extreme draws ``_DRAWS`` give between them
+    every outcome that can occur at a state for draws in [0, 1).  Stepping
+    each collected state with both collects the reachable ones; states
+    compare by their bits, and finding more than ``_REACHABLE`` declines.
+    """
+    first = _bits(signature(start))
+    seen, todo = {_bits(start)}, [start]
+    while todo:
+        state = todo.pop()
+        if _bits(signature(state)) != first:
+            return None
+        for draw in _DRAWS:
+            after = step(state, draw)
+            key = _bits(after)
+            if key not in seen:
+                if len(seen) == _REACHABLE:
+                    return None
+                seen.add(key)
+                todo.append(after)
+    return signature(start)
+
+
 def _slices(inputs: np.ndarray, state: list, columns, body, pairs=()):
     """Run a kernel's cycle ``body`` over ``inputs``, one row per sequence.
 
@@ -239,11 +293,7 @@ def _slices(inputs: np.ndarray, state: list, columns, body, pairs=()):
     """
     rows, n = inputs.shape
     if rows == 1:
-        on_plus, on_minus = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
-
-        def pick(plus):
-            return on_plus if plus else on_minus
-
+        pick = _pick_one(pairs)
     else:
         table = np.array([(b, a) for a, b in pairs])  # column 1 where plus, 0 elsewhere
 
@@ -272,24 +322,38 @@ def _slices(inputs: np.ndarray, state: list, columns, body, pairs=()):
         yield outs
 
 
-def _evolve(setting, cycle_rotation, initial, uniforms, outcomes=None):
+def _evolve(setting, cycle_rotation, initial, uniforms, outcomes=None, diagnostics=None):
     """The trajectory kernel: one row per trajectory.
 
-    Row ``i`` of ``uniforms`` holds trajectory ``i``'s draws in cycle order.
-    In the frame ``F`` of ``_axis_frame`` the state is three coordinates
-    ``x, y, z`` with ``z`` along the measurement axis.  Per cycle, ``p_+``
-    is computed from ``z`` alone and compared with the draw; ``z`` takes
-    the population reweighting of the drawn outcome; ``(x, y)`` rescale by
-    ``s = l_+ l_-^* / p``, which is real for both outcomes (``cos cos`` and
-    ``-sin sin``), so the turn about the axis by ``-arg(l_+ l_-^*)`` is the
-    sign of ``s``; then ``R' = F R F^T`` is applied as scalar products that
-    skip its exact zeros.  That cycle body runs through ``_slices``, on
-    Python floats for one row and on arrays for many, with the same bits.
-    ``outcomes``, a list when given, receives ``u == +1`` as one ``(width,
-    rows)`` bool block per slice.  Returns ``(u_bars, final_blochs)``.
+    Row ``i`` of ``uniforms`` holds trajectory ``i``'s draws in [0, 1), in
+    cycle order.  In the frame ``F`` of ``_axis_frame`` the state is three
+    coordinates ``x, y, z`` with ``z`` along the measurement axis.  Per
+    cycle, the threshold ``p_+`` is computed from ``z`` alone and compared
+    with the draw; ``z`` takes the population reweighting of the drawn
+    outcome; ``(x, y)`` rescale by ``s = l_+ l_-^* / p``, which is real for
+    both outcomes (``cos cos`` and ``-sin sin``), so the turn about the axis
+    by ``-arg(l_+ l_-^*)`` is the sign of ``s``; then ``R' = F R F^T`` is
+    applied as scalar products that skip its exact zeros.  That cycle body
+    runs through ``_slices``, on Python floats for one row and on arrays for
+    many, with the same bits.
+
+    Before any state array is built, ``_fixed_point`` collects the states
+    reachable from the start with the one-row cycle.  If each has the
+    start's threshold bits and back-transforms to the start's final bits,
+    then by induction over the cycles every outcome is ``draw < p_+`` and
+    every row ends in that one vector, as the kernel would compute them bit
+    for bit.  Axis eigenstates on +-e_z pass under the identity or a turn
+    about e_z that keeps an exact unit z row; a mixed start, a generic cycle
+    or a tilted axis (whose frame rounds) reach new states and decline.
+    A fixed point costs one comparison and one count for the block, and
+    ``diagnostics``, a counter when given, receives its rows as
+    ``fixed_point_rows``.  ``outcomes``, a list when given, receives ``u ==
+    +1`` as ``(width, rows)`` bool blocks.  Returns ``(u_bars,
+    final_blochs)``.
     """
     frame = _axis_frame(setting.alpha_hat)
     terms = _frame_terms(frame @ so3_from_rotor(cycle_rotation) @ frame.T)
+    back = [list(zip(column, range(3))) for column in frame.T.tolist()]  # zeros kept: -0.0 + 0.0
     # |l_+|^2 / 2, |l_-|^2 / 2 and l_+ l_-^* of the outcomes +1 and -1
     (a_plus, b_plus, c_plus), (a_minus, b_minus, c_minus) = [
         (0.5 * abs(l_plus) ** 2, 0.5 * abs(l_minus) ** 2, (l_plus * l_minus.conjugate()).real)
@@ -298,10 +362,14 @@ def _evolve(setting, cycle_rotation, initial, uniforms, outcomes=None):
 
     pairs = [(a_plus, a_minus), (b_plus, b_minus), (c_plus, c_minus)]
 
+    def threshold(z):  # the populations 1 + z, 1 - z and the p_+ a draw falls below
+        pp, pm = 1.0 + z, 1.0 - z
+        return pp, pm, a_plus * pp + b_plus * pm
+
     def cycle(state, draw, pick):
         x, y, z = state
-        pp, pm = 1.0 + z, 1.0 - z
-        plus = draw < a_plus * pp + b_plus * pm
+        pp, pm, p_plus = threshold(z)
+        plus = draw < p_plus
         a, b, c = pick(plus)
         pp, pm = a * pp, b * pm
         p = pp + pm
@@ -309,13 +377,26 @@ def _evolve(setting, cycle_rotation, initial, uniforms, outcomes=None):
         return _apply(terms, (s * x, s * y, (pp - pm) / p)), plus
 
     rows, n = uniforms.shape
-    state = [np.full(rows, value) for value in frame @ initial.bloch]
+    start, pick = (frame @ initial.bloch).tolist(), _pick_one(pairs)
+    fixed = _fixed_point(
+        start,
+        lambda state, draw: cycle(state, draw, pick)[0],
+        lambda state: (threshold(state[2])[2], *_apply(back, state)),
+    )
+    if fixed is not None:
+        p_plus, *final = fixed
+        plus = uniforms < p_plus
+        if outcomes is not None:
+            outcomes.append(plus.T)
+        if diagnostics is not None:
+            diagnostics["fixed_point_rows"] += rows
+        return (2.0 * np.count_nonzero(plus, axis=1) - n) / n, np.tile(final, (rows, 1))
+    state = [np.full(rows, value) for value in start]
     counts = np.zeros(rows, dtype=np.int64)
     for block in _slices(uniforms, state, lambda draws: (draws,), cycle, pairs):
         counts += block.view(np.uint8).sum(axis=0, dtype=np.uint8)  # at most 64 per slice
         if outcomes is not None:
             outcomes.append(block)
-    back = [list(zip(column, range(3))) for column in frame.T.tolist()]  # zeros kept: -0.0 + 0.0
     finals = np.stack(_apply(back, state), axis=1)
     return (2.0 * counts - n) / n, finals
 
@@ -374,14 +455,15 @@ def run_ensemble(
 
     ``diagnostics``, when given, is a counter that receives the seconds
     spent building the streams and drawing (``stream_s``) and in the kernel
-    (``kernel_s``).
+    (``kernel_s``), and the rows whose start is a fixed point of the cycle,
+    decided without the slice kernel (``fixed_point_rows``, see ``_evolve``).
     """
     _check_entry(setting, cycle_rotation, initial, n)
     _checked_int(n_traj, "n_traj", 1)
     master_seed = _checked_int(master_seed, "master seed", 0)
     u_bars, finals = np.empty(n_traj), np.empty((n_traj, 3))
     uniforms = np.empty((min(_BLOCK, n_traj), n))
-    stream_s = kernel_s = 0.0
+    tally = Counter(stream_s=0.0, kernel_s=0.0, fixed_point_rows=0)
     for start in range(0, n_traj, _BLOCK):
         draws = uniforms[: n_traj - start]
         began = time.perf_counter()
@@ -389,9 +471,9 @@ def run_ensemble(
             gen.random(out=row)
         drawn = time.perf_counter()
         done = slice(start, start + len(draws))
-        u_bars[done], finals[done] = _evolve(setting, cycle_rotation, initial, draws)
-        stream_s += drawn - began
-        kernel_s += time.perf_counter() - drawn
+        u_bars[done], finals[done] = _evolve(setting, cycle_rotation, initial, draws, None, tally)
+        tally["stream_s"] += drawn - began
+        tally["kernel_s"] += time.perf_counter() - drawn
     if diagnostics is not None:
-        diagnostics.update(stream_s=stream_s, kernel_s=kernel_s)
+        diagnostics.update(tally)
     return u_bars, finals

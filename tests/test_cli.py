@@ -182,8 +182,9 @@ def test_trajectories_deterministic(tmp_path):
         assert fa.read() == fb.read()
     manifest = json.load(open(out_a + ".manifest.json"))
     timings = manifest["diagnostics"]
-    assert set(timings) == {"stream_s", "kernel_s", "write_s"}
+    assert set(timings) == {"stream_s", "kernel_s", "fixed_point_rows", "write_s"}
     assert all(seconds >= 0.0 for seconds in timings.values())
+    assert timings["fixed_point_rows"] == 50  # the plus eigenstate under a turn about e_z
 
 
 def test_nv_scan_outputs(tmp_path):
@@ -540,6 +541,11 @@ LIBRARY_REFUSALS = {
         ["stability", "--alpha-vec", "0,0,0.5", "--error", "random", "--delta-phi", "0.1"],
         None,
         "seed must be given for random errors",
+    ),
+    "vanishing measurement vector": (
+        ["qnd-solve", "--preset", "P2", "--tau-ns", "1e-300"],
+        None,
+        "tau_ns, B_gauss, N_DD, gamma_n_MHz_per_T and A_MHz must give a nonzero measurement",
     ),
 }
 
@@ -919,6 +925,18 @@ def test_outputs_match_golden_bytes(tmp_path, monkeypatch, capsys, name, argv, c
         assert sorted(recorded[path]) == sorted(manifest["outputs"])
         for output, digest in recorded[path].items():
             assert digests[os.path.relpath(output)] == digest
+
+
+@pytest.mark.parametrize("name, rows", [("trajectories config", 10), ("trajectories tilted", 0)])
+def test_trajectories_manifest_counts_fixed_point_rows(tmp_path, monkeypatch, name, rows):
+    """The plus eigenstate under the identity skips the kernel; a mixed start never does."""
+    _, argv, cfg = next(case for case in GOLDEN_CASES if case[0] == name)
+    monkeypatch.chdir(tmp_path)
+    if cfg is not None:
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+    assert main(argv) == 0
+    manifest = json.load(open("tr.manifest.json"))
+    assert manifest["diagnostics"]["fixed_point_rows"] == rows
 
 
 # sha256 of the perfbench ``scan`` workload's outputs, as recorded in

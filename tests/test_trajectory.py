@@ -1,5 +1,6 @@
 import functools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -214,14 +215,31 @@ STARTS = st.one_of(
 )
 
 
+# phi = +-alpha, or generic
+PHIS = st.one_of(st.sampled_from(["+alpha", "-alpha"]), st.floats(-math.pi, math.pi))
+# cycle rotations: the identity, 0.7 rad about the measurement axis, or generic
+CYCLES = st.one_of(
+    st.sampled_from(["identity", "about the axis"]), st.tuples(*[st.floats(-2.0, 2.0)] * 3)
+)
+
+
+def _setting_and_rotation(axis, alpha, phi, cycle):
+    """The setting and cycle rotation that the ``PHIS`` and ``CYCLES`` draws name."""
+    if isinstance(phi, str):
+        phi = (1.0 if phi == "+alpha" else -1.0) * MeasurementSetting(alpha * axis, 0.0).alpha_mag
+    if cycle == "identity":
+        rotation = Rotor(1.0, np.zeros(3))
+    else:
+        rotation = rotor_exp(0.7 * axis if cycle == "about the axis" else np.array(cycle))
+    return MeasurementSetting(alpha * axis, phi), rotation
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     axis=AXES,
     alpha=st.floats(0.05, math.pi),
-    phi=st.one_of(st.sampled_from(["+alpha", "-alpha"]), st.floats(-math.pi, math.pi)),
-    cycle=st.one_of(
-        st.sampled_from(["identity", "about the axis"]), st.tuples(*[st.floats(-2.0, 2.0)] * 3)
-    ),
+    phi=PHIS,
+    cycle=CYCLES,
     start=STARTS,
     n=st.sampled_from([1, 63, 64, 65, 130]),
     rows=st.sampled_from([2, 5, 257]),
@@ -238,13 +256,7 @@ def test_one_row_on_floats_is_its_row_on_arrays(axis, alpha, phi, cycle, start, 
     eigenstate; the identity and turns about the measurement axis give
     rotations with exact zeros and a unit z-row in the frame.
     """
-    if isinstance(phi, str):
-        phi = (1.0 if phi == "+alpha" else -1.0) * MeasurementSetting(alpha * axis, 0.0).alpha_mag
-    s = MeasurementSetting(alpha * axis, phi)
-    if cycle == "identity":
-        rotation = Rotor(1.0, np.zeros(3))
-    else:
-        rotation = rotor_exp(0.7 * axis if cycle == "about the axis" else np.array(cycle))
+    s, rotation = _setting_and_rotation(axis, alpha, phi, cycle)
     initial = NuclearState(np.array(start, dtype=float))
     uniforms = np.random.default_rng(seed).random((rows, n))
     outcomes = []
@@ -256,6 +268,108 @@ def test_one_row_on_floats_is_its_row_on_arrays(axis, alpha, phi, cycle, start, 
         np.testing.assert_array_equal(np.concatenate(row_outcomes)[:, 0], outcomes[:, i])
         assert u_bar.tobytes() == u_bars[i : i + 1].tobytes()
         assert final.tobytes() == finals[i : i + 1].tobytes()  # signed zeros too
+
+
+def _evolved(s, rotation, initial, uniforms):
+    """``_evolve``'s u_bars and finals as bytes, its outcomes, and its fixed-point rows."""
+    outcomes, tally = [], Counter()
+    u_bars, finals = trajectory._evolve(s, rotation, initial, uniforms, outcomes, tally)
+    return u_bars.tobytes(), finals.tobytes(), np.concatenate(outcomes), tally["fixed_point_rows"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    axis=AXES,
+    alpha=st.floats(0.05, math.pi),
+    phi=PHIS,
+    cycle=CYCLES,
+    start=STARTS,
+    n=st.sampled_from([1, 63, 64, 65, 130]),
+    rows=st.sampled_from([1, 2, 257]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(  # the perfbench ensemble's setting on one block
+    axis=EZ, alpha=0.1, phi=4 * math.pi / 9, cycle="about the axis", start=(0.0, -0.0, 1.0),
+    n=130, rows=2048, seed=7,
+)
+@example(  # the -e_z axis; one outcome never occurs
+    axis=-EZ, alpha=0.5, phi="-alpha", cycle="identity", start=(-0.0, 0.0, -1.0),
+    n=65, rows=2, seed=11,
+)
+def test_fixed_point_shortcut_is_the_kernel_bit_for_bit(
+    axis, alpha, phi, cycle, start, n, rows, seed
+):
+    """``_evolve`` gives the same bits whether or not it may skip the slice kernel."""
+    s, rotation = _setting_and_rotation(axis, alpha, phi, cycle)
+    initial = NuclearState(np.array(start, dtype=float))
+    uniforms = np.random.default_rng(seed).random((rows, n))
+    shortcut = _evolved(s, rotation, initial, uniforms)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trajectory, "_fixed_point", lambda *args: None)
+        kernel = _evolved(s, rotation, initial, uniforms)
+    assert shortcut[3] in (0, rows) and kernel[3] == 0
+    assert shortcut[:2] == kernel[:2]  # u_bars and finals, signed zeros too
+    np.testing.assert_array_equal(shortcut[2], kernel[2])
+
+
+TILT = _unit([0.6, 0.0, 0.8])
+# name: axis, alpha, phi, cycle, start, whether the start is a fixed point of the cycle
+FIXED_POINT_CASES = {
+    "plus, identity": (EZ, 0.1, 1.4, "identity", [0.0, 0.0, 1.0], True),
+    "minus, turn about e_z": (EZ, 0.1, 1.4, "about the axis", [0.0, 0.0, -1.0], True),
+    "signed zeros, turn about e_z": (EZ, 0.1, 1.4, "about the axis", [-0.0, 0.0, 1.0], True),
+    "axis -e_z, its plus eigenstate": (-EZ, 0.3, 1.0, "about the axis", [0.0, 0.0, -1.0], True),
+    "phi = +alpha, plus": (EZ, 0.5, "+alpha", "identity", [0.0, 0.0, 1.0], True),
+    "phi = -alpha, minus": (EZ, 0.5, "-alpha", "about the axis", [0.0, 0.0, -1.0], True),
+    "phi = -alpha, plus": (EZ, 0.5, "-alpha", "identity", [0.0, 0.0, 1.0], True),
+    "mixed, identity": (EZ, 0.1, 1.4, "identity", [0.0, 0.0, 0.0], False),
+    "partly polarized, identity": (EZ, 0.1, 1.4, "identity", [0.0, 0.0, 0.5], False),
+    "minus, phi < alpha (the -1 outcome flips the zeros' signs)": (
+        EZ, 0.5, 0.2, "identity", [0.0, 0.0, -1.0], False,
+    ),
+    "plus, generic cycle": (EZ, 0.1, 1.4, (0.1, 0.2, 0.3), [0.0, 0.0, 1.0], False),
+    "plus, 0.3 rad about e_z (R_zz rounds below 1)": (
+        EZ, 0.1, 1.4, (0.0, 0.0, 0.3), [0.0, 0.0, 1.0], False,
+    ),
+    "tilted axis, its plus eigenstate": (TILT, 0.1, 1.4, "identity", list(TILT), False),
+    "tilted axis, minus, turn about it": (TILT, 0.1, 1.4, "about the axis", list(-TILT), False),
+}
+
+
+@pytest.mark.parametrize(
+    "axis, alpha, phi, cycle, start, fixed",
+    FIXED_POINT_CASES.values(),
+    ids=list(FIXED_POINT_CASES),
+)
+def test_which_starts_skip_the_kernel(axis, alpha, phi, cycle, start, fixed):
+    s, rotation = _setting_and_rotation(axis, alpha, phi, cycle)
+    uniforms = np.random.default_rng(3).random((5, 70))
+    *_, fixed_rows = _evolved(s, rotation, NuclearState(np.array(start)), uniforms)
+    assert fixed_rows == (5 if fixed else 0)
+
+
+@pytest.mark.parametrize(
+    "axis, alpha, phi, cycle, start",
+    [case[:5] for case in FIXED_POINT_CASES.values() if case[5]],
+    ids=[name for name, case in FIXED_POINT_CASES.items() if case[5]],
+)
+def test_draws_at_the_threshold_are_the_kernels(monkeypatch, axis, alpha, phi, cycle, start):
+    """A draw equal to the threshold, its neighbours and the extreme draws."""
+    s, rotation = _setting_and_rotation(axis, alpha, phi, cycle)
+    initial = NuclearState(np.array(start))
+    checked = []
+    check = trajectory._fixed_point
+    monkeypatch.setattr(trajectory, "_fixed_point", lambda *args: checked.append(check(*args)))
+    trajectory._evolve(s, rotation, initial, np.zeros((1, 1)))
+    threshold = checked[0][0]
+    draws = [np.nextafter(threshold, 0.0), threshold, np.nextafter(threshold, 1.0), 0.0]
+    uniforms = np.array([[d for d in draws if d < 1.0] + [1.0 - 2.0**-53]] * 2)
+    monkeypatch.setattr(trajectory, "_fixed_point", check)
+    shortcut = _evolved(s, rotation, initial, uniforms)
+    monkeypatch.setattr(trajectory, "_fixed_point", lambda *args: None)
+    kernel = _evolved(s, rotation, initial, uniforms)
+    assert shortcut[3] == 2 and shortcut[:2] == kernel[:2]
+    np.testing.assert_array_equal(shortcut[2], kernel[2])
 
 
 @pytest.mark.parametrize("block", [1, 3, 7, 50])
