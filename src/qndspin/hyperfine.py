@@ -34,6 +34,7 @@ import numpy as np
 from .rotations import (
     Rotor,
     _checked_int,
+    _dot,
     _finite,
     _vector,
     rotor_compose,
@@ -179,10 +180,20 @@ def exact_dd_evolution(sys: SpinSystem, seq: DDSequence) -> tuple[Rotor, Rotor]:
     ``omega +- s_k A / 2`` for the electron in ``|+z>`` / ``|-z>``.  Both
     branches and all sequences of a batch advance together, each row bit for
     bit its one-sequence result (a zero-width interval leaves its rows alone).
+    A sequence whose widest interval turns by an angle ``|omega +- A/2| *
+    width`` with an overflowing square is refused.
     """
     widths = np.diff(seq.interval_bounds())
     batch = widths.shape[:-1]
     omega, half_a = sys.omega, 0.5 * sys.hyperfine
+    widest = float(widths.max(initial=0.0))  # its turns are the loop's largest, bit for bit
+    with np.errstate(over="ignore"):
+        turns = (omega + np.array([[1.0], [-1.0]]) * half_a) * widest
+        if not np.isfinite(_dot(turns, turns)).all():
+            raise ValueError(
+                "seq must have turns |omega +- A/2| * width with finite squares, "
+                f"got a widest interval of {widest!r} s"
+            )
     u = Rotor(np.ones((2, *batch)), np.zeros((2, *batch, 3)))
     branch = np.array([1.0, -1.0]).reshape((2,) + (1,) * len(batch) + (1,))  # |+z>, |-z>
     for k, sign in enumerate(seq.interval_signs()):

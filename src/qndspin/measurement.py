@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rotations import _finite, _vector, rotor_exp, su2_matrix
+from .rotations import _finite, _measurement_axis, _vector, rotor_exp, su2_matrix
 
 __all__ = [
     "ReadoutModel",
@@ -91,10 +91,7 @@ class MeasurementSetting:
 
     @property
     def alpha_hat(self) -> np.ndarray:
-        mag = self.alpha_mag
-        if mag == 0.0:
-            return np.array([0.0, 0.0, 1.0])
-        return self.alpha_vec / mag
+        return _measurement_axis(self.alpha_vec)
 
 
 @dataclass(frozen=True)

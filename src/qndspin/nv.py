@@ -39,8 +39,8 @@ from .cascade import critical_n
 from .control import _chord_angle, solve_waiting_time
 from .hyperfine import MHZ, SpinSystem, cpmg, exact_dd_evolution, extract_alpha_phi
 from .measurement import MeasurementSetting, ReadoutModel, binary_stats
-from .rotations import _checked_int, _finite, _vector, rotor_exp, so3_from_rotor
-from .stability import _first_crossing, _measurement_axis, dephasing_map, tolerance, tolerance_time
+from .rotations import _checked_int, _finite, _measurement_axis, _vector, rotor_exp, so3_from_rotor
+from .stability import dephasing_map, first_crossing, tolerance, tolerance_time
 
 __all__ = [
     "C13_HYPERFINE_MHZ",
@@ -75,7 +75,9 @@ class NvParams:
     def __post_init__(self):
         _finite(self.b_gauss, "b_gauss")
         _finite(self.gamma_n_mhz_per_t, "gamma_n_mhz_per_t")
-        _vector(self.a_mhz, "a_mhz")
+        a_mhz = _vector(self.a_mhz, "a_mhz").tolist()
+        if not math.isfinite(sum((v * MHZ) * (v * MHZ) for v in a_mhz)):  # floats do not warn
+            raise ValueError(f"a_mhz must give a finite |A|**2 in rad/s, got {self.a_mhz}")
         _checked_int(self.n_dd, "n_dd", 1)
         if self.b_gauss <= 0.0:
             raise ValueError(f"b_gauss must be positive, got {self.b_gauss}")
@@ -192,13 +194,9 @@ def _cycle_maps(omega_n: float, times, r_dds: np.ndarray, dephs: np.ndarray):
     return totals, np.einsum("...ij,...jk->...ik", totals, dephs)
 
 
-def _batched_lifetimes(maps: np.ndarray, axes: np.ndarray, n_max: int):
-    """First ``1/e`` crossing of ``axis . G^N axis`` per point (``inf`` if none).
-
-    Also returns how many points the kernel's spectral certificate decided
-    and how many it left to the walk.
-    """
-    return _first_crossing(maps, axes, n_max)
+def _batched_lifetimes(maps, axes, n_max: int, diagnostics: Counter | None = None):
+    """``stability.first_crossing`` with horizon ``n_max``, counting into ``diagnostics``."""
+    return first_crossing(maps, axes, n_max, diagnostics)
 
 
 def _row_frames(alpha_vecs: np.ndarray, phi_dds: np.ndarray):
@@ -225,11 +223,11 @@ def scan_2d(
     grid points one call of ``stability.first_crossing`` with horizon
     ``n_max``.
 
-    ``diagnostics``, when given, is a counter that receives ``kernel_calls``,
-    ``no_crossing_points`` (no crossing within ``n_max``), the points the
-    kernel's spectral certificate decided (``certified_points``) and left
-    to its walk (``fallback_points``), the seconds before the kernel
-    (``geometry_s``) and in it (``lifetimes_s``), and the
+    ``diagnostics``, when given, is a counter that receives
+    ``no_crossing_points`` (no crossing within ``n_max``), the seconds
+    before the kernel (``geometry_s``) and in it (``lifetimes_s``), the
+    kernel's own ``kernel_calls``, ``certified_points`` and
+    ``fallback_points`` (``first_crossing``), and the
     ``worst_alpha_phi_error`` of ``extract_alpha_phi``.
     """
     tau_grid = _finite(tau_grid, "tau_grid")
@@ -254,14 +252,10 @@ def scan_2d(
     all_maps, all_axes = maps.reshape(-1, 3, 3), np.repeat(hats, n_tr, axis=0)
     geometry_s, started = time.perf_counter() - started, time.perf_counter()
 
-    lifetimes, certified, fallback = _batched_lifetimes(all_maps, all_axes, n_max)
-    lifetimes = lifetimes.reshape(n_tau, n_tr)
+    lifetimes = _batched_lifetimes(all_maps, all_axes, n_max, diagnostics).reshape(n_tau, n_tr)
     if diagnostics is not None:
         diagnostics["geometry_s"] += geometry_s
         diagnostics["lifetimes_s"] += time.perf_counter() - started
-        diagnostics["kernel_calls"] += 1
-        diagnostics["certified_points"] += certified
-        diagnostics["fallback_points"] += fallback
         diagnostics["no_crossing_points"] += int(np.isinf(lifetimes).sum())
     return ScanResult(
         params=params,
@@ -338,8 +332,8 @@ def tolerance_profile(scan: ScanResult, diagnostics: Counter | None = None) -> n
     from the systematic-error tolerance and the room-temperature strength.
 
     ``diagnostics``, when given, is a counter that receives the number of
-    probes (``bisection_probes``), kernel calls (``kernel_calls``) and the
-    kernel's ``certified_points`` and ``fallback_points``, the number of
+    probes (``bisection_probes``), what each ``first_crossing`` call counts
+    (``kernel_calls``, ``certified_points``, ``fallback_points``), the number of
     rows with finite ``N_c - 1 > n_max`` (``rows_capped_by_n_max``, whose
     measured width is that of ``{t_r : N_L > n_max}``), and whose
     ``worst_row_qnd_residual`` is raised to the largest, over the rows with
@@ -365,13 +359,9 @@ def tolerance_profile(scan: ScanResult, diagnostics: Counter | None = None) -> n
 
     def qualifies(rows, times):
         _, maps = _cycle_maps(scan.params.omega_n, times, scan.r_dds[rows], scan.dephs[rows])
-        lifetimes, certified, fallback = _first_crossing(maps, scan.hats[rows], horizons[rows])
         if diagnostics is not None:
-            diagnostics["kernel_calls"] += 1
             diagnostics["bisection_probes"] += rows.size
-            diagnostics["certified_points"] += certified
-            diagnostics["fallback_points"] += fallback
-        return np.isinf(lifetimes)
+        return np.isinf(first_crossing(maps, scan.hats[rows], horizons[rows], diagnostics))
 
     finite = np.isfinite(scan.n_crit)
     solved = iter(solve_waiting_time(sys, scan.phi_dds[finite], scan.alpha_vecs[finite], window))

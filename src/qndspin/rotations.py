@@ -117,6 +117,13 @@ def _unit_axis(axis, what: str, stacked: bool = False) -> np.ndarray:
     return axis / norm[..., None]
 
 
+def _measurement_axis(alpha_vec) -> np.ndarray:
+    """``alpha_vec / |alpha_vec|`` per row, or ``e_z`` where there is no measurement."""
+    alpha_vec = np.asarray(alpha_vec, dtype=float)
+    mag = np.sqrt(_dot(alpha_vec, alpha_vec))[..., None]  # the bits of np.linalg.norm
+    return np.where(mag > 0.0, alpha_vec / np.where(mag > 0.0, mag, 1.0), [0.0, 0.0, 1.0])
+
+
 def rotor_exp(theta) -> Rotor:
     """Rotor of ``exp(-i theta . I)`` for axis-angle vectors ``theta``."""
     theta = np.asarray(theta, dtype=float)

@@ -47,6 +47,10 @@ rows up to ``MAX_CHUNK`` to emit the whole curve ``S(0..N)``.
 The walk need not run to the horizon: after step 63 a point is decided
 from its dominant eigenpair where that is sure, at the step the walk would
 return (``first_crossing`` states when, and why no byte can change).
+Given a counter, ``first_crossing`` counts its own work into it: one
+``kernel_calls`` per call, and the points the certificate decided
+(``certified_points``) and left to the walk (``fallback_points``).  The
+scan and tolerance probes of ``nv`` pass their manifest counter through.
 
 Random errors ``delta_phi_i = g_i e`` about a fixed axis ``e`` change the map
 every cycle, but only by a turn about ``e``.  Their kernel works in the frame
@@ -67,12 +71,14 @@ seeds as it comes, so the full survival matrix is never held.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hyperfine import SpinSystem
-from .rotations import _checked_int, _finite, _unit_axis, _vector, rotor_exp, so3_from_rotor
+from .rotations import _checked_int, _finite, _measurement_axis, _unit_axis, _vector
+from .rotations import rotor_exp, so3_from_rotor
 from .trajectory import _apply, _axis_frame, _child_generators, _frame_terms, _slices
 
 __all__ = [
@@ -218,13 +224,6 @@ def survival_ensemble(
     return mean, stderr
 
 
-def _measurement_axis(alpha_vec: np.ndarray) -> np.ndarray:
-    """``alpha_hat`` per row, or ``e_z`` where there is no measurement."""
-    # sqrt(a @ a) as a row-matrix product rounds as np.linalg.norm of one row
-    mag = np.sqrt(alpha_vec[..., None, :] @ alpha_vec[..., :, None])[..., 0]
-    return np.where(mag > 0.0, alpha_vec / np.where(mag > 0.0, mag, 1.0), [0.0, 0.0, 1.0])
-
-
 def _fixed_axis_survivals(alpha_vec, axis: np.ndarray, angles: np.ndarray):
     """The fixed-axis random-error kernel: one row per error sequence.
 
@@ -268,7 +267,7 @@ def _double(rows: np.ndarray, power: np.ndarray, flat: np.ndarray):
     return np.concatenate((rows, rows @ flat), axis=1), power @ power
 
 
-def first_crossing(maps, axes, horizon) -> np.ndarray:
+def first_crossing(maps, axes, horizon, diagnostics: Counter | None = None) -> np.ndarray:
     """First ``N`` in ``1..horizon`` with ``a . G^N a <= 1/e``, per point.
 
     ``maps`` has shape ``(P, 3, 3)`` (the per-cycle maps ``G``), ``axes``
@@ -302,12 +301,11 @@ def first_crossing(maps, axes, horizon) -> np.ndarray:
     CSV byte, depends on which of the two decided it.  Every point gets the
     same schedule and the certificate is per point, so each lifetime
     depends only on its own map, axis and horizon, not on the batch.
+
+    ``diagnostics``, when given, is a counter that receives ``kernel_calls``
+    (1), and the points the certificate decided (``certified_points``) and
+    left to the walk (``fallback_points``).  No lifetime depends on it.
     """
-    return _first_crossing(maps, axes, horizon)[0]
-
-
-def _first_crossing(maps, axes, horizon) -> tuple[np.ndarray, int, int]:
-    """``first_crossing``, and how many points the certificate decided and left to the walk."""
     maps, axes = _finite(maps, "maps"), _finite(axes, "axes")
     if axes.ndim != 2 or axes.shape[1] != 3:
         raise ValueError(f"axes must have shape (P, 3), got {axes.shape}")
@@ -357,7 +355,9 @@ def _first_crossing(maps, axes, horizon) -> tuple[np.ndarray, int, int]:
             rows, power = _double(rows, power, flat)
             flat = power.astype(float)
             k *= 2
-    return lifetimes, certified, fallback
+    if diagnostics is not None:
+        diagnostics.update(kernel_calls=1, certified_points=certified, fallback_points=fallback)
+    return lifetimes
 
 
 def _cofactors(b: np.ndarray) -> np.ndarray:

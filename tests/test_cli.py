@@ -300,6 +300,9 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv):
         ({"A_MHz": [1e200, 0.0, 0.0]}, "A_MHz must be a 3-vector of finite numbers with finite"),
         ({"gamma_n_MHz_per_T": 1e300}, "gamma_n_mhz_per_t must give 0 < omega_n**2 < inf"),
         ({"gamma_n_MHz_per_T": 0.0}, "gamma_n_mhz_per_t must give 0 < omega_n**2 < inf"),
+        ({"A_MHz": [1e150, 0.0, 0.0]}, "a_mhz must give a finite |A|**2 in rad/s"),
+        ({"scan": {"tau_rel_max": 1e300}}, "seq must have turns |omega +- A/2| * width"),
+        ({"scan": {"tau_rel_min": 1e300}}, "seq must have turns |omega +- A/2| * width"),
     ],
     ids=[
         "min nan",
@@ -328,6 +331,9 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv):
         "A_MHz overflowing",
         "gamma overflowing",
         "gamma zero",
+        "A_MHz overflowing in rad/s",
+        "max turns overflowing",
+        "min turns overflowing",
     ],
 )
 def test_nv_scan_bad_tau_span_is_config_error(tmp_path, capsys, cfg, message):
@@ -355,6 +361,8 @@ def test_nv_scan_bad_tau_span_is_config_error(tmp_path, capsys, cfg, message):
         ({"B_gauss": 500.0}, "need either 'preset' or both 'B_gauss' and 'N_DD'"),
         ({"B_gauss": 500.0, "N_DD": 8, "A_MHz": [1, 2, 3, 4]}, "A_MHz must be a 3-vector"),
         ({"preset": "P2", "tau_ns": 1000.0, "t_DD_ns": 8000.0}, "give only one of 'tau_ns' and 't_DD_ns'"),
+        ({"preset": "P2", "tau_ns": 1e300}, "seq must have turns |omega +- A/2| * width"),
+        ({"preset": "P2", "A_MHz": [1e150, 0.0, 0.0]}, "a_mhz must give a finite |A|**2 in rad/s"),
     ],
     ids=[
         "preset a list",
@@ -368,6 +376,8 @@ def test_nv_scan_bad_tau_span_is_config_error(tmp_path, capsys, cfg, message):
         "no preset, no N_DD",
         "A_MHz four entries",
         "tau_ns and t_DD_ns",
+        "turns overflowing",
+        "A_MHz overflowing in rad/s",
     ],
 )
 def test_qnd_solve_bad_config_is_config_error(tmp_path, capsys, cfg, message):

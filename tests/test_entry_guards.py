@@ -105,6 +105,10 @@ BAD = {
     "field": {**_NON_FINITE, "0": 0.0, "-1": -1.0},
     # omega_n = gamma B must be nonzero, and its square finite
     "larmor": {**_NON_FINITE, "0": 0.0, "1e300": 1e300},
+    # |A|**2 in rad/s must be finite, although it is in MHz
+    "hyperfine MHz": {**_NON_FINITE_ROWS, **_WRONG_SHAPES, "1e150": [1e150, 0.0, 0.0]},
+    # a 5e290 s interval turns by about 1e297 rad, whose square overflows
+    "sequence": {"tau 1e291": hyperfine.cpmg(6, 1e291)},
     "setting vector": {**_NON_FINITE_ROWS, **_WRONG_SHAPES, "beyond pi": [0.0, 0.0, 4.0]},
     "ideal setting": {
         "p 0.9": measurement.MeasurementSetting(
@@ -172,6 +176,11 @@ ENTRIES = {
         {"omega": [0.1, 0.0, 0.9], "hyperfine": [0.2, -0.1, 0.05]},
         {"omega": "vector", "hyperfine": "vector"},
     ),
+    "hyperfine.exact_dd_evolution": (
+        hyperfine.exact_dd_evolution,
+        {"sys": nv.nv_system(_P2), "seq": hyperfine.cpmg(6, 1e-6)},
+        {"seq": "sequence"},
+    ),
     "hyperfine.cpmg": (hyperfine.cpmg, {"n_periods": 2, "tau": 1.0}, {"n_periods": "count"}),
     "hyperfine.cpmg_filter_closed_form": (
         hyperfine.cpmg_filter_closed_form,
@@ -191,7 +200,12 @@ ENTRIES = {
     "nv.NvParams": (
         nv.NvParams,
         {"b_gauss": 305.0, "n_dd": 6},
-        {"n_dd": "count", "b_gauss": "field", "gamma_n_mhz_per_t": "larmor", "a_mhz": "vector"},
+        {
+            "n_dd": "count",
+            "b_gauss": "field",
+            "gamma_n_mhz_per_t": "larmor",
+            "a_mhz": "hyperfine MHz",
+        },
     ),
     "nv.scan_2d": (
         nv.scan_2d,
@@ -321,7 +335,7 @@ def no_work(monkeypatch):
     monkeypatch.setattr(scipy.special, "gammaln", _refuse)
     monkeypatch.setattr(cascade, "_gaussian_law", _refuse)
     monkeypatch.setattr(nv, "exact_dd_evolution", _refuse)
-    monkeypatch.setattr(nv, "_first_crossing", _refuse)
+    monkeypatch.setattr(nv, "first_crossing", _refuse)
     for module in (trajectory, stability):
         monkeypatch.setattr(module, "_child_generators", _refuse)
         monkeypatch.setattr(module, "_slices", _refuse)

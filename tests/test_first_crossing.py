@@ -2,6 +2,7 @@
 against one call per point."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from qndspin.stability import (
     DELTA,
     MAX_CHUNK,
     RotationErrorModel,
-    _first_crossing,
     _survival_values,
     dephasing_map,
     first_crossing,
@@ -182,9 +182,9 @@ def test_extended_precision_squaring_keeps_a_late_razor_crossing():
     theta = 0.7675524999680687
     maps = np.diag([0.9999985, 0.5, 0.9999987])[None]
     axes = np.array([[math.sin(theta), 0.0, math.cos(theta)]])
-    lifetimes, certified, fallback = _first_crossing(maps, axes, 2_000_000)
-    assert lifetimes[0] == 717_949
-    assert (certified, fallback) == (0, 1)
+    counts = Counter()
+    assert first_crossing(maps, axes, 2_000_000, counts)[0] == 717_949
+    assert (counts["certified_points"], counts["fallback_points"]) == (0, 1)
 
 
 def test_many_points_agree_with_the_naive_loop():
@@ -309,12 +309,37 @@ def test_certified_lifetimes_equal_the_step_loop_on_long_lived_maps(points):
     or negative dominant eigenvalue."""
     maps, axes = (np.array(c) for c in zip(*(long_lived(*spec) for spec, _ in points)))
     horizons = np.array([horizon for _, horizon in points])
-    lifetimes, certified, fallback = _first_crossing(maps, axes, horizons)
+    counts = Counter()
+    lifetimes = first_crossing(maps, axes, horizons, counts)
     np.testing.assert_array_equal(lifetimes, step_loop(maps, axes, horizons))
-    assert certified + fallback <= len(points)
+    assert counts["certified_points"] + counts["fallback_points"] <= len(points)
     oscillating = np.array([spec[0] in ("complex", "negative") for spec, _ in points])
     if oscillating.any():
-        assert _first_crossing(maps[oscillating], axes[oscillating], horizons[oscillating])[1] == 0
+        counts = Counter()
+        first_crossing(maps[oscillating], axes[oscillating], horizons[oscillating], counts)
+        assert counts["certified_points"] == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(point, max_size=4),
+    st.lists(st.tuples(LONG_LIVED, st.integers(128, 4000)), max_size=3),
+)
+def test_a_counter_changes_no_lifetime(points, long):
+    """Each call counts itself once, and at most every point once as certified or fallen back."""
+    maps, axes, horizons = random_points(points)
+    for spec, horizon in long:
+        g, a = long_lived(*spec)
+        maps, axes, horizons = maps + [g], axes + [a], horizons + [horizon]
+    if not maps:
+        return
+    maps, axes, horizons = np.array(maps), np.array(axes), np.array(horizons)
+    counts = Counter()
+    for calls in (1, 2):
+        lifetimes = first_crossing(maps, axes, horizons, counts)
+        np.testing.assert_array_equal(lifetimes, first_crossing(maps, axes, horizons))
+        assert counts["kernel_calls"] == calls
+        assert counts["certified_points"] + counts["fallback_points"] <= calls * len(maps)
 
 
 def test_the_certificate_decides_slowly_decaying_maps():
@@ -326,8 +351,10 @@ def test_the_certificate_decides_slowly_decaying_maps():
     ]
     maps, axes = (np.array(c) for c in zip(*(long_lived(*spec) for spec in specs)))
     horizons = rng.integers(128, 4000, size=len(specs))
-    lifetimes, certified, fallback = _first_crossing(maps, axes, horizons)
+    counts = Counter()
+    lifetimes = first_crossing(maps, axes, horizons, counts)
     np.testing.assert_array_equal(lifetimes, step_loop(maps, axes, horizons))
+    certified, fallback = counts["certified_points"], counts["fallback_points"]
     assert certified >= 50 and certified + fallback <= len(specs)
 
 
@@ -344,13 +371,15 @@ def test_razors_and_a_slow_rest_are_left_to_the_walk():
 
     razors = [point(n, 0.3, 0.0) for n in (64, 100, 1000, 30_000, 400_000)]
     maps, axes = (np.array(c) for c in zip(*razors))
-    lifetimes, certified, fallback = _first_crossing(maps, axes, 1_000_000)
-    assert (certified, fallback) == (0, len(razors))
+    counts = Counter()
+    lifetimes = first_crossing(maps, axes, 1_000_000, counts)
+    assert (counts["certified_points"], counts["fallback_points"]) == (0, len(razors))
     assert np.all(np.abs(lifetimes - [64, 100, 1000, 30_000, 400_000]) <= 1)
 
     g, a = point(70, 0.8, -1e-8)
-    lifetimes, certified, fallback = _first_crossing(g[None], a[None], 1000)
-    assert (certified, fallback) == (0, 1)
+    counts = Counter()
+    lifetimes = first_crossing(g[None], a[None], 1000, counts)
+    assert (counts["certified_points"], counts["fallback_points"]) == (0, 1)
     assert lifetimes[0] == step_loop(g[None], a[None], np.array([1000]))[0] > 70
 
 

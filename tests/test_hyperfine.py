@@ -269,6 +269,13 @@ def test_zero_width_last_interval_keeps_its_rows(order):
         assert_rows_match_reference(sys, batch, pulse_rows[chosen], durations[chosen])
 
 
+def test_an_empty_batch_evolves_to_empty_rotors():
+    """The overflow guard finds no widest interval in an empty batch and lets it pass."""
+    u_plus, u_minus = exact_dd_evolution(p2_system(), cpmg(6, np.array([])))
+    assert u_plus.scalar.shape == u_minus.scalar.shape == (0,)
+    assert u_plus.vector.shape == u_minus.vector.shape == (0, 3)
+
+
 def test_nan_periods_and_rotors_are_refused():
     with pytest.raises(ValueError):
         cpmg(6, np.array([1.0, math.nan]))

@@ -270,7 +270,7 @@ def test_tolerance_profile_refuses_a_bad_tr_grid_before_any_solve(tr_grid, monke
         raise AssertionError("solved before the t_R grid was checked")
 
     monkeypatch.setattr(nv, "solve_waiting_time", unreachable)
-    monkeypatch.setattr(nv, "_first_crossing", unreachable)
+    monkeypatch.setattr(nv, "first_crossing", unreachable)
     with pytest.raises(ValueError, match="t_R grid"):
         tolerance_profile(scan)
 

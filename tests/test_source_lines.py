@@ -1,5 +1,6 @@
 """Conventions that hold for every source file of the package."""
 
+import ast
 import pathlib
 
 import qndspin
@@ -14,3 +15,51 @@ def test_no_source_line_is_longer_than_100_characters():
         if len(line) > 100
     ]
     assert long_lines == []
+
+
+# The private names one module may import from another: the shared numeric and
+# guard helpers of rotations (for any module), trajectory's kernel driver for
+# stability's fixed-axis kernel, the chord angle for nv's residuals and the
+# readout keys for the CLI's flags.  Everything else crosses modules by a public name.
+ROTATIONS_HELPERS = {
+    "_ATAN2",
+    "_NEXT",
+    "_PREV",
+    "_checked_int",
+    "_dot",
+    "_finite",
+    "_measurement_axis",
+    "_unit_axis",
+    "_vector",
+}
+SHARED_PRIVATE_NAMES = {
+    *{("*", "rotations", name) for name in ROTATIONS_HELPERS},
+    *{
+        ("stability", "trajectory", name)
+        for name in ("_apply", "_axis_frame", "_child_generators", "_frame_terms", "_slices")
+    },
+    ("nv", "control", "_chord_angle"),
+    ("cli", "config", "_READOUT_KEYS"),
+}
+
+
+def private_imports():
+    """``(importer, source, name)`` for each ``_`` name a package module imports from another."""
+    root = pathlib.Path(qndspin.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if alias.name.startswith("_") and not alias.name.startswith("__"):
+                        yield path.stem, node.module, alias.name
+
+
+def test_modules_import_only_the_listed_private_names():
+    imported = set(private_imports())
+    # each import matches its own entry, or the entry of a name any module may import
+    matches = imported | {("*", source, name) for _, source, name in imported}
+    unlisted = sorted(
+        item for item in imported if not {item, ("*", *item[1:])} & SHARED_PRIVATE_NAMES
+    )
+    assert unlisted == []
+    assert sorted(SHARED_PRIVATE_NAMES - matches) == []  # no stale entry
