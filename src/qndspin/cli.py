@@ -58,7 +58,7 @@ from .config import (
     sequence_from_config,
 )
 from .control import solve_waiting_time
-from .hyperfine import cpmg, exact_dd_evolution, extract_alpha_phi
+from .hyperfine import _checked_widths, cpmg, exact_dd_evolution, extract_alpha_phi
 from .measurement import MeasurementSetting, binary_stats
 from .nv import (
     PRESETS,
@@ -347,7 +347,7 @@ def _cmd_nv_scan(args, inputs: Inputs) -> None:
     n_max = inputs.resolve("scan.n_max", as_count, 1_000_000)
     tau_grid, tr_grid = default_tau_grid(params, n_tdd, rel), default_tr_grid(params, n_tr)
     # the end rows have the widest intervals: a span whose turns overflow is refused here
-    exact_dd_evolution(nv_system(params), cpmg(params.n_dd, tau_grid[[0, -1]]))
+    _checked_widths(nv_system(params), cpmg(params.n_dd, tau_grid[[0, -1]]))
     paths = _outputs(args, "scan.csv", "tolerance.csv")
     diagnostics = Counter(no_crossing_points=0, bisection_probes=0, kernel_calls=0)
     scan = scan_2d(params, tau_grid, tr_grid, readout, n_max=n_max, diagnostics=diagnostics)

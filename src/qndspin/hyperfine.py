@@ -69,7 +69,9 @@ class SpinSystem:
 
     ``omega_n`` is the bare (signed) nuclear Zeeman frequency in rad/s along
     ``e_z``; ``a_plus`` / ``a_minus`` are the rad/s hyperfine vectors for the
-    electron in ``|+z>`` / ``|-z>``.
+    electron in ``|+z>`` / ``|-z>``.  Each conditional field ``omega_n e_z +
+    a_pm`` must have a finite square, so that the norms taken below do not
+    overflow.
     """
 
     omega_n: float
@@ -79,6 +81,13 @@ class SpinSystem:
     def __post_init__(self):
         _finite(self.omega_n, "omega_n")
         self.a_plus, self.a_minus = _vector(self.a_plus, "a_plus"), _vector(self.a_minus, "a_minus")
+        for name, a in (("a_plus", self.a_plus), ("a_minus", self.a_minus)):
+            with np.errstate(over="ignore"):
+                field = self.omega_n * _EZ + a
+                if not np.isfinite(_dot(field, field)):
+                    raise ValueError(
+                        f"{name} must give a finite |omega_n e_z + {name}|**2, got {a}"
+                    )
         if self.omega_mag == 0.0:
             raise ValueError("omega_n, a_plus and a_minus must give a nonzero omega")
 
@@ -163,14 +172,40 @@ class DDSequence:
 
 
 def cpmg(n_periods: int, tau) -> DDSequence:
-    """CPMG sequences of ``n_periods`` repetitions of (tau/4 - pi - tau/2 - pi - tau/4), per tau."""
+    """CPMG sequences of ``n_periods`` repetitions of (tau/4 - pi - tau/2 - pi - tau/4), per tau.
+
+    A ``tau`` that is not positive, or whose pulse times or duration
+    ``n_periods * tau`` overflow, is refused.
+    """
     n_periods = _checked_int(n_periods, "n_periods", 1)
     tau = np.asarray(tau, dtype=float)[..., None]
     if not np.all(tau > 0.0):  # a nan period would pass a "<= 0" test
         raise ValueError("tau must be positive")
-    starts = np.arange(n_periods) * tau
-    times = np.sort(np.concatenate((starts + tau / 4.0, starts + 3.0 * tau / 4.0), axis=-1))
-    return DDSequence(times, n_periods * tau[..., 0])
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite tau gives 0 * inf
+        starts = np.arange(n_periods) * tau
+        times = np.sort(np.concatenate((starts + tau / 4.0, starts + 3.0 * tau / 4.0), axis=-1))
+        duration = n_periods * tau[..., 0]
+    if not (np.isfinite(times).all() and np.isfinite(duration).all()):
+        raise ValueError(
+            f"tau must keep n_periods * tau finite, got {n_periods} periods of up to "
+            f"{float(tau.max())!r} s"
+        )
+    return DDSequence(times, duration)
+
+
+def _checked_widths(sys: SpinSystem, seq: DDSequence) -> np.ndarray:
+    """The interval widths of ``seq``; a sequence whose widest interval turns
+    by an angle ``|omega +- A/2| * width`` with an overflowing square is refused."""
+    widths = np.diff(seq.interval_bounds())
+    widest = float(widths.max(initial=0.0))  # its turns are the evolution's largest, bit for bit
+    with np.errstate(over="ignore"):
+        turns = (sys.omega + np.array([[1.0], [-1.0]]) * (0.5 * sys.hyperfine)) * widest
+        if not np.isfinite(_dot(turns, turns)).all():
+            raise ValueError(
+                "seq must have turns |omega +- A/2| * width with finite squares, "
+                f"got a widest interval of {widest!r} s"
+            )
+    return widths
 
 
 def exact_dd_evolution(sys: SpinSystem, seq: DDSequence) -> tuple[Rotor, Rotor]:
@@ -181,19 +216,11 @@ def exact_dd_evolution(sys: SpinSystem, seq: DDSequence) -> tuple[Rotor, Rotor]:
     branches and all sequences of a batch advance together, each row bit for
     bit its one-sequence result (a zero-width interval leaves its rows alone).
     A sequence whose widest interval turns by an angle ``|omega +- A/2| *
-    width`` with an overflowing square is refused.
+    width`` with an overflowing square is refused (``_checked_widths``).
     """
-    widths = np.diff(seq.interval_bounds())
+    widths = _checked_widths(sys, seq)
     batch = widths.shape[:-1]
     omega, half_a = sys.omega, 0.5 * sys.hyperfine
-    widest = float(widths.max(initial=0.0))  # its turns are the loop's largest, bit for bit
-    with np.errstate(over="ignore"):
-        turns = (omega + np.array([[1.0], [-1.0]]) * half_a) * widest
-        if not np.isfinite(_dot(turns, turns)).all():
-            raise ValueError(
-                "seq must have turns |omega +- A/2| * width with finite squares, "
-                f"got a widest interval of {widest!r} s"
-            )
     u = Rotor(np.ones((2, *batch)), np.zeros((2, *batch, 3)))
     branch = np.array([1.0, -1.0]).reshape((2,) + (1,) * len(batch) + (1,))  # |+z>, |-z>
     for k, sign in enumerate(seq.interval_signs()):

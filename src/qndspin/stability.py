@@ -212,7 +212,7 @@ def survival_ensemble(
     axis = _unit_axis(axis, "axis")
     master_seed = _checked_int(master_seed, "master seed", 0)
     angles = np.empty((n_seeds, n_max))
-    for i, gen in enumerate(_child_generators(master_seed, 0, n_seeds)):
+    for i, gen in enumerate(_child_generators(master_seed, n_seeds)):
         angles[i] = gen.normal(0.0, std, n_max)
     mean, stderr = np.empty(n_max + 1), np.empty(n_max + 1)
     first = 0

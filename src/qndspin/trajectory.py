@@ -9,23 +9,27 @@ closed Bloch form: populations reweight by the conditional probabilities,
 the transverse component rescales by ``|l_+ l_-| / p`` and rotates about the
 axis by ``-arg(l_+ l_-^*)``, with ``l_pm`` the Kraus eigenvalues.
 
-The kernel ``_evolve`` writes that update once, as a cycle body of ``+ - *
-/``, ``<`` and an outcome ``pick``, in the frame of the measurement axis.
-``_slices``, which the random-error kernel of ``stability`` shares, feeds
-it 64 cycles at a time: ``run`` (one row) on Python floats, ``run_ensemble``
-on arrays of up to ``_BLOCK`` rows.  On arrays the pick is one gather from
-a coefficient table indexed by the outcome bits, not a branch per row, and
-each slice's outcomes are counted as bytes.  Each float operation
-rounds as the array element's does, and a gather copies the stored value,
-so the two paths give the same bits.
+``_plan`` writes that update once, as a cycle body of ``+ - * /``, ``<``
+and an outcome ``pick``, in the frame of the measurement axis.  In the
+kernel ``_evolve``, ``_slices``, which the random-error kernel of
+``stability`` shares, feeds it 64 cycles at a time: ``run`` (one row) on
+Python floats, ``run_ensemble`` on arrays of up to ``_BLOCK`` rows.  On
+arrays the pick is one gather from a coefficient table indexed by the
+outcome bits, not a branch per row, and each slice's outcomes are counted
+as bytes.  Each float operation rounds as the array element's does, and a
+gather copies the stored value, so the two paths give the same bits.
 
 A QND measurement leaves the eigenstates of its axis undisturbed, so a
-cascade started in one repeats one Bernoulli trial.  ``_evolve`` then skips
+cascade started in one repeats one Bernoulli trial.  ``_plan`` decides this
+once per call, before any draw buffer exists, and ``_evolve`` then skips
 the slice kernel: if every state reachable from the start has the start's
 threshold and final bits, then by induction over the cycles the outcomes
 are ``uniforms < threshold`` and every row ends in that vector.  Eigenstates
 of an axis along +-e_z pass under the identity and most turns about e_z;
-mixed starts, generic cycles and tilted axes run the kernel.
+mixed starts, generic cycles and tilted axes run the kernel.  The draws an
+ensemble holds follow the decision: ``8 min(_BLOCK, n_traj) n`` bytes for
+the kernel, at most ``8 max(_CELLS, n)`` bytes (2 MB tiles) for a fixed
+point, whose rows need only a comparison and a count.
 
 Randomness comes from numpy's PCG64 ``default_rng``.  Trajectory ``i`` of an
 ensemble draws from ``SeedSequence(master_seed, spawn_key=(i,))``; a single
@@ -43,6 +47,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,9 +68,13 @@ _SLICE = 64
 # Rows whose slice is copied transposed at a time.
 _TILE = 256
 
-# Trajectories whose seeding words are hashed together, and whose uniforms share
-# one (_BLOCK, n) draw buffer and one kernel call.
+# Trajectories whose seeding words are hashed together, and, for a start that
+# is not a fixed point, whose uniforms share one (_BLOCK, n) buffer and kernel call.
 _BLOCK = 2048
+
+# Uniforms (8 bytes each) one tile of fixed-point rows draws at most, unless one
+# row alone holds more.
+_CELLS = 2**18
 
 # The extreme uniforms of ``Generator.random``: 0 and (2**53 - 1) / 2**53.
 _DRAWS = (0.0, 1.0 - 2.0**-53)
@@ -177,8 +186,8 @@ def _child_seed_words(master_seed: int, first: int, count: int) -> np.ndarray:
     return np.stack([lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])], axis=1)
 
 
-def _child_generators(master_seed: int, first: int, count: int):
-    """Yield, for each child ``i = first .. first + count - 1``, one reused
+def _child_generators(master_seed: int, count: int):
+    """Yield, for each child ``i = 0 .. count - 1``, one reused
     ``Generator`` in the state of ``default_rng(SeedSequence(master_seed,
     spawn_key=(i,)))``.
 
@@ -191,8 +200,8 @@ def _child_generators(master_seed: int, first: int, count: int):
     gen = np.random.Generator(bitgen)
     lcg = {}  # refilled per child: the setter copies it, and fresh dicts cost ≈ 2 µs
     seeded = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
-    for start in range(first, first + count, _BLOCK):
-        words = _child_seed_words(master_seed, start, min(_BLOCK, first + count - start))
+    for start in range(0, count, _BLOCK):
+        words = _child_seed_words(master_seed, start, min(_BLOCK, count - start))
         for w0, w1, w2, w3 in words.tolist():
             inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
             lcg["state"] = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
@@ -322,34 +331,38 @@ def _slices(inputs: np.ndarray, state: list, columns, body, pairs=()):
         yield outs
 
 
-def _evolve(setting, cycle_rotation, initial, uniforms, outcomes=None, diagnostics=None):
-    """The trajectory kernel: one row per trajectory.
+class _Plan(NamedTuple):
+    """One cycle set up for one start; see ``_plan``."""
 
-    Row ``i`` of ``uniforms`` holds trajectory ``i``'s draws in [0, 1), in
-    cycle order.  In the frame ``F`` of ``_axis_frame`` the state is three
-    coordinates ``x, y, z`` with ``z`` along the measurement axis.  Per
-    cycle, the threshold ``p_+`` is computed from ``z`` alone and compared
-    with the draw; ``z`` takes the population reweighting of the drawn
-    outcome; ``(x, y)`` rescale by ``s = l_+ l_-^* / p``, which is real for
-    both outcomes (``cos cos`` and ``-sin sin``), so the turn about the axis
-    by ``-arg(l_+ l_-^*)`` is the sign of ``s``; then ``R' = F R F^T`` is
-    applied as scalar products that skip its exact zeros.  That cycle body
-    runs through ``_slices``, on Python floats for one row and on arrays for
-    many, with the same bits.
+    start: list  # the start's coordinates in the frame of the measurement axis
+    pairs: list  # the Kraus coefficient pairs ``(+1, -1)`` that ``cycle`` picks from
+    cycle: Callable  # the cycle body of ``_slices``
+    back: list  # ``_apply`` terms of the back-transform ``F^T``
+    fixed: tuple | None  # ``(p_+, *final)`` when the start is a fixed point, else ``None``
 
-    Before any state array is built, ``_fixed_point`` collects the states
-    reachable from the start with the one-row cycle.  If each has the
-    start's threshold bits and back-transforms to the start's final bits,
-    then by induction over the cycles every outcome is ``draw < p_+`` and
-    every row ends in that one vector, as the kernel would compute them bit
-    for bit.  Axis eigenstates on +-e_z pass under the identity or a turn
-    about e_z that keeps an exact unit z row; a mixed start, a generic cycle
-    or a tilted axis (whose frame rounds) reach new states and decline.
-    A fixed point costs one comparison and one count for the block, and
-    ``diagnostics``, a counter when given, receives its rows as
-    ``fixed_point_rows``.  ``outcomes``, a list when given, receives ``u ==
-    +1`` as ``(width, rows)`` bool blocks.  Returns ``(u_bars,
-    final_blochs)``.
+
+def _plan(setting, cycle_rotation, initial) -> _Plan:
+    """The cycle of ``setting`` and ``cycle_rotation`` in the frame ``F`` of
+    ``_axis_frame``, and whether ``initial`` is a fixed point of it.
+
+    In that frame the state is three coordinates ``x, y, z`` with ``z``
+    along the measurement axis.  Per cycle, the threshold ``p_+`` is
+    computed from ``z`` alone and compared with the draw; ``z`` takes the
+    population reweighting of the drawn outcome; ``(x, y)`` rescale by ``s
+    = l_+ l_-^* / p``, which is real for both outcomes (``cos cos`` and
+    ``-sin sin``), so the turn about the axis by ``-arg(l_+ l_-^*)`` is the
+    sign of ``s``; then ``R' = F R F^T`` is applied as scalar products that
+    skip its exact zeros.
+
+    ``_fixed_point`` then collects the states reachable from the start with
+    the one-row cycle.  If each has the start's threshold bits and
+    back-transforms to the start's final bits, then by induction over the
+    cycles every outcome is ``draw < p_+`` and every row ends in that one
+    vector, as the kernel would compute them bit for bit; ``fixed`` holds
+    that threshold and vector.  Axis eigenstates on +-e_z pass under the
+    identity or a turn about e_z that keeps an exact unit z row; a mixed
+    start, a generic cycle or a tilted axis (whose frame rounds) reach new
+    states and decline.  The decision draws nothing and allocates no row.
     """
     frame = _axis_frame(setting.alpha_hat)
     terms = _frame_terms(frame @ so3_from_rotor(cycle_rotation) @ frame.T)
@@ -376,28 +389,43 @@ def _evolve(setting, cycle_rotation, initial, uniforms, outcomes=None, diagnosti
         s = c / p
         return _apply(terms, (s * x, s * y, (pp - pm) / p)), plus
 
-    rows, n = uniforms.shape
     start, pick = (frame @ initial.bloch).tolist(), _pick_one(pairs)
     fixed = _fixed_point(
         start,
         lambda state, draw: cycle(state, draw, pick)[0],
         lambda state: (threshold(state[2])[2], *_apply(back, state)),
     )
-    if fixed is not None:
-        p_plus, *final = fixed
+    return _Plan(start, pairs, cycle, back, fixed)
+
+
+def _evolve(plan: _Plan, uniforms, outcomes=None, diagnostics=None):
+    """The trajectory kernel: one row per trajectory.
+
+    Row ``i`` of ``uniforms`` holds trajectory ``i``'s draws in [0, 1), in
+    cycle order.  The ``plan``'s cycle body runs through ``_slices``, on
+    Python floats for one row and on arrays for many, with the same bits.
+    A fixed-point ``plan`` costs one comparison and one count instead, and
+    ``diagnostics``, a counter when given, receives its rows as
+    ``fixed_point_rows``.  ``outcomes``, a list when given, receives ``u ==
+    +1`` as ``(width, rows)`` bool blocks.  Returns ``(u_bars,
+    final_blochs)``.
+    """
+    rows, n = uniforms.shape
+    if plan.fixed is not None:
+        p_plus, *final = plan.fixed
         plus = uniforms < p_plus
         if outcomes is not None:
             outcomes.append(plus.T)
         if diagnostics is not None:
             diagnostics["fixed_point_rows"] += rows
         return (2.0 * np.count_nonzero(plus, axis=1) - n) / n, np.tile(final, (rows, 1))
-    state = [np.full(rows, value) for value in start]
+    state = [np.full(rows, value) for value in plan.start]
     counts = np.zeros(rows, dtype=np.int64)
-    for block in _slices(uniforms, state, lambda draws: (draws,), cycle, pairs):
+    for block in _slices(uniforms, state, lambda draws: (draws,), plan.cycle, plan.pairs):
         counts += block.view(np.uint8).sum(axis=0, dtype=np.uint8)  # at most 64 per slice
         if outcomes is not None:
             outcomes.append(block)
-    finals = np.stack(_apply(back, state), axis=1)
+    finals = np.stack(_apply(plan.back, state), axis=1)
     return (2.0 * counts - n) / n, finals
 
 
@@ -426,7 +454,7 @@ def run(
     _check_entry(setting, cycle_rotation, initial, n)
     uniforms = np.random.default_rng(seed).random(n)
     plus = []
-    u_bars, finals = _evolve(setting, cycle_rotation, initial, uniforms[None, :], plus)
+    u_bars, finals = _evolve(_plan(setting, cycle_rotation, initial), uniforms[None, :], plus)
     outcomes = np.where(np.concatenate(plus)[:, 0], 1, -1).astype(np.int8)
     return TrajectoryRecord(outcomes, float(u_bars[0]), NuclearState(finals[0]), seed)
 
@@ -446,32 +474,45 @@ def run_ensemble(
     Trajectory ``i`` consumes the stream ``SeedSequence(master_seed,
     spawn_key=(i,))`` exactly as ``run`` would, so the ensemble is a
     bit-for-bit parallelization of repeated single runs.  ``master_seed``
-    must be an integer >= 0, and ``n`` and ``n_traj`` integers >= 1.  Up to
-    ``_BLOCK`` trajectories draw their uniforms into one ``(_BLOCK, n)``
-    buffer, which dominates the memory (``8 _BLOCK n`` bytes), and go through
-    the kernel together.  The streams come from batched seed-sequence hashes
-    and one re-seeded ``PCG64`` per block (``_child_generators``), not from a
-    ``SeedSequence`` object per trajectory; the contract above is unchanged.
+    must be an integer >= 0, and ``n`` and ``n_traj`` integers >= 1.
+
+    Whether the start is a fixed point of the cycle (``_plan``) is decided
+    once, before any buffer is allocated, and sizes the one draw buffer,
+    which dominates the memory.  Otherwise up to ``_BLOCK`` trajectories
+    draw into one ``(_BLOCK, n)`` buffer (``8 min(_BLOCK, n_traj) n``
+    bytes) and go through the kernel together.  A fixed-point start needs
+    only a comparison and a count per row, so its rows draw in tiles of
+    ``clip(_CELLS // n, 1, _BLOCK)`` rows, at most ``8 max(_CELLS, n)``
+    bytes whatever ``n_traj`` is.  Each row's stream is one whole
+    ``random(out=row)`` either way.  The streams come from seed-sequence
+    hashes batched ``_BLOCK`` children at a time and one re-seeded
+    ``PCG64`` (``_child_generators``), not from a ``SeedSequence`` object
+    per trajectory; the contract above is unchanged.
 
     ``diagnostics``, when given, is a counter that receives the seconds
     spent building the streams and drawing (``stream_s``) and in the kernel
-    (``kernel_s``), and the rows whose start is a fixed point of the cycle,
-    decided without the slice kernel (``fixed_point_rows``, see ``_evolve``).
+    (``kernel_s``, the fixed-point decision included), and the rows whose
+    start is a fixed point of the cycle, decided without the slice kernel
+    (``fixed_point_rows``, see ``_plan``).
     """
     _check_entry(setting, cycle_rotation, initial, n)
     _checked_int(n_traj, "n_traj", 1)
     master_seed = _checked_int(master_seed, "master seed", 0)
+    began = time.perf_counter()
+    plan = _plan(setting, cycle_rotation, initial)
+    tally = Counter(stream_s=0.0, kernel_s=time.perf_counter() - began, fixed_point_rows=0)
+    tile = _BLOCK if plan.fixed is None else min(max(_CELLS // n, 1), _BLOCK)
     u_bars, finals = np.empty(n_traj), np.empty((n_traj, 3))
-    uniforms = np.empty((min(_BLOCK, n_traj), n))
-    tally = Counter(stream_s=0.0, kernel_s=0.0, fixed_point_rows=0)
-    for start in range(0, n_traj, _BLOCK):
+    uniforms = np.empty((min(tile, n_traj), n))
+    generators = _child_generators(master_seed, n_traj)
+    for start in range(0, n_traj, tile):
         draws = uniforms[: n_traj - start]
         began = time.perf_counter()
-        for row, gen in zip(draws, _child_generators(master_seed, start, len(draws))):
+        for row, gen in zip(draws, generators):  # zip asks draws first: no child is skipped
             gen.random(out=row)
         drawn = time.perf_counter()
         done = slice(start, start + len(draws))
-        u_bars[done], finals[done] = _evolve(setting, cycle_rotation, initial, draws, None, tally)
+        u_bars[done], finals[done] = _evolve(plan, draws, None, tally)
         tally["stream_s"] += drawn - began
         tally["kernel_s"] += time.perf_counter() - drawn
     if diagnostics is not None:

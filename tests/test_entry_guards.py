@@ -107,6 +107,16 @@ BAD = {
     "larmor": {**_NON_FINITE, "0": 0.0, "1e300": 1e300},
     # |A|**2 in rad/s must be finite, although it is in MHz
     "hyperfine MHz": {**_NON_FINITE_ROWS, **_WRONG_SHAPES, "1e150": [1e150, 0.0, 0.0]},
+    # the conditional field omega_n e_z + a_pm must have a finite square
+    "hyperfine field": {**_NON_FINITE_ROWS, **_WRONG_SHAPES, "1e160": [1e160, 0.0, 0.0]},
+    # a CPMG period must be positive, and n_periods * tau and the pulse times finite
+    "period": {
+        "0": 0.0,
+        "-1": -1.0,
+        **_NON_FINITE,
+        "1.7e308": 1.7e308,
+        "[1, 1.7e308]": [1.0, 1.7e308],
+    },
     # a 5e290 s interval turns by about 1e297 rad, whose square overflows
     "sequence": {"tau 1e291": hyperfine.cpmg(6, 1e291)},
     "setting vector": {**_NON_FINITE_ROWS, **_WRONG_SHAPES, "beyond pi": [0.0, 0.0, 4.0]},
@@ -169,7 +179,7 @@ ENTRIES = {
     "hyperfine.SpinSystem": (
         hyperfine.SpinSystem,
         {"omega_n": 1.0, "a_plus": np.zeros(3), "a_minus": np.zeros(3)},
-        {"omega_n": "number", "a_plus": "vector", "a_minus": "vector"},
+        {"omega_n": "number", "a_plus": "hyperfine field", "a_minus": "hyperfine field"},
     ),
     "hyperfine.SpinSystem.from_vectors": (
         hyperfine.SpinSystem.from_vectors,
@@ -181,7 +191,11 @@ ENTRIES = {
         {"sys": nv.nv_system(_P2), "seq": hyperfine.cpmg(6, 1e-6)},
         {"seq": "sequence"},
     ),
-    "hyperfine.cpmg": (hyperfine.cpmg, {"n_periods": 2, "tau": 1.0}, {"n_periods": "count"}),
+    "hyperfine.cpmg": (
+        hyperfine.cpmg,
+        {"n_periods": 2, "tau": 1.0},
+        {"n_periods": "count", "tau": "period"},
+    ),
     "hyperfine.cpmg_filter_closed_form": (
         hyperfine.cpmg_filter_closed_form,
         {"n_periods": 2, "tau": 1.0, "omega_mag": 1.0},

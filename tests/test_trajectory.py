@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -158,6 +159,7 @@ def test_single_shot_frequencies_match_law():
 
 def test_ensemble_rows_match_single_runs(monkeypatch):
     monkeypatch.setattr(trajectory, "_BLOCK", 4)
+    monkeypatch.setattr(trajectory, "_CELLS", 3 * 40)  # 3-row tiles across the 4-child hashes
     s = setting()
     cycle = rotor_exp(0.7 * EZ)
     u_bars, finals = run_ensemble(s, cycle, NuclearState.eigenstate(EZ), 40, 6, 999)
@@ -259,12 +261,12 @@ def test_one_row_on_floats_is_its_row_on_arrays(axis, alpha, phi, cycle, start, 
     s, rotation = _setting_and_rotation(axis, alpha, phi, cycle)
     initial = NuclearState(np.array(start, dtype=float))
     uniforms = np.random.default_rng(seed).random((rows, n))
-    outcomes = []
-    u_bars, finals = trajectory._evolve(s, rotation, initial, uniforms, outcomes)
+    plan, outcomes = trajectory._plan(s, rotation, initial), []
+    u_bars, finals = trajectory._evolve(plan, uniforms, outcomes)
     outcomes = np.concatenate(outcomes)
     for i in (0, rows - 1):
         row_outcomes = []
-        u_bar, final = trajectory._evolve(s, rotation, initial, uniforms[i : i + 1], row_outcomes)
+        u_bar, final = trajectory._evolve(plan, uniforms[i : i + 1], row_outcomes)
         np.testing.assert_array_equal(np.concatenate(row_outcomes)[:, 0], outcomes[:, i])
         assert u_bar.tobytes() == u_bars[i : i + 1].tobytes()
         assert final.tobytes() == finals[i : i + 1].tobytes()  # signed zeros too
@@ -273,7 +275,8 @@ def test_one_row_on_floats_is_its_row_on_arrays(axis, alpha, phi, cycle, start, 
 def _evolved(s, rotation, initial, uniforms):
     """``_evolve``'s u_bars and finals as bytes, its outcomes, and its fixed-point rows."""
     outcomes, tally = [], Counter()
-    u_bars, finals = trajectory._evolve(s, rotation, initial, uniforms, outcomes, tally)
+    plan = trajectory._plan(s, rotation, initial)
+    u_bars, finals = trajectory._evolve(plan, uniforms, outcomes, tally)
     return u_bars.tobytes(), finals.tobytes(), np.concatenate(outcomes), tally["fixed_point_rows"]
 
 
@@ -357,14 +360,9 @@ def test_draws_at_the_threshold_are_the_kernels(monkeypatch, axis, alpha, phi, c
     """A draw equal to the threshold, its neighbours and the extreme draws."""
     s, rotation = _setting_and_rotation(axis, alpha, phi, cycle)
     initial = NuclearState(np.array(start))
-    checked = []
-    check = trajectory._fixed_point
-    monkeypatch.setattr(trajectory, "_fixed_point", lambda *args: checked.append(check(*args)))
-    trajectory._evolve(s, rotation, initial, np.zeros((1, 1)))
-    threshold = checked[0][0]
+    threshold = trajectory._plan(s, rotation, initial).fixed[0]
     draws = [np.nextafter(threshold, 0.0), threshold, np.nextafter(threshold, 1.0), 0.0]
     uniforms = np.array([[d for d in draws if d < 1.0] + [1.0 - 2.0**-53]] * 2)
-    monkeypatch.setattr(trajectory, "_fixed_point", check)
     shortcut = _evolved(s, rotation, initial, uniforms)
     monkeypatch.setattr(trajectory, "_fixed_point", lambda *args: None)
     kernel = _evolved(s, rotation, initial, uniforms)
@@ -385,6 +383,67 @@ def test_ensemble_rows_are_runs_bit_for_bit(monkeypatch, block):
         rec = run(s, cycle, initial, n, np.random.SeedSequence(31, spawn_key=(i,)))
         np.testing.assert_array_equal(u_bars[i], rec.u_bar)
         np.testing.assert_array_equal(finals[i], rec.final_state.bloch)
+
+
+def _tiled_ensemble(monkeypatch, n, n_traj, master):
+    """Check a fixed-point ``run_ensemble`` (plus eigenstate, 0.7 rad about
+    e_z) against its single runs bit for bit; return the rows of each tile."""
+    s, cycle, initial = setting(), rotor_exp(0.7 * EZ), NuclearState.eigenstate(EZ)
+    tiles, evolve = [], trajectory._evolve
+
+    def recorded(plan, uniforms, *args):
+        tiles.append(len(uniforms))
+        return evolve(plan, uniforms, *args)
+
+    tally = Counter()
+    with monkeypatch.context() as patch:
+        patch.setattr(trajectory, "_evolve", recorded)
+        u_bars, finals = run_ensemble(s, cycle, initial, n, n_traj, master, tally)
+    assert tally["fixed_point_rows"] == n_traj
+    records = [
+        run(s, cycle, initial, n, np.random.SeedSequence(master, spawn_key=(i,)))
+        for i in range(n_traj)
+    ]
+    expected_u_bars = np.array([r.u_bar for r in records])
+    expected_finals = np.array([r.final_state.bloch for r in records])
+    assert u_bars.tobytes() == expected_u_bars.tobytes()
+    assert finals.tobytes() == expected_finals.tobytes()
+    return tiles
+
+
+@pytest.mark.parametrize("rows, block", [(1, 2048), (3, 8), (7, 8)])
+def test_fixed_point_tiles_are_runs_bit_for_bit(monkeypatch, rows, block):
+    """Fixed-point rows drawn ``rows`` at a time, the last tile partial, while
+    the seed words are hashed ``block`` children at a time across the tiles."""
+    n, n_traj = 40, 17
+    monkeypatch.setattr(trajectory, "_BLOCK", block)
+    monkeypatch.setattr(trajectory, "_CELLS", rows * n + n - 1)  # rows = _CELLS // n
+    tiles = _tiled_ensemble(monkeypatch, n, n_traj, 999)
+    assert tiles == [rows] * (n_traj // rows) + [n_traj % rows] * (n_traj % rows > 0)
+
+
+def test_fixed_point_rows_longer_than_a_tile_draw_one_at_a_time(monkeypatch):
+    n, n_traj = trajectory._CELLS + 3, 3
+    assert _tiled_ensemble(monkeypatch, n, n_traj, 2**64 + 1) == [1, 1, 1]
+
+
+def test_fixed_point_ensemble_holds_one_tile_of_draws():
+    """The draws of a fixed-point ensemble take about ``8 _CELLS`` bytes
+    whatever ``n_traj`` is, not the kernel's ``8 min(_BLOCK, n_traj) n``."""
+    s, cycle, initial = setting(), rotor_exp(0.7 * EZ), NuclearState.eigenstate(EZ)
+    run_ensemble(s, cycle, initial, 10, 3, 5)  # first-call allocations out of the way
+    n, held = 1000, []
+    for n_traj in (2048, 8192):
+        tracemalloc.start()
+        try:
+            run_ensemble(s, cycle, initial, n, n_traj, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held.append(peak - 32 * n_traj)  # less the u_bars and final vectors returned
+    tile = 8 * trajectory._CELLS
+    assert max(held) < 2 * tile < 8 * trajectory._BLOCK * n
+    assert abs(held[1] - held[0]) < tile / 8
 
 
 EDGE_MASTERS = [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 + 1]
