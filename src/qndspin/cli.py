@@ -11,12 +11,13 @@ keys with no flag are ``n_bar`` and ``contrast`` (readout), ``B_gauss``,
 ``_inputs`` lays each given flag, parsed as a config value (``_value``),
 over the ``--config`` file's key; one resolver in ``config`` checks it.  Each
 subcommand resolves its keys, claims its paths with ``_outputs`` (refusing
-existing ones before any work), computes, and hands ``(header, columns)``
-tables to ``_emit``, the one writer: the CSVs, then a JSON manifest of the
-resolved keys (``parameters``, which replay as a ``--config``), the given
-keys not read, version, wall time, diagnostics and the digest of the bytes
-as written.  Exit codes: 0 success, 2 refused input (any ``ValueError``,
-from a resolver or the library), 1 any other failure.
+existing ones before any work; a run that fails removes the directories it
+made), computes, and hands ``(header, columns)`` tables to ``_emit``, the
+one writer: the CSVs, then a JSON manifest of the resolved keys
+(``parameters``, which replay as a ``--config``), the given keys not read,
+version, wall time, diagnostics and the digest of the bytes as written.
+Exit codes: 0 success, 2 refused input (any ``ValueError``, from a resolver
+or the library), 1 any other failure.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .config import (
     sequence_from_config,
 )
 from .control import solve_waiting_time
-from .hyperfine import _checked_widths, cpmg, exact_dd_evolution, extract_alpha_phi
+from .hyperfine import exact_dd_evolution, extract_alpha_phi
 from .measurement import MeasurementSetting, binary_stats
 from .nv import (
     PRESETS,
@@ -91,6 +92,10 @@ def _outputs(args, *names: str) -> list[str]:
     are ``names`` and ``manifest.json`` in it.
     """
     if "out_dir" in args:
+        path = args.out_dir
+        while path and not os.path.exists(path):  # what makedirs makes, leaf first
+            args.made.append(path)
+            path = os.path.dirname(path)
         try:
             os.makedirs(args.out_dir, exist_ok=True)  # a collision needs it to exist already
         except OSError as exc:  # a file in the way, or no permission
@@ -346,8 +351,6 @@ def _cmd_nv_scan(args, inputs: Inputs) -> None:
     rel = (low, inputs.resolve("scan.tau_rel_max", as_positive, 1.05))
     n_max = inputs.resolve("scan.n_max", as_count, 1_000_000)
     tau_grid, tr_grid = default_tau_grid(params, n_tdd, rel), default_tr_grid(params, n_tr)
-    # the end rows have the widest intervals: a span whose turns overflow is refused here
-    _checked_widths(nv_system(params), cpmg(params.n_dd, tau_grid[[0, -1]]))
     paths = _outputs(args, "scan.csv", "tolerance.csv")
     diagnostics = Counter(no_crossing_points=0, bisection_probes=0, kernel_calls=0)
     scan = scan_2d(params, tau_grid, tr_grid, readout, n_max=n_max, diagnostics=diagnostics)
@@ -462,16 +465,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    args.started = time.time()
+    args.started, args.made = time.time(), []
     try:
         args.func(args, _inputs(args))
+        return 0
     except ValueError as exc:  # refused input, wherever it was found
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except Exception as exc:  # any other failure
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        code = 1
+    for path in args.made:  # the failed run's new directories; one holding a file stays
+        with contextlib.suppress(OSError):
+            os.rmdir(path)
+    return code
 
 
 if __name__ == "__main__":

@@ -193,21 +193,6 @@ def cpmg(n_periods: int, tau) -> DDSequence:
     return DDSequence(times, duration)
 
 
-def _checked_widths(sys: SpinSystem, seq: DDSequence) -> np.ndarray:
-    """The interval widths of ``seq``; a sequence whose widest interval turns
-    by an angle ``|omega +- A/2| * width`` with an overflowing square is refused."""
-    widths = np.diff(seq.interval_bounds())
-    widest = float(widths.max(initial=0.0))  # its turns are the evolution's largest, bit for bit
-    with np.errstate(over="ignore"):
-        turns = (sys.omega + np.array([[1.0], [-1.0]]) * (0.5 * sys.hyperfine)) * widest
-        if not np.isfinite(_dot(turns, turns)).all():
-            raise ValueError(
-                "seq must have turns |omega +- A/2| * width with finite squares, "
-                f"got a widest interval of {widest!r} s"
-            )
-    return widths
-
-
 def exact_dd_evolution(sys: SpinSystem, seq: DDSequence) -> tuple[Rotor, Rotor]:
     """Conditional nuclear rotors ``(u_plus, u_minus)`` for a DD sequence.
 
@@ -216,11 +201,19 @@ def exact_dd_evolution(sys: SpinSystem, seq: DDSequence) -> tuple[Rotor, Rotor]:
     branches and all sequences of a batch advance together, each row bit for
     bit its one-sequence result (a zero-width interval leaves its rows alone).
     A sequence whose widest interval turns by an angle ``|omega +- A/2| *
-    width`` with an overflowing square is refused (``_checked_widths``).
+    width`` with an overflowing square is refused before any rotor is built.
     """
-    widths = _checked_widths(sys, seq)
-    batch = widths.shape[:-1]
+    widths = np.diff(seq.interval_bounds())
+    widest = float(widths.max(initial=0.0))  # its turns are the evolution's largest, bit for bit
     omega, half_a = sys.omega, 0.5 * sys.hyperfine
+    with np.errstate(over="ignore"):
+        turns = (omega + np.array([[1.0], [-1.0]]) * half_a) * widest
+        if not np.isfinite(_dot(turns, turns)).all():
+            raise ValueError(
+                "seq must have turns |omega +- A/2| * width with finite squares, "
+                f"got a widest interval of {widest!r} s"
+            )
+    batch = widths.shape[:-1]
     u = Rotor(np.ones((2, *batch)), np.zeros((2, *batch, 3)))
     branch = np.array([1.0, -1.0]).reshape((2,) + (1,) * len(batch) + (1,))  # |+z>, |-z>
     for k, sign in enumerate(seq.interval_signs()):
@@ -264,10 +257,10 @@ def filter_function(seq: DDSequence, omega_mag: float) -> complex:
 
     Evaluated interval-by-interval in closed form:
     ``f = sum_k s_k (exp(i w t_{k+1}) - exp(i w t_k)) / (i w t_dd)``.
-    Finite for every sequence and frequency.
+    Finite for every sequence and every positive finite frequency.
     """
-    if omega_mag <= 0.0:
-        raise ValueError("omega_mag must be positive")
+    if not 0.0 < omega_mag < math.inf:  # a nan fails too
+        raise ValueError(f"omega_mag must be positive and finite, got {omega_mag!r}")
     bounds = seq.interval_bounds()
     signs = seq.interval_signs()
     phases = np.exp(1j * omega_mag * bounds)
@@ -281,12 +274,16 @@ def cpmg_filter_closed_form(n_periods: int, tau: float, omega_mag: float) -> com
     ``f = -exp(i w t_dd / 2) * (4 / (w t_dd)) * sin^2(w tau / 8)
     * sin(w t_dd / 2) / cos(w tau / 4)``.  Near the removable points
     ``cos(w tau / 4) = 0`` the interval-sum evaluation is used instead.
+    ``n_periods`` and ``tau`` are refused as ``cpmg`` refuses them, and
+    ``omega_mag`` unless positive and finite.
     """
-    n_periods = _checked_int(n_periods, "n_periods", 1)
+    seq = cpmg(n_periods, tau)
+    if not 0.0 < omega_mag < math.inf:  # a nan fails too
+        raise ValueError(f"omega_mag must be positive and finite, got {omega_mag!r}")
     t_dd = n_periods * tau
     denom = math.cos(omega_mag * tau / 4.0)
     if abs(denom) < 1e-8:
-        return filter_function(cpmg(n_periods, tau), omega_mag)
+        return filter_function(seq, omega_mag)
     return (
         -cmath.exp(1j * omega_mag * t_dd / 2.0)
         * (4.0 / (omega_mag * t_dd))

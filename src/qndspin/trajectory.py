@@ -9,15 +9,15 @@ closed Bloch form: populations reweight by the conditional probabilities,
 the transverse component rescales by ``|l_+ l_-| / p`` and rotates about the
 axis by ``-arg(l_+ l_-^*)``, with ``l_pm`` the Kraus eigenvalues.
 
-``_plan`` writes that update once, as a cycle body of ``+ - * /``, ``<``
-and an outcome ``pick``, in the frame of the measurement axis.  In the
-kernel ``_evolve``, ``_slices``, which the random-error kernel of
-``stability`` shares, feeds it 64 cycles at a time: ``run`` (one row) on
-Python floats, ``run_ensemble`` on arrays of up to ``_BLOCK`` rows.  On
-arrays the pick is one gather from a coefficient table indexed by the
-outcome bits, not a branch per row, and each slice's outcomes are counted
-as bytes.  Each float operation rounds as the array element's does, and a
-gather copies the stored value, so the two paths give the same bits.
+``_plan``, the layer's one entry check, writes that update once, as a cycle
+body of ``+ - * /``, ``<`` and an outcome ``pick``, in the frame of the
+measurement axis.  In the kernel ``_evolve``, ``_slices``, which the
+random-error kernel of ``stability`` shares, feeds it 64 cycles at a time:
+``run`` (one row) on Python floats, ``run_ensemble`` on arrays of up to
+``_BLOCK`` rows.  On arrays the pick is one gather from a coefficient table
+indexed by the outcome bits, not a branch per row, and each slice's outcomes
+are counted as bytes.  Each float operation rounds as an array element's
+does, and a gather copies the stored value: both paths give the same bits.
 
 A QND measurement leaves the eigenstates of its axis undisturbed, so a
 cascade started in one repeats one Bernoulli trial.  ``_plan`` decides this
@@ -106,6 +106,9 @@ class NuclearState:
 
     @classmethod
     def eigenstate(cls, alpha_hat, branch: int = 1) -> "NuclearState":
+        """The pure state polarized along ``branch * alpha_hat``, ``branch`` +1 or -1."""
+        if branch not in (1, -1):  # 0 or 0.5 would give a mixed state
+            raise ValueError(f"branch must be +1 or -1, got {branch!r}")
         return cls(branch * _unit_axis(alpha_hat, "alpha_hat"))
 
     @classmethod
@@ -343,7 +346,8 @@ class _Plan(NamedTuple):
 
 def _plan(setting, cycle_rotation, initial) -> _Plan:
     """The cycle of ``setting`` and ``cycle_rotation`` in the frame ``F`` of
-    ``_axis_frame``, and whether ``initial`` is a fixed point of it.
+    ``_axis_frame``, and whether ``initial`` is a fixed point of it; the
+    layer's one entry check: bad input fails before ``so3_from_rotor`` warns.
 
     In that frame the state is three coordinates ``x, y, z`` with ``z``
     along the measurement axis.  Per cycle, the threshold ``p_+`` is
@@ -364,6 +368,8 @@ def _plan(setting, cycle_rotation, initial) -> _Plan:
     start, a generic cycle or a tilted axis (whose frame rounds) reach new
     states and decline.  The decision draws nothing and allocates no row.
     """
+    _finite(np.append(cycle_rotation.scalar, cycle_rotation.vector), "cycle_rotation")
+    _finite(initial.bloch, "initial")
     frame = _axis_frame(setting.alpha_hat)
     terms = _frame_terms(frame @ so3_from_rotor(cycle_rotation) @ frame.T)
     back = [list(zip(column, range(3))) for column in frame.T.tolist()]  # zeros kept: -0.0 + 0.0
@@ -398,17 +404,16 @@ def _plan(setting, cycle_rotation, initial) -> _Plan:
     return _Plan(start, pairs, cycle, back, fixed)
 
 
-def _evolve(plan: _Plan, uniforms, outcomes=None, diagnostics=None):
+def _evolve(plan: _Plan, uniforms, outcomes=None):
     """The trajectory kernel: one row per trajectory.
 
     Row ``i`` of ``uniforms`` holds trajectory ``i``'s draws in [0, 1), in
-    cycle order.  The ``plan``'s cycle body runs through ``_slices``, on
-    Python floats for one row and on arrays for many, with the same bits.
-    A fixed-point ``plan`` costs one comparison and one count instead, and
-    ``diagnostics``, a counter when given, receives its rows as
-    ``fixed_point_rows``.  ``outcomes``, a list when given, receives ``u ==
-    +1`` as ``(width, rows)`` bool blocks.  Returns ``(u_bars,
-    final_blochs)``.
+    cycle order.  The cycle body of ``plan`` (from ``_plan``, the layer's
+    one entry check) runs through ``_slices``, on Python floats for one row
+    and on arrays for many, with the same bits.  A fixed-point ``plan``
+    costs one comparison and one count instead.  ``outcomes``, a list when
+    given, receives ``u == +1`` as ``(width, rows)`` bool blocks.  Returns
+    ``(u_bars, final_blochs)``.
     """
     rows, n = uniforms.shape
     if plan.fixed is not None:
@@ -416,8 +421,6 @@ def _evolve(plan: _Plan, uniforms, outcomes=None, diagnostics=None):
         plus = uniforms < p_plus
         if outcomes is not None:
             outcomes.append(plus.T)
-        if diagnostics is not None:
-            diagnostics["fixed_point_rows"] += rows
         return (2.0 * np.count_nonzero(plus, axis=1) - n) / n, np.tile(final, (rows, 1))
     state = [np.full(rows, value) for value in plan.start]
     counts = np.zeros(rows, dtype=np.int64)
@@ -429,15 +432,6 @@ def _evolve(plan: _Plan, uniforms, outcomes=None, diagnostics=None):
     return (2.0 * counts - n) / n, finals
 
 
-def _check_entry(setting, cycle_rotation: Rotor, initial: NuclearState, n: int) -> None:
-    """What ``run`` and ``run_ensemble`` refuse before any draw."""
-    if not setting.readout.is_ideal:
-        raise ValueError("setting must have ideal readout (p_plus = p_minus = 1) for trajectories")
-    _checked_int(n, "n", 1)
-    _finite(np.append(cycle_rotation.scalar, cycle_rotation.vector), "cycle_rotation")
-    _finite(initial.bloch, "initial")
-
-
 def run(
     setting: MeasurementSetting,
     cycle_rotation: Rotor,
@@ -447,14 +441,13 @@ def run(
 ) -> TrajectoryRecord:
     """Simulate ``n`` cycles; deterministic for a given seed.
 
-    ``n`` must be an integer >= 1.  The uniforms come from one ``random(n)``
-    call, the same stream as ``n`` scalar draws, and go through the batched
-    kernel as a single row.
+    ``n`` must be an integer >= 1.  The uniforms come from one call
+    ``random((1, n))``, the same stream as ``n`` scalar draws, and go through
+    the batched kernel as a single row.
     """
-    _check_entry(setting, cycle_rotation, initial, n)
-    uniforms = np.random.default_rng(seed).random(n)
-    plus = []
-    u_bars, finals = _evolve(_plan(setting, cycle_rotation, initial), uniforms[None, :], plus)
+    _checked_int(n, "n", 1)
+    plan, plus = _plan(setting, cycle_rotation, initial), []
+    u_bars, finals = _evolve(plan, np.random.default_rng(seed).random((1, n)), plus)
     outcomes = np.where(np.concatenate(plus)[:, 0], 1, -1).astype(np.int8)
     return TrajectoryRecord(outcomes, float(u_bars[0]), NuclearState(finals[0]), seed)
 
@@ -476,18 +469,18 @@ def run_ensemble(
     bit-for-bit parallelization of repeated single runs.  ``master_seed``
     must be an integer >= 0, and ``n`` and ``n_traj`` integers >= 1.
 
-    Whether the start is a fixed point of the cycle (``_plan``) is decided
-    once, before any buffer is allocated, and sizes the one draw buffer,
-    which dominates the memory.  Otherwise up to ``_BLOCK`` trajectories
-    draw into one ``(_BLOCK, n)`` buffer (``8 min(_BLOCK, n_traj) n``
-    bytes) and go through the kernel together.  A fixed-point start needs
-    only a comparison and a count per row, so its rows draw in tiles of
-    ``clip(_CELLS // n, 1, _BLOCK)`` rows, at most ``8 max(_CELLS, n)``
-    bytes whatever ``n_traj`` is.  Each row's stream is one whole
-    ``random(out=row)`` either way.  The streams come from seed-sequence
-    hashes batched ``_BLOCK`` children at a time and one re-seeded
-    ``PCG64`` (``_child_generators``), not from a ``SeedSequence`` object
-    per trajectory; the contract above is unchanged.
+    ``_plan``, the layer's one entry check, decides once, before any buffer
+    is allocated, whether the start is a fixed point of the cycle, and that
+    sizes the one draw buffer, which dominates the memory.  Otherwise up to
+    ``_BLOCK`` trajectories draw into one ``(_BLOCK, n)`` buffer (``8
+    min(_BLOCK, n_traj) n`` bytes) and go through the kernel together.  A
+    fixed-point start needs only a comparison and a count per row, so its
+    rows draw in tiles of ``clip(_CELLS // n, 1, _BLOCK)`` rows, at most
+    ``8 max(_CELLS, n)`` bytes whatever ``n_traj`` is.  Each row's stream is
+    one whole ``random(out=row)`` either way.  The streams come from
+    seed-sequence hashes batched ``_BLOCK`` children at a time and one
+    re-seeded ``PCG64`` (``_child_generators``), not from a ``SeedSequence``
+    object per trajectory; the contract above is unchanged.
 
     ``diagnostics``, when given, is a counter that receives the seconds
     spent building the streams and drawing (``stream_s``) and in the kernel
@@ -495,12 +488,12 @@ def run_ensemble(
     start is a fixed point of the cycle, decided without the slice kernel
     (``fixed_point_rows``, see ``_plan``).
     """
-    _check_entry(setting, cycle_rotation, initial, n)
+    _checked_int(n, "n", 1)
     _checked_int(n_traj, "n_traj", 1)
     master_seed = _checked_int(master_seed, "master seed", 0)
     began = time.perf_counter()
     plan = _plan(setting, cycle_rotation, initial)
-    tally = Counter(stream_s=0.0, kernel_s=time.perf_counter() - began, fixed_point_rows=0)
+    tally = Counter(stream_s=0.0, kernel_s=time.perf_counter() - began)
     tile = _BLOCK if plan.fixed is None else min(max(_CELLS // n, 1), _BLOCK)
     u_bars, finals = np.empty(n_traj), np.empty((n_traj, 3))
     uniforms = np.empty((min(tile, n_traj), n))
@@ -512,9 +505,9 @@ def run_ensemble(
             gen.random(out=row)
         drawn = time.perf_counter()
         done = slice(start, start + len(draws))
-        u_bars[done], finals[done] = _evolve(plan, draws, None, tally)
+        u_bars[done], finals[done] = _evolve(plan, draws)
         tally["stream_s"] += drawn - began
         tally["kernel_s"] += time.perf_counter() - drawn
     if diagnostics is not None:
-        diagnostics.update(tally)
+        diagnostics.update(tally, fixed_point_rows=0 if plan.fixed is None else n_traj)
     return u_bars, finals

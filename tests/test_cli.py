@@ -594,6 +594,50 @@ def test_any_other_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert not os.listdir(tmp_path)
 
 
+SMALL_SCAN = ["nv-scan", "--preset", "P2", "--n-tdd", "2", "--n-tr", "3", "--n-max", "10"]
+
+
+def _failing(error):
+    def fail(*args, **kwargs):
+        raise error("the scan failed")
+
+    return fail
+
+
+@pytest.mark.parametrize("out", ["out", "a/b/out"])
+@pytest.mark.parametrize(
+    "error, code",
+    [(MemoryError, 1), (RuntimeError, 1), (ValueError, 2)],
+    ids=["MemoryError", "RuntimeError", "ValueError"],
+)
+def test_a_failed_run_removes_the_directories_it_made(
+    tmp_path, monkeypatch, capsys, out, error, code
+):
+    monkeypatch.setattr(cli, "scan_2d", _failing(error))
+    assert main([*SMALL_SCAN, "--out-dir", str(tmp_path / out)]) == code
+    assert capsys.readouterr().err.endswith("the scan failed\n")
+    assert os.listdir(tmp_path) == []  # tmp_path itself stays
+
+
+@pytest.mark.parametrize("contents", [[], ["notes.txt"]], ids=["empty", "holding a file"])
+def test_a_failed_run_keeps_an_out_dir_that_existed(tmp_path, monkeypatch, contents):
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in contents:
+        (out / name).write_text("keep")
+    monkeypatch.setattr(cli, "scan_2d", _failing(RuntimeError))
+    assert main([*SMALL_SCAN, "--out-dir", str(out)]) == 1
+    assert sorted(os.listdir(out)) == contents
+
+
+def test_a_failed_run_keeps_the_files_it_wrote(tmp_path, monkeypatch):
+    """A failure after the CSVs are written leaves them, and so their directory."""
+    monkeypatch.setattr(cli, "json", mock.Mock(dump=_failing(RuntimeError)))
+    out = tmp_path / "a" / "out"
+    assert main([*SMALL_SCAN, "--out-dir", str(out)]) == 1
+    assert sorted(os.listdir(out)) == ["manifest.json", "scan.csv", "tolerance.csv"]
+
+
 def _outputs_of(manifest_path):
     """The manifest and the bytes of each output it names."""
     with open(manifest_path, encoding="utf-8") as handle:
@@ -1045,6 +1089,11 @@ def test_recorded_preset_bytes(tmp_path, preset, scan, tolerance, calls, probes,
     assert (diagnostics["kernel_calls"], diagnostics["bisection_probes"]) == (calls, probes)
     assert diagnostics["certified_points"] > 0 < diagnostics["fallback_points"]
     assert diagnostics["rows_capped_by_n_max"] == capped
+    # criterion 10's structure: the worst case never exceeds the measured width, which is never 0
+    measured, worst = np.loadtxt(
+        tmp_path / "tolerance.csv", delimiter=",", skiprows=1, usecols=(1, 2), unpack=True
+    )
+    assert not (worst > measured).any() and not (measured == 0.0).any()
 
 
 def test_capped_rows_are_the_tolerance_rows_with_n_c_beyond_n_max(tmp_path):

@@ -57,6 +57,7 @@ _COUNT = {"0": 0, "-1": -1, "2.5": 2.5, "True": True, **_NON_FINITE}
 _NON_FINITE_ROWS = {"nan": [NAN, 0.0, 1.0], "inf": [0.0, INF, 0.0], "-inf": [-INF, 0.0, 0.0]}
 _BAD_AXIS_ROWS = {"zero": [0.0, 0.0, 0.0], **_NON_FINITE_ROWS}
 _WRONG_SHAPES = {"two entries": [1.0, 0.0], "scalar": 0.5, "two rows": np.eye(3)[:2]}
+_SCALAR_PERIODS = {"0": 0.0, "-1": -1.0, **_NON_FINITE, "1.7e308": 1.7e308}
 
 
 def _nan_state():
@@ -102,6 +103,7 @@ BAD = {
     },
     # the systematic laws divide by tan(alpha_mag / 2)**2
     "half angle": {**_NON_FINITE, "0": 0.0, "-0": -0.0, "2e-200": 2e-200},
+    # a positive finite number: a field, or a filter function's frequency
     "field": {**_NON_FINITE, "0": 0.0, "-1": -1.0},
     # omega_n = gamma B must be nonzero, and its square finite
     "larmor": {**_NON_FINITE, "0": 0.0, "1e300": 1e300},
@@ -109,14 +111,12 @@ BAD = {
     "hyperfine MHz": {**_NON_FINITE_ROWS, **_WRONG_SHAPES, "1e150": [1e150, 0.0, 0.0]},
     # the conditional field omega_n e_z + a_pm must have a finite square
     "hyperfine field": {**_NON_FINITE_ROWS, **_WRONG_SHAPES, "1e160": [1e160, 0.0, 0.0]},
-    # a CPMG period must be positive, and n_periods * tau and the pulse times finite
-    "period": {
-        "0": 0.0,
-        "-1": -1.0,
-        **_NON_FINITE,
-        "1.7e308": 1.7e308,
-        "[1, 1.7e308]": [1.0, 1.7e308],
-    },
+    # a CPMG period must be positive, and n_periods * tau and the pulse times finite;
+    # a closed form takes one period
+    "period": {**_SCALAR_PERIODS, "[1, 1.7e308]": [1.0, 1.7e308]},
+    "scalar period": _SCALAR_PERIODS,
+    # a pure state lies along +alpha_hat or -alpha_hat; 0 or 0.5 would be mixed
+    "branch": {"0": 0, "0.5": 0.5, "2": 2, "nan": NAN},
     # a 5e290 s interval turns by about 1e297 rad, whose square overflows
     "sequence": {"tau 1e291": hyperfine.cpmg(6, 1e291)},
     "setting vector": {**_NON_FINITE_ROWS, **_WRONG_SHAPES, "beyond pi": [0.0, 0.0, 4.0]},
@@ -199,7 +199,12 @@ ENTRIES = {
     "hyperfine.cpmg_filter_closed_form": (
         hyperfine.cpmg_filter_closed_form,
         {"n_periods": 2, "tau": 1.0, "omega_mag": 1.0},
-        {"n_periods": "count"},
+        {"n_periods": "count", "tau": "scalar period", "omega_mag": "field"},
+    ),
+    "hyperfine.filter_function": (
+        hyperfine.filter_function,
+        {"seq": hyperfine.cpmg(2, 1e-6), "omega_mag": 1.0},
+        {"omega_mag": "field"},
     ),
     "hyperfine.match_alpha_branch": (
         hyperfine.match_alpha_branch,
@@ -309,7 +314,7 @@ ENTRIES = {
     "trajectory.NuclearState.eigenstate": (
         trajectory.NuclearState.eigenstate,
         {"alpha_hat": EZ, "branch": 1},
-        {"alpha_hat": "axis"},
+        {"alpha_hat": "axis", "branch": "branch"},
     ),
     "trajectory.run": (
         trajectory.run,

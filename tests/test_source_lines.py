@@ -20,8 +20,7 @@ def test_no_source_line_is_longer_than_100_characters():
 # The private names one module may import from another: the shared numeric and
 # guard helpers of rotations (for any module), trajectory's kernel driver for
 # stability's fixed-axis kernel, the chord angle for nv's residuals, and the
-# readout keys and the DD turn guard for the CLI.  Everything else crosses
-# modules by a public name.
+# readout keys for the CLI.  Everything else crosses modules by a public name.
 ROTATIONS_HELPERS = {
     "_ATAN2",
     "_NEXT",
@@ -40,7 +39,6 @@ SHARED_PRIVATE_NAMES = {
         for name in ("_apply", "_axis_frame", "_child_generators", "_frame_terms", "_slices")
     },
     ("nv", "control", "_chord_angle"),
-    ("cli", "hyperfine", "_checked_widths"),
     ("cli", "config", "_READOUT_KEYS"),
 }
 
@@ -65,3 +63,34 @@ def test_modules_import_only_the_listed_private_names():
     )
     assert unlisted == []
     assert sorted(SHARED_PRIVATE_NAMES - matches) == []  # no stale entry
+
+
+def test_every_private_helper_has_a_caller_in_src():
+    """Each module-level ``_`` function or class is used by ``src/`` outside its own body.
+
+    A helper that only tests reach belongs in the tests, not in the package.
+    A reference is a name, an attribute or an imported name in the code; a
+    mention in a docstring or comment is not one.
+    """
+    root = pathlib.Path(qndspin.__file__).parent
+    helpers, references = {}, []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            defines = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if defines and node.name.startswith("_") and not node.name.startswith("__"):
+                helpers[node.name] = (path.stem, node.lineno, node.end_lineno)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.append((node.id, path.stem, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                references.append((node.attr, path.stem, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                references += [(alias.name, path.stem, node.lineno) for alias in node.names]
+    called = {
+        name
+        for name, module, line in references
+        if name in helpers
+        and not (module == helpers[name][0] and helpers[name][1] <= line <= helpers[name][2])
+    }
+    assert sorted(set(helpers) - called) == []

@@ -273,11 +273,12 @@ def test_one_row_on_floats_is_its_row_on_arrays(axis, alpha, phi, cycle, start, 
 
 
 def _evolved(s, rotation, initial, uniforms):
-    """``_evolve``'s u_bars and finals as bytes, its outcomes, and its fixed-point rows."""
-    outcomes, tally = [], Counter()
-    plan = trajectory._plan(s, rotation, initial)
-    u_bars, finals = trajectory._evolve(plan, uniforms, outcomes, tally)
-    return u_bars.tobytes(), finals.tobytes(), np.concatenate(outcomes), tally["fixed_point_rows"]
+    """``_evolve``'s u_bars and finals as bytes, its outcomes, and the rows its
+    plan decides without the slice kernel."""
+    outcomes, plan = [], trajectory._plan(s, rotation, initial)
+    u_bars, finals = trajectory._evolve(plan, uniforms, outcomes)
+    fixed_rows = 0 if plan.fixed is None else len(uniforms)
+    return u_bars.tobytes(), finals.tobytes(), np.concatenate(outcomes), fixed_rows
 
 
 @settings(max_examples=80, deadline=None)
