@@ -7,8 +7,8 @@ Layers, bottom up:
 * ``measurement`` -- Kraus pair, outcome statistics, strength D
 * ``control``     -- waiting-time engineering and the QND condition
 * ``cascade``     -- multi-outcome distributions, thresholds, fidelities
-* ``stability``   -- dephasing map, survival curves, lifetimes, tolerances
 * ``trajectory``  -- stochastic records and post-measurement states
+* ``stability``   -- dephasing map, survival curves, lifetimes, tolerances
 * ``nv``          -- NV-center presets, room-temperature readout, 2D scans
 * ``cli``         -- command-line front end
 """

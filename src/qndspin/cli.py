@@ -307,7 +307,8 @@ def _cmd_stability(args, inputs: Inputs) -> None:
     if not 0.0 < alpha_mag <= math.pi + 1e-9:
         raise ValueError(f"alpha_vec must have a magnitude in (0, pi], got {alpha_mag}")
     if kind == "systematic":
-        error = RotationErrorModel(kind, delta_phi=delta_phi * _unit_axis(error_axis, "error_axis"))
+        axis = _unit_axis(error_axis, "error_axis")
+        error = RotationErrorModel(kind, delta_phi=delta_phi * axis, seed=seed)  # refuses a seed
     else:  # the random model normalizes its axis itself
         error = RotationErrorModel("random", std=delta_phi, axis=error_axis, seed=seed)
     paths = _outputs(args)
@@ -405,7 +406,7 @@ _FLAGS = {
     "delta_phi": "error angle or std (rad)",
     "error_axis": "error axis x,y,z (default 0,0,1)",
     "n_max": "survival-curve horizon (default 10000)",
-    "seed": "master seed (trajectories: default 0)",
+    "seed": "master seed (trajectories: default 0; stability: random errors only)",
     "n_traj": "trajectories (default 1000)",
     "initial": "plus|minus|mixed (default plus)",
     "cycle_rot": "per-cycle rotation vector x,y,z (rad)",

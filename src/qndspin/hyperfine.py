@@ -252,15 +252,27 @@ def extract_alpha_phi(
     return alpha_vec, phi_dd
 
 
+def _check_omega(omega_mag, duration) -> None:
+    """Refuse an ``omega_mag`` whose phase ``omega_mag * duration`` over a
+    sequence is not positive and finite: it may not overflow or underflow to 0."""
+    if not 0.0 < float(omega_mag) * float(duration) < math.inf:  # a nan fails too
+        raise ValueError(
+            "omega_mag must give a positive, finite phase omega_mag * duration, "
+            f"got {omega_mag!r} over {float(duration)!r} s"
+        )
+
+
 def filter_function(seq: DDSequence, omega_mag: float) -> complex:
     """Normalized Fourier overlap of the modulation with ``exp(i |omega| t)``.
 
     Evaluated interval-by-interval in closed form:
     ``f = sum_k s_k (exp(i w t_{k+1}) - exp(i w t_k)) / (i w t_dd)``.
-    Finite for every sequence and every positive finite frequency.
+    Finite for every sequence and every frequency whose phase ``w t_dd`` is
+    positive and finite.
     """
-    if not 0.0 < omega_mag < math.inf:  # a nan fails too
-        raise ValueError(f"omega_mag must be positive and finite, got {omega_mag!r}")
+    if np.ndim(seq.duration):
+        raise ValueError(f"seq must be one sequence, got a batch of shape {np.shape(seq.duration)}")
+    _check_omega(omega_mag, seq.duration)
     bounds = seq.interval_bounds()
     signs = seq.interval_signs()
     phases = np.exp(1j * omega_mag * bounds)
@@ -275,11 +287,10 @@ def cpmg_filter_closed_form(n_periods: int, tau: float, omega_mag: float) -> com
     * sin(w t_dd / 2) / cos(w tau / 4)``.  Near the removable points
     ``cos(w tau / 4) = 0`` the interval-sum evaluation is used instead.
     ``n_periods`` and ``tau`` are refused as ``cpmg`` refuses them, and
-    ``omega_mag`` unless positive and finite.
+    ``omega_mag`` as ``filter_function`` refuses it.
     """
     seq = cpmg(n_periods, tau)
-    if not 0.0 < omega_mag < math.inf:  # a nan fails too
-        raise ValueError(f"omega_mag must be positive and finite, got {omega_mag!r}")
+    _check_omega(omega_mag, seq.duration)
     t_dd = n_periods * tau
     denom = math.cos(omega_mag * tau / 4.0)
     if abs(denom) < 1e-8:

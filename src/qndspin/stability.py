@@ -199,7 +199,7 @@ def survival_ensemble(
     ``survival_curve`` with the corresponding random-kind model bit for bit.
     ``master_seed`` must be an integer >= 0.  That child has the spawn key
     ``(i,)``, so its stream comes from ``trajectory._child_generators``
-    (batched seed-sequence hashes and one re-seeded ``PCG64``) with no
+    (batched seed-sequence hashes, one ``Generator`` per instance) with no
     ``SeedSequence`` object per instance; the contract is unchanged.
     Each slice of the kernel's survivals is reduced as it comes, row by row
     as one whole-matrix reduction would, so the ``(n_max + 1, n_seeds)``

@@ -37,8 +37,8 @@ ensemble draws from ``SeedSequence(master_seed, spawn_key=(i,))``; a single
 The ensemble builds no ``SeedSequence`` per row: ``_child_seed_words``
 evaluates the seed sequence's pool hash and ``generate_state(4, uint64)`` for
 ``_BLOCK`` children at once in uint32 arithmetic, and ``_child_generators``
-seeds one reused ``PCG64`` from those words with PCG64's own seeding
-recurrence.  The streams are the ``SeedSequence`` streams bit for bit.
+gives each child's words to its own ``PCG64`` through numpy's ``ISeedSequence``
+interface.  The streams are the ``SeedSequence`` streams bit for bit.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .measurement import MeasurementSetting
 from .rotations import Rotor, _checked_int, _finite, _unit_axis, _vector, so3_from_rotor
@@ -88,9 +89,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT, _MASK32 = 16, 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier and state mask
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 @dataclass
@@ -189,28 +187,25 @@ def _child_seed_words(master_seed: int, first: int, count: int) -> np.ndarray:
     return np.stack([lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])], axis=1)
 
 
-def _child_generators(master_seed: int, count: int):
-    """Yield, for each child ``i = 0 .. count - 1``, one reused
-    ``Generator`` in the state of ``default_rng(SeedSequence(master_seed,
-    spawn_key=(i,)))``.
+@dataclass
+class _Words(ISeedSequence):
+    """A seed sequence whose state is ``words``: ``PCG64`` asks for ``(4, uint64)``."""
 
-    PCG64 seeds from the words ``w0..w3`` as ``initstate = w0:w1``,
-    ``initseq = w2:w3``, ``inc = 2 initseq + 1`` and ``state = ((inc +
-    initstate) MULT + inc) mod 2**128``; setting that state replaces building
-    a ``SeedSequence`` and a ``default_rng`` per child.
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _child_generators(master_seed: int, count: int):
+    """Yield, for each child ``i = 0 .. count - 1``, a fresh ``Generator`` in
+    the state of ``default_rng(SeedSequence(master_seed, spawn_key=(i,)))``:
+    its ``PCG64`` seeds itself from that seed sequence's words, which
+    ``_child_seed_words`` hashes in batches, with no ``SeedSequence`` per child.
     """
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    lcg = {}  # refilled per child: the setter copies it, and fresh dicts cost ≈ 2 µs
-    seeded = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
     for start in range(0, count, _BLOCK):
-        words = _child_seed_words(master_seed, start, min(_BLOCK, count - start))
-        for w0, w1, w2, w3 in words.tolist():
-            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-            lcg["state"] = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
-            lcg["inc"] = inc
-            bitgen.state = seeded
-            yield gen
+        for words in _child_seed_words(master_seed, start, min(_BLOCK, count - start)):
+            yield np.random.Generator(np.random.PCG64(_Words(words)))
 
 
 def _axis_frame(alpha_hat: np.ndarray) -> np.ndarray:
@@ -478,9 +473,9 @@ def run_ensemble(
     rows draw in tiles of ``clip(_CELLS // n, 1, _BLOCK)`` rows, at most
     ``8 max(_CELLS, n)`` bytes whatever ``n_traj`` is.  Each row's stream is
     one whole ``random(out=row)`` either way.  The streams come from
-    seed-sequence hashes batched ``_BLOCK`` children at a time and one
-    re-seeded ``PCG64`` (``_child_generators``), not from a ``SeedSequence``
-    object per trajectory; the contract above is unchanged.
+    seed-sequence hashes batched ``_BLOCK`` children at a time
+    (``_child_generators``), not from a ``SeedSequence`` object per
+    trajectory; the contract above is unchanged.
 
     ``diagnostics``, when given, is a counter that receives the seconds
     spent building the streams and drawing (``stream_s``) and in the kernel

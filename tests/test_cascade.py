@@ -106,6 +106,8 @@ def test_distribution_validation():
         OutcomeDistribution(2, np.array([0.5, 0.5, 0.5]), np.array([0.5, 0.25, 0.25]))
     with pytest.raises(ValueError):
         OutcomeDistribution(1, np.array([0.5, 0.5, 0.0]), np.array([0.5, 0.5, 0.0]))
+    with pytest.raises(ValueError, match="probs_minus has negative entries"):
+        OutcomeDistribution(1, np.array([0.5, 0.5]), np.array([1.5, -0.5]))
 
 
 def test_distribution_refuses_non_finite_entries():
@@ -209,6 +211,19 @@ def test_gaussian_threshold_equal_sigmas():
     mean_plus, _ = dist.moments(1)
     mean_minus, _ = dist.moments(-1)
     assert th == pytest.approx(0.5 * (mean_plus + mean_minus), abs=1e-9)
+
+
+def test_gaussian_threshold_of_deterministic_laws_is_the_midpoint():
+    dist = exact_distribution(setting(math.pi / 2, math.pi / 2), 30)  # projective
+    (mean_plus, sigma_plus), (mean_minus, sigma_minus) = dist.moments(1), dist.moments(-1)
+    assert sigma_plus == sigma_minus == 0.0
+    assert optimal_threshold(dist, mode="gaussian") == 0.5 * (mean_plus + mean_minus)
+
+
+def test_threshold_refuses_an_unknown_mode():
+    dist = exact_distribution(setting(0.1, math.pi / 2), 10)
+    with pytest.raises(ValueError, match="mode must be 'exact' or 'gaussian'"):
+        optimal_threshold(dist, mode="median")
 
 
 def loop_threshold(dist: OutcomeDistribution) -> float:

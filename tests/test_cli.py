@@ -552,6 +552,12 @@ LIBRARY_REFUSALS = {
         None,
         "seed must be given for random errors",
     ),
+    "systematic seed": (
+        ["stability", "--alpha-vec", "0,0,2.5", "--error", "systematic", "--delta-phi", "0.05"]
+        + ["--n-max", "30", "--seed", "4"],
+        None,
+        "systematic errors take no std or seed",
+    ),
     "vanishing measurement vector": (
         ["qnd-solve", "--preset", "P2", "--tau-ns", "1e-300"],
         None,
@@ -827,7 +833,8 @@ def test_error_axis_is_normalized_for_both_kinds(tmp_path, kind):
     for axis in ("2,0,0", "1,0,0"):
         out = str(tmp_path / f"{kind}-{axis[0]}")
         argv = ["stability", "--alpha-vec", "0,0,2.5", "--error", kind, "--delta-phi", "0.05"]
-        argv += ["--error-axis", axis, "--n-max", "2000", "--seed", "3", "--out", out]
+        argv += ["--error-axis", axis, "--n-max", "2000", "--out", out]
+        argv += ["--seed", "3"] if kind == "random" else []  # systematic errors refuse a seed
         assert main(argv) == 0
         with open(out + ".csv", "rb") as handle:
             outputs.append(handle.read())

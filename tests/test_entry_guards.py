@@ -115,10 +115,15 @@ BAD = {
     # a closed form takes one period
     "period": {**_SCALAR_PERIODS, "[1, 1.7e308]": [1.0, 1.7e308]},
     "scalar period": _SCALAR_PERIODS,
+    # the phase omega_mag * duration must be positive and finite: over 2e300 s and 2e-300 s
+    "long phase": {"1e10": 1e10},
+    "short phase": {"1e-300": 1e-300},
     # a pure state lies along +alpha_hat or -alpha_hat; 0 or 0.5 would be mixed
     "branch": {"0": 0, "0.5": 0.5, "2": 2, "nan": NAN},
     # a 5e290 s interval turns by about 1e297 rad, whose square overflows
     "sequence": {"tau 1e291": hyperfine.cpmg(6, 1e291)},
+    # a filter function is one number per sequence
+    "one sequence": {"batch of 2": hyperfine.cpmg(2, [1e-6, 2e-6])},
     "setting vector": {**_NON_FINITE_ROWS, **_WRONG_SHAPES, "beyond pi": [0.0, 0.0, 4.0]},
     "ideal setting": {
         "p 0.9": measurement.MeasurementSetting(
@@ -204,7 +209,27 @@ ENTRIES = {
     "hyperfine.filter_function": (
         hyperfine.filter_function,
         {"seq": hyperfine.cpmg(2, 1e-6), "omega_mag": 1.0},
-        {"omega_mag": "field"},
+        {"seq": "one sequence", "omega_mag": "field"},
+    ),
+    "hyperfine.cpmg_filter_closed_form long": (
+        hyperfine.cpmg_filter_closed_form,
+        {"n_periods": 2, "tau": 1e300, "omega_mag": 1.0},
+        {"omega_mag": "long phase"},
+    ),
+    "hyperfine.cpmg_filter_closed_form short": (
+        hyperfine.cpmg_filter_closed_form,
+        {"n_periods": 2, "tau": 1e-300, "omega_mag": 1.0},
+        {"omega_mag": "short phase"},
+    ),
+    "hyperfine.filter_function long": (
+        hyperfine.filter_function,
+        {"seq": hyperfine.cpmg(2, 1e300), "omega_mag": 1.0},
+        {"omega_mag": "long phase"},
+    ),
+    "hyperfine.filter_function short": (
+        hyperfine.filter_function,
+        {"seq": hyperfine.cpmg(2, 1e-300), "omega_mag": 1.0},
+        {"omega_mag": "short phase"},
     ),
     "hyperfine.match_alpha_branch": (
         hyperfine.match_alpha_branch,

@@ -329,6 +329,8 @@ def test_filter_resonance_limit():
     w = 1.7
     f = filter_function(cpmg(4, 2 * math.pi / w), w)
     assert abs(abs(f) - 2 / math.pi) < 1e-6
+    # cos(w tau / 4) = cos(pi / 2): the closed form's removable point takes the interval sum
+    assert cpmg_filter_closed_form(4, 2 * math.pi / w, w) == f
 
 
 def test_filter_magnitude_bounded():
@@ -385,6 +387,11 @@ def test_match_alpha_branch_preserves_rotation():
         r1 = so3_from_rotor(rotor_exp(-2.0 * cand))
         r2 = so3_from_rotor(rotor_exp(-2.0 * alpha_vec))
         assert np.max(np.abs(r1 - r2)) < 1e-10
+
+
+def test_match_alpha_branch_keeps_a_zero_vector():
+    """A zero vector has no axis to wind along: it is its own representative."""
+    np.testing.assert_array_equal(match_alpha_branch(np.zeros(3), [4.0, 0.0, 0.0]), np.zeros(3))
 
 
 def test_system_requires_nonzero_omega():

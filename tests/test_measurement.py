@@ -112,6 +112,21 @@ def test_readout_model_validation():
         ReadoutModel(0.5, -0.1)
 
 
+@pytest.mark.parametrize("branch, u", [(0, 1), (1, 0), (2, -1), (-1, 0.5)])
+def test_outcome_prob_takes_only_signs(branch, u):
+    with pytest.raises(ValueError, match="branch and u must be \\+1 or -1"):
+        outcome_prob(setting(0.3, 1.0), branch, u)
+
+
+def test_outcome_prob_refuses_a_nan_phase_set_past_the_constructor():
+    """Through the constructors |delta_p + p_bar cos| <= 1; a nan set afterwards
+    fails the range check, which the clamp alone would pass through."""
+    s = setting(0.3, 1.0)
+    s.phi = math.nan
+    with pytest.raises(ValueError, match="invalid readout model produced probability nan"):
+        outcome_prob(s, 1, 1)
+
+
 # ------------------------------------------------------------------- stats
 
 

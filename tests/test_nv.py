@@ -110,6 +110,11 @@ def test_perfect_contrast():
     assert contrast == 1.0
 
 
+def test_photon_stats_of_a_dark_readout():
+    """No photons in either state: n_bar = 0, and the contrast 0 / 0 reads as 0."""
+    assert photon_stats(ReadoutModel(0.0, 1.0)) == (0.0, 0.0)
+
+
 def test_room_temp_validation():
     with pytest.raises(ValueError):
         room_temp_readout(0.07, 0.1)
@@ -292,6 +297,14 @@ def test_scan_refuses_non_finite_grids(grids, name):
         scan_2d(params, args["tau_grid"], args["tr_grid"], room_temp_readout(0.1, 0.07), n_max=50)
 
 
+@pytest.mark.parametrize("name", ["tau_grid", "tr_grid"])
+def test_scan_refuses_an_empty_grid(name):
+    params = PRESETS["P2"]
+    args = {"tau_grid": default_tau_grid(params, 2), "tr_grid": default_tr_grid(params, 3), name: []}
+    with pytest.raises(ValueError, match="scan grids must be non-empty"):
+        scan_2d(params, args["tau_grid"], args["tr_grid"], room_temp_readout(0.1, 0.07), n_max=50)
+
+
 # ----------------------------------------------- edge sweep, synthetic regions
 
 
@@ -325,6 +338,31 @@ def test_sweep_edges_stops_at_the_window_ends_and_bisects_side_by_side():
     assert bounds[0] == 10.0 and bounds[1] == 0.0
     assert [probes[r] for r in rows] == list(counts)
     assert probes["rounds"] == max(counts)
+
+
+def test_tolerance_profile_merges_overlapping_intervals(monkeypatch):
+    """Two QND roots in one qualifying region seed two intervals that grow to the same
+    edges; the row's measured width counts the region once."""
+    scan = small_scan(n_tau=3, n_tr=9, n_max=500)
+    scan = dataclasses.replace(scan, lifetimes=np.zeros_like(scan.lifetimes))  # no grid seeds
+    tr = scan.tr_grid
+    spacing = tr[1] - tr[0]
+    lo, hi = tr[2] + 0.25 * spacing, tr[5] + 0.5 * spacing
+    roots = [(tr[2] + 0.5 * spacing, 0.0), (tr[4] + 0.5 * spacing, 0.0)]  # two spacings apart
+
+    def solve(sys, phi_dd, alpha_hat, window):
+        return [roots] * len(phi_dd)
+
+    def first_crossing(times, hats, horizons, diagnostics=None):
+        return np.where((lo <= times) & (times <= hi), math.inf, 1.0)
+
+    monkeypatch.setattr(nv, "solve_waiting_time", solve)
+    monkeypatch.setattr(nv, "_cycle_maps", lambda omega_n, times, r_dds, dephs: (None, times))
+    monkeypatch.setattr(nv, "first_crossing", first_crossing)
+    finite = np.isfinite(scan.n_crit)
+    assert finite.any()
+    measured = tolerance_profile(scan)[:, 1]
+    np.testing.assert_allclose(measured[finite], hi - lo, rtol=0, atol=1e-4 * spacing)
 
 
 def test_sweep_edges_caps_growth_at_64_steps():

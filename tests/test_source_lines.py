@@ -66,22 +66,31 @@ def test_modules_import_only_the_listed_private_names():
 
 
 def test_every_private_helper_has_a_caller_in_src():
-    """Each module-level ``_`` function or class is used by ``src/`` outside its own body.
+    """Each module-level ``_`` function, class or constant is used by ``src/``
+    outside its own definition.
 
-    A helper that only tests reach belongs in the tests, not in the package.
-    A reference is a name, an attribute or an imported name in the code; a
-    mention in a docstring or comment is not one.
+    A helper that only tests reach belongs in the tests, not in the package,
+    and a constant that nothing reads is left over.  A reference is a name
+    that is read, an attribute or an imported name in the code; a mention in
+    a docstring or comment is not one, and neither is an assignment.
     """
     root = pathlib.Path(qndspin.__file__).parent
     helpers, references = {}, []
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            defines = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            if defines and node.name.startswith("_") and not node.name.startswith("__"):
-                helpers[node.name] = (path.stem, node.lineno, node.end_lineno)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    helpers[name] = (path.stem, node.lineno, node.end_lineno)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 references.append((node.id, path.stem, node.lineno))
             elif isinstance(node, ast.Attribute):
                 references.append((node.attr, path.stem, node.lineno))

@@ -459,6 +459,13 @@ def test_tolerance_refuses_a_strength_that_is_not_positive(strength, kind):
         tolerance(strength, 1.0, kind)
 
 
+def test_unknown_kinds_are_refused():
+    with pytest.raises(ValueError, match="unknown analytic survival kind 'bogus'"):
+        analytic_survival("bogus", 0.5, 0.1, np.arange(3))
+    with pytest.raises(ValueError, match="unknown tolerance kind 'bogus'"):
+        tolerance(0.1, 0.5, "bogus")
+
+
 def test_tolerance_echo_limit():
     # alpha -> pi with weak readout: D ~ p_bar sin(alpha), so the systematic
     # tolerance approaches 2 p_bar

@@ -476,6 +476,30 @@ def test_child_seed_words_reject_indices_past_one_word():
         _child_seed_words(0, 0, 2**32 + 1)  # refused before anything is allocated
 
 
+def test_fixed_point_declines_past_the_reachable_states():
+    """A step that keeps making new states under one signature is declined, not followed."""
+    draws = []
+
+    def step(state, draw):
+        draws.append(draw)
+        return [state[0] + 1.0]
+
+    assert trajectory._fixed_point([0.0], step, lambda state: (0.5,)) is None
+    assert len(draws) < 2 * trajectory._REACHABLE
+
+
+@pytest.mark.parametrize("block", [2, 2048])
+@pytest.mark.parametrize("master", [7, 2**128 + 1], ids=["one-word master", "five-word master"])
+def test_child_generators_are_distinct_seed_sequence_children(monkeypatch, block, master):
+    monkeypatch.setattr(trajectory, "_BLOCK", block)
+    generators = list(trajectory._child_generators(master, 5))  # kept past the next child
+    assert len({id(gen.bit_generator) for gen in generators}) == 5
+    for i, gen in enumerate(generators):
+        expected = np.random.default_rng(np.random.SeedSequence(master, spawn_key=(i,)))
+        np.testing.assert_array_equal(gen.random(9), expected.random(9))
+        assert gen.integers(2**63, size=3).tolist() == expected.integers(2**63, size=3).tolist()
+
+
 STREAM_CASE = (
     MeasurementSetting(0.4 * _unit([0.3, -0.5, 0.8]), 1.2),
     rotor_exp(np.array([0.2, 0.1, -0.3])),
