@@ -1,23 +1,17 @@
 """Command-line front end: subcommand dispatch, CSV emission, run manifests.
 
 Conventions: angles in radians, frequencies in MHz, times in nanoseconds at
-the interface (seconds internally).  Every input is a config key of its
-subcommand (``config.KEYS``), and every flag but ``--config``, ``--out``,
-``--out-dir`` and ``--force`` sets the key of its name (``_FLAGS``:
-``--n-traj`` is ``n_traj``, nv-scan's ``--n-tdd`` is ``scan.n_tdd``).  The
-keys with no flag are ``n_bar`` and ``contrast`` (readout), ``B_gauss``,
-``gamma_n_MHz_per_T``, ``A_MHz`` and ``N_DD`` (system), qnd-solve's
-``t_DD_ns`` and nv-scan's ``scan.tau_rel_min`` and ``scan.tau_rel_max``.
-``_inputs`` lays each given flag, parsed as a config value (``_value``),
-over the ``--config`` file's key; one resolver in ``config`` checks it.  Each
-subcommand resolves its keys, claims its paths with ``_outputs`` (refusing
-existing ones before any work; a run that fails removes the directories it
-made), computes, and hands ``(header, columns)`` tables to ``_emit``, the
-one writer: the CSVs, then a JSON manifest of the resolved keys
-(``parameters``, which replay as a ``--config``), the given keys not read,
-version, wall time, diagnostics and the digest of the bytes as written.
-Exit codes: 0 success, 2 refused input (any ``ValueError``, from a resolver
-or the library), 1 any other failure.
+the interface (seconds internally).  Each key of ``config.KEYS`` with help
+text has a flag named after its last part (``--n-traj`` sets ``n_traj``,
+nv-scan's ``--n-tdd`` sets ``scan.n_tdd``), whose text ``_value`` parses as
+a config value.  Each subcommand resolves its keys (``Inputs.gather``), claims
+its paths with ``_outputs`` (refusing existing ones before any work; a run
+that fails removes the directories it made), computes, and hands ``(header,
+columns)`` tables to ``_emit``, the one writer: the CSVs, then a JSON manifest
+of the resolved keys (``parameters``, which replay as a ``--config``), the
+given keys not read, version, wall time, diagnostics and the digest of the
+bytes as written.  Exit codes: 0 success, 2 refused input (any
+``ValueError``, from a resolver or the library), 1 any other failure.
 """
 
 from __future__ import annotations
@@ -43,21 +37,7 @@ from .cascade import (
     optimal_threshold,
     readout_fidelity,
 )
-from .config import (
-    _READOUT_KEYS,
-    KEYS,
-    Inputs,
-    as_angle,
-    as_choice,
-    as_count,
-    as_number,
-    as_positive,
-    as_vector,
-    load_config,
-    nv_params_from_config,
-    readout_from_config,
-    sequence_from_config,
-)
+from .config import KEYS, Inputs
 from .control import solve_waiting_time
 from .hyperfine import exact_dd_evolution, extract_alpha_phi
 from .measurement import MeasurementSetting, binary_stats
@@ -178,38 +158,18 @@ def _emit(args, paths: list[str], inputs: Inputs, tables, diagnostics: dict | No
         handle.write("\n")
 
 
-def _inputs(args) -> Inputs:
-    """The ``--config`` file's keys, each given flag laid over the key of its name.
-
-    A flag's dest is its key.  A readout flag replaces every readout key of
-    the file, and ``--tau-ns`` also its ``t_DD_ns``.
-    """
-    keys = KEYS[args.command]
-    cfg = load_config(args.config) if args.config else {}
-    flags = {key: value for key, value in vars(args).items() if key in keys and value is not None}
-    if flags.keys() & set(_READOUT_KEYS):
-        cfg = {key: value for key, value in cfg.items() if key not in _READOUT_KEYS}
-    if "tau_ns" in flags:
-        cfg.pop("t_DD_ns", None)
-    return Inputs({**cfg, **flags}, keys)
-
-
 def _setting(inputs: Inputs) -> MeasurementSetting:
     """The measurement setting of ``alpha``, ``phi`` and the readout keys."""
-    readout = readout_from_config(inputs)
-    alpha = inputs.resolve("alpha", as_angle, 0.1)
-    phi = inputs.resolve("phi", as_number, math.pi / 2)
+    readout = inputs.readout()
+    alpha = inputs.resolve("alpha")
+    phi = inputs.resolve("phi")
     return MeasurementSetting(alpha * np.array([0.0, 0.0, 1.0]), phi, readout)
 
 
 # ----------------------------------------------------------------- commands
 
-# the names of law and threshold_mode
-_MODES = ("exact", "gaussian")
-
-
 def _cmd_table1(args, inputs: Inputs) -> None:
-    preset = inputs.resolve("preset", as_choice, None, PRESETS)
+    preset = inputs.resolve("preset")
     paths = _outputs(args)
     names = [preset] if preset else sorted(PRESETS)
     presets = [PRESETS[name] for name in names]
@@ -238,8 +198,7 @@ def _cmd_binary_stats(args, inputs: Inputs) -> None:
 
 def _cmd_distribution(args, inputs: Inputs) -> None:
     setting = _setting(inputs)
-    n = inputs.resolve("n", as_count)
-    law = inputs.resolve("law", as_choice, "exact", _MODES)
+    n, law = map(inputs.resolve, ("n", "law"))
     paths = _outputs(args)
     started = time.perf_counter()
     dist = (gaussian_distribution if law == "gaussian" else exact_distribution)(setting, n)
@@ -252,8 +211,7 @@ def _cmd_distribution(args, inputs: Inputs) -> None:
 
 def _cmd_fidelity(args, inputs: Inputs) -> None:
     setting = _setting(inputs)
-    n = inputs.resolve("n", as_count)
-    mode = inputs.resolve("threshold_mode", as_choice, "exact", _MODES)
+    n, mode = map(inputs.resolve, ("n", "threshold_mode"))
     strength_d = binary_stats(setting).strength_d
     critical_n(strength_d)  # the cascade's own test for an informative shot
     paths = _outputs(args)
@@ -274,8 +232,8 @@ def _cmd_fidelity(args, inputs: Inputs) -> None:
 
 
 def _cmd_qnd_solve(args, inputs: Inputs) -> None:
-    params = nv_params_from_config(inputs)
-    seq = sequence_from_config(inputs, params)
+    params = inputs.nv_params()
+    seq = inputs.sequence(params)
     paths = _outputs(args)
     sys_ = nv_system(params)
     alpha_vec, phi_dd = extract_alpha_phi(*exact_dd_evolution(sys_, seq))
@@ -296,16 +254,14 @@ def _cmd_qnd_solve(args, inputs: Inputs) -> None:
 
 
 def _cmd_stability(args, inputs: Inputs) -> None:
-    alpha_vec = inputs.resolve("alpha_vec", as_vector)
-    kind = inputs.resolve("error", as_choice, "systematic", ("systematic", "random"))
-    delta_phi = inputs.resolve("delta_phi", as_angle)
-    error_axis = inputs.resolve("error_axis", as_vector, [0.0, 0.0, 1.0])
-    n_max = inputs.resolve("n_max", as_count, 10_000)
-    seed = inputs.resolve("seed", as_count, None, 0)
+    keys = ("alpha_vec", "error", "delta_phi", "error_axis", "n_max", "seed")
+    alpha_vec, kind, delta_phi, error_axis, n_max, seed = map(inputs.resolve, keys)
     alpha_mag = float(np.linalg.norm(alpha_vec))
     # the measurement axis must exist, and |alpha| is canonical as in MeasurementSetting
     if not 0.0 < alpha_mag <= math.pi + 1e-9:
-        raise ValueError(f"alpha_vec must have a magnitude in (0, pi], got {alpha_mag}")
+        underflows = alpha_mag == 0.0 and any(alpha_vec)
+        got = f"{alpha_vec}, whose magnitude underflows to 0" if underflows else alpha_mag
+        raise ValueError(f"alpha_vec must have a magnitude in (0, pi], got {got}")
     if kind == "systematic":
         axis = _unit_axis(error_axis, "error_axis")
         error = RotationErrorModel(kind, delta_phi=delta_phi * axis, seed=seed)  # refuses a seed
@@ -324,13 +280,10 @@ def _cmd_stability(args, inputs: Inputs) -> None:
 
 def _cmd_trajectories(args, inputs: Inputs) -> None:
     setting = _setting(inputs)  # run_ensemble refuses a non-ideal readout before any draw
-    n = inputs.resolve("n", as_count)
-    n_traj = inputs.resolve("n_traj", as_count, 1000)
-    seed = inputs.resolve("seed", as_count, 0, 0)
-    initial = inputs.resolve("initial", as_choice, "plus", ("plus", "minus", "mixed"))
+    n, n_traj, seed, initial = map(inputs.resolve, ("n", "n_traj", "seed", "initial"))
     branch = {"plus": 1, "minus": -1}.get(initial)
     state = NuclearState.eigenstate(setting.alpha_hat, branch) if branch else NuclearState.mixed()
-    cycle_rot = rotor_exp(inputs.resolve("cycle_rot", as_vector, [0.0, 0.0, 0.0]))
+    cycle_rot = rotor_exp(inputs.resolve("cycle_rot"))
     paths = _outputs(args)
     timings = Counter()
     u_bars, finals = run_ensemble(setting, cycle_rot, state, n, n_traj, seed, diagnostics=timings)
@@ -342,15 +295,13 @@ def _cmd_trajectories(args, inputs: Inputs) -> None:
 def _cmd_nv_scan(args, inputs: Inputs) -> None:
     if "phi" in inputs.cfg:
         raise ValueError("phi must not be given: nv-scan reads out at pi/2; remove 'phi'")
-    params = nv_params_from_config(inputs)
-    readout = readout_from_config(inputs, default=room_temp_readout(0.1, 0.07))
-    n_tdd = inputs.resolve("scan.n_tdd", as_count, 256)
-    n_tr = inputs.resolve("scan.n_tr", as_count, 256)
+    params = inputs.nv_params()
+    readout = inputs.readout(room_temp_readout(0.1, 0.07))
+    n_tdd, n_tr = map(inputs.resolve, ("scan.n_tdd", "scan.n_tr"))
     if n_tr < 2:
         raise ValueError(f"scan.n_tr must be >= 2 to span a search window, got {n_tr}")
-    low = inputs.resolve("scan.tau_rel_min", as_positive, 0.95)
-    rel = (low, inputs.resolve("scan.tau_rel_max", as_positive, 1.05))
-    n_max = inputs.resolve("scan.n_max", as_count, 1_000_000)
+    rel = (inputs.resolve("scan.tau_rel_min"), inputs.resolve("scan.tau_rel_max"))
+    n_max = inputs.resolve("scan.n_max")
     tau_grid, tr_grid = default_tau_grid(params, n_tdd, rel), default_tr_grid(params, n_tr)
     paths = _outputs(args, "scan.csv", "tolerance.csv")
     diagnostics = Counter(no_crossing_points=0, bisection_probes=0, kernel_calls=0)
@@ -388,32 +339,13 @@ def _value(text: str):
     return text
 
 
-# each config key with a flag (named after its last part): the flag's help
-_FLAGS = {
-    "preset": "|".join(sorted(PRESETS)),
-    "alpha": "measurement rotation magnitude (rad)",
-    "phi": "electron readout azimuth (rad)",
-    "p_plus": "readout fidelity for |+phi>",
-    "p_minus": "readout fidelity for |-phi>",
-    "n_plus": "mean photon number, bright state",
-    "n_minus": "mean photon number, dark state",
-    "n": "binary measurements (cycles) per record",
-    "law": "exact|gaussian (default exact)",
-    "threshold_mode": "exact|gaussian (default exact)",
-    "tau_ns": "CPMG period (ns)",
-    "alpha_vec": "measurement rotation vector x,y,z (rad)",
-    "error": "systematic|random (default systematic)",
-    "delta_phi": "error angle or std (rad)",
-    "error_axis": "error axis x,y,z (default 0,0,1)",
-    "n_max": "survival-curve horizon (default 10000)",
-    "seed": "master seed (trajectories: default 0; stability: random errors only)",
-    "n_traj": "trajectories (default 1000)",
-    "initial": "plus|minus|mixed (default plus)",
-    "cycle_rot": "per-cycle rotation vector x,y,z (rad)",
-    "scan.n_tdd": "sequence-duration grid points (default 256)",
-    "scan.n_tr": "waiting-time grid points (default 256)",
-    "scan.n_max": "lifetime iteration cap (default 1000000)",
-}
+def _help(spec) -> str:
+    """A flag's help: a choice's names, the key's text, and its default if it has one."""
+    text = " ".join(filter(None, ("|".join(spec.options), spec.help)))
+    values = spec.default if isinstance(spec.default, tuple) else (spec.default,)
+    spelled = ",".join(f"{v:g}" if isinstance(v, float) else str(v) for v in values)
+    return text if spec.default is None or spec.default is ... else f"{text} (default {spelled})"
+
 
 _COMMANDS = {
     "table1": (_cmd_table1, "Larmor periods of the built-in parameter sets"),
@@ -428,7 +360,7 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """One subparser per subcommand: the paths, and a flag per key of ``_FLAGS``.
+    """One subparser per subcommand: the paths, and a flag per key of ``KEYS`` with help.
 
     With ``command``, only its subparser is built; the usage still names
     every subcommand, so its help and error texts are those of the full parser.
@@ -450,10 +382,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         else:
             p.add_argument("--out", default=name.replace("-", "_"), help="output path prefix")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
-        for key in KEYS[name]:
-            if key in _FLAGS:
+        for key, spec in KEYS[name].items():
+            if spec.help is not None:
                 flag = "--" + key.rpartition(".")[2].replace("_", "-")
-                p.add_argument(flag, type=_value, dest=key, help=_FLAGS[key])
+                p.add_argument(flag, type=_value, dest=key, help=_help(spec))
         p.set_defaults(func=func)
     return parser
 
@@ -468,7 +400,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     args.started, args.made = time.time(), []
     try:
-        args.func(args, _inputs(args))
+        args.func(args, Inputs.gather(args.command, args.config, vars(args)))
         return 0
     except ValueError as exc:  # refused input, wherever it was found
         print(f"config error: {exc}", file=sys.stderr)

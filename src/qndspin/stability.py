@@ -490,10 +490,10 @@ def analytic_survival(kind: str, alpha_mag: float, delta_phi: float, n) -> np.nd
     _finite(alpha_mag, "alpha_mag")
     _finite(delta_phi, "delta_phi")
     n = _finite(n, "n")
-    if kind == "systematic":
-        return np.exp(-n * delta_phi**2 / (2.0 * _half_tan(alpha_mag) ** 2))
-    if kind == "random":
-        return np.exp(-n * delta_phi**2 / 2.0)
+    if kind in ("systematic", "random"):
+        scale = 2.0 * _half_tan(alpha_mag) ** 2 if kind == "systematic" else 2.0
+        with np.errstate(over="ignore"):  # an exponent beyond the float range decays to 0
+            return np.exp(-n * delta_phi**2 / scale)
     if kind == "dephasing_exact":
         return np.cos(delta_phi) ** n
     if kind == "echo_exact":

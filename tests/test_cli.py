@@ -303,6 +303,7 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv):
         ({"A_MHz": [1e150, 0.0, 0.0]}, "a_mhz must give a finite |A|**2 in rad/s"),
         ({"scan": {"tau_rel_max": 1e300}}, "seq must have turns |omega +- A/2| * width"),
         ({"scan": {"tau_rel_min": 1e300}}, "seq must have turns |omega +- A/2| * width"),
+        ({"scan.n_tdd": 3}, "config key 'scan.n_tdd' belongs inside its 'scan' block"),
     ],
     ids=[
         "min nan",
@@ -334,6 +335,7 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv):
         "A_MHz overflowing in rad/s",
         "max turns overflowing",
         "min turns overflowing",
+        "block key outside its block",
     ],
 )
 def test_nv_scan_bad_tau_span_is_config_error(tmp_path, capsys, cfg, message):
@@ -525,6 +527,20 @@ def test_rotations_whose_squared_norm_overflows_are_refused_by_name(
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"config error: {message}") and not captured.out
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "alpha_vec, got",
+    [("0,0,0", "0.0"), ("0,0,1e-170", "[0.0, 0.0, 1e-170], whose magnitude underflows to 0")],
+    ids=["zero", "underflowing"],
+)
+def test_stability_shows_an_alpha_vec_without_magnitude(tmp_path, capsys, alpha_vec, got):
+    """A vector whose norm underflows is shown as given, not as the zero it rounds to."""
+    argv = ["stability", "--alpha-vec", alpha_vec, "--delta-phi", "0.1"]
+    assert main(argv + ["--out", str(tmp_path / "s")]) == 2
+    message = f"config error: alpha_vec must have a magnitude in (0, pi], got {got}\n"
+    assert capsys.readouterr().err == message
     assert not os.listdir(tmp_path)
 
 

@@ -19,8 +19,8 @@ def test_no_source_line_is_longer_than_100_characters():
 
 # The private names one module may import from another: the shared numeric and
 # guard helpers of rotations (for any module), trajectory's kernel driver for
-# stability's fixed-axis kernel, the chord angle for nv's residuals, and the
-# readout keys for the CLI.  Everything else crosses modules by a public name.
+# stability's fixed-axis kernel and the chord angle for nv's residuals.
+# Everything else crosses modules by a public name.
 ROTATIONS_HELPERS = {
     "_ATAN2",
     "_NEXT",
@@ -39,7 +39,6 @@ SHARED_PRIVATE_NAMES = {
         for name in ("_apply", "_axis_frame", "_child_generators", "_frame_terms", "_slices")
     },
     ("nv", "control", "_chord_angle"),
-    ("cli", "config", "_READOUT_KEYS"),
 }
 
 

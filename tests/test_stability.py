@@ -100,6 +100,17 @@ def test_survival_systematic_matches_exponential():
     assert curve.lifetime == pytest.approx(predicted, rel=0.2)
 
 
+@pytest.mark.parametrize(
+    "kind, alpha_mag, dphi",
+    [("systematic", 1.4e-160, 0.05), ("systematic", 1.0, 1e154), ("random", 1.0, 1e154)],
+    ids=["tan underflowing", "systematic angle", "random std"],
+)
+def test_an_exponent_beyond_the_float_range_decays_to_zero(kind, alpha_mag, dphi):
+    """``S(0) = 1`` and ``S(N) = 0`` after, without an overflow warning (an error here)."""
+    expected = [1.0, 0.0, 0.0, 0.0]
+    np.testing.assert_array_equal(analytic_survival(kind, alpha_mag, dphi, np.arange(4)), expected)
+
+
 def test_survival_random_single_seed_deterministic():
     err = RotationErrorModel("random", std=0.1, axis=EZ, seed=5)
     a = survival_curve(0.4 * EX, err, 100)
