@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .measurement import MeasurementSetting, binary_stats, outcome_prob
-from .rotations import _checked_int
+from .rotations import _checked_int, _divisor
 
 __all__ = [
     "DN_THRESHOLD",
@@ -277,6 +277,6 @@ def critical_n(strength_d: float) -> int:
     """
     if strength_d == 0.0:
         raise ValueError("strength_d must be positive: D = 0 carries no information per shot")
-    if not strength_d > 0.0:
-        raise ValueError(f"strength_d must be positive, got {strength_d}")
+    if strength_d != math.inf:
+        _divisor(strength_d, "strength_d", "be positive: inf, or")
     return max(1, math.ceil(2.0 / strength_d**2))

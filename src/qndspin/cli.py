@@ -50,7 +50,7 @@ from .nv import (
     scan_2d,
     tolerance_profile,
 )
-from .rotations import _unit_axis, rotor_exp
+from .rotations import M, _unit_axis, rotor_exp
 from .stability import RotationErrorModel, analytic_survival, survival_curve
 from .trajectory import NuclearState, run_ensemble
 
@@ -257,11 +257,9 @@ def _cmd_stability(args, inputs: Inputs) -> None:
     keys = ("alpha_vec", "error", "delta_phi", "error_axis", "n_max", "seed")
     alpha_vec, kind, delta_phi, error_axis, n_max, seed = map(inputs.resolve, keys)
     alpha_mag = float(np.linalg.norm(alpha_vec))
-    # the measurement axis must exist, and |alpha| is canonical as in MeasurementSetting
-    if not 0.0 < alpha_mag <= math.pi + 1e-9:
-        underflows = alpha_mag == 0.0 and any(alpha_vec)
-        got = f"{alpha_vec}, whose magnitude underflows to 0" if underflows else alpha_mag
-        raise ValueError(f"alpha_vec must have a magnitude in (0, pi], got {got}")
+    # the measurement axis divides by |alpha|, which is canonical as in MeasurementSetting
+    if not 1.0 / M <= alpha_mag <= math.pi + 1e-9:
+        raise ValueError(f"alpha_vec must have a magnitude in [{1.0 / M:g}, pi], got {alpha_mag}")
     if kind == "systematic":
         axis = _unit_axis(error_axis, "error_axis")
         error = RotationErrorModel(kind, delta_phi=delta_phi * axis, seed=seed)  # refuses a seed

@@ -7,8 +7,10 @@ overrides the key of its name, and the manifest's ``parameters`` record each
 resolved key under the same name and nesting, so a manifest replays as a
 config.  Angles are in radians, and a unit ends a key's name (1 MHz =
 2*pi*1e6 rad/s); ``tau_ns`` is the CPMG period, ``t_DD_ns`` the sequence
-duration.  Every refusal is a ``ValueError`` naming the key.  The rules that
-join keys stay as code, each in one place:
+duration.  Every number, and every vector's norm, is at most ``M`` in
+magnitude (the domain of the ``rotations`` docstring).  Every refusal is a
+``ValueError`` naming the key.  The rules that join keys stay as code, each
+in one place:
 
 - the readout as ``p_plus``/``p_minus``, ``n_plus``/``n_minus`` or
   ``n_bar``/``contrast``, one pair only (``Inputs.readout``);
@@ -16,7 +18,7 @@ join keys stay as code, each in one place:
 - the preset overlay: ``preset``'s values under the given system keys
   (``Inputs.nv_params``);
 - nv-scan's ``scan.n_tr >= 2`` and its refusal of ``phi`` (``cli._cmd_nv_scan``);
-- stability's ``|alpha_vec|`` in (0, pi] (``cli._cmd_stability``);
+- stability's ``|alpha_vec|`` in [1/M, pi] (``cli._cmd_stability``);
 - ideal readout for ``trajectories`` (``trajectory.run_ensemble``);
 - the refusal of a ``seed`` for systematic errors (``stability.RotationErrorModel``).
 """
@@ -31,12 +33,12 @@ from typing import Callable, NamedTuple
 from .hyperfine import cpmg
 from .measurement import ReadoutModel
 from .nv import PRESETS, NvParams, room_temp_readout
+from .rotations import M
 
 __all__ = [
     "KEYS",
     "Inputs",
     "Key",
-    "as_angle",
     "as_choice",
     "as_count",
     "as_number",
@@ -62,26 +64,16 @@ def as_seed(value, key: str) -> int:
 
 
 def as_number(value, key: str) -> float:
-    """A JSON number (not a boolean); its range is the library's to check."""
-    if type(value) not in (int, float):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer beyond the float range reads as json's 1e400 does
-        return math.inf if value > 0 else -math.inf
+    """A JSON number (not a boolean) of magnitude at most ``M``."""
+    if type(value) not in (int, float) or not abs(value) <= M:  # nan and inf fail too
+        raise ValueError(f"{key} must be a number of magnitude at most {M:g}, got {value!r}")
+    return float(value)
 
 
 def as_positive(value, key: str) -> float:
-    """A positive finite number."""
-    if not 0.0 < (value := as_number(value, key)) < math.inf:
-        raise ValueError(f"{key} must be positive and finite, got {value}")
-    return value
-
-
-def as_angle(value, key: str) -> float:
-    """A number whose square is finite, as a rotation angle's must be."""
-    if not math.isfinite((value := as_number(value, key)) * value):
-        raise ValueError(f"{key} must be a number whose square is finite, got {value}")
+    """A positive number."""
+    if not (value := as_number(value, key)) > 0.0:
+        raise ValueError(f"{key} must be positive, got {value}")
     return value
 
 
@@ -93,12 +85,12 @@ def as_choice(value, key: str, *options: str) -> str:
 
 
 def as_vector(value, key: str) -> list[float]:
-    """Three numbers whose squared norm is finite, as a rotation's must be."""
-    message = f"{key} must be a 3-vector of finite numbers with finite squared norm, got {value!r}"
+    """Three numbers whose norm is at most ``M``."""
+    message = f"{key} must be a 3-vector of numbers with a norm of at most {M:g}, got {value!r}"
     if not (isinstance(value, (list, tuple)) and len(value) == 3):
         raise ValueError(message)
     vector = [as_number(v, key) for v in value]
-    if not math.isfinite(sum(v * v for v in vector)):  # nan and inf entries included
+    if math.hypot(*vector) > M:
         raise ValueError(message)
     return vector
 
@@ -123,7 +115,7 @@ _READOUT = {
     "contrast": Key(as_number, None),
 }
 _SETTING = {
-    "alpha": Key(as_angle, 0.1, "measurement rotation magnitude (rad)"),
+    "alpha": Key(as_number, 0.1, "measurement rotation magnitude (rad)"),
     "phi": Key(as_number, math.pi / 2, "electron readout azimuth (rad)"),
     **_READOUT,
 }
@@ -147,7 +139,7 @@ KEYS = {
     "stability": {
         "alpha_vec": Key(as_vector, ..., "measurement rotation vector x,y,z (rad)"),
         "error": Key(as_choice, "systematic", "", ("systematic", "random")),
-        "delta_phi": Key(as_angle, ..., "error angle or std (rad)"),
+        "delta_phi": Key(as_number, ..., "error angle or std (rad)"),
         "error_axis": Key(as_vector, (0.0, 0.0, 1.0), "error axis x,y,z"),
         "n_max": Key(as_count, 10_000, "survival-curve horizon"),
         "seed": Key(as_seed, None, "master seed of random errors (systematic ones take none)"),

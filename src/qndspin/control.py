@@ -32,8 +32,8 @@ import math
 import numpy as np
 
 from .hyperfine import DDSequence, SpinSystem, extract_alpha_phi
-from .rotations import _ATAN2, _NEXT, _PREV, Rotor, _checked_int, _dot, _finite, _unit_axis
-from .rotations import rotor_compose, rotor_exp, rotor_log_full, so3_from_rotor
+from .rotations import _ATAN2, _NEXT, _PREV, Rotor, _checked_int, _divisor, _dot, _finite
+from .rotations import _unit_axis, _vector, rotor_compose, rotor_exp, rotor_log_full, so3_from_rotor
 
 __all__ = [
     "qnd_residual",
@@ -79,9 +79,10 @@ def solve_waiting_time(sys: SpinSystem, phi_dd, alpha_hat, window: tuple[float, 
 
     ``phi_dd`` and ``alpha_hat`` share one shape ``(..., 3)``; row ``i`` of a
     batch equals the one-row call bit for bit (the rules of the ``rotations``
-    docstring).  A shape mismatch, a non-finite ``phi_dd``, a zero or
-    non-finite ``alpha_hat`` row and a non-finite or empty window refuse the
-    whole call with a ``ValueError``.
+    docstring).  A shape mismatch, a ``phi_dd`` or ``alpha_hat`` row or a
+    window outside the domain of the ``rotations`` docstring, an empty window
+    and a ``sys`` whose ``|w|`` lies outside it refuse the whole call with a
+    ``ValueError``.
 
     Returns per row ``(t, residual)`` pairs in increasing ``t``: every ``t_k``
     in ``(lo, hi) = window`` (any span, negative times allowed), one period
@@ -93,20 +94,19 @@ def solve_waiting_time(sys: SpinSystem, phi_dd, alpha_hat, window: tuple[float, 
     One row (shape ``(3,)``) gives its list of pairs, a batch nested lists of
     the batch shape.
     """
-    lo, hi = float(window[0]), float(window[1])
-    if not math.isfinite(hi - lo):  # an infinite end, or a span that overflows
-        raise ValueError(f"search window must be finite, got {window}")
+    lo, hi = _finite(window, "window").tolist()
     if not hi > lo:
         raise ValueError("search window must be non-empty")
-    phi_dd, alpha_hat = _finite(phi_dd, "phi_dd"), np.asarray(alpha_hat, dtype=float)
+    phi_dd, alpha_hat = np.asarray(phi_dd, dtype=float), np.asarray(alpha_hat, dtype=float)
     if phi_dd.shape != alpha_hat.shape or alpha_hat.shape[-1:] != (3,):
         shapes = f"{phi_dd.shape} and {alpha_hat.shape}"
         raise ValueError(f"phi_dd and alpha_hat must share one shape (..., 3), got {shapes}")
     batch = alpha_hat.shape[:-1]
+    phi_dd = _vector(phi_dd.reshape(-1, 3), "phi_dd", stacked=True)
     alpha_hat = _unit_axis(alpha_hat.reshape(-1, 3), "alpha_hat", stacked=True)
-    rate = float(np.linalg.norm(sys.wait_field))
+    rate = float(_divisor(np.linalg.norm(sys.wait_field), "sys", "give a wait field |omega + A/2|"))
     w_hat = sys.wait_field / rate
-    m = (so3_from_rotor(rotor_exp(phi_dd.reshape(-1, 3))) @ alpha_hat[..., None])[..., 0]
+    m = (so3_from_rotor(rotor_exp(phi_dd)) @ alpha_hat[..., None])[..., 0]
     # R(theta) turns the part of m across w and keeps the part along it
     m_perp = m - _dot(m, w_hat)[:, None] * w_hat
     a_perp = alpha_hat - _dot(alpha_hat, w_hat)[:, None] * w_hat

@@ -32,8 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rotations import (
+    M,
     Rotor,
     _checked_int,
+    _divisor,
     _dot,
     _finite,
     _vector,
@@ -69,9 +71,7 @@ class SpinSystem:
 
     ``omega_n`` is the bare (signed) nuclear Zeeman frequency in rad/s along
     ``e_z``; ``a_plus`` / ``a_minus`` are the rad/s hyperfine vectors for the
-    electron in ``|+z>`` / ``|-z>``.  Each conditional field ``omega_n e_z +
-    a_pm`` must have a finite square, so that the norms taken below do not
-    overflow.
+    electron in ``|+z>`` / ``|-z>``.
     """
 
     omega_n: float
@@ -81,15 +81,7 @@ class SpinSystem:
     def __post_init__(self):
         _finite(self.omega_n, "omega_n")
         self.a_plus, self.a_minus = _vector(self.a_plus, "a_plus"), _vector(self.a_minus, "a_minus")
-        for name, a in (("a_plus", self.a_plus), ("a_minus", self.a_minus)):
-            with np.errstate(over="ignore"):
-                field = self.omega_n * _EZ + a
-                if not np.isfinite(_dot(field, field)):
-                    raise ValueError(
-                        f"{name} must give a finite |omega_n e_z + {name}|**2, got {a}"
-                    )
-        if self.omega_mag == 0.0:
-            raise ValueError("omega_n, a_plus and a_minus must give a nonzero omega")
+        _divisor(self.omega_mag, "omega_n, a_plus and a_minus", "give an |omega|")
 
     @classmethod
     def from_vectors(cls, omega, hyperfine) -> "SpinSystem":
@@ -147,9 +139,8 @@ class DDSequence:
     duration: float | np.ndarray
 
     def __post_init__(self):
-        self.pulse_times = np.asarray(self.pulse_times, dtype=float)
-        if not np.all(np.asarray(self.duration) > 0.0):
-            raise ValueError("sequence duration must be positive")
+        _divisor(self.duration, "duration")
+        self.pulse_times = _finite(self.pulse_times, "pulse_times")
         if self.n_pulses:
             if np.any(np.diff(self.pulse_times, axis=-1) < 0.0):
                 raise ValueError("pulse times must be sorted")
@@ -174,23 +165,13 @@ class DDSequence:
 def cpmg(n_periods: int, tau) -> DDSequence:
     """CPMG sequences of ``n_periods`` repetitions of (tau/4 - pi - tau/2 - pi - tau/4), per tau.
 
-    A ``tau`` that is not positive, or whose pulse times or duration
-    ``n_periods * tau`` overflow, is refused.
+    Each ``tau`` is a period, and ``DDSequence`` checks the duration ``n_periods * tau``.
     """
     n_periods = _checked_int(n_periods, "n_periods", 1)
-    tau = np.asarray(tau, dtype=float)[..., None]
-    if not np.all(tau > 0.0):  # a nan period would pass a "<= 0" test
-        raise ValueError("tau must be positive")
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite tau gives 0 * inf
-        starts = np.arange(n_periods) * tau
-        times = np.sort(np.concatenate((starts + tau / 4.0, starts + 3.0 * tau / 4.0), axis=-1))
-        duration = n_periods * tau[..., 0]
-    if not (np.isfinite(times).all() and np.isfinite(duration).all()):
-        raise ValueError(
-            f"tau must keep n_periods * tau finite, got {n_periods} periods of up to "
-            f"{float(tau.max())!r} s"
-        )
-    return DDSequence(times, duration)
+    tau = _divisor(tau, "tau")[..., None]
+    starts = np.arange(n_periods) * tau
+    times = np.sort(np.concatenate((starts + tau / 4.0, starts + 3.0 * tau / 4.0), axis=-1))
+    return DDSequence(times, n_periods * tau[..., 0])
 
 
 def exact_dd_evolution(sys: SpinSystem, seq: DDSequence) -> tuple[Rotor, Rotor]:
@@ -201,18 +182,17 @@ def exact_dd_evolution(sys: SpinSystem, seq: DDSequence) -> tuple[Rotor, Rotor]:
     branches and all sequences of a batch advance together, each row bit for
     bit its one-sequence result (a zero-width interval leaves its rows alone).
     A sequence whose widest interval turns by an angle ``|omega +- A/2| *
-    width`` with an overflowing square is refused before any rotor is built.
+    width`` beyond ``M`` is refused before any rotor is built.
     """
     widths = np.diff(seq.interval_bounds())
     widest = float(widths.max(initial=0.0))  # its turns are the evolution's largest, bit for bit
     omega, half_a = sys.omega, 0.5 * sys.hyperfine
-    with np.errstate(over="ignore"):
-        turns = (omega + np.array([[1.0], [-1.0]]) * half_a) * widest
-        if not np.isfinite(_dot(turns, turns)).all():
-            raise ValueError(
-                "seq must have turns |omega +- A/2| * width with finite squares, "
-                f"got a widest interval of {widest!r} s"
-            )
+    turns = (omega + np.array([[1.0], [-1.0]]) * half_a) * widest
+    if not (np.sqrt(_dot(turns, turns)) <= M).all():
+        raise ValueError(
+            f"seq must have turns |omega +- A/2| * width of at most {M:g} rad, "
+            f"got a widest interval of {widest!r} s"
+        )
     batch = widths.shape[:-1]
     u = Rotor(np.ones((2, *batch)), np.zeros((2, *batch, 3)))
     branch = np.array([1.0, -1.0]).reshape((2,) + (1,) * len(batch) + (1,))  # |+z>, |-z>
@@ -252,27 +232,15 @@ def extract_alpha_phi(
     return alpha_vec, phi_dd
 
 
-def _check_omega(omega_mag, duration) -> None:
-    """Refuse an ``omega_mag`` whose phase ``omega_mag * duration`` over a
-    sequence is not positive and finite: it may not overflow or underflow to 0."""
-    if not 0.0 < float(omega_mag) * float(duration) < math.inf:  # a nan fails too
-        raise ValueError(
-            "omega_mag must give a positive, finite phase omega_mag * duration, "
-            f"got {omega_mag!r} over {float(duration)!r} s"
-        )
-
-
 def filter_function(seq: DDSequence, omega_mag: float) -> complex:
     """Normalized Fourier overlap of the modulation with ``exp(i |omega| t)``.
 
     Evaluated interval-by-interval in closed form:
     ``f = sum_k s_k (exp(i w t_{k+1}) - exp(i w t_k)) / (i w t_dd)``.
-    Finite for every sequence and every frequency whose phase ``w t_dd`` is
-    positive and finite.
     """
     if np.ndim(seq.duration):
         raise ValueError(f"seq must be one sequence, got a batch of shape {np.shape(seq.duration)}")
-    _check_omega(omega_mag, seq.duration)
+    _divisor(omega_mag, "omega_mag")
     bounds = seq.interval_bounds()
     signs = seq.interval_signs()
     phases = np.exp(1j * omega_mag * bounds)
@@ -290,7 +258,7 @@ def cpmg_filter_closed_form(n_periods: int, tau: float, omega_mag: float) -> com
     ``omega_mag`` as ``filter_function`` refuses it.
     """
     seq = cpmg(n_periods, tau)
-    _check_omega(omega_mag, seq.duration)
+    _divisor(omega_mag, "omega_mag")
     t_dd = n_periods * tau
     denom = math.cos(omega_mag * tau / 4.0)
     if abs(denom) < 1e-8:

@@ -39,7 +39,8 @@ from .cascade import critical_n
 from .control import _chord_angle, solve_waiting_time
 from .hyperfine import MHZ, SpinSystem, cpmg, exact_dd_evolution, extract_alpha_phi
 from .measurement import MeasurementSetting, ReadoutModel, binary_stats
-from .rotations import _checked_int, _finite, _measurement_axis, _vector, rotor_exp, so3_from_rotor
+from .rotations import M, _checked_int, _divisor, _dot, _finite, _measurement_axis, _vector
+from .rotations import rotor_exp, so3_from_rotor
 from .stability import dephasing_map, first_crossing, tolerance, tolerance_time
 
 __all__ = [
@@ -65,7 +66,8 @@ SCAN_PHI = math.pi / 2
 
 @dataclass(frozen=True)
 class NvParams:
-    """Field, gyromagnetic ratio, hyperfine vector and CPMG period count."""
+    """Field, gyromagnetic ratio, hyperfine vector and CPMG period count, refused unless
+    ``omega_n``, ``|A|`` and the wait field ``|omega + A/2|`` lie in the domain (``rotations``)."""
 
     b_gauss: float
     n_dd: int
@@ -75,14 +77,15 @@ class NvParams:
     def __post_init__(self):
         _finite(self.b_gauss, "b_gauss")
         _finite(self.gamma_n_mhz_per_t, "gamma_n_mhz_per_t")
-        a_mhz = _vector(self.a_mhz, "a_mhz").tolist()
-        if not math.isfinite(sum((v * MHZ) * (v * MHZ) for v in a_mhz)):  # floats do not warn
-            raise ValueError(f"a_mhz must give a finite |A|**2 in rad/s, got {self.a_mhz}")
+        if not np.sqrt(_dot(a := _vector(self.a_mhz, "a_mhz") * MHZ, a)) <= M:
+            raise ValueError(f"a_mhz must give |A| of at most {M:g} rad/s, got {self.a_mhz}")
         _checked_int(self.n_dd, "n_dd", 1)
         if self.b_gauss <= 0.0:
             raise ValueError(f"b_gauss must be positive, got {self.b_gauss}")
-        if not 0.0 < (omega_n := self.omega_n) * omega_n < math.inf:  # periods divide by it
-            raise ValueError(f"gamma_n_mhz_per_t must give 0 < omega_n**2 < inf, got {omega_n}")
+        _divisor(abs(self.omega_n), "gamma_n_mhz_per_t", "give with b_gauss an |omega_n|")
+        # omega_n can round away against A/2 in the wait field, which periods divide by
+        wait = np.linalg.norm(nv_system(self).wait_field)
+        _divisor(wait, "b_gauss", "give with the other fields a wait field |omega + A/2|")
 
     @property
     def omega_n(self) -> float:
@@ -100,13 +103,6 @@ class NvParams:
         return nv_system(self).dd_period
 
 
-PRESETS = {
-    "P1": NvParams(b_gauss=691.0, n_dd=6),
-    "P2": NvParams(b_gauss=305.0, n_dd=6),
-    "P3": NvParams(b_gauss=305.0, n_dd=8),
-}
-
-
 def nv_system(params: NvParams) -> SpinSystem:
     """Electron-nuclear system with ``a_plus = 0`` for the ``m_S = 0`` branch."""
     return SpinSystem(
@@ -114,6 +110,13 @@ def nv_system(params: NvParams) -> SpinSystem:
         a_plus=np.zeros(3),
         a_minus=-np.asarray(params.a_mhz, dtype=float) * MHZ,
     )
+
+
+PRESETS = {
+    "P1": NvParams(b_gauss=691.0, n_dd=6),
+    "P2": NvParams(b_gauss=305.0, n_dd=6),
+    "P3": NvParams(b_gauss=305.0, n_dd=8),
+}
 
 
 def room_temp_readout(n_plus: float, n_minus: float) -> ReadoutModel:
@@ -230,11 +233,13 @@ def scan_2d(
     ``fallback_points`` (``first_crossing``), and the
     ``worst_alpha_phi_error`` of ``extract_alpha_phi``.
     """
-    tau_grid = _finite(tau_grid, "tau_grid")
+    tau_grid = _divisor(tau_grid, "tau_grid")  # periods
     tr_grid = _finite(tr_grid, "tr_grid")  # a nan column would read as the QND ridge
     if tau_grid.size == 0 or tr_grid.size == 0:
         raise ValueError("scan grids must be non-empty")
     n_max = _checked_int(n_max, "n_max", 1)  # no steps would read as the QND ridge everywhere
+    if n_max > np.iinfo(np.int64).max:  # first_crossing's horizon
+        raise ValueError(f"n_max must be at most 2**63 - 1, got {n_max}")
     n_tau, n_tr = tau_grid.size, tr_grid.size
 
     started = time.perf_counter()

@@ -21,6 +21,16 @@ batch shape; row ``i`` of a batched call equals the one-rotation call on row
    must stay unchanged are selected with ``np.where``: composing with the
    identity renormalizes a rotor and moves its bits.
 
+Domain.  Every float argument, every array entry and every vector's norm
+has a magnitude of at most ``M`` (1e75), and a value the library divides or
+normalizes by (an axis's norm, a frequency, a period or duration, a strength
+``D``) one of at least ``1/M``; anything else is a ``ValueError`` naming the
+argument.  Then no product of two in-domain values overflows, nor does its
+square, nor any quotient by a divisor.  The paper's NV values (B of a few
+hundred gauss, A ~ 2e6 rad/s, tau ~ 2 us) lie about 60 orders inside.
+``_finite``, ``_vector``, ``_unit_axis`` and ``_divisor`` check it; plain
+scalars, rotation vectors and arrays have no lower bound.
+
 Logarithm branches:
 
 * ``rotor_log`` returns the canonical representative with ``|theta| <= pi``,
@@ -51,6 +61,9 @@ __all__ = [
     "so3_from_rotor",
     "su2_matrix",
 ]
+
+# The bound of the library's domain (module docstring).
+M = 1e75
 
 _NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 _ATAN2 = np.frompyfunc(math.atan2, 2, 1)
@@ -88,32 +101,44 @@ def _checked_int(value, name: str, least: int) -> int:
 
 
 def _finite(array, name: str) -> np.ndarray:
-    """``array`` as floats; a non-finite entry is a ``ValueError`` naming ``name``."""
+    """``array`` as floats; an entry beyond ``M`` in magnitude (nan and inf
+    included) is a ``ValueError`` naming ``name``."""
     array = np.asarray(array, dtype=float)
-    if not np.isfinite(array).all():
-        raise ValueError(f"{name} must be finite")
+    if not (np.abs(array) <= M).all():
+        raise ValueError(f"{name} must be finite and at most {M:g} in magnitude")
     return array
 
 
-def _vector(value, name: str, stacked: bool = False, finite: bool = True) -> np.ndarray:
+def _divisor(value, name: str, rule: str = "lie") -> np.ndarray:
+    """``value`` as floats, each in ``[1/M, M]`` as what the library divides or
+    normalizes by must be; else a ``ValueError`` that ``name`` must ``rule`` there."""
+    value = np.asarray(value, dtype=float)
+    if not (inside := (1.0 / M <= value) & (value <= M)).all():  # a nan fails too
+        got = value[~inside].item(0)  # the first, as a one-row call would show it
+        raise ValueError(f"{name} must {rule} in [{1.0 / M:g}, {M:g}], got {got!r}")
+    return value
+
+
+def _vector(value, name: str, stacked: bool = False) -> np.ndarray:
     """``value`` as floats: one 3-vector, or a ``(..., 3)`` stack of them when
-    ``stacked``.  Another shape, or a non-finite entry when ``finite``, is a
+    ``stacked``.  Another shape, or an entry or a norm beyond ``M``, is a
     ``ValueError`` naming ``name``."""
     value = np.asarray(value, dtype=float)
     if (value.shape[-1:] if stacked else value.shape) != (3,):
         kind = "3-vectors along its last axis" if stacked else "one 3-vector"
         raise ValueError(f"{name} must be {kind}, got shape {value.shape}")
-    return _finite(value, name) if finite else value
+    if not (np.sqrt(_dot(_finite(value, name), value)) <= M).all():
+        raise ValueError(f"{name} must have a norm of at most {M:g}")
+    return value
 
 
 def _unit_axis(axis, what: str, stacked: bool = False) -> np.ndarray:
     """``axis / |axis|`` for one 3-vector, or per row of a ``(..., 3)`` stack when
-    ``stacked``; another shape, or a zero, underflowing or non-finite row, is a
-    ``ValueError`` naming ``what``."""
-    axis = _vector(axis, what, stacked, finite=False)
+    ``stacked``; another shape, an entry beyond ``M`` or a norm outside
+    ``[1/M, M]`` (a zero row included) is a ``ValueError`` naming ``what``."""
+    axis = _vector(axis, what, stacked)
     norm = np.sqrt(_dot(axis, axis))  # the bits of np.linalg.norm on each row
-    if not np.all(np.isfinite(norm) & (norm > 0.0)):
-        raise ValueError(f"{what} must be nonzero and finite")
+    _divisor(norm, what, "be an axis with a norm")
     return axis / norm[..., None]
 
 
@@ -126,7 +151,7 @@ def _measurement_axis(alpha_vec) -> np.ndarray:
 
 def rotor_exp(theta) -> Rotor:
     """Rotor of ``exp(-i theta . I)`` for axis-angle vectors ``theta``."""
-    theta = np.asarray(theta, dtype=float)
+    theta = _vector(theta, "theta", stacked=True)
     half = 0.5 * np.sqrt(_dot(theta, theta))
     # sin(half)/|theta| -> 1/2 smoothly as |theta| -> 0
     return Rotor(np.cos(half), (-0.5 * np.sinc(half / math.pi))[..., None] * theta)

@@ -12,8 +12,8 @@ and the survival of the measured eigenstate is ``S(N) = alpha_hat . a(N)``.
 The lifetime ``N_L`` is the first ``N`` where ``S(N)`` reaches ``1/e``
 (``inf`` if it never does within the horizon; oscillatory cases such as the
 ``alpha = pi`` echo may never cross).  ``inf`` means that and nothing else:
-the public functions refuse non-finite inputs and zero axes at entry (a
-projective ``D = inf`` and its infinite tolerance aside).
+the public functions refuse inputs outside the domain of the ``rotations``
+docstring at entry (a projective ``D = inf`` and its infinite tolerance aside).
 
 Small-error closed forms, for the worst case of a fixed error axis
 perpendicular to the measurement axis:
@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hyperfine import SpinSystem
-from .rotations import _checked_int, _finite, _measurement_axis, _unit_axis, _vector
+from .rotations import M, _checked_int, _divisor, _finite, _measurement_axis, _unit_axis, _vector
 from .rotations import rotor_exp, so3_from_rotor
 from .trajectory import _apply, _axis_frame, _child_generators, _frame_terms, _slices
 
@@ -114,8 +114,8 @@ def dephasing_map(alpha_vec) -> np.ndarray:
 
 def _checked_std(std) -> float:
     std = float(std)
-    if not (math.isfinite(std) and std >= 0.0):
-        raise ValueError(f"std must be nonnegative and finite, got {std}")
+    if not 0.0 <= std <= M:
+        raise ValueError(f"std must be nonnegative and at most {M:g}, got {std}")
     return std
 
 
@@ -273,8 +273,9 @@ def first_crossing(maps, axes, horizon, diagnostics: Counter | None = None) -> n
     ``maps`` has shape ``(P, 3, 3)`` (the per-cycle maps ``G``), ``axes``
     shape ``(P, 3)`` (the measured axes ``a``) and ``horizon`` is an integer
     or one integer per point.  Points that do not cross within their horizon
-    get ``inf``; non-finite maps, zero or non-finite axes, other shapes and
-    a horizon that is not of an integer dtype are refused.
+    get ``inf``; maps and axes outside the domain of the ``rotations``
+    docstring, zero axes, other shapes and a horizon that is not of an
+    integer dtype or exceeds ``2**63 - 1`` are refused.
 
     Steps are evaluated a chunk of ``k`` at a time from the rows ``a^T G^j``
     (see the module docstring), with ``k = 1, 2, 4, ...`` doubling up to
@@ -318,6 +319,8 @@ def first_crossing(maps, axes, horizon, diagnostics: Counter | None = None) -> n
     if horizon.dtype.kind not in "iu" or horizon.shape not in ((), (1,), axes.shape[:1]):
         got = f"dtype {horizon.dtype}, shape {horizon.shape}"
         raise ValueError(f"horizon must be one integer or one per point ({len(axes)}), got {got}")
+    if (horizon > np.iinfo(np.int64).max).any():  # a uint64 one would wrap below 0
+        raise ValueError(f"horizon must be at most 2**63 - 1, got {horizon.max()}")
     horizon = np.broadcast_to(horizon.astype(np.int64), axes.shape[:1])
     threshold = 1.0 / math.e
     lifetimes = np.full(axes.shape[0], math.inf)
@@ -504,8 +507,8 @@ def analytic_survival(kind: str, alpha_mag: float, delta_phi: float, n) -> np.nd
 
 def tolerance(strength_d: float, alpha_mag: float, kind: str) -> float:
     """Largest per-cycle error keeping ``N_L`` above the critical count."""
-    if not strength_d > 0.0:
-        raise ValueError(f"strength_d must be positive, got {strength_d}")
+    if strength_d != math.inf:
+        _divisor(strength_d, "strength_d", "be positive: inf, or")
     _finite(alpha_mag, "alpha_mag")
     if kind == "systematic":
         return strength_d * abs(_half_tan(alpha_mag))
@@ -516,6 +519,7 @@ def tolerance(strength_d: float, alpha_mag: float, kind: str) -> float:
 
 def tolerance_time(delta_phi_tol: float, sys: SpinSystem) -> float:
     """Waiting-time tolerance ``delta_phi / |omega + A/2|`` in seconds."""
-    if not delta_phi_tol >= 0.0:  # inf, the tolerance of a projective D, passes
-        raise ValueError(f"delta_phi_tol must be nonnegative, got {delta_phi_tol}")
-    return delta_phi_tol / float(np.linalg.norm(sys.wait_field))
+    if not (0.0 <= delta_phi_tol <= M or delta_phi_tol == math.inf):  # a projective D's
+        raise ValueError(f"delta_phi_tol must lie in [0, {M:g}] or be inf, got {delta_phi_tol}")
+    rate = _divisor(np.linalg.norm(sys.wait_field), "sys", "give a wait field |omega + A/2|")
+    return delta_phi_tol / float(rate)

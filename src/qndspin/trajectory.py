@@ -98,8 +98,8 @@ class NuclearState:
     bloch: np.ndarray
 
     def __post_init__(self):
-        self.bloch = _vector(self.bloch, "bloch", finite=False)  # a nan fails the norm below
-        if not float(np.linalg.norm(self.bloch)) <= 1.0 + 1e-12:  # nan fails too
+        self.bloch = _vector(self.bloch, "bloch")
+        if not float(np.linalg.norm(self.bloch)) <= 1.0 + 1e-12:
             raise ValueError(f"polarization must satisfy |bloch| <= 1, got {self.bloch}")
 
     @classmethod

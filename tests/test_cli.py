@@ -271,6 +271,10 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv):
     assert not os.listdir(tmp_path)
 
 
+# the message of a config number beyond the domain, between the key and the value
+_BEYOND = "must be a number of magnitude at most 1e+75, got"
+
+
 @pytest.mark.parametrize(
     "cfg, message",
     [
@@ -279,9 +283,9 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv):
         ({"scan": {"tau_rel_min": 0.0}}, "scan.tau_rel_"),
         ({"scan": {"tau_rel_max": -1.05}}, "scan.tau_rel_"),
         ({"scan": {"tau_rel_min": "wide"}}, "scan.tau_rel_"),
-        ({"A_MHz": [0.2, math.nan, 0.3]}, "A_MHz must be a 3-vector of finite numbers"),
-        ({"B_gauss": math.nan}, "b_gauss must be finite"),
-        ({"gamma_n_MHz_per_T": math.inf}, "gamma_n_mhz_per_t must be finite"),
+        ({"A_MHz": [0.2, math.nan, 0.3]}, f"A_MHz {_BEYOND} nan"),
+        ({"B_gauss": math.nan}, f"B_gauss {_BEYOND} nan"),
+        ({"gamma_n_MHz_per_T": math.inf}, f"gamma_n_MHz_per_T {_BEYOND} inf"),
         ({"N_DD": 2.5}, "N_DD must be an integer"),
         ({"scan": {"n_tdd": 2.7}}, "scan.n_tdd must be an integer"),
         ({"scan": {"n_tdd": True}}, "scan.n_tdd must be an integer"),
@@ -289,7 +293,7 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv):
         ({"scan": {"n_max": False}}, "scan.n_max must be an integer"),
         ({"scan": {"n_tr": 1}}, "n_tr must be >= 2"),
         ({"phi": 1.0}, "'phi'"),
-        ({"p_plus": [0.9], "p_minus": 0.9}, "p_plus must be a number, got [0.9]"),
+        ({"p_plus": [0.9], "p_minus": 0.9}, f"p_plus {_BEYOND} [0.9]"),
         ({"preset": ["P1"]}, "unknown preset ['P1']"),
         ({"preset": {"a": 1}}, "unknown preset {'a': 1}"),
         ({"preset": "P9"}, "unknown preset 'P9'"),
@@ -297,12 +301,20 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv):
         ({"A_MHz": None}, "A_MHz must be a 3-vector"),
         ({"A_MHz": [0.2, 0.3]}, "A_MHz must be a 3-vector"),
         ({"scan": {"n_typo": 3}}, "unknown config keys: ['scan.n_typo']"),
-        ({"A_MHz": [1e200, 0.0, 0.0]}, "A_MHz must be a 3-vector of finite numbers with finite"),
-        ({"gamma_n_MHz_per_T": 1e300}, "gamma_n_mhz_per_t must give 0 < omega_n**2 < inf"),
-        ({"gamma_n_MHz_per_T": 0.0}, "gamma_n_mhz_per_t must give 0 < omega_n**2 < inf"),
-        ({"A_MHz": [1e150, 0.0, 0.0]}, "a_mhz must give a finite |A|**2 in rad/s"),
-        ({"scan": {"tau_rel_max": 1e300}}, "seq must have turns |omega +- A/2| * width"),
-        ({"scan": {"tau_rel_min": 1e300}}, "seq must have turns |omega +- A/2| * width"),
+        ({"A_MHz": [1e200, 0.0, 0.0]}, f"A_MHz {_BEYOND} 1e+200"),
+        ({"gamma_n_MHz_per_T": 1e300}, f"gamma_n_MHz_per_T {_BEYOND} 1e+300"),
+        ({"gamma_n_MHz_per_T": 0.0}, "gamma_n_mhz_per_t must give with b_gauss an |omega_n| in"),
+        ({"A_MHz": [1e150, 0.0, 0.0]}, f"A_MHz {_BEYOND} 1e+150"),
+        ({"scan": {"tau_rel_max": 1e300}}, f"scan.tau_rel_max {_BEYOND} 1e+300"),
+        ({"scan": {"tau_rel_min": 1e300}}, f"scan.tau_rel_min {_BEYOND} 1e+300"),
+        ({"A_MHz": [1e75, 1e75, 0.0]}, "A_MHz must be a 3-vector of numbers with a norm of"),
+        ({"gamma_n_MHz_per_T": 1e75}, "gamma_n_mhz_per_t must give with b_gauss an |omega_n| in"),
+        ({"A_MHz": [1e70, 0.0, 0.0]}, "a_mhz must give |A| of at most 1e+75 rad/s"),
+        ({"scan": {"tau_rel_max": 1e75}}, "seq must have turns |omega +- A/2| * width"),
+        ({"scan": {"tau_rel_min": 1e75, "tau_rel_max": 1e75}}, "seq must have turns"),
+        ({"B_gauss": 1e-60}, "b_gauss must give with the other fields a wait field"),
+        ({"B_gauss": 1e-300, "gamma_n_MHz_per_T": 1e154}, f"gamma_n_MHz_per_T {_BEYOND} 1e+154"),
+        ({"B_gauss": 1e-40, "gamma_n_MHz_per_T": 1e-20}, "b_gauss must give with the other"),
         ({"scan.n_tdd": 3}, "config key 'scan.n_tdd' belongs inside its 'scan' block"),
     ],
     ids=[
@@ -335,6 +347,14 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv):
         "A_MHz overflowing in rad/s",
         "max turns overflowing",
         "min turns overflowing",
+        "A_MHz norm beyond the domain",
+        "omega_n beyond the domain",
+        "A beyond the domain in rad/s",
+        "max turns beyond the domain",
+        "min turns beyond the domain",
+        "wait field rounding to zero",
+        "B_gauss and gamma whose product is 0 in the wait field",
+        "a pair of small fields rounding to zero",
         "block key outside its block",
     ],
 )
@@ -363,8 +383,11 @@ def test_nv_scan_bad_tau_span_is_config_error(tmp_path, capsys, cfg, message):
         ({"B_gauss": 500.0}, "need either 'preset' or both 'B_gauss' and 'N_DD'"),
         ({"B_gauss": 500.0, "N_DD": 8, "A_MHz": [1, 2, 3, 4]}, "A_MHz must be a 3-vector"),
         ({"preset": "P2", "tau_ns": 1000.0, "t_DD_ns": 8000.0}, "give only one of 'tau_ns' and 't_DD_ns'"),
-        ({"preset": "P2", "tau_ns": 1e300}, "seq must have turns |omega +- A/2| * width"),
-        ({"preset": "P2", "A_MHz": [1e150, 0.0, 0.0]}, "a_mhz must give a finite |A|**2 in rad/s"),
+        ({"preset": "P2", "tau_ns": 1e300}, f"tau_ns {_BEYOND} 1e+300"),
+        ({"preset": "P2", "A_MHz": [1e150, 0.0, 0.0]}, f"A_MHz {_BEYOND} 1e+150"),
+        ({"preset": "P2", "B_gauss": 1e30, "tau_ns": 1e75}, "seq must have turns |omega +- A/2|"),
+        ({"preset": "P2", "A_MHz": [1e70, 0.0, 0.0]}, "a_mhz must give |A| of at most 1e+75 rad/s"),
+        ({"preset": "P2", "B_gauss": 1e-60}, "b_gauss must give with the other fields a wait"),
     ],
     ids=[
         "preset a list",
@@ -380,6 +403,9 @@ def test_nv_scan_bad_tau_span_is_config_error(tmp_path, capsys, cfg, message):
         "tau_ns and t_DD_ns",
         "turns overflowing",
         "A_MHz overflowing in rad/s",
+        "turns beyond the domain",
+        "A beyond the domain in rad/s",
+        "wait field rounding to zero",
     ],
 )
 def test_qnd_solve_bad_config_is_config_error(tmp_path, capsys, cfg, message):
@@ -487,32 +513,41 @@ def test_half_a_readout_pair_names_the_missing_key(tmp_path, capsys, flags, cfg,
     assert os.listdir(tmp_path) == (["run.json"] if cfg else [])
 
 
-# rotations whose squared norm overflows, each refused as its key is resolved
+# rotations beyond the domain (a number or a norm above 1e75), each refused as its key is resolved
+_NORM = "must be a 3-vector of numbers with a norm of at most 1e+75, got"
 OVERFLOWING_ROTATIONS = {
     "cycle_rot": (
         ["trajectories", "--n", "5", "--alpha", "0.1", "--cycle-rot", "1e200,0,0"],
-        "cycle_rot must be a 3-vector of finite numbers with finite squared norm",
+        f"cycle_rot {_BEYOND} 1e+200",
     ),
     "delta_phi": (
         ["stability", "--alpha-vec", "0,0,1", "--delta-phi", "1e200"],
-        "delta_phi must be a number whose square is finite",
+        f"delta_phi {_BEYOND} 1e+200",
     ),
     "random delta_phi": (
         ["stability", "--alpha-vec", "0,0,1", "--error", "random", "--seed", "1"]
         + ["--delta-phi", "1e200"],
-        "delta_phi must be a number whose square is finite",
+        f"delta_phi {_BEYOND} 1e+200",
     ),
     "alpha_vec": (
         ["stability", "--alpha-vec", "1e200,0,0", "--delta-phi", "0.1"],
-        "alpha_vec must be a 3-vector of finite numbers with finite squared norm",
+        f"alpha_vec {_BEYOND} 1e+200",
     ),
     "error_axis": (
         ["stability", "--alpha-vec", "0,0,1", "--delta-phi", "0.1", "--error-axis", "0,1e200,0"],
-        "error_axis must be a 3-vector of finite numbers with finite squared norm",
+        f"error_axis {_BEYOND} 1e+200",
     ),
     "alpha": (
         ["binary-stats", "--alpha", "1e200"],
-        "alpha must be a number whose square is finite",
+        f"alpha {_BEYOND} 1e+200",
+    ),
+    "cycle_rot norm": (
+        ["trajectories", "--n", "5", "--alpha", "0.1", "--cycle-rot", "1e75,1e75,0"],
+        f"cycle_rot {_NORM} [1e+75, 1e+75, 0.0]",
+    ),
+    "error_axis norm": (
+        ["stability", "--alpha-vec", "0,0,1", "--delta-phi", "0.1", "--error-axis", "0,1e75,1e75"],
+        f"error_axis {_NORM} [0.0, 1e+75, 1e+75]",
     ),
 }
 
@@ -532,14 +567,14 @@ def test_rotations_whose_squared_norm_overflows_are_refused_by_name(
 
 @pytest.mark.parametrize(
     "alpha_vec, got",
-    [("0,0,0", "0.0"), ("0,0,1e-170", "[0.0, 0.0, 1e-170], whose magnitude underflows to 0")],
-    ids=["zero", "underflowing"],
+    [("0,0,0", "0.0"), ("0,0,1e-170", "0.0"), ("0,0,9.999e-76", "9.999e-76")],
+    ids=["zero", "underflowing", "below the domain"],
 )
-def test_stability_shows_an_alpha_vec_without_magnitude(tmp_path, capsys, alpha_vec, got):
-    """A vector whose norm underflows is shown as given, not as the zero it rounds to."""
+def test_stability_refuses_an_alpha_vec_below_the_domain(tmp_path, capsys, alpha_vec, got):
+    """The measurement axis divides by ``|alpha_vec|``, so it is at least 1/M (1e-75)."""
     argv = ["stability", "--alpha-vec", alpha_vec, "--delta-phi", "0.1"]
     assert main(argv + ["--out", str(tmp_path / "s")]) == 2
-    message = f"config error: alpha_vec must have a magnitude in (0, pi], got {got}\n"
+    message = f"config error: alpha_vec must have a magnitude in [1e-75, pi], got {got}\n"
     assert capsys.readouterr().err == message
     assert not os.listdir(tmp_path)
 
@@ -575,9 +610,14 @@ LIBRARY_REFUSALS = {
         "systematic errors take no std or seed",
     ),
     "vanishing measurement vector": (
-        ["qnd-solve", "--preset", "P2", "--tau-ns", "1e-300"],
+        ["qnd-solve", "--preset", "P2", "--tau-ns", "1e-60"],
         None,
         "tau_ns, B_gauss, N_DD, gamma_n_MHz_per_T and A_MHz must give a nonzero measurement",
+    ),
+    "period below the domain": (
+        ["qnd-solve", "--preset", "P2", "--tau-ns", "1e-300"],
+        None,
+        "tau must lie in [1e-75, 1e+75], got 1e-309",
     ),
 }
 
@@ -594,6 +634,16 @@ def test_library_refusals_reach_the_user_by_name(tmp_path, monkeypatch, capsys, 
     captured = capsys.readouterr()
     assert captured.err.startswith(f"config error: {message}") and not captured.out
     assert os.listdir(tmp_path) == (["run.json"] if cfg else [])
+
+
+def test_a_lifetime_horizon_beyond_int64_is_refused_by_name(tmp_path, capsys):
+    """An ``n_max`` of 1e19 wrapped below 0 as an int64 horizon: every point read
+    as never crossing, and the run exited 0."""
+    argv = ["nv-scan", "--preset", "P2", "--n-tdd", "3", "--n-tr", "4", "--n-max", "1e19"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    message = "config error: n_max must be at most 2**63 - 1, got 10000000000000000000\n"
+    assert capsys.readouterr().err == message
+    assert not os.listdir(tmp_path)
 
 
 def test_a_value_error_from_deep_in_the_library_exits_2(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@
 allocated, and the README's key table."""
 
 import json
+import math
 import os
 import pathlib
 import re
@@ -16,16 +17,18 @@ from qndspin import cli, config
 from qndspin.cli import main
 from qndspin.config import KEYS
 
+# the domain's ends (the rotations docstring) and one float beyond each
+DOMAIN = [1e-75, 1e75, math.nextafter(1e-75, 0.0), math.nextafter(1e75, math.inf)]
 # the extremes of each kind; a choice gets its own names and two it does not have
-NUMBERS = [0, -0.0, -1, 5e-324, 1e-300, 1e-12, 3, 1e12, 1e154, 1e300]
+NUMBERS = [0, -0.0, -1, 5e-324, 1e-300, 1e-12, 3, 1e12, 1e154, 1e300, *DOMAIN]
 EXTREMES = {
     config.as_count: [0, -1, 2.5],
     config.as_seed: [0, -1, 2.5],
     config.as_number: NUMBERS,
     config.as_positive: NUMBERS,
-    config.as_angle: NUMBERS,
     config.as_vector: [[0, 0, 0], [1e-300, 0, 0], [1e150, 0, 0], [1e154, 0, 0], [4, 0, 0]]
-    + [[1e-160, 1e-160, 0]],
+    + [[1e-160, 1e-160, 0]]
+    + [[value, 0, 0] for value in DOMAIN],
 }
 
 # a readout key is given with the other key of its pair, in place of the base's readout
@@ -72,6 +75,33 @@ def test_every_declared_key_has_a_row():
     assert [command for command in KEYS if not list(golden_bases(command))] == []
 
 
+def with_partners(base, keys):
+    """``base`` with, for each readout key among ``keys``, the base's readout
+    replaced by the other key of its pair (unless that is among ``keys`` too)."""
+    readout = [key for key in keys if key in PARTNERS]
+    if not readout:
+        return base
+    base = {k: v for k, v in base.items() if k not in PARTNERS}
+    return base | dict(PARTNERS[key] for key in readout if PARTNERS[key][0] not in keys)
+
+
+def run_clean_or_refused(tmp_path, capsys, command, cfg, runs):
+    """``None`` if ``command`` on the config ``cfg`` exits 0 with no ``nan`` cell in
+    any CSV, or exits 2 with ``config error:`` and nothing written; else what it did."""
+    path, run = tmp_path / f"{runs}.json", tmp_path / str(runs)
+    path.write_text(json.dumps(nested(cfg)))
+    run.mkdir()
+    out = ["--out-dir", str(run / "out")] if command == "nv-scan" else ["--out", str(run / "o")]
+    code = main([command, "--config", str(path), *out])
+    err, written = capsys.readouterr().err, list(run.rglob("*"))
+    csvs = [p.read_text().replace(",", "\n").split("\n") for p in written if p.suffix == ".csv"]
+    if code == 0 and any("nan" in cells for cells in csvs):
+        return cfg, "nan written"
+    if code != 0 and not (code == 2 and err.startswith("config error: ") and not written):
+        return cfg, code, err, [p.name for p in written]
+    return None
+
+
 @pytest.mark.parametrize("command, key", ROWS, ids=[f"{c} {k}" for c, k in ROWS])
 def test_each_extreme_runs_clean_or_is_refused_with_nothing_written(tmp_path, capsys, command, key):
     """Exit 0 with no ``nan`` cell in any CSV, or exit 2 with nothing written; never exit 1.
@@ -80,22 +110,40 @@ def test_each_extreme_runs_clean_or_is_refused_with_nothing_written(tmp_path, ca
     """
     bad, runs = [], 0
     for base in golden_bases(command):
-        if key in PARTNERS:
-            base = {k: v for k, v in base.items() if k not in PARTNERS} | dict([PARTNERS[key]])
+        base = with_partners(base, [key])
         for value in extremes(KEYS[command][key]):
             runs += 1
-            path, run = tmp_path / f"{runs}.json", tmp_path / str(runs)
-            path.write_text(json.dumps(nested(base | {key: value})))
-            run.mkdir()
-            out = ["--out-dir", str(run / "out")] if command == "nv-scan" else ["--out", str(run / "o")]
-            code = main([command, "--config", str(path), *out])
-            err, written = capsys.readouterr().err, list(run.rglob("*"))
-            csvs = [p.read_text().replace(",", "\n").split("\n") for p in written if p.suffix == ".csv"]
-            if code == 0 and any("nan" in cells for cells in csvs):
-                bad.append((base, value, "nan written"))
-            elif code != 0 and not (code == 2 and err.startswith("config error: ") and not written):
-                bad.append((base, value, code, err, [p.name for p in written]))
-    assert bad == []
+            bad.append(run_clean_or_refused(tmp_path, capsys, command, base | {key: value}, runs))
+    assert [found for found in bad if found] == []
+
+
+# the keys whose values are floats, at each end of the domain (vectors along x)
+ENDS = {config.as_number: [1e-75, 1e75], config.as_positive: [1e-75, 1e75]}
+ENDS[config.as_vector] = [[1e-75, 0, 0], [1e75, 0, 0]]
+PAIRS = [
+    (command, first, second)
+    for command, keys in KEYS.items()
+    for i, first in enumerate(keys)
+    for second in list(keys)[i + 1 :]
+    if keys[first].kind in ENDS and keys[second].kind in ENDS
+]
+
+
+@pytest.mark.parametrize("command, first, second", PAIRS, ids=[" ".join(p) for p in PAIRS])
+def test_each_pair_of_domain_ends_runs_clean_or_is_refused(
+    tmp_path, capsys, command, first, second
+):
+    """The single-key rule for every pair of float keys, each at 1e-75 and at 1e75,
+    in the first golden case of ``command``: products of two keys stay in range."""
+    keys = KEYS[command]
+    base = with_partners(next(golden_bases(command)), [first, second])
+    bad, runs = [], 0
+    for one in ENDS[keys[first].kind]:
+        for other in ENDS[keys[second].kind]:
+            runs += 1
+            cfg = base | {first: one, second: other}
+            bad.append(run_clean_or_refused(tmp_path, capsys, command, cfg, runs))
+    assert [found for found in bad if found] == []
 
 
 # one run per size key whose arrays a 2 GiB address space cannot hold

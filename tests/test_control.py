@@ -23,6 +23,7 @@ from qndspin.hyperfine import (
     extract_alpha_phi,
 )
 from qndspin.rotations import (
+    M,
     Rotor,
     rotor_compose,
     rotor_exp,
@@ -155,19 +156,23 @@ def test_residual_quarter_turn():
     assert qnd_residual(total, [1.0, 0.0, 0.0]) == pytest.approx(math.pi / 2)
 
 
-@pytest.mark.parametrize("scale", [2.0, 0.5, 1e-150, 1e150])
+@pytest.mark.parametrize("scale", [2.0, 0.5, 1.0 / M, M])
 def test_residual_normalizes_the_axis(scale):
     total = rotor_exp([0.0, 0.0, math.pi / 2])
     assert qnd_residual(total, [scale, 0.0, 0.0]) == pytest.approx(math.pi / 2)
+
+
+# a zero or underflowing norm, or a non-finite entry
+_BAD_AXIS = r"^alpha_hat must be (an axis with a norm in \[1e-75, |finite and at most 1e\+75)"
 
 
 @pytest.mark.parametrize(
     "alpha_hat", [[0.0, 0.0, 0.0], [1e-170, 0.0, 0.0], [math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0]]
 )
 def test_residual_and_solve_reject_unusable_axes(alpha_hat):
-    with pytest.raises(ValueError, match="alpha_hat must be nonzero and finite"):
+    with pytest.raises(ValueError, match=_BAD_AXIS):
         qnd_residual(rotor_exp([0.0, 0.0, 0.3]), alpha_hat)
-    with pytest.raises(ValueError, match="alpha_hat must be nonzero and finite"):
+    with pytest.raises(ValueError, match=_BAD_AXIS):
         solve_waiting_time(p2_system(), np.zeros(3), alpha_hat, (0.0, 1e-6))
 
 
@@ -231,7 +236,7 @@ def test_solve_rejects_empty_window():
     [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf), (0.0, math.nan), (-1e308, 1e308)],
 )
 def test_solve_rejects_non_finite_window(window):
-    with pytest.raises(ValueError, match="search window must be finite"):
+    with pytest.raises(ValueError, match="^window must be finite and at most 1e"):
         solve_waiting_time(p2_system(), np.zeros(3), [1.0, 0.0, 0.0], window)
 
 
@@ -394,7 +399,8 @@ def test_batched_solve_rows_equal_one_row_calls(omega, hyperfine, rows, start, s
 
 
 _PHI3, _ALPHA3 = np.tile([0.2, 0.5, -0.1], (3, 1)), np.tile([0.6, 0.0, 0.8], (3, 1))
-_BAD_AXIS = "alpha_hat must be nonzero and finite"
+_ZERO_AXIS = "alpha_hat must be an axis with a norm in [1e-75, 1e+75], got 0.0"
+_NON_FINITE = "{} must be finite and at most 1e+75 in magnitude"
 
 
 def _with_row(array, row, value):
@@ -406,12 +412,12 @@ def _with_row(array, row, value):
 @pytest.mark.parametrize(
     "phi_dd, alpha_hat, message",
     [
-        (_PHI3, _with_row(_ALPHA3, 1, 0.0), _BAD_AXIS),
-        (_PHI3, _with_row(_ALPHA3, 2, [1e-170, 0.0, 0.0]), _BAD_AXIS),
-        (_PHI3, _with_row(_ALPHA3, 1, [0.6, math.nan, 0.8]), _BAD_AXIS),
-        (_PHI3, _with_row(_ALPHA3, 0, [math.inf, 0.0, 0.8]), _BAD_AXIS),
-        (_with_row(_PHI3, 1, [0.2, math.nan, 0.1]), _ALPHA3, "phi_dd must be finite"),
-        (_with_row(_PHI3, 2, [0.2, 0.0, -math.inf]), _ALPHA3, "phi_dd must be finite"),
+        (_PHI3, _with_row(_ALPHA3, 1, 0.0), _ZERO_AXIS),
+        (_PHI3, _with_row(_ALPHA3, 2, [1e-170, 0.0, 0.0]), _ZERO_AXIS),
+        (_PHI3, _with_row(_ALPHA3, 1, [0.6, math.nan, 0.8]), _NON_FINITE.format("alpha_hat")),
+        (_PHI3, _with_row(_ALPHA3, 0, [math.inf, 0.0, 0.8]), _NON_FINITE.format("alpha_hat")),
+        (_with_row(_PHI3, 1, [0.2, math.nan, 0.1]), _ALPHA3, _NON_FINITE.format("phi_dd")),
+        (_with_row(_PHI3, 2, [0.2, 0.0, -math.inf]), _ALPHA3, _NON_FINITE.format("phi_dd")),
         (
             _PHI3[:2],
             _ALPHA3,

@@ -282,7 +282,7 @@ def test_nan_periods_and_rotors_are_refused():
     with pytest.raises(ValueError):
         DDSequence(np.array([]), math.nan)
     nan_rotor = Rotor(math.nan, np.full(3, math.nan))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError, match="^theta must be finite"):  # the turn they give
         extract_alpha_phi(nan_rotor, nan_rotor)
 
 

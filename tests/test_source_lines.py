@@ -26,6 +26,7 @@ ROTATIONS_HELPERS = {
     "_NEXT",
     "_PREV",
     "_checked_int",
+    "_divisor",
     "_dot",
     "_finite",
     "_measurement_axis",
@@ -62,6 +63,31 @@ def test_modules_import_only_the_listed_private_names():
     )
     assert unlisted == []
     assert sorted(SHARED_PRIVATE_NAMES - matches) == []  # no stale entry
+
+
+# The np.errstate blocks the package may hold, each with its reason.  The domain
+# of the rotations docstring keeps every other product of two inputs in range, so
+# a new block means a new product that needs a domain check instead.
+ERRSTATE_BLOCKS = {
+    ("stability", "_spectral_lifetimes"): "a failed eigenpair gives inf or nan, no test passes it",
+    ("stability", "analytic_survival"): "its exponent saturates: n / tan(alpha/2)**2 has no bound",
+}
+
+
+def errstate_blocks():
+    """``(module, function)`` of each ``np.errstate`` in the package, by its innermost def."""
+    root = pathlib.Path(qndspin.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "errstate":
+                around = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+                yield path.stem, max(around, key=lambda d: d.lineno).name if around else None
+
+
+def test_every_errstate_block_is_listed_with_its_reason():
+    assert sorted(errstate_blocks()) == sorted(ERRSTATE_BLOCKS)
 
 
 def test_every_private_helper_has_a_caller_in_src():

@@ -53,7 +53,7 @@ def test_state_validation():
 
 @pytest.mark.parametrize("bloch", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0]])
 def test_state_refuses_non_finite_polarizations(bloch):
-    with pytest.raises(ValueError, match="polarization"):
+    with pytest.raises(ValueError, match="^bloch must be finite"):
         NuclearState(np.array(bloch))
 
 
@@ -66,16 +66,17 @@ def _nan_state():
 @pytest.mark.parametrize(
     "rotation, initial, name",
     [
-        (lambda: rotor_exp([math.nan, 0.0, 0.0]), NuclearState.mixed, "cycle_rotation"),
+        (lambda: Rotor(1.0, np.array([math.nan, 0.0, 0.0])), NuclearState.mixed, "cycle_rotation"),
         (lambda: Rotor(1.0, np.zeros(3)), _nan_state, "initial"),
     ],
     ids=["nan rotation", "nan initial state"],
 )
 def test_run_and_run_ensemble_refuse_non_finite_inputs_alike(rotation, initial, name):
     """run_ensemble returned finite u-bars for a NaN rotation, where run raised."""
-    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+    message = f"^{name} must be finite and at most 1e\\+75 in magnitude$"
+    with pytest.raises(ValueError, match=message):
         run(setting(), rotation(), initial(), 10, 1)
-    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+    with pytest.raises(ValueError, match=message):
         run_ensemble(setting(), rotation(), initial(), 10, 4, 1)
 
 
