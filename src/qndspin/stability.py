@@ -64,8 +64,9 @@ numpy: on Python floats for one row (the random branch of
 ``survival_curve``) and on arrays for many (``survival_ensemble``, one row
 per seed).  Each float operation rounds as the array element's does, so a
 curve drawn from ``SeedSequence(m).spawn(n)[i]`` is row ``i`` of the
-ensemble bit for bit.  ``survival_ensemble`` reduces each slice over the
-seeds as it comes, so the full survival matrix is never held.
+ensemble bit for bit.  ``survival_ensemble`` draws its angles a tile at a
+time and reduces each slice over the seeds as it comes, so neither the
+angle matrix nor the survival matrix is held whole.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ import numpy as np
 from .hyperfine import SpinSystem
 from .rotations import M, _checked_int, _divisor, _finite, _measurement_axis, _unit_axis, _vector
 from .rotations import rotor_exp, so3_from_rotor
-from .trajectory import _apply, _axis_frame, _child_generators, _frame_terms, _slices
+from .trajectory import _apply, _axis_frame, _frame_terms, _slices, _streams
 
 __all__ = [
     "RotationErrorModel",
@@ -175,8 +176,8 @@ def survival_curve(alpha_vec, error: RotationErrorModel, n_max: int) -> Survival
     n_max = _checked_int(n_max, "n_max", 1)
     alpha_vec = _vector(alpha_vec, "alpha_vec")
     if error.kind == "random":
-        angles = np.random.default_rng(error.seed).normal(0.0, error.std, size=(1, n_max))
-        values = np.concatenate(list(_fixed_axis_survivals(alpha_vec, error.axis, angles)))[:, 0]
+        angles = [np.random.default_rng(error.seed).normal(0.0, error.std, size=(1, n_max))]
+        values = np.concatenate(list(_fixed_axis_survivals(alpha_vec, error.axis, angles, 1)))[:, 0]
         return SurvivalCurve(values, lifetime(values))
     step = so3_from_rotor(rotor_exp(error.delta_phi)) @ dephasing_map(alpha_vec)
     values = _survival_values(step, _measurement_axis(alpha_vec), n_max)
@@ -198,12 +199,10 @@ def survival_ensemble(
     call of the fixed-axis kernel (module docstring), so it equals
     ``survival_curve`` with the corresponding random-kind model bit for bit.
     ``master_seed`` must be an integer >= 0.  That child has the spawn key
-    ``(i,)``, so its stream comes from ``trajectory._child_generators``
-    (batched seed-sequence hashes, one ``Generator`` per instance) with no
-    ``SeedSequence`` object per instance; the contract is unchanged.
-    Each slice of the kernel's survivals is reduced as it comes, row by row
-    as one whole-matrix reduction would, so the ``(n_max + 1, n_seeds)``
-    matrix is never built and only the ``(n_seeds, n_max)`` angles are.
+    ``(i,)``, so ``trajectory._streams`` draws its stream, a tile of
+    ``trajectory._WIDTH`` cycles at a time, and each slice of the kernel's
+    survivals is reduced as it comes, row by row as one whole-matrix
+    reduction would: neither the angles nor the survivals are held whole.
     """
     n_max = _checked_int(n_max, "n_max", 1)
     n_seeds = _checked_int(n_seeds, "n_seeds", 2)  # two at least, for a standard error
@@ -211,12 +210,14 @@ def survival_ensemble(
     std = _checked_std(std)
     axis = _unit_axis(axis, "axis")
     master_seed = _checked_int(master_seed, "master seed", 0)
-    angles = np.empty((n_seeds, n_max))
-    for i, gen in enumerate(_child_generators(master_seed, n_seeds)):
-        angles[i] = gen.normal(0.0, std, n_max)
+
+    def draw(gen, out):
+        out[...] = gen.normal(0.0, std, len(out))
+
+    [(_, _, tiles)] = _streams(master_seed, n_seeds, n_max, n_seeds, draw, Counter())
     mean, stderr = np.empty(n_max + 1), np.empty(n_max + 1)
     first = 0
-    for block in _fixed_axis_survivals(alpha_vec, axis, angles):
+    for block in _fixed_axis_survivals(alpha_vec, axis, tiles, n_seeds):
         stop = first + len(block)
         mean[first:stop] = block.mean(axis=1)
         stderr[first:stop] = block.std(axis=1, ddof=1) / math.sqrt(n_seeds)
@@ -224,16 +225,16 @@ def survival_ensemble(
     return mean, stderr
 
 
-def _fixed_axis_survivals(alpha_vec, axis: np.ndarray, angles: np.ndarray):
+def _fixed_axis_survivals(alpha_vec, axis: np.ndarray, tiles, rows: int):
     """The fixed-axis random-error kernel: one row per error sequence.
 
-    ``axis`` is the unit error axis and row ``i`` of ``angles`` holds
-    sequence ``i``'s angles in cycle order.  Yields ``S(0..n_max)`` in
-    blocks of shape ``(width, rows)``: ``S(0)`` alone, then one block per
-    slice of 64 cycles, so concatenating them gives the ``(n_max + 1, rows)``
-    matrix.  The cos and sin of a slice are numpy calls on its transposed
-    copy, and the cycle body runs through ``trajectory._slices`` (module
-    docstring).
+    ``axis`` is the unit error axis and ``tiles`` yields ``(rows, width)``
+    arrays whose row ``i`` holds sequence ``i``'s next angles in cycle
+    order.  Yields ``S(0..n_max)`` in blocks of shape ``(width, rows)``:
+    ``S(0)`` alone, then one block per slice of up to 64 cycles, so
+    concatenating them gives the ``(n_max + 1, rows)`` matrix.  The cos and
+    sin of a slice are numpy calls on its transposed copy, and the cycle
+    body runs through ``trajectory._slices`` (module docstring).
     """
     alpha_vec = np.asarray(alpha_vec, dtype=float)
     frame = _axis_frame(axis)
@@ -246,14 +247,13 @@ def _fixed_axis_survivals(alpha_vec, axis: np.ndarray, angles: np.ndarray):
         x, y = c * nx - s * ny, s * nx + c * ny
         return (x, y, nz), _apply(readout, (x, y, nz))[0]
 
-    rows = len(angles)
     yield np.ones((1, rows))
     state = [np.full(rows, value) for value in start]
 
     def cos_sin(theta):
         return np.cos(theta), np.sin(theta, out=theta)  # sin overwrites the copy after cos
 
-    yield from _slices(angles, state, cos_sin, cycle)
+    yield from _slices(tiles, state, cos_sin, cycle)
 
 
 def _double(rows: np.ndarray, power: np.ndarray, flat: np.ndarray):

@@ -21,24 +21,24 @@ does, and a gather copies the stored value: both paths give the same bits.
 
 A QND measurement leaves the eigenstates of its axis undisturbed, so a
 cascade started in one repeats one Bernoulli trial.  ``_plan`` decides this
-once per call, before any draw buffer exists, and ``_evolve`` then skips
-the slice kernel: if every state reachable from the start has the start's
-threshold and final bits, then by induction over the cycles the outcomes
-are ``uniforms < threshold`` and every row ends in that vector.  Eigenstates
-of an axis along +-e_z pass under the identity and most turns about e_z;
-mixed starts, generic cycles and tilted axes run the kernel.  The draws an
-ensemble holds follow the decision: ``8 min(_BLOCK, n_traj) n`` bytes for
-the kernel, at most ``8 max(_CELLS, n)`` bytes (2 MB tiles) for a fixed
-point, whose rows need only a comparison and a count.
+once per call, before any draw, and ``_evolve`` then skips the slice
+kernel: if every state reachable from the start has the start's threshold
+and final bits, then by induction over the cycles the outcomes are
+``uniforms < threshold`` and every row ends in that vector.  Eigenstates of
+an axis along +-e_z pass under the identity and most turns about e_z; mixed
+starts, generic cycles and tilted axes run the kernel.
 
 Randomness comes from numpy's PCG64 ``default_rng``.  Trajectory ``i`` of an
 ensemble draws from ``SeedSequence(master_seed, spawn_key=(i,))``; a single
 ``run`` with that seed sequence reproduces the ensemble row bit for bit.
-The ensemble builds no ``SeedSequence`` per row: ``_child_seed_words``
-evaluates the seed sequence's pool hash and ``generate_state(4, uint64)`` for
-``_BLOCK`` children at once in uint32 arithmetic, and ``_child_generators``
-gives each child's words to its own ``PCG64`` through numpy's ``ISeedSequence``
-interface.  The streams are the ``SeedSequence`` streams bit for bit.
+``_streams`` builds no ``SeedSequence`` per row: ``_child_seed_words``
+evaluates the pool hash and ``generate_state(4, uint64)`` for ``_BLOCK``
+children at once in uint32 arithmetic, each child's ``PCG64`` takes its
+words through numpy's ``ISeedSequence`` interface, and the streams are drawn
+``_WIDTH`` cycles at a time, the kernels carrying their state across tiles.
+numpy's draws do not depend on how a stream is split, so every bit is the
+whole stream's, and the draws held depend on ``n`` only through ``min(n,
+_WIDTH)``.
 """
 
 from __future__ import annotations
@@ -63,19 +63,11 @@ __all__ = [
     "run_ensemble",
 ]
 
-# Cycles whose inputs are transposed into the scratch buffer at a time.
-_SLICE = 64
-
-# Rows whose slice is copied transposed at a time.
-_TILE = 256
-
-# Trajectories whose seeding words are hashed together, and, for a start that
-# is not a fixed point, whose uniforms share one (_BLOCK, n) buffer and kernel call.
-_BLOCK = 2048
-
-# Uniforms (8 bytes each) one tile of fixed-point rows draws at most, unless one
-# row alone holds more.
-_CELLS = 2**18
+# Sizes of the kernel's work: cycles per transposed slice (_SLICE), rows per
+# transposed copy (_TILE), trajectories per seed-word hash and per kernel call
+# (_BLOCK), cycles of each stream drawn at a time (_WIDTH), and draws held in
+# one tile of fixed-point rows at most (_CELLS, 2 MB).
+_SLICE, _TILE, _BLOCK, _WIDTH, _CELLS = 64, 256, 2048, 1024, 2**18
 
 # The extreme uniforms of ``Generator.random``: 0 and (2**53 - 1) / 2**53.
 _DRAWS = (0.0, 1.0 - 2.0**-53)
@@ -197,15 +189,37 @@ class _Words(ISeedSequence):
         return self.words
 
 
-def _child_generators(master_seed: int, count: int):
-    """Yield, for each child ``i = 0 .. count - 1``, a fresh ``Generator`` in
-    the state of ``default_rng(SeedSequence(master_seed, spawn_key=(i,)))``:
-    its ``PCG64`` seeds itself from that seed sequence's words, which
-    ``_child_seed_words`` hashes in batches, with no ``SeedSequence`` per child.
+def _streams(master_seed: int, count: int, n: int, rows: int, draw, tally: Counter):
+    """Yield ``(start, size, tiles)`` for each block of ``size <= rows``
+    children ``start, start + 1, ...`` of ``master_seed``, in order.
+
+    ``tiles`` yields the block's ``n`` draws per child as ``(size, min(n,
+    _WIDTH))`` tiles in cycle order (the last one narrower), views of one
+    buffer that the next tile overwrites; ``draw(gen, out=row)`` fills one
+    row with a child's next draws.  The seed words are hashed ``_BLOCK``
+    children at a time, and the seconds spent hashing, seeding and drawing
+    add to ``tally["stream_s"]``.
     """
-    for start in range(0, count, _BLOCK):
-        for words in _child_seed_words(master_seed, start, min(_BLOCK, count - start)):
-            yield np.random.Generator(np.random.PCG64(_Words(words)))
+    buffer = np.empty((min(rows, count), min(n, _WIDTH)))
+    children = (
+        np.random.Generator(np.random.PCG64(_Words(words)))
+        for first in range(0, count, _BLOCK)
+        for words in _child_seed_words(master_seed, first, min(_BLOCK, count - first))
+    )
+
+    def tiles(size):
+        for first in range(0, n, buffer.shape[1]):
+            began = time.perf_counter()
+            if not first:
+                generators = [next(children) for _ in range(size)]
+            tile = buffer[:size, : n - first]  # narrower than the buffer only at the end
+            for gen, row in zip(generators, tile):
+                draw(gen, out=row)
+            tally["stream_s"] += time.perf_counter() - began
+            yield tile
+
+    for start in range(0, count, rows):
+        yield start, min(rows, count - start), tiles(min(rows, count - start))
 
 
 def _axis_frame(alpha_hat: np.ndarray) -> np.ndarray:
@@ -277,14 +291,15 @@ def _fixed_point(start: list, step, signature):
     return signature(start)
 
 
-def _slices(inputs: np.ndarray, state: list, columns, body, pairs=()):
-    """Run a kernel's cycle ``body`` over ``inputs``, one row per sequence.
+def _slices(tiles, state: list, columns, body, pairs=()):
+    """Run a kernel's cycle ``body`` over ``tiles``, one row per sequence.
 
-    Row ``i`` of ``inputs`` holds sequence ``i``'s per-cycle inputs in cycle
-    order, and ``state`` is a list of coordinate arrays with one entry per
-    row.  Each slice of 64 cycles is copied transposed into a scratch buffer,
-    ``_TILE`` rows at a time so that the strided reads stay in cache, and
-    ``columns`` turns the copy into the body's per-cycle arguments.
+    ``tiles`` yields ``(rows, width)`` arrays, row ``i`` holding sequence
+    ``i``'s next per-cycle inputs, and ``state`` is a list of coordinate
+    arrays with one entry per row.  Each slice of up to 64 cycles of a tile
+    is copied transposed into a scratch buffer, ``_TILE`` rows at a time so
+    that the strided reads stay in cache, and ``columns`` turns the copy into
+    the body's per-cycle arguments.
     ``body(state, *arguments, pick)`` returns the next state and one output
     per row, using only ``+ - * /``, ``<`` and ``pick(plus)``, which gives,
     for each of the kernel's outcome ``pairs`` ``(a, b)``, ``a`` where
@@ -294,11 +309,12 @@ def _slices(inputs: np.ndarray, state: list, columns, body, pairs=()):
     in one ``take`` from a table with one row ``(b, a)`` per pair, indexed by
     the outcome bits, which copies the stored values, ``-0.0`` included, with
     no branch per row.  IEEE operations round a float as they round an array
-    element, so a row's bits do not depend on the path or on the rows sharing
-    the call.  Yields each slice's outputs as a ``(width, rows)`` array;
-    ``state`` holds the final state after the last slice.
+    element, so a row's bits do not depend on the path, on the rows sharing
+    the call or on where the tiles split the cycles.  Yields each slice's
+    outputs as a ``(width, rows)`` array; ``state`` holds the final state
+    after the last slice.
     """
-    rows, n = inputs.shape
+    rows = len(state[0])
     if rows == 1:
         pick = _pick_one(pairs)
     else:
@@ -308,12 +324,12 @@ def _slices(inputs: np.ndarray, state: list, columns, body, pairs=()):
             return table.take(plus, axis=1)
 
     scratch = np.empty((_SLICE, rows))
-    for first in range(0, n, _SLICE):
-        width = min(_SLICE, n - first)
-        copy = scratch[:width]
+    slices = (t[:, first : first + _SLICE] for t in tiles for first in range(0, t.shape[1], _SLICE))
+    for inputs in slices:
+        copy = scratch[: inputs.shape[1]]
         for top in range(0, rows, _TILE):
             tile = slice(top, top + _TILE)
-            np.copyto(copy[:, tile], inputs[tile, first : first + width].T)
+            np.copyto(copy[:, tile], inputs[tile].T)
         if rows == 1:
             now = [coord.item() for coord in state]
             cycles = zip(*(column.ravel().tolist() for column in columns(copy)))
@@ -325,7 +341,7 @@ def _slices(inputs: np.ndarray, state: list, columns, body, pairs=()):
             outs.append(out)
         for coord, value in zip(state, now):
             coord[...] = value
-        outs = np.array(outs).reshape(width, rows)  # drops the list before the caller's reduction
+        outs = np.array(outs).reshape(len(copy), rows)  # drops the list before the reduction
         yield outs
 
 
@@ -399,32 +415,31 @@ def _plan(setting, cycle_rotation, initial) -> _Plan:
     return _Plan(start, pairs, cycle, back, fixed)
 
 
-def _evolve(plan: _Plan, uniforms, outcomes=None):
+def _evolve(plan: _Plan, tiles, rows: int, outcomes=None):
     """The trajectory kernel: one row per trajectory.
 
-    Row ``i`` of ``uniforms`` holds trajectory ``i``'s draws in [0, 1), in
-    cycle order.  The cycle body of ``plan`` (from ``_plan``, the layer's
-    one entry check) runs through ``_slices``, on Python floats for one row
-    and on arrays for many, with the same bits.  A fixed-point ``plan``
-    costs one comparison and one count instead.  ``outcomes``, a list when
-    given, receives ``u == +1`` as ``(width, rows)`` bool blocks.  Returns
-    ``(u_bars, final_blochs)``.
+    ``tiles`` yields ``(rows, width)`` arrays whose row ``i`` holds
+    trajectory ``i``'s next draws in [0, 1).  The cycle body of ``plan``
+    (from ``_plan``, the layer's one entry check) runs through ``_slices``,
+    on Python floats for one row and on arrays for many, with the same bits.
+    A fixed-point ``plan`` costs one comparison and one count instead.
+    ``outcomes``, a list when given, receives ``u == +1`` as ``(width,
+    rows)`` bool blocks.  Returns ``(u_bars, final_blochs)``.
     """
-    rows, n = uniforms.shape
-    if plan.fixed is not None:
-        p_plus, *final = plan.fixed
-        plus = uniforms < p_plus
-        if outcomes is not None:
-            outcomes.append(plus.T)
-        return (2.0 * np.count_nonzero(plus, axis=1) - n) / n, np.tile(final, (rows, 1))
-    state = [np.full(rows, value) for value in plan.start]
-    counts = np.zeros(rows, dtype=np.int64)
-    for block in _slices(uniforms, state, lambda draws: (draws,), plan.cycle, plan.pairs):
-        counts += block.view(np.uint8).sum(axis=0, dtype=np.uint8)  # at most 64 per slice
+    if plan.fixed is None:
+        state = [np.full(rows, value) for value in plan.start]
+        blocks = _slices(tiles, state, lambda draws: (draws,), plan.cycle, plan.pairs)
+    else:
+        blocks = ((tile < plan.fixed[0]).T for tile in tiles)
+    counts, n = np.zeros(rows, dtype=np.int64), 0
+    for block in blocks:
+        counts += block.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(len(block)))
+        n += len(block)
         if outcomes is not None:
             outcomes.append(block)
-    finals = np.stack(_apply(plan.back, state), axis=1)
-    return (2.0 * counts - n) / n, finals
+    if plan.fixed is None:
+        return (2.0 * counts - n) / n, np.stack(_apply(plan.back, state), axis=1)
+    return (2.0 * counts - n) / n, np.tile(plan.fixed[1:], (rows, 1))
 
 
 def run(
@@ -442,7 +457,7 @@ def run(
     """
     _checked_int(n, "n", 1)
     plan, plus = _plan(setting, cycle_rotation, initial), []
-    u_bars, finals = _evolve(plan, np.random.default_rng(seed).random((1, n)), plus)
+    u_bars, finals = _evolve(plan, [np.random.default_rng(seed).random((1, n))], 1, plus)
     outcomes = np.where(np.concatenate(plus)[:, 0], 1, -1).astype(np.int8)
     return TrajectoryRecord(outcomes, float(u_bars[0]), NuclearState(finals[0]), seed)
 
@@ -464,45 +479,30 @@ def run_ensemble(
     bit-for-bit parallelization of repeated single runs.  ``master_seed``
     must be an integer >= 0, and ``n`` and ``n_traj`` integers >= 1.
 
-    ``_plan``, the layer's one entry check, decides once, before any buffer
-    is allocated, whether the start is a fixed point of the cycle, and that
-    sizes the one draw buffer, which dominates the memory.  Otherwise up to
-    ``_BLOCK`` trajectories draw into one ``(_BLOCK, n)`` buffer (``8
-    min(_BLOCK, n_traj) n`` bytes) and go through the kernel together.  A
-    fixed-point start needs only a comparison and a count per row, so its
-    rows draw in tiles of ``clip(_CELLS // n, 1, _BLOCK)`` rows, at most
-    ``8 max(_CELLS, n)`` bytes whatever ``n_traj`` is.  Each row's stream is
-    one whole ``random(out=row)`` either way.  The streams come from
-    seed-sequence hashes batched ``_BLOCK`` children at a time
-    (``_child_generators``), not from a ``SeedSequence`` object per
-    trajectory; the contract above is unchanged.
+    ``_plan``, the layer's one entry check, decides once, before any draw,
+    whether the start is a fixed point of the cycle.  Kernel rows go through
+    ``_evolve`` ``_BLOCK`` at a time; fixed-point rows, which need only a
+    comparison and a count, at most ``_CELLS`` draws per tile.  ``_streams``
+    draws each block ``_WIDTH`` cycles at a time, so the draws held take at
+    most ``8 _BLOCK _WIDTH`` bytes: ``n`` bounds the time, not the memory.
 
     ``diagnostics``, when given, is a counter that receives the seconds
-    spent building the streams and drawing (``stream_s``) and in the kernel
-    (``kernel_s``, the fixed-point decision included), and the rows whose
-    start is a fixed point of the cycle, decided without the slice kernel
-    (``fixed_point_rows``, see ``_plan``).
+    spent building the streams and drawing (``stream_s``) and the rest of
+    the call (``kernel_s``, the fixed-point decision included), and the
+    rows whose start is a fixed point of the cycle, decided without the
+    slice kernel (``fixed_point_rows``, see ``_plan``).
     """
     _checked_int(n, "n", 1)
     _checked_int(n_traj, "n_traj", 1)
     master_seed = _checked_int(master_seed, "master seed", 0)
-    began = time.perf_counter()
+    began, tally = time.perf_counter(), Counter(stream_s=0.0)
     plan = _plan(setting, cycle_rotation, initial)
-    tally = Counter(stream_s=0.0, kernel_s=time.perf_counter() - began)
-    tile = _BLOCK if plan.fixed is None else min(max(_CELLS // n, 1), _BLOCK)
+    rows = _BLOCK if plan.fixed is None else min(_CELLS // min(n, _WIDTH), _BLOCK)
     u_bars, finals = np.empty(n_traj), np.empty((n_traj, 3))
-    uniforms = np.empty((min(tile, n_traj), n))
-    generators = _child_generators(master_seed, n_traj)
-    for start in range(0, n_traj, tile):
-        draws = uniforms[: n_traj - start]
-        began = time.perf_counter()
-        for row, gen in zip(draws, generators):  # zip asks draws first: no child is skipped
-            gen.random(out=row)
-        drawn = time.perf_counter()
-        done = slice(start, start + len(draws))
-        u_bars[done], finals[done] = _evolve(plan, draws)
-        tally["stream_s"] += drawn - began
-        tally["kernel_s"] += time.perf_counter() - drawn
+    streams = _streams(master_seed, n_traj, n, rows, np.random.Generator.random, tally)
+    for start, size, tiles in streams:
+        u_bars[start : start + size], finals[start : start + size] = _evolve(plan, tiles, size)
+    tally["kernel_s"] = time.perf_counter() - began - tally["stream_s"]
     if diagnostics is not None:
         diagnostics.update(tally, fixed_point_rows=0 if plan.fixed is None else n_traj)
     return u_bars, finals

@@ -404,7 +404,7 @@ def no_work(monkeypatch):
     monkeypatch.setattr(nv, "exact_dd_evolution", _refuse)
     monkeypatch.setattr(nv, "first_crossing", _refuse)
     for module in (trajectory, stability):
-        monkeypatch.setattr(module, "_child_generators", _refuse)
+        monkeypatch.setattr(module, "_streams", _refuse)
         monkeypatch.setattr(module, "_slices", _refuse)
     monkeypatch.setattr(stability, "_survival_values", _refuse)
 

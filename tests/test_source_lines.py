@@ -37,7 +37,7 @@ SHARED_PRIVATE_NAMES = {
     *{("*", "rotations", name) for name in ROTATIONS_HELPERS},
     *{
         ("stability", "trajectory", name)
-        for name in ("_apply", "_axis_frame", "_child_generators", "_frame_terms", "_slices")
+        for name in ("_apply", "_axis_frame", "_frame_terms", "_slices", "_streams")
     },
     ("nv", "control", "_chord_angle"),
 }

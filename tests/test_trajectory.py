@@ -18,6 +18,7 @@ from qndspin.stability import (
     RotationErrorModel,
     _fixed_axis_survivals,
     dephasing_map,
+    survival_curve,
     survival_ensemble,
 )
 import qndspin.stability as stability
@@ -263,11 +264,11 @@ def test_one_row_on_floats_is_its_row_on_arrays(axis, alpha, phi, cycle, start, 
     initial = NuclearState(np.array(start, dtype=float))
     uniforms = np.random.default_rng(seed).random((rows, n))
     plan, outcomes = trajectory._plan(s, rotation, initial), []
-    u_bars, finals = trajectory._evolve(plan, uniforms, outcomes)
+    u_bars, finals = trajectory._evolve(plan, [uniforms], rows, outcomes)
     outcomes = np.concatenate(outcomes)
     for i in (0, rows - 1):
         row_outcomes = []
-        u_bar, final = trajectory._evolve(plan, uniforms[i : i + 1], row_outcomes)
+        u_bar, final = trajectory._evolve(plan, [uniforms[i : i + 1]], 1, row_outcomes)
         np.testing.assert_array_equal(np.concatenate(row_outcomes)[:, 0], outcomes[:, i])
         assert u_bar.tobytes() == u_bars[i : i + 1].tobytes()
         assert final.tobytes() == finals[i : i + 1].tobytes()  # signed zeros too
@@ -277,7 +278,7 @@ def _evolved(s, rotation, initial, uniforms):
     """``_evolve``'s u_bars and finals as bytes, its outcomes, and the rows its
     plan decides without the slice kernel."""
     outcomes, plan = [], trajectory._plan(s, rotation, initial)
-    u_bars, finals = trajectory._evolve(plan, uniforms, outcomes)
+    u_bars, finals = trajectory._evolve(plan, [uniforms], len(uniforms), outcomes)
     fixed_rows = 0 if plan.fixed is None else len(uniforms)
     return u_bars.tobytes(), finals.tobytes(), np.concatenate(outcomes), fixed_rows
 
@@ -372,15 +373,21 @@ def test_draws_at_the_threshold_are_the_kernels(monkeypatch, axis, alpha, phi, c
     np.testing.assert_array_equal(shortcut[2], kernel[2])
 
 
+@pytest.mark.parametrize("width", [100, 1024], ids=["100-cycle tiles", "one tile"])
 @pytest.mark.parametrize("block", [1, 3, 7, 50])
-def test_ensemble_rows_are_runs_bit_for_bit(monkeypatch, block):
+def test_ensemble_rows_are_runs_bit_for_bit(monkeypatch, block, width):
+    """Kernel-path rows, drawn ``width`` cycles at a time: 100 divides
+    neither ``n`` nor the 64-cycle slices, so the tiles end mid-slice."""
     monkeypatch.setattr(trajectory, "_BLOCK", block)
+    monkeypatch.setattr(trajectory, "_WIDTH", width)
     axis = _unit([0.3, -0.5, -0.8])  # tilted, below the equator
     s = MeasurementSetting(0.6 * axis, 1.1)
     cycle = rotor_exp(np.array([0.2, 0.1, -0.3]))  # not about the axis
     initial = NuclearState(np.array([0.5, 0.3, -0.2]))
-    n, n_traj = 150, 7
-    u_bars, finals = run_ensemble(s, cycle, initial, n, n_traj, 31)
+    n, n_traj = 250, 7
+    tally = Counter()
+    u_bars, finals = run_ensemble(s, cycle, initial, n, n_traj, 31, tally)
+    assert tally["fixed_point_rows"] == 0
     for i in range(n_traj):
         rec = run(s, cycle, initial, n, np.random.SeedSequence(31, spawn_key=(i,)))
         np.testing.assert_array_equal(u_bars[i], rec.u_bar)
@@ -389,13 +396,21 @@ def test_ensemble_rows_are_runs_bit_for_bit(monkeypatch, block):
 
 def _tiled_ensemble(monkeypatch, n, n_traj, master):
     """Check a fixed-point ``run_ensemble`` (plus eigenstate, 0.7 rad about
-    e_z) against its single runs bit for bit; return the rows of each tile."""
+    e_z) against its single runs bit for bit; return the shapes of each
+    block's tiles."""
     s, cycle, initial = setting(), rotor_exp(0.7 * EZ), NuclearState.eigenstate(EZ)
-    tiles, evolve = [], trajectory._evolve
+    blocks, evolve = [], trajectory._evolve
 
-    def recorded(plan, uniforms, *args):
-        tiles.append(len(uniforms))
-        return evolve(plan, uniforms, *args)
+    def recorded(plan, tiles, rows, *args):
+        shapes = []
+        blocks.append(shapes)
+
+        def watched():
+            for tile in tiles:
+                shapes.append(tile.shape)
+                yield tile
+
+        return evolve(plan, watched(), rows, *args)
 
     tally = Counter()
     with monkeypatch.context() as patch:
@@ -410,23 +425,29 @@ def _tiled_ensemble(monkeypatch, n, n_traj, master):
     expected_finals = np.array([r.final_state.bloch for r in records])
     assert u_bars.tobytes() == expected_u_bars.tobytes()
     assert finals.tobytes() == expected_finals.tobytes()
-    return tiles
+    return blocks
 
 
+@pytest.mark.parametrize("width", [100, 1024], ids=["100-cycle tiles", "one tile"])
 @pytest.mark.parametrize("rows, block", [(1, 2048), (3, 8), (7, 8)])
-def test_fixed_point_tiles_are_runs_bit_for_bit(monkeypatch, rows, block):
-    """Fixed-point rows drawn ``rows`` at a time, the last tile partial, while
-    the seed words are hashed ``block`` children at a time across the tiles."""
-    n, n_traj = 40, 17
+def test_fixed_point_tiles_are_runs_bit_for_bit(monkeypatch, rows, block, width):
+    """Fixed-point rows drawn ``rows`` at a time, the last block partial, while
+    the seed words are hashed ``block`` children at a time across the blocks,
+    and each row ``width`` cycles at a time (at 100, the last tile narrower)."""
+    n, n_traj = 250, 17
     monkeypatch.setattr(trajectory, "_BLOCK", block)
-    monkeypatch.setattr(trajectory, "_CELLS", rows * n + n - 1)  # rows = _CELLS // n
-    tiles = _tiled_ensemble(monkeypatch, n, n_traj, 999)
-    assert tiles == [rows] * (n_traj // rows) + [n_traj % rows] * (n_traj % rows > 0)
+    monkeypatch.setattr(trajectory, "_WIDTH", width)
+    monkeypatch.setattr(trajectory, "_CELLS", rows * min(n, width) + 99)  # rows = _CELLS // width
+    blocks = _tiled_ensemble(monkeypatch, n, n_traj, 999)
+    sizes = [rows] * (n_traj // rows) + [n_traj % rows] * (n_traj % rows > 0)
+    widths = [100, 100, 50] if width == 100 else [n]
+    assert blocks == [[(size, w) for w in widths] for size in sizes]
 
 
-def test_fixed_point_rows_longer_than_a_tile_draw_one_at_a_time(monkeypatch):
-    n, n_traj = trajectory._CELLS + 3, 3
-    assert _tiled_ensemble(monkeypatch, n, n_traj, 2**64 + 1) == [1, 1, 1]
+def test_fixed_point_rows_longer_than_a_tile_draw_a_tile_at_a_time(monkeypatch):
+    n, n_traj, width = trajectory._CELLS + 3, 3, trajectory._WIDTH
+    blocks = _tiled_ensemble(monkeypatch, n, n_traj, 2**64 + 1)
+    assert blocks == [[(n_traj, width)] * (n // width) + [(n_traj, n % width)]]
 
 
 def test_fixed_point_ensemble_holds_one_tile_of_draws():
@@ -446,6 +467,43 @@ def test_fixed_point_ensemble_holds_one_tile_of_draws():
     tile = 8 * trajectory._CELLS
     assert max(held) < 2 * tile < 8 * trajectory._BLOCK * n
     assert abs(held[1] - held[0]) < tile / 8
+
+
+def test_kernel_ensemble_holds_one_tile_of_draws():
+    """The draws of a kernel-path ensemble take about ``8 rows _WIDTH`` bytes
+    whatever ``n`` is; the whole ``(rows, n)`` uniforms took 2.56 MB here."""
+    s, cycle, initial = setting(), rotor_exp(np.array([0.1, -0.2, 0.3])), NuclearState.mixed()
+    run_ensemble(s, cycle, initial, 10, 3, 5)  # first-call allocations out of the way
+    n, n_traj = 5000, 64
+    tracemalloc.start()
+    try:
+        run_ensemble(s, cycle, initial, n, n_traj, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * n_traj * trajectory._WIDTH < 8 * n_traj * n
+
+
+def test_fixed_point_blocks_share_the_hashed_seed_words(monkeypatch):
+    """Blocks of 262 fixed-point rows (``_CELLS // 1000``) take their seed
+    words from one ``_child_seed_words`` call per ``_BLOCK`` children, not
+    one per block: a call per block cost about 8 ms of a 0.11 s ensemble."""
+    calls, words = [], trajectory._child_seed_words
+
+    def counted(master, first, count):
+        calls.append((first, count))
+        return words(master, first, count)
+
+    monkeypatch.setattr(trajectory, "_child_seed_words", counted)
+    s, cycle, initial = setting(), rotor_exp(0.7 * EZ), NuclearState.eigenstate(EZ)
+    n, n_traj, tally = 1000, 4100, Counter()
+    u_bars, _ = run_ensemble(s, cycle, initial, n, n_traj, 5, tally)
+    assert tally["fixed_point_rows"] == n_traj and trajectory._CELLS // n == 262
+    assert calls == [(0, 2048), (2048, 2048), (4096, 4)]
+    assert len(calls) == math.ceil(n_traj / trajectory._BLOCK)
+    for i in (261, 262, 2047, 2048, n_traj - 1):  # each side of a block's and a hash's edge
+        record = run(s, cycle, initial, n, np.random.SeedSequence(5, spawn_key=(i,)))
+        assert u_bars[i] == record.u_bar
 
 
 EDGE_MASTERS = [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 + 1]
@@ -489,16 +547,34 @@ def test_fixed_point_declines_past_the_reachable_states():
     assert len(draws) < 2 * trajectory._REACHABLE
 
 
-@pytest.mark.parametrize("block", [2, 2048])
+def _normal(gen, out):
+    out[...] = gen.normal(0.0, 0.3, len(out))
+
+
+def _integers(gen, out):
+    out[...] = gen.integers(2**53, size=len(out))  # exact as floats
+
+
+@pytest.mark.parametrize(
+    "draw", [np.random.Generator.random, _normal, _integers], ids=["random", "normal", "integers"]
+)
+@pytest.mark.parametrize("block, rows", [(2, 3), (3, 2), (2048, 2048)])
 @pytest.mark.parametrize("master", [7, 2**128 + 1], ids=["one-word master", "five-word master"])
-def test_child_generators_are_distinct_seed_sequence_children(monkeypatch, block, master):
+def test_streams_are_distinct_seed_sequence_children(monkeypatch, block, rows, master, draw):
+    """Each child's tiles, joined, are its ``SeedSequence`` child's draws:
+    blocks of ``rows`` children across seed words hashed ``block`` at a
+    time, each row 4 cycles at a time over 9 cycles."""
     monkeypatch.setattr(trajectory, "_BLOCK", block)
-    generators = list(trajectory._child_generators(master, 5))  # kept past the next child
-    assert len({id(gen.bit_generator) for gen in generators}) == 5
-    for i, gen in enumerate(generators):
-        expected = np.random.default_rng(np.random.SeedSequence(master, spawn_key=(i,)))
-        np.testing.assert_array_equal(gen.random(9), expected.random(9))
-        assert gen.integers(2**63, size=3).tolist() == expected.integers(2**63, size=3).tolist()
+    monkeypatch.setattr(trajectory, "_WIDTH", 4)
+    count, n, tally, drawn = 5, 9, Counter(), []
+    for start, size, tiles in trajectory._streams(master, count, n, rows, draw, tally):
+        assert (start, size) == (len(drawn), min(rows, count - start))
+        drawn += list(np.concatenate([tile.copy() for tile in tiles], axis=1))
+    for i, row in enumerate(drawn):
+        expected = np.empty(n)
+        draw(np.random.default_rng(np.random.SeedSequence(master, spawn_key=(i,))), out=expected)
+        np.testing.assert_array_equal(row, expected)
+    assert len(drawn) == count and tally["stream_s"] > 0
 
 
 STREAM_CASE = (
@@ -528,12 +604,19 @@ def test_ensemble_streams_are_seed_sequence_children(monkeypatch, block, master)
     np.testing.assert_array_equal(finals, expected_finals)
 
 
-def test_survival_ensemble_equals_spawned_rows():
+@pytest.mark.parametrize("width", [100, 1024], ids=["100-cycle tiles", "one tile"])
+def test_survival_ensemble_equals_spawned_rows(monkeypatch, width):
+    """The ensemble's angles drawn ``width`` cycles at a time give the
+    spawned ``survival_curve``s' mean and standard error."""
+    monkeypatch.setattr(trajectory, "_WIDTH", width)
     alpha_vec = 2.2 * _unit([0.3, -0.5, 0.8])
-    axis, std, n_max, n_seeds, master = _unit([0.6, 0.2, -0.7]), 0.05, 100, 40, 2**64 + 9
+    axis, std, n_max, n_seeds, master = _unit([0.6, 0.2, -0.7]), 0.05, 250, 40, 2**64 + 9
     children = np.random.SeedSequence(master).spawn(n_seeds)
     angles = np.array([np.random.default_rng(seq).normal(0.0, std, n_max) for seq in children])
-    rows = np.concatenate(list(_fixed_axis_survivals(alpha_vec, axis, angles)))
+    rows = np.concatenate(list(_fixed_axis_survivals(alpha_vec, axis, [angles], n_seeds)))
+    for i in (0, n_seeds - 1):
+        model = RotationErrorModel("random", std=std, axis=axis, seed=children[i])
+        assert survival_curve(alpha_vec, model, n_max).values.tobytes() == rows[:, i].tobytes()
     mean, stderr = survival_ensemble(alpha_vec, std, axis, n_max, n_seeds, master)
     np.testing.assert_array_equal(mean, rows.mean(axis=1))
     np.testing.assert_array_equal(stderr, rows.std(axis=1, ddof=1) / math.sqrt(n_seeds))
@@ -600,8 +683,8 @@ def test_bad_shapes_and_counts_are_refused_before_any_draw(monkeypatch, call, na
         raise AssertionError("drew before refusing")
 
     monkeypatch.setattr(np.random, "default_rng", draw)
-    monkeypatch.setattr(trajectory, "_child_generators", draw)
-    monkeypatch.setattr(stability, "_child_generators", draw)
+    monkeypatch.setattr(trajectory, "_streams", draw)
+    monkeypatch.setattr(stability, "_streams", draw)
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call()
 
